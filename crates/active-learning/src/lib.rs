@@ -18,7 +18,9 @@
 //! annealing candidate search ([`sa`]), ε-greedy batch selection and early
 //! stopping. [`task_tuning::tune_task`] runs one node; [`model_tuning`]
 //! tunes whole models and reports the end-to-end latency statistics of
-//! Table I.
+//! Table I. [`session::Session`] is the crash-safe run engine behind both
+//! `aaltune tune` and serve jobs: durable logs, checkpoints, replay
+//! resume, and the tuning-database seed and upsert.
 //!
 //! # Example
 //!
@@ -41,9 +43,11 @@ pub mod bted;
 pub mod evaluator;
 pub mod model_quality;
 pub mod model_tuning;
+pub mod names;
 pub mod options;
 pub mod records;
 pub mod sa;
+pub mod session;
 pub mod task_tuning;
 pub mod ted;
 pub mod transfer;
@@ -57,10 +61,12 @@ pub use model_quality::{
     MODEL_QUALITY_SCHEMA_VERSION,
 };
 pub use model_tuning::{tune_model, tune_model_parallel, ModelTuneResult};
+pub use names::{device_by_name, method_by_name, model_by_name};
 pub use options::TuneOptions;
 pub use records::{
     Checkpoint, DbProvenance, LogWriter, RecoveredLog, RunDir, RunManifest, TrialRecord, TuningLog,
     WarmSeed, CHECKPOINT_SCHEMA_VERSION, MANIFEST_SCHEMA_VERSION,
 };
+pub use session::{DbPolicy, Session, SessionDb};
 pub use task_tuning::{tune_task, tune_task_with, Method, TaskTuneResult, TuneHooks};
 pub use transfer::{warm_start_configs, TransferStats, STALE_RECORD_COUNTER};

@@ -23,6 +23,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use trace_analysis::stats::percentile;
 use tuning_db::{decimate_curve, DbRecord, LockOptions, TaskSpec, TopConfig, TuningDb};
 
 fn submit(addr: &str, tenant: &str, seed: u64, n_trial: u64) -> String {
@@ -79,15 +80,6 @@ fn seed_db(root: &Path) -> usize {
         .expect("seed upsert");
     }
     tasks.len()
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_precision_loss, clippy::cast_sign_loss)]
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]

@@ -7,14 +7,23 @@ use executor::run_ordered;
 use gpu_sim::{GpuDevice, SimMeasurer};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::stats::{delta_pct, mean};
+use trace_analysis::stats::mean;
 
 /// Worker threads shared by every experiment driver, set once by the bench
 /// binaries from `--workers` (default 1 = serial). Worker count never
 /// changes results: each `(task, method, trial)` unit is independently
 /// seeded and results fold in unit order via [`executor::run_ordered`].
 static WORKERS: AtomicUsize = AtomicUsize::new(1);
+
+/// Relative change in percent: `100 * (new - base) / base`; 0.0 when
+/// `base` is 0.
+fn delta_pct(base: f64, new: f64) -> f64 {
+    if base == 0.0 {
+        0.0
+    } else {
+        100.0 * (new - base) / base
+    }
+}
 
 /// Sets the worker-thread count for all experiment drivers.
 pub fn set_workers(n: usize) {
@@ -471,6 +480,13 @@ mod tests {
 
     fn smoke() -> TuneOptions {
         TuneOptions::smoke()
+    }
+
+    #[test]
+    fn delta_pct_signs() {
+        assert!((delta_pct(2.0, 1.0) + 50.0).abs() < 1e-12);
+        assert!((delta_pct(2.0, 3.0) - 50.0).abs() < 1e-12);
+        assert_eq!(delta_pct(0.0, 3.0), 0.0);
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub mod experiments;
 pub mod plot;
 pub mod registry;
 pub mod report;
-pub mod stats;
 
 /// Installs the global telemetry pipeline for an experiment binary from its
 /// `--trace FILE`, `--quiet`, and `--json` flags. Returns the handle so the

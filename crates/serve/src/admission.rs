@@ -71,6 +71,23 @@ struct JobRecord {
     next_event_seq: u64,
 }
 
+impl JobRecord {
+    /// Stamps `job`/`seq` into `fields` and appends it to the ring.
+    fn stamp(&mut self, id: &str, mut fields: Value) -> Value {
+        let seq = self.next_event_seq;
+        self.next_event_seq += 1;
+        if let Value::Object(obj) = &mut fields {
+            obj.insert("job".into(), Value::String(id.to_string()));
+            obj.insert("seq".into(), Value::from(seq));
+        }
+        if self.events.len() >= EVENT_RING {
+            self.events.pop_front();
+        }
+        self.events.push_back(fields.clone());
+        fields
+    }
+}
+
 #[derive(Debug, Default)]
 struct AdmState {
     jobs: BTreeMap<String, JobRecord>,
@@ -182,42 +199,39 @@ impl Admission {
         }
     }
 
-    /// Marks a running job terminal and releases its tenant slot.
-    pub fn complete(&self, id: &str, outcome: Result<(), String>) {
+    /// Marks a running job terminal, releases its tenant slot, and
+    /// appends `event` (its `job.done`/`job.failed` event) to the replay
+    /// ring in the same critical section. Returns the stamped event for
+    /// the live bus, which the caller publishes only after this returns.
+    /// So a status read issued after the terminal event says `done` or
+    /// `failed`, and an `/events` reader finds the event either in its
+    /// ring snapshot or live on the bus, never in both and never in
+    /// neither.
+    pub fn complete(&self, id: &str, outcome: Result<(), String>, event: Value) -> Option<Value> {
         let mut st = lock_or_recover(&self.state);
-        if let Some(job) = st.jobs.get_mut(id) {
-            let tenant = job.spec.tenant.clone();
-            match outcome {
-                Ok(()) => job.state = JobState::Done,
-                Err(e) => {
-                    job.state = JobState::Failed;
-                    job.error = Some(e);
-                }
+        let job = st.jobs.get_mut(id)?;
+        let tenant = job.spec.tenant.clone();
+        match outcome {
+            Ok(()) => job.state = JobState::Done,
+            Err(e) => {
+                job.state = JobState::Failed;
+                job.error = Some(e);
             }
-            if let Some(n) = st.running.get_mut(&tenant) {
-                *n = n.saturating_sub(1);
-            }
+        }
+        let stamped = job.stamp(id, event);
+        if let Some(n) = st.running.get_mut(&tenant) {
+            *n = n.saturating_sub(1);
         }
         drop(st);
         self.work.notify_all();
+        Some(stamped)
     }
 
     /// Appends a seq-stamped progress event to the job's replay ring,
     /// returning the stamped payload (for the live bus).
-    pub fn push_event(&self, id: &str, mut fields: Value) -> Option<Value> {
+    pub fn push_event(&self, id: &str, fields: Value) -> Option<Value> {
         let mut st = lock_or_recover(&self.state);
-        let job = st.jobs.get_mut(id)?;
-        let seq = job.next_event_seq;
-        job.next_event_seq += 1;
-        if let Value::Object(obj) = &mut fields {
-            obj.insert("job".into(), Value::String(id.to_string()));
-            obj.insert("seq".into(), Value::from(seq));
-        }
-        if job.events.len() >= EVENT_RING {
-            job.events.pop_front();
-        }
-        job.events.push_back(fields.clone());
-        Some(fields)
+        Some(st.jobs.get_mut(id)?.stamp(id, fields))
     }
 
     /// Snapshot for `/jobs/:id`: `(status body, state)`.
@@ -340,9 +354,9 @@ mod tests {
         assert_eq!(second, b1);
         let (third, _) = adm.next_job().unwrap();
         assert_eq!(third, a1);
-        adm.complete(&first, Ok(()));
-        adm.complete(&second, Ok(()));
-        adm.complete(&third, Err("boom".into()));
+        adm.complete(&first, Ok(()), json!({}));
+        adm.complete(&second, Ok(()), json!({}));
+        adm.complete(&third, Err("boom".into()), json!({}));
         assert_eq!(adm.status(&third).unwrap().1, JobState::Failed);
         assert_eq!(adm.status(&first).unwrap().1, JobState::Done);
     }
@@ -375,5 +389,23 @@ mod tests {
         let (ring, _) = adm.events_snapshot(&id).unwrap();
         assert_eq!(ring.len(), EVENT_RING);
         assert_eq!(ring[0]["seq"].as_u64().unwrap(), 5, "oldest entries evicted");
+    }
+
+    #[test]
+    fn terminal_event_is_stamped_with_the_terminal_state() {
+        let adm = Admission::new(4);
+        let id = adm.submit(spec("a", 0), ok_persist).unwrap();
+        adm.next_job().unwrap();
+        adm.push_event(&id, json!({"event": "job.trial"})).unwrap();
+        let stamped = adm.complete(&id, Ok(()), json!({"event": "job.done"})).unwrap();
+        assert_eq!(stamped["seq"].as_u64(), Some(1));
+        // By the time the caller can publish the event, the job is done
+        // and the ring already holds it exactly once.
+        let (ring, state) = adm.events_snapshot(&id).unwrap();
+        assert_eq!(state, JobState::Done);
+        assert_eq!(adm.status(&id).unwrap().0["state"].as_str(), Some("done"));
+        assert_eq!(ring.iter().filter(|v| v["event"].as_str() == Some("job.done")).count(), 1);
+        assert_eq!(ring.last(), Some(&stamped));
+        assert!(adm.complete("j99", Ok(()), json!({})).is_none(), "unknown job");
     }
 }

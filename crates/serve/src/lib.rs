@@ -5,10 +5,10 @@
 //! HTTP/1.1 subset over [`std::net`] (see [`http`]); everything else is
 //! composition of existing subsystems:
 //!
-//! * jobs run through the same crash-safe run-directory machinery as
-//!   `aaltune tune` (journal + per-task logs + checkpoints), so a
-//!   killed server resumes its queue on restart with byte-identical
-//!   trial logs ([`runner`]);
+//! * jobs run through the same crash-safe run engine as `aaltune tune`
+//!   (`active_learning::Session`: per-task logs, checkpoints, replay
+//!   resume) plus a submission journal, so a killed server resumes its
+//!   queue on restart with byte-identical trial logs ([`runner`]);
 //! * tenants share one device pool with fair-share scheduling and
 //!   optional hard quotas ([`admission`] + `executor::DevicePool` tag
 //!   caps);

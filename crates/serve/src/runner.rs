@@ -1,38 +1,38 @@
 //! Executes one tuning job inside its per-job run directory.
 //!
-//! This is the CLI `tune` loop reduced to its durable core: per-task
-//! crash-safe trial logs, checkpoint every 16 trials, and replay-based
-//! resume — so a server killed mid-job continues exactly where the log
-//! ends, and the finished logs are byte-identical to an uninterrupted
-//! run. Two deliberate simplifications keep that guarantee simple:
+//! A job is a thin adapter over [`active_learning::Session`], the same
+//! crash-safe engine behind `aaltune tune`: durable per-task logs,
+//! checkpoints, replay resume, and the upsert into the tuning database
+//! before each completion checkpoint. A server killed mid-job therefore
+//! continues exactly where each log ends, and the finished logs are
+//! byte-identical to an uninterrupted run's.
 //!
-//! * jobs tune **cold** (no database warm start), so the trial stream
-//!   is a pure function of the spec — independent of what other tenants
-//!   upserted meanwhile, which is what makes the kill -9 twin
-//!   comparison in CI byte-exact;
-//! * the measurement stack is a plain [`SimMeasurer`] behind the shared
-//!   executor (no fault injection, no quarantine) — chaos testing
-//!   belongs to the `tune` CLI, not the service.
+//! What the adapter keeps is what differs from the CLI:
 //!
-//! Results are folded into the shared tuning database after each task
-//! (append-before-apply, under the server's writer lock), which is what
-//! the high-QPS `/best` read path serves from.
+//! * the measurer is a plain [`SimMeasurer`] leasing from the server's
+//!   shared [`DevicePool`] under the tenant tag, so checkpoints carry no
+//!   quarantine;
+//! * a job tunes one task at a time and **cold**: it upserts but never
+//!   consults the database, so its trial stream is a pure function of
+//!   the spec, independent of what other tenants upserted meanwhile —
+//!   which is what makes the kill -9 twin comparison in CI byte-exact;
+//! * every live trial is published as a `job.trial` event, the engine's
+//!   human progress lines are dropped (the server's stream is job
+//!   events), and an aborted task fails the job before its upsert;
+//! * the manifest and `result.json` are written here.
 
-use crate::job::{device_by_name, method_by_name, model_by_name, JobSpec};
-use active_learning::records::{Checkpoint, RunDir, TuningLog, CHECKPOINT_SCHEMA_VERSION};
-use active_learning::{tune_task_with, RunManifest, TrialRecord, TuneHooks, TuneOptions};
-use dnn_graph::task::{extract_tasks, TuningTask};
+use crate::job::JobSpec;
+use active_learning::{
+    device_by_name, method_by_name, model_by_name, RunDir, RunManifest, Session, SessionDb,
+    TuneOptions, MANIFEST_SCHEMA_VERSION,
+};
+use dnn_graph::task::extract_tasks;
 use executor::{DevicePool, Executor, ExecutorConfig};
 use gpu_sim::SimMeasurer;
-use schedule::template::space_for_task;
 use serde_json::{json, Value};
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use telemetry::sync::lock_or_recover;
-use tuning_db::{
-    decimate_curve, DbRecord, TaskSpec, TopConfig, TuningDb, DB_SCHEMA_VERSION, TOP_K,
-};
+use tuning_db::TuningDb;
 
 /// Tuning options for a job: the smoke profile (small models, fast
 /// surrogates) with the job's budget and seed applied.
@@ -60,42 +60,40 @@ pub fn run_job(
     pool: &Arc<DevicePool>,
     workers: usize,
     db: Option<&Mutex<TuningDb>>,
-    emit: &dyn Fn(&str, Value),
+    emit: &(dyn Fn(&str, Value) + Sync),
 ) -> Result<Value, String> {
     spec.validate()?;
     let model = model_by_name(&spec.model)?;
     let method = method_by_name(&spec.method)?;
     let device = device_by_name(&spec.device)?;
-    let device_name = spec.device.clone();
     let opts = job_options(spec);
 
     let dir = RunDir::create(jobs_root.join(id))
         .map_err(|e| format!("cannot create run dir for {id}: {e}"))?;
-    let tasks = extract_tasks(&model);
-    let selected: Vec<usize> = match spec.task {
-        Some(i) if i < tasks.len() => vec![i],
-        Some(i) => return Err(format!("task index {i} out of range (model has {})", tasks.len())),
-        None => (0..tasks.len()).collect(),
-    };
-    let task_names: Vec<String> = selected.iter().map(|&i| tasks[i].name.clone()).collect();
+    let mut tasks = extract_tasks(&model);
+    if let Some(i) = spec.task {
+        if i >= tasks.len() {
+            return Err(format!("task index {i} out of range (model has {})", tasks.len()));
+        }
+        tasks = vec![tasks.swap_remove(i)];
+    }
 
     // Resume iff a checkpoint exists; its `completed_tasks` list is the
     // same advisory state `tune --resume` uses (correctness rests on the
     // logs themselves).
     let checkpoint = dir.read_checkpoint().map_err(|e| format!("bad checkpoint for {id}: {e}"))?;
     let resume = checkpoint.is_some();
-    let mut completed: Vec<String> = checkpoint.map(|c| c.completed_tasks).unwrap_or_default();
     if !resume {
         dir.write_manifest(&RunManifest {
             model: spec.model.clone(),
             method: method.label().to_string(),
-            tasks: task_names.clone(),
+            tasks: tasks.iter().map(|t| t.name.clone()).collect(),
             seed: spec.seed,
             options: opts,
-            schema_version: Some(active_learning::records::MANIFEST_SCHEMA_VERSION),
+            schema_version: Some(MANIFEST_SCHEMA_VERSION),
             git_describe: None,
             wall_time_s: None,
-            device: Some(device_name.clone()),
+            device: Some(spec.device.clone()),
             fault: None,
             resumed: None,
             workers: Some(workers),
@@ -114,44 +112,42 @@ pub fn run_job(
         Arc::clone(pool),
         Some(spec.tenant.clone()),
     );
+    let logs = Session {
+        measurer: &exec,
+        method,
+        opts,
+        device: &spec.device,
+        dir: Some(&dir),
+        resume,
+        completed: checkpoint.map(|c| c.completed_tasks).unwrap_or_default(),
+        task_workers: 1,
+        db: db.map(|store| SessionDb { store, consult: None }),
+        quarantine: None,
+        tel: &telemetry::Telemetry::disabled(),
+        on_trial: &|task, rec| {
+            let fields = json!({
+                "task": task.name.clone(),
+                "trial": rec.trial,
+                "gflops": rec.gflops,
+                "best_gflops": rec.best_gflops,
+            });
+            emit("job.trial", fields);
+        },
+        on_abort: &|task, diag| Err(format!("{} aborted: {diag}", task.name)),
+    }
+    .run(&tasks)?;
 
-    let write_ckpt = |completed: &[String], in_flight: Option<&str>, trials: Option<u64>| {
-        dir.write_checkpoint(&Checkpoint {
-            schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
-            completed_tasks: completed.to_vec(),
-            in_flight: in_flight.map(str::to_string),
-            trials_logged: trials,
-            quarantine: None,
+    let summaries: Vec<Value> = tasks
+        .iter()
+        .zip(&logs)
+        .map(|(task, log)| {
+            json!({
+                "task": task.name.clone(),
+                "trials": log.records.len() as u64,
+                "best_gflops": log.best_gflops(),
+            })
         })
-        .map_err(|e| format!("cannot write checkpoint for {id}: {e}"))
-    };
-    if !resume {
-        write_ckpt(&completed, None, None)?;
-    }
-
-    let mut summaries = Vec::new();
-    for &ti in &selected {
-        let task = &tasks[ti];
-        let log = if completed.contains(&task.name) {
-            let f = std::fs::File::open(dir.log_path(&task.name))
-                .map_err(|e| format!("cannot reopen log of {}: {e}", task.name))?;
-            TuningLog::read_jsonl(std::io::BufReader::new(f))
-                .map_err(|e| format!("bad log for completed task {}: {e}", task.name))?
-        } else {
-            let log = tune_one(&dir, task, &exec, method, &opts, resume, id, emit)?;
-            upsert_result(db, task, &device_name, method.label(), spec.seed, &log)?;
-            completed.push(task.name.clone());
-            write_ckpt(&completed, None, None)?;
-            log
-        };
-        let best = log.best_gflops();
-        summaries.push(json!({
-            "task": task.name.clone(),
-            "trials": log.records.len() as u64,
-            "best_gflops": best,
-        }));
-    }
-
+        .collect();
     let result = json!({
         "schema_version": 1u64,
         "job": id,
@@ -169,143 +165,4 @@ pub fn run_job(
     )
     .map_err(|e| format!("cannot write result for {id}: {e}"))?;
     Ok(result)
-}
-
-/// Tunes one task with durable logging + replay resume (the crash-safe
-/// core of the CLI's `run_task`).
-#[allow(clippy::too_many_arguments)]
-fn tune_one(
-    dir: &RunDir,
-    task: &TuningTask,
-    exec: &Executor<SimMeasurer>,
-    method: active_learning::Method,
-    opts: &TuneOptions,
-    resume: bool,
-    id: &str,
-    emit: &dyn Fn(&str, Value),
-) -> Result<TuningLog, String> {
-    let (replay, mut writer) = {
-        let recovered = if resume {
-            dir.recover_log(&task.name)
-                .map_err(|e| format!("cannot recover log of {}: {e}", task.name))?
-        } else {
-            None
-        };
-        match recovered {
-            Some((rec, w)) => (rec.log.records, w),
-            None => (
-                Vec::new(),
-                dir.create_log(&task.name, method.label())
-                    .map_err(|e| format!("cannot create log of {}: {e}", task.name))?,
-            ),
-        }
-    };
-    dir.write_checkpoint(&Checkpoint {
-        schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
-        completed_tasks: completed_of(dir),
-        in_flight: Some(task.name.clone()),
-        trials_logged: Some(replay.len() as u64),
-        quarantine: None,
-    })
-    .map_err(|e| format!("cannot write checkpoint for {id}: {e}"))?;
-
-    let trials_logged = std::cell::Cell::new(replay.len() as u64);
-    let write_err: std::cell::RefCell<Option<String>> = std::cell::RefCell::new(None);
-    let mut sink = |rec: &TrialRecord| {
-        if let Err(e) = writer.append(rec) {
-            write_err.borrow_mut().get_or_insert(e.to_string());
-        }
-        trials_logged.set(trials_logged.get() + 1);
-        if trials_logged.get().is_multiple_of(16) {
-            let _ = dir.write_checkpoint(&Checkpoint {
-                schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
-                completed_tasks: completed_of(dir),
-                in_flight: Some(task.name.clone()),
-                trials_logged: Some(trials_logged.get()),
-                quarantine: None,
-            });
-        }
-        emit(
-            "job.trial",
-            json!({
-                "task": task.name.clone(),
-                "trial": rec.trial,
-                "gflops": rec.gflops,
-                "best_gflops": rec.best_gflops,
-            }),
-        );
-    };
-    let r = tune_task_with(
-        task,
-        exec,
-        method,
-        opts,
-        TuneHooks { on_trial: Some(&mut sink), replay: Some(&replay), ..TuneHooks::default() },
-    );
-    if let Some(e) = write_err.into_inner() {
-        return Err(format!("trial log of {} failed to write: {e}", task.name));
-    }
-    if let Some(diag) = &r.aborted {
-        return Err(format!("{} aborted: {diag}", task.name));
-    }
-    Ok(r.log)
-}
-
-/// Reads the completed-task list back from the current checkpoint (the
-/// per-trial sink can't borrow the caller's mutable list while the tuner
-/// holds the closure).
-fn completed_of(dir: &RunDir) -> Vec<String> {
-    dir.read_checkpoint().ok().flatten().map(|c| c.completed_tasks).unwrap_or_default()
-}
-
-/// Folds a finished task's log into the tuning database (same top-k
-/// ranking the CLI's `upsert_result` uses).
-fn upsert_result(
-    db: Option<&Mutex<TuningDb>>,
-    task: &TuningTask,
-    device_name: &str,
-    method_label: &str,
-    seed: u64,
-    log: &TuningLog,
-) -> Result<(), String> {
-    let Some(store) = db else { return Ok(()) };
-    let space = space_for_task(task);
-    let mut ranked: Vec<&TrialRecord> = log.records.iter().filter(|r| r.gflops > 0.0).collect();
-    ranked.sort_by(|a, b| b.gflops.total_cmp(&a.gflops).then(a.config_index.cmp(&b.config_index)));
-    let mut seen = BTreeSet::new();
-    let mut top_k = Vec::new();
-    for r in ranked {
-        if top_k.len() >= TOP_K {
-            break;
-        }
-        if !seen.insert(r.config_index) {
-            continue;
-        }
-        let cfg = space.config(r.config_index).map_err(|e| {
-            format!("bad config index {} in log of {}: {e}", r.config_index, task.name)
-        })?;
-        top_k.push(TopConfig {
-            config_index: r.config_index,
-            choices: cfg.choices,
-            gflops: r.gflops,
-            latency_s: r.latency_s,
-        });
-    }
-    if top_k.is_empty() {
-        return Ok(());
-    }
-    let rec = DbRecord {
-        schema_version: DB_SCHEMA_VERSION,
-        spec: TaskSpec::of(task, &space, device_name),
-        feature: TaskSpec::features(task),
-        method: method_label.to_string(),
-        seed,
-        n_trials: log.records.len() as u64,
-        best_gflops: top_k[0].gflops,
-        top_k,
-        curve: decimate_curve(&log.convergence_curve(), 64),
-    };
-    lock_or_recover(store)
-        .upsert(rec)
-        .map_err(|e| format!("cannot upsert {} into tuning database: {e}", task.name))
 }

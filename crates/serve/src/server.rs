@@ -21,8 +21,9 @@
 
 use crate::admission::{Admission, SubmitError};
 use crate::http::{Conn, ReadOutcome, Request, IDLE_POLL};
-use crate::job::{device_by_name, model_by_name, JobSpec, JobState, JournalLine};
+use crate::job::{JobSpec, JobState, JournalLine};
 use crate::runner::run_job;
+use active_learning::{device_by_name, model_by_name};
 use dnn_graph::task::extract_tasks;
 use executor::{BoundedQueue, DevicePool};
 use schedule::template::space_for_task;
@@ -682,21 +683,31 @@ fn job_worker(shared: &Arc<Shared>) {
                 eprintln!("serve: journal append failed for {id}: {e}");
             }
         }
-        match &outcome {
-            Ok(_) => emit_event(shared, &id, "job.done", json!({})),
-            Err(e) => emit_event(shared, &id, "job.failed", json!({ "error": e.clone() })),
+        // Complete before publishing: a client that reads the job's status
+        // right after the terminal event must see it terminal.
+        let (name, fields) = match &outcome {
+            Ok(_) => ("job.done", json!({})),
+            Err(e) => ("job.failed", json!({ "error": e.clone() })),
+        };
+        let event = named(name, fields);
+        if let Some(stamped) = shared.admission.complete(&id, outcome.map(|_| ()), event) {
+            shared.tel.event(name, || stamped);
         }
-        shared.admission.complete(&id, outcome.map(|_| ()));
     }
 }
 
-/// Stamps `event`/`job`/`seq` into `fields`, records it in the job's
-/// replay ring, and publishes it to the live bus + trace.
-fn emit_event(shared: &Shared, id: &str, name: &str, mut fields: Value) {
+/// `fields` with `event: name` stamped in.
+fn named(name: &str, mut fields: Value) -> Value {
     if let Value::Object(obj) = &mut fields {
         obj.insert("event".into(), Value::String(name.to_string()));
     }
-    if let Some(stamped) = shared.admission.push_event(id, fields) {
+    fields
+}
+
+/// Records an event in the job's replay ring (stamped with `event`,
+/// `job`, and `seq`) and publishes it to the live bus + trace.
+fn emit_event(shared: &Shared, id: &str, name: &str, fields: Value) {
+    if let Some(stamped) = shared.admission.push_event(id, named(name, fields)) {
         shared.tel.event(name, || stamped);
     }
 }

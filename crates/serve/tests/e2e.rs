@@ -283,8 +283,35 @@ fn stalled_clients_do_not_block_shutdown() {
         server.wait();
         let _ = tx.send(());
     });
-    rx.recv_timeout(Duration::from_secs(10))
-        .expect("shutdown must drain despite stalled clients");
+    rx.recv_timeout(Duration::from_secs(10)).expect("shutdown must drain despite stalled clients");
     drop(stalled);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A job is marked terminal before its terminal event is published: a
+/// status read issued the moment a follower sees `job.done` already says
+/// `done`, and the stream carries the terminal line exactly once.
+#[test]
+fn status_read_right_after_the_terminal_event_is_terminal() {
+    let root = temp_root("terminal");
+    let server = Server::start(config(&root)).expect("server starts");
+    let addr = server.addr().to_string();
+    for seed in 0..4 {
+        let id = submit(&addr, &spec("alpha", seed, 8));
+        let mut states = Vec::new();
+        client::stream_events(&addr, &format!("/jobs/{id}/events"), |v| {
+            if matches!(v["event"].as_str(), Some("job.done" | "job.failed")) {
+                let (code, body) =
+                    client::request(&addr, "GET", &format!("/jobs/{id}"), None).expect("status");
+                assert_eq!(code, 200, "status of a known job: {body}");
+                states.push(body["state"].as_str().unwrap_or_default().to_string());
+            }
+            true
+        })
+        .expect("event stream");
+        assert_eq!(states, vec!["done".to_string()], "{id}: one terminal line, read as done");
+    }
+    server.shutdown();
+    server.wait();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -123,10 +123,12 @@ pub fn bootstrap_mean_delta_ci(
     BootstrapCi { delta, lo, hi, confidence, resamples, paired }
 }
 
-/// Value at quantile `q` of an ascending-sorted slice (nearest-rank).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
+/// Value at quantile `q` of an ascending-sorted slice (nearest-rank);
+/// the type's default (zero) for an empty slice.
+#[must_use]
+pub fn percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
-        return 0.0;
+        return T::default();
     }
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
