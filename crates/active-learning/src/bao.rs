@@ -16,9 +16,10 @@
 use crate::evaluator::{Evaluator, GbtEvaluator};
 use crate::model_quality::ProposalDiag;
 use crate::tuner::Tuner;
-use gbt::GbtParams;
+use gbt::{GbtParams, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use schedule::feature::{feature_len, features, features_into};
 use schedule::neighborhood::sample_feature_neighborhood;
 use schedule::{Config, ConfigSpace};
 use serde::{Deserialize, Serialize};
@@ -80,6 +81,9 @@ where
     pending_init: Vec<Config>,
     /// The already-sampled set (X, Y).
     measured: Vec<(Config, f64)>,
+    /// The features of `measured`, one row each: a configuration is
+    /// featurized once, when its measurement arrives.
+    measured_x: Matrix,
     visited: HashSet<u64>,
     /// x*_{t-1}: the incumbent — the best configuration found so far (the
     /// paper defines y*_t as "the optimal performance values found in step
@@ -130,6 +134,7 @@ where
             make_evaluator,
             pending_init: init,
             measured: Vec::new(),
+            measured_x: Matrix::new(Vec::new(), 0, feature_len(space)),
             visited: HashSet::new(),
             center: None,
             last_two: (None, None),
@@ -159,25 +164,25 @@ where
     /// keep known-bad configurations out of future scopes. When *every*
     /// measurement failed the raw set is used so bootstrap selection still
     /// has something to resample.
-    fn fit_window(&self) -> Vec<(Config, f64)> {
-        let valid: Vec<(Config, f64)> =
-            self.measured.iter().filter(|(_, y)| *y > 0.0).cloned().collect();
-        let source: Vec<(Config, f64)> =
-            if valid.is_empty() { self.measured.clone() } else { valid };
+    fn fit_window(&self) -> Vec<usize> {
+        let all = 0..self.measured.len();
+        let valid: Vec<usize> = all.clone().filter(|&i| self.measured[i].1 > 0.0).collect();
+        let source: Vec<usize> = if valid.is_empty() { all.collect() } else { valid };
         if source.len() <= self.opts.fit_window {
             return source;
         }
         let recent_start = source.len() - self.opts.fit_window;
-        let mut out: Vec<(Config, f64)> = source[recent_start..].to_vec();
-        let mut elite: Vec<&(Config, f64)> = source[..recent_start].iter().collect();
-        elite.sort_by(|a, b| b.1.total_cmp(&a.1));
-        out.extend(elite.into_iter().take(32).cloned());
+        let mut out = source[recent_start..].to_vec();
+        let mut elite = source[..recent_start].to_vec();
+        elite.sort_by(|&a, &b| self.measured[b].1.total_cmp(&self.measured[a].1));
+        out.extend(elite.into_iter().take(32));
         out
     }
 
-    /// The current search scope C_t (Algorithm 4 lines 3-9). Consecutive
-    /// sub-η steps compound the widening: radius = min(τ^k · R, max).
-    fn scope(&mut self, center: &Config) -> Vec<Config> {
+    /// The current search scope C_t (Algorithm 4 lines 3-9), with the
+    /// features of each member as one matrix row. Consecutive sub-η steps
+    /// compound the widening: radius = min(τ^k · R, max).
+    fn scope(&mut self, center: &Config) -> (Vec<Config>, Matrix) {
         let r_t = self.relative_improvement();
         let widen = r_t.is_some_and(|r| r < self.opts.eta);
         if widen {
@@ -201,12 +206,16 @@ where
         if widen {
             tel.count("bao.widenings", 1);
         }
+        // The sampler featurizes every member for its radius test; keep
+        // those rows instead of featurizing the scope again.
+        let mut rows = Vec::new();
         let mut c = sample_feature_neighborhood(
             self.space,
             center,
             radius,
             self.opts.scope_size,
             &mut self.rng,
+            &mut rows,
         );
         // A thin stream of global candidates rides along with the local
         // scope: the τ^∞ limit of the widening rule. Without it, a center
@@ -215,12 +224,22 @@ where
         // models can never see out of.
         let global = (self.opts.scope_size / 8).max(8);
         for _ in 0..global {
-            c.push(self.space.sample(&mut self.rng));
+            let cfg = self.space.sample(&mut self.rng);
+            features_into(self.space, &cfg, &mut rows);
+            c.push(cfg);
         }
-        c.retain(|cfg| !self.visited.contains(&cfg.index));
-        c.sort_by_key(|cfg| cfg.index);
-        c.dedup_by_key(|cfg| cfg.index);
-        c
+        // Unvisited members, each once, in index order (a stable sort keeps
+        // the first of any duplicates).
+        let mut keep: Vec<usize> =
+            (0..c.len()).filter(|&i| !self.visited.contains(&c[i].index)).collect();
+        keep.sort_by_key(|&i| c[i].index);
+        keep.dedup_by_key(|i| c[*i].index);
+        let x = Matrix::new(rows, c.len(), self.measured_x.cols()).select_rows(&keep);
+        let members = keep
+            .iter()
+            .map(|&i| Config { index: c[i].index, choices: std::mem::take(&mut c[i].choices) })
+            .collect();
+        (members, x)
     }
 }
 
@@ -262,22 +281,25 @@ where
                     .expect("measured is non-empty")
             })
             .0;
-        let fit_set = self.fit_window();
+        let window = self.fit_window();
+        let fit_x = self.measured_x.select_rows(&window);
+        let fit_y: Vec<f64> = window.iter().map(|&i| self.measured[i].1).collect();
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let candidates = self.scope(&center);
+            let (candidates, cand_x) = self.scope(&center);
             self.step += 1;
             let pick = if candidates.is_empty() {
                 None
             } else {
-                crate::bs::bootstrap_select_diag(
-                    self.space,
-                    &fit_set,
+                Some(crate::bs::select_featurized(
+                    &fit_x,
+                    &fit_y,
                     &candidates,
+                    &cand_x,
                     self.opts.gamma,
                     &self.make_evaluator,
                     self.step.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                )
+                ))
             };
             // Exhausted or degenerate neighborhood: random restart keeps the
             // search alive (the space is astronomically larger than the
@@ -302,6 +324,7 @@ where
     fn update(&mut self, results: &[(Config, f64)]) {
         for (cfg, y) in results {
             self.visited.insert(cfg.index);
+            self.measured_x.push_row(&features(self.space, cfg));
             self.measured.push((cfg.clone(), *y));
             // Maintain the incumbent and the best-so-far history that
             // Equation (1) compares.
@@ -446,7 +469,7 @@ mod tests {
         ]);
         let fit = t.fit_window();
         assert_eq!(fit.len(), 2, "zero-GFLOPS labels must not reach the surrogate");
-        assert!(fit.iter().all(|(_, y)| *y > 0.0));
+        assert!(fit.iter().all(|&i| t.measured[i].1 > 0.0));
         // All-failed degenerate case: fall back to the raw set so BS can
         // still resample (it panics on an empty measured set).
         let mut t2 = BaoTuner::new(&space, vec![], BaoOptions::default(), GbtParams::default(), 6);
@@ -484,6 +507,27 @@ mod tests {
         assert!(d.predicted_mean.is_some_and(f64::is_finite));
         assert!(d.predicted_std.is_some_and(|s| s >= 0.0));
         assert!(d.acquisition.is_some());
+    }
+
+    #[test]
+    fn cached_rows_are_the_features_of_their_configurations() {
+        let space = toy_space();
+        let init: Vec<Config> = (0..10).map(|i| space.config(i * 13 + i).unwrap()).collect();
+        let opts = BaoOptions { scope_size: 48, ..BaoOptions::default() };
+        let mut t = BaoTuner::new(&space, init, opts, GbtParams::default(), 8);
+        let _ = drive(&mut t, 5);
+        let rows = |cfgs: Vec<&Config>| -> Vec<f64> {
+            cfgs.into_iter().flat_map(|c| features(&space, c)).collect()
+        };
+        assert_eq!(
+            t.measured_x.clone().into_data(),
+            rows(t.measured.iter().map(|(c, _)| c).collect())
+        );
+        let center = t.measured[3].0.clone();
+        let (members, x) = t.scope(&center);
+        assert!(!members.is_empty());
+        assert_eq!(x.rows(), members.len());
+        assert_eq!(x.into_data(), rows(members.iter().collect()));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::model_quality::ProposalDiag;
 use gbt::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use schedule::feature::features;
+use schedule::feature::{feature_len, features_into};
 use schedule::{Config, ConfigSpace};
 
 /// Selects the next configuration from `candidates`.
@@ -89,12 +89,50 @@ where
     if candidates.is_empty() {
         return None;
     }
-
-    let n = measured.len();
-    let x_rows: Vec<Vec<f64>> = measured.iter().map(|(c, _)| features(space, c)).collect();
+    let x = feature_rows(space, measured.iter().map(|(c, _)| c));
     let ys: Vec<f64> = measured.iter().map(|&(_, y)| y).collect();
-    let cand_rows: Vec<Vec<f64>> = candidates.iter().map(|c| features(space, c)).collect();
+    let cand_x = feature_rows(space, candidates);
+    Some(select_featurized(&x, &ys, candidates, &cand_x, gamma, make_evaluator, seed))
+}
 
+/// The feature vectors of `configs`, one matrix row each.
+fn feature_rows<'c>(space: &ConfigSpace, configs: impl IntoIterator<Item = &'c Config>) -> Matrix {
+    let mut data = Vec::new();
+    let mut rows = 0;
+    for c in configs {
+        features_into(space, c, &mut data);
+        rows += 1;
+    }
+    Matrix::new(data, rows, feature_len(space))
+}
+
+/// [`bootstrap_select_diag`] on rows featurized by the caller: `x`/`ys` is
+/// the measured set, row `i` of `cand_x` the features of `candidates[i]`.
+/// BAO keeps both matrices incrementally, so a proposal step featurizes
+/// nothing twice.
+///
+/// # Panics
+///
+/// Panics if `x` is empty, `gamma == 0`, `candidates` is empty, or the
+/// shapes disagree.
+pub(crate) fn select_featurized<E, F>(
+    x: &Matrix,
+    ys: &[f64],
+    candidates: &[Config],
+    cand_x: &Matrix,
+    gamma: usize,
+    make_evaluator: F,
+    seed: u64,
+) -> (Config, ProposalDiag)
+where
+    E: Evaluator,
+    F: Fn() -> E,
+{
+    assert!(x.rows() > 0, "BS needs an initial measured set");
+    assert!(gamma > 0, "need at least one bootstrap resample");
+    assert_eq!(x.rows(), ys.len(), "label count mismatch");
+    assert_eq!(cand_x.rows(), candidates.len(), "candidate row count mismatch");
+    let n = x.rows();
     let tel = telemetry::global();
     let _span = tel.span("bs.select");
     tel.event("bs.start", || {
@@ -110,8 +148,7 @@ where
     for g in 0..gamma {
         // Lines 2-3: bootstrap resample with |X_γ| = |X|.
         let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-        let xg_rows: Vec<&[f64]> = indices.iter().map(|&i| x_rows[i].as_slice()).collect();
-        let xg = Matrix::from_rows(&xg_rows);
+        let xg = x.select_rows(&indices);
         let yg: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
         // Line 4: build the evaluation function f_γ.
         let mut eval = make_evaluator();
@@ -122,8 +159,8 @@ where
         // Line 6 accumulation: Σ_γ f_γ(x), plus Σ_γ f_γ(x)² so the winner's
         // bagged mean/std fall out without a second prediction pass.
         let _predict = tel.span("bs.predict");
-        for (i, row) in cand_rows.iter().enumerate() {
-            let p = eval.predict_row(row);
+        for i in 0..cand_x.rows() {
+            let p = eval.predict_row(cand_x.row(i));
             scores[i] += p;
             sq_scores[i] += p * p;
         }
@@ -146,7 +183,7 @@ where
         predicted_std: Some(std),
         acquisition: Some(scores[best]),
     };
-    Some((candidates[best].clone(), diag))
+    (candidates[best].clone(), diag)
 }
 
 #[cfg(test)]

@@ -87,6 +87,24 @@ struct ModelQualityHeader {
 ///
 /// Returns an error when the file cannot be created or written.
 pub fn write_model_quality(path: &Path, records: &[ModelPredRecord]) -> std::io::Result<()> {
+    write_record_lines(path, records.iter().map(record_line))
+}
+
+/// One record's line of `model_quality.jsonl`, newline included.
+pub(crate) fn record_line(r: &ModelPredRecord) -> String {
+    // aal-lint: allow(unwrap, reason = "prediction records are plain data; serialization cannot fail")
+    let mut line = serde_json::to_string(r).expect("record serializes");
+    line.push('\n');
+    line
+}
+
+/// [`write_model_quality`] for records already rendered by
+/// [`record_line`], in blocks of any number of lines — lets a run that
+/// rewrites the file as tasks finish render each record once.
+pub(crate) fn write_record_lines(
+    path: &Path,
+    blocks: impl IntoIterator<Item = impl AsRef<str>>,
+) -> std::io::Result<()> {
     let tmp = path.with_extension("jsonl.tmp");
     {
         // aal-lint: allow(raw-artifact-write, reason = "temp side of temp+fsync+rename")
@@ -97,9 +115,8 @@ pub fn write_model_quality(path: &Path, records: &[ModelPredRecord]) -> std::io:
         };
         // aal-lint: allow(unwrap, reason = "header is a plain data struct; serialization cannot fail")
         writeln!(f, "{}", serde_json::to_string(&header).expect("header serializes"))?;
-        for r in records {
-            // aal-lint: allow(unwrap, reason = "prediction records are plain data; serialization cannot fail")
-            writeln!(f, "{}", serde_json::to_string(r).expect("record serializes"))?;
+        for block in blocks {
+            f.write_all(block.as_ref().as_bytes())?;
         }
         f.flush()?;
     }

@@ -149,6 +149,15 @@ mod tests {
     }
 
     #[test]
+    fn model_defaults_match_the_gbt_golden_fixture() {
+        // `crates/gbt/tests/golden.rs` pins prediction bits at exactly
+        // these parameters.
+        let o = TuneOptions::default();
+        assert_eq!(o.gbt, GbtParams::default());
+        assert_eq!(o.bao_gbt, GbtParams { n_rounds: 35, colsample: 0.6, ..GbtParams::default() });
+    }
+
+    #[test]
     fn smoke_preset_is_smaller() {
         let s = TuneOptions::smoke();
         assert!(s.n_trial < TuneOptions::default().n_trial);

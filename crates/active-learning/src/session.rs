@@ -10,7 +10,9 @@
 //!   run's;
 //! * **checkpoints** — at task start, every 16 durable trials
 //!   (each in-flight task's quarantine restricted to its durably logged
-//!   configs), and at task completion;
+//!   configs), and at task completion, written in that order by one
+//!   writer thread; a task waits for its start and completion
+//!   checkpoints to be durable, never for the ones in between;
 //! * **database** — the warm seed pinned before the first trial and
 //!   replayed on resume, the [`DbPolicy::Serve`] verifying measurement,
 //!   and the top-k upsert, which lands before the completion checkpoint;
@@ -21,7 +23,7 @@
 //! I/O (manifest, registries, snapshots, result files) stays with them.
 
 use crate::model_quality::{
-    read_model_quality, write_model_quality, ModelPredRecord, MODEL_QUALITY_FILE,
+    read_model_quality, record_line, write_record_lines, ModelPredRecord, MODEL_QUALITY_FILE,
 };
 use crate::options::TuneOptions;
 use crate::records::{
@@ -34,7 +36,8 @@ use schedule::template::space_for_task;
 use schedule::Config;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Mutex, MutexGuard};
 use telemetry::sync::lock_or_recover;
 use telemetry::Telemetry;
 use tuning_db::{
@@ -44,6 +47,9 @@ use tuning_db::{
 
 /// Durable trials between two in-flight checkpoints of a task.
 const CHECKPOINT_EVERY: u64 = 16;
+
+/// Checkpoints the writer may fall behind by before a task waits for it.
+const CHECKPOINT_BACKLOG: usize = 4;
 
 /// How a session consumes an exact tuning-database hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,27 +136,34 @@ struct Progress {
     appended: BTreeMap<String, BTreeSet<u64>>,
 }
 
+/// A checkpoint handed to the writer thread; `written` hears the outcome
+/// when the caller waits for it.
+struct CheckpointWrite {
+    checkpoint: Checkpoint,
+    written: Option<SyncSender<std::io::Result<()>>>,
+}
+
 /// State of one [`Session::run`].
 struct RunState {
     progress: Mutex<Progress>,
+    /// The checkpoint writer's queue (`None` without a run directory).
+    /// Locked before the progress lock is released, so checkpoints reach
+    /// the writer in the order their contents were taken.
+    checkpoints: Mutex<Option<SyncSender<CheckpointWrite>>>,
     /// Task names in run order (the capture file's record order).
     order: Vec<String>,
-    /// Capture records per task; on resume, seeded from the capture file,
-    /// which holds the records of every task completed before the kill.
-    capture: Mutex<BTreeMap<String, Vec<ModelPredRecord>>>,
+    /// Capture lines per task, each record rendered once; on resume,
+    /// seeded from the capture file, which holds the records of every
+    /// task completed before the kill.
+    capture: Mutex<BTreeMap<String, String>>,
 }
 
 impl RunState {
     /// Rewrites the capture file (atomically) from every task so far.
     fn write_capture(&self, dir: &RunDir) -> Result<(), String> {
         let by_task = lock_or_recover(&self.capture);
-        let all: Vec<ModelPredRecord> = self
-            .order
-            .iter()
-            .filter_map(|name| by_task.get(name))
-            .flat_map(|recs| recs.iter().cloned())
-            .collect();
-        write_model_quality(&dir.model_quality_path(), &all)
+        let blocks = self.order.iter().filter_map(|name| by_task.get(name));
+        write_record_lines(&dir.model_quality_path(), blocks)
             .map_err(|e| format!("cannot write {MODEL_QUALITY_FILE}: {e}"))
     }
 }
@@ -166,39 +179,58 @@ impl<M: Measurer + Sync> Session<'_, M> {
     ///
     /// The first failure in task order.
     pub fn run(&self, tasks: &[TuningTask]) -> Result<Vec<TuningLog>, String> {
-        let mut capture: BTreeMap<String, Vec<ModelPredRecord>> = BTreeMap::new();
+        let mut capture: BTreeMap<String, String> = BTreeMap::new();
         if let Some(dir) = self.capture_dir().filter(|_| self.resume) {
             if dir.model_quality_path().is_file() {
                 for rec in read_model_quality(&dir.model_quality_path())? {
-                    capture.entry(rec.task.clone()).or_default().push(rec);
+                    capture.entry(rec.task.clone()).or_default().push_str(&record_line(&rec));
                 }
             }
         }
-        let st = RunState {
-            progress: Mutex::new(Progress {
-                completed: self.completed.clone(),
-                appended: BTreeMap::new(),
-            }),
-            order: tasks.iter().map(|t| t.name.clone()).collect(),
-            capture: Mutex::new(capture),
-        };
-        let failed = AtomicBool::new(false);
-        let outcomes =
-            executor::run_ordered(tasks.iter().collect(), self.task_workers, |_, task| {
-                if failed.load(Ordering::Acquire) {
-                    return None;
-                }
-                let r = self.run_task(task, &st);
-                if r.is_err() {
-                    failed.store(true, Ordering::Release);
-                }
-                Some(r)
+        std::thread::scope(|scope| {
+            // One writer thread owns `checkpoint.json`: it writes every
+            // checkpoint in order, and the run joins it before returning.
+            let checkpoints = self.dir.map(|dir| {
+                let (queue, pending) = sync_channel::<CheckpointWrite>(CHECKPOINT_BACKLOG);
+                scope.spawn(move || {
+                    for w in pending {
+                        let r = dir.write_checkpoint(&w.checkpoint);
+                        if let Some(written) = w.written {
+                            let _ = written.send(r);
+                        }
+                    }
+                });
+                queue
             });
-        let logs = outcomes.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
-        if let Some(dir) = self.capture_dir() {
-            st.write_capture(dir)?;
-        }
-        Ok(logs)
+            let st = RunState {
+                progress: Mutex::new(Progress {
+                    completed: self.completed.clone(),
+                    appended: BTreeMap::new(),
+                }),
+                checkpoints: Mutex::new(checkpoints),
+                order: tasks.iter().map(|t| t.name.clone()).collect(),
+                capture: Mutex::new(capture),
+            };
+            let failed = AtomicBool::new(false);
+            let outcomes =
+                executor::run_ordered(tasks.iter().collect(), self.task_workers, |_, task| {
+                    if failed.load(Ordering::Acquire) {
+                        return None;
+                    }
+                    let r = self.run_task(task, &st);
+                    if r.is_err() {
+                        failed.store(true, Ordering::Release);
+                    }
+                    Some(r)
+                });
+            // Closing the queue lets the writer drain it and exit.
+            drop(lock_or_recover(&st.checkpoints).take());
+            let logs = outcomes.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
+            if let Some(dir) = self.capture_dir() {
+                st.write_capture(dir)?;
+            }
+            Ok(logs)
+        })
     }
 
     /// The run directory, when model capture is on.
@@ -325,21 +357,21 @@ impl<M: Measurer + Sync> Session<'_, M> {
         warm: Option<Vec<Config>>,
         st: &RunState,
     ) -> Result<TuningLog, String> {
-        let (replay, mut durable) = match self.dir {
+        let (replay, mut log_writer) = match self.dir {
             Some(dir) => {
                 let (replay, writer) = self.open_log(dir, task)?;
                 let mut p = lock_or_recover(&st.progress);
                 p.appended
                     .insert(task.name.clone(), replay.iter().map(|r| r.config_index).collect());
-                self.checkpoint(dir, &p, Some(&task.name), Some(replay.len() as u64))?;
-                (replay, Some((dir, writer)))
+                self.checkpoint(st, p, Some(&task.name), Some(replay.len() as u64), true)?;
+                (replay, Some(writer))
             }
             None => (Vec::new(), None),
         };
         let mut trials_logged = replay.len() as u64;
         let mut write_err: Option<String> = None;
         let mut on_trial = |rec: &TrialRecord| {
-            if let Some((dir, writer)) = durable.as_mut() {
+            if let Some(writer) = log_writer.as_mut() {
                 if let Err(e) = writer.append(rec) {
                     write_err.get_or_insert(e.to_string());
                 }
@@ -347,15 +379,15 @@ impl<M: Measurer + Sync> Session<'_, M> {
                 let mut p = lock_or_recover(&st.progress);
                 p.appended.entry(task.name.clone()).or_default().insert(rec.config_index);
                 if trials_logged.is_multiple_of(CHECKPOINT_EVERY) {
-                    let _ = self.checkpoint(dir, &p, Some(&task.name), Some(trials_logged));
+                    let _ = self.checkpoint(st, p, Some(&task.name), Some(trials_logged), false);
                 }
             }
             (self.on_trial)(task, rec);
         };
         // The loop recomputes diagnostics for replayed trials too, so a
         // resumed task rebuilds its full capture record set.
-        let mut records: Vec<ModelPredRecord> = Vec::new();
-        let mut on_model = |rec: &ModelPredRecord| records.push(rec.clone());
+        let mut lines = String::new();
+        let mut on_model = |rec: &ModelPredRecord| lines.push_str(&record_line(rec));
         let r = tune_task_with(
             task,
             self.measurer,
@@ -363,7 +395,7 @@ impl<M: Measurer + Sync> Session<'_, M> {
             &self.opts,
             TuneHooks {
                 on_trial: Some(&mut on_trial),
-                on_model: Some(&mut on_model),
+                on_model: if self.capture_dir().is_some() { Some(&mut on_model) } else { None },
                 replay: Some(&replay),
                 warm_start: warm.as_deref(),
             },
@@ -376,7 +408,7 @@ impl<M: Measurer + Sync> Session<'_, M> {
         }
         self.complete(task, &r.log, st)?;
         if let Some(dir) = self.capture_dir() {
-            lock_or_recover(&st.capture).insert(task.name.clone(), records);
+            lock_or_recover(&st.capture).insert(task.name.clone(), lines);
             st.write_capture(dir)?;
         }
         self.tel.report(|| {
@@ -422,26 +454,34 @@ impl<M: Measurer + Sync> Session<'_, M> {
     /// (an idempotent merge) instead of silently losing the upsert.
     fn complete(&self, task: &TuningTask, log: &TuningLog, st: &RunState) -> Result<(), String> {
         self.upsert(task, log)?;
-        if let Some(dir) = self.dir {
+        if self.dir.is_some() {
             let mut p = lock_or_recover(&st.progress);
             p.appended.remove(&task.name);
             p.completed.push(task.name.clone());
-            self.checkpoint(dir, &p, None, None)?;
+            self.checkpoint(st, p, None, None, true)?;
         }
         Ok(())
     }
 
-    /// Writes `checkpoint.json`; callers hold the progress lock, so
-    /// checkpoint writes serialize. Each in-flight task's quarantine is
-    /// restricted to its durably logged configs: a batch can quarantine a
-    /// config before that trial's record is durable, and a resume that
-    /// excluded such a config would diverge from the uninterrupted run.
+    /// Checkpoints the progress the caller has locked. Each in-flight
+    /// task's quarantine is restricted to its durably logged configs: a
+    /// batch can quarantine a config before that trial's record is
+    /// durable, and a resume that excluded such a config would diverge
+    /// from the uninterrupted run.
+    ///
+    /// The contents are taken under the progress lock; the writer thread
+    /// serializes, fsyncs and renames. With `wait` the call returns once
+    /// this checkpoint is durable. Without it the call returns at once,
+    /// so tuning never waits on the disk, and a crash can find the file
+    /// a few checkpoints behind the logs. That is safe: the checkpoint is
+    /// advisory, and an older one is still a consistent one.
     fn checkpoint(
         &self,
-        dir: &RunDir,
-        p: &Progress,
+        st: &RunState,
+        p: MutexGuard<'_, Progress>,
         in_flight: Option<&str>,
         trials: Option<u64>,
+        wait: bool,
     ) -> Result<(), String> {
         let quarantine = self.quarantine.map(|snapshot| {
             let mut q = snapshot();
@@ -450,14 +490,32 @@ impl<M: Measurer + Sync> Session<'_, M> {
             }
             q
         });
-        dir.write_checkpoint(&Checkpoint {
+        let checkpoint = Checkpoint {
             schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
             completed_tasks: p.completed.clone(),
             in_flight: in_flight.map(str::to_string),
             trials_logged: trials,
             quarantine,
-        })
-        .map_err(|e| format!("cannot write checkpoint: {e}"))
+        };
+        let guard = lock_or_recover(&st.checkpoints);
+        drop(p);
+        let Some(queue) = guard.as_ref() else { return Ok(()) };
+        let (written, outcome) = if wait {
+            let (tx, rx) = sync_channel(1);
+            (Some(tx), Some(rx))
+        } else {
+            (None, None)
+        };
+        let stopped = || "cannot write checkpoint: the writer stopped".to_string();
+        queue.send(CheckpointWrite { checkpoint, written }).map_err(|_| stopped())?;
+        drop(guard);
+        match outcome {
+            Some(rx) => rx
+                .recv()
+                .map_err(|_| stopped())?
+                .map_err(|e| format!("cannot write checkpoint: {e}")),
+            None => Ok(()),
+        }
     }
 
     /// Folds a finished task's log into the database: the top-k measured

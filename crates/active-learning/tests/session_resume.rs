@@ -188,6 +188,10 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize) {
     let (twin_logs, twin_quarantine) =
         session(&twin, db_of(&twin_db).as_deref(), consult, workers, 5, None, &never);
     assert!(!twin_quarantine.is_empty(), "fault injection must quarantine configs");
+    // The run returns only after its last checkpoint is on disk.
+    let done = RunDir::create(&twin).unwrap().read_checkpoint().unwrap().expect("checkpoint");
+    assert_eq!(done.completed_tasks.len(), tasks().len());
+    assert!(done.in_flight.is_none(), "the last checkpoint is a completion");
 
     let cut = base.join("cut");
     let crash = CrashAt::new(at, &cut, db_of(&cut_db));

@@ -11,8 +11,9 @@ use active_learning::bted::{bted, BtedOptions};
 use active_learning::evaluator::GbtEvaluator;
 use active_learning::sa::{simulated_annealing, SaOptions};
 use active_learning::ted::{ted, TedKernel};
+use active_learning::TuneOptions;
 use dnn_graph::{models, task::extract_tasks};
-use gbt::{Gbt, GbtParams, Matrix};
+use gbt::{BaggedGbt, Gbt, GbtParams, Matrix};
 use gpu_sim::{GpuDevice, Measurer, SimMeasurer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -48,6 +49,40 @@ fn bench_components(c: &mut Criterion) {
             b.iter(|| black_box(Gbt::fit(&p, &x, &ys, 0)));
         });
     }
+
+    // BAO's surrogate fit: a Γ=2 bag at the tuner's `bao_gbt` params, each
+    // member on a bootstrap resample, at the mean fit size of a 512-trial
+    // run (167 rows) and at a full fit window (416 rows). Labels are
+    // simulated GFLOPS of the valid configurations, as BAO fits them. Its
+    // own RNG leaves the inputs of the other benchmarks as they were.
+    let mut bao_rng = ChaCha8Rng::seed_from_u64(13);
+    let bao_gbt = TuneOptions::default().bao_gbt;
+    let measured_rows: Vec<(Vec<f64>, f64)> = space
+        .sample_distinct(&mut bao_rng, 4096)
+        .iter()
+        .map(|cfg| (features(&space, cfg), measurer.measure(&task, &space, cfg).gflops))
+        .filter(|(_, y)| *y > 0.0)
+        .collect();
+    for n in [167usize, 416] {
+        let x = Matrix::from_rows(&measured_rows[..n].iter().map(|(r, _)| r).collect::<Vec<_>>());
+        let ys: Vec<f64> = measured_rows[..n].iter().map(|(_, y)| *y).collect();
+        c.bench_with_input(BenchmarkId::new("bao_bagged_fit_gamma2", n), &n, |b, _| {
+            b.iter(|| black_box(BaggedGbt::fit(&bao_gbt, &x, &ys, 2, 5)));
+        });
+    }
+
+    // Featurizing one BAO step's worth of configurations (a 512-member
+    // scope) on the first mobilenet_v1 space.
+    let scope_cfgs = space.sample_distinct(&mut bao_rng, 512);
+    c.bench_function("features_mobilenet_512", |b| {
+        b.iter(|| {
+            let mut buf = Vec::new();
+            for cfg in &scope_cfgs {
+                buf.extend(features(&space, cfg));
+            }
+            black_box(buf)
+        });
+    });
 
     // One BS step (Algorithm 3) at the default scope size.
     let measured: Vec<(schedule::Config, f64)> = space

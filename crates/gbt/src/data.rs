@@ -38,6 +38,18 @@ impl Matrix {
         Matrix { data, rows: rows.len(), cols }
     }
 
+    /// Appends one row — lets a caller grow its feature matrix one
+    /// sample at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.cols()`.
+    pub fn push_row(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.cols, "ragged rows");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
     /// Number of rows (samples).
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -115,6 +127,14 @@ mod tests {
         assert_eq!(s.row(0), &[3.0]);
         assert_eq!(s.row(1), &[3.0]);
         assert_eq!(s.row(2), &[1.0]);
+    }
+
+    #[test]
+    fn push_row_appends() {
+        let mut m = Matrix::new(Vec::new(), 0, 2);
+        m.push_row(&[1.0, 2.0]);
+        m.push_row(&[3.0, 4.0]);
+        assert_eq!(m, Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Gradient boosting over regression trees.
 
 use crate::data::Matrix;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{FeatureOrder, RegressionTree, TreeParams, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -83,7 +83,8 @@ impl Gbt {
         let tree_params = params.tree_params();
         let all_cols: Vec<usize> = (0..d).collect();
         // One pre-sort of every feature column serves all boosting rounds.
-        let order = crate::tree::FeatureOrder::new(x);
+        let order = FeatureOrder::new(x);
+        let mut ws = Workspace::default();
 
         for _ in 0..params.n_rounds {
             // Squared loss: grad = pred - y, hess = 1 (only on sampled rows;
@@ -99,16 +100,19 @@ impl Gbt {
             let columns: Vec<usize> = if params.colsample >= 1.0 {
                 all_cols.clone()
             } else {
-                let k = ((d as f64 * params.colsample).ceil() as usize).clamp(1, d);
+                // `d.max(1)`: zero-feature data searches no columns.
+                let k = ((d as f64 * params.colsample).ceil() as usize).clamp(1, d.max(1));
                 let mut cols = all_cols.clone();
                 cols.shuffle(&mut rng);
                 cols.truncate(k);
                 cols
             };
             let tree =
-                RegressionTree::fit_presorted(&tree_params, x, &grad, &hess, &columns, &order);
-            for (i, p) in pred.iter_mut().enumerate() {
-                *p += params.eta * tree.predict_row(x.row(i));
+                RegressionTree::fit_rows(&tree_params, &grad, &hess, &columns, &order, &mut ws);
+            // Each row's leaf is the one the fit routed it to, so its
+            // weight equals `tree.predict_row(x.row(i))` bit for bit.
+            for (p, w) in pred.iter_mut().zip(&ws.row_weight) {
+                *p += params.eta * w;
             }
             trees.push(tree);
         }
@@ -215,5 +219,98 @@ mod tests {
         let y = vec![7.5; x.rows()];
         let m = Gbt::fit(&GbtParams::default(), &x, &y, 0);
         assert!((m.predict_row(&[1.0, 1.0]) - 7.5).abs() < 1e-9);
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::tree::reference::{self, strategy};
+    use proptest::prelude::*;
+
+    /// The reference boosting loop: every tree fit by the reference split
+    /// search, residuals updated by re-predicting each training row. It
+    /// consumes the RNG exactly as `Gbt::fit` does.
+    fn reference_fit(params: &GbtParams, x: &Matrix, y: &[f64], seed: u64) -> Gbt {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n, d) = (x.rows(), x.cols());
+        let base_score = y.iter().sum::<f64>() / n as f64;
+        let mut pred = vec![base_score; n];
+        let mut trees = Vec::new();
+        let all_cols: Vec<usize> = (0..d).collect();
+        for _ in 0..params.n_rounds {
+            let mut grad = vec![0.0; n];
+            let mut hess = vec![0.0; n];
+            for i in 0..n {
+                if params.subsample >= 1.0 || rng.gen::<f64>() < params.subsample {
+                    grad[i] = pred[i] - y[i];
+                    hess[i] = 1.0;
+                }
+            }
+            let columns: Vec<usize> = if params.colsample >= 1.0 {
+                all_cols.clone()
+            } else {
+                let k = ((d as f64 * params.colsample).ceil() as usize).clamp(1, d.max(1));
+                let mut cols = all_cols.clone();
+                cols.shuffle(&mut rng);
+                cols.truncate(k);
+                cols
+            };
+            let tree = reference::fit(&params.tree_params(), x, &grad, &hess, &columns);
+            for (i, p) in pred.iter_mut().enumerate() {
+                *p += params.eta * tree.predict_row(x.row(i));
+            }
+            trees.push(tree);
+        }
+        Gbt { base_score, eta: params.eta, trees, num_features: d }
+    }
+
+    fn gbt_params() -> impl Strategy<Value = GbtParams> {
+        (
+            1usize..8,
+            prop_oneof![Just(0.25), Just(0.3), Just(1.0)],
+            strategy::tree_params(),
+            prop_oneof![Just(1.0), Just(0.8), Just(0.5)],
+            prop_oneof![Just(1.0), Just(0.6), Just(0.3)],
+        )
+            .prop_map(|(n_rounds, eta, t, subsample, colsample)| GbtParams {
+                n_rounds,
+                eta,
+                max_depth: t.max_depth,
+                lambda: t.lambda,
+                gamma: t.gamma,
+                min_child_weight: t.min_child_weight,
+                subsample,
+                colsample,
+            })
+    }
+
+    fn dataset() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
+        strategy::matrix(80).prop_flat_map(|x| {
+            let n = x.rows();
+            (Just(x), proptest::collection::vec(-50i32..50, n..=n))
+                .prop_map(|(x, ys)| (x, ys.into_iter().map(f64::from).collect()))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn boosting_matches_the_reference_bit_for_bit(
+            (x, y) in dataset(),
+            params in gbt_params(),
+            seed in 0u64..1000,
+        ) {
+            let want = reference_fit(&params, &x, &y, seed);
+            let got = Gbt::fit(&params, &x, &y, seed);
+            prop_assert_eq!(&got, &want);
+            for i in 0..x.rows() {
+                prop_assert_eq!(
+                    got.predict_row(x.row(i)).to_bits(),
+                    want.predict_row(x.row(i)).to_bits()
+                );
+            }
+        }
     }
 }

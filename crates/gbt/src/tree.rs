@@ -3,6 +3,9 @@
 use crate::data::Matrix;
 use serde::{Deserialize, Serialize};
 
+#[cfg(test)]
+pub(crate) mod reference;
+
 /// Tree-growing hyper-parameters (a subset of [`crate::GbtParams`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
@@ -44,12 +47,24 @@ pub struct RegressionTree {
     nodes: Vec<Node>,
 }
 
+/// One presorted entry: a feature value and the row it came from.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    value: f64,
+    row: u32,
+}
+
 /// Per-feature row orderings, computed once per dataset and shared by every
 /// tree of a boosting run (the classic pre-sorted GBT layout — split search
 /// then costs one linear scan per feature instead of a sort per node).
+///
+/// Each column holds its `(value, row)` pairs in ascending
+/// [`f64::total_cmp`] order, ties broken by ascending row index, so the scan
+/// reads values without touching the row-major matrix.
 #[derive(Debug, Clone)]
 pub struct FeatureOrder {
-    per_feature: Vec<Vec<u32>>,
+    rows: usize,
+    per_feature: Vec<Vec<Entry>>,
 }
 
 impl FeatureOrder {
@@ -58,19 +73,175 @@ impl FeatureOrder {
     pub fn new(x: &Matrix) -> Self {
         let per_feature = (0..x.cols())
             .map(|f| {
-                let mut idx: Vec<u32> = (0..x.rows() as u32).collect();
-                idx.sort_by(|&a, &b| x.get(a as usize, f).total_cmp(&x.get(b as usize, f)));
-                idx
+                let mut col: Vec<Entry> =
+                    (0..x.rows()).map(|i| Entry { value: x.get(i, f), row: i as u32 }).collect();
+                col.sort_unstable_by(|a, b| a.value.total_cmp(&b.value).then(a.row.cmp(&b.row)));
+                col
             })
             .collect();
-        FeatureOrder { per_feature }
+        FeatureOrder { rows: x.rows(), per_feature }
     }
 }
 
-struct SplitCandidate {
-    gain: f64,
-    feature: usize,
+/// Buffers of the split search, reused by every tree of a boosting run.
+///
+/// Between calls the buffers hold nothing of value; during a fit the rows of
+/// every node occupy one contiguous range `lo..hi` in `rows` and in every
+/// column of `columns`.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// Per searched column, its presorted entries, stably partitioned node
+    /// by node so each node's rows stay in `(value, row)` order.
+    columns: Vec<Vec<Entry>>,
+    /// The rows of each node in ascending row order.
+    rows: Vec<u32>,
+    /// `go_left[row]` for the rows of the node being partitioned.
+    go_left: Vec<bool>,
+    scratch: Vec<Entry>,
+    scratch_rows: Vec<u32>,
+    /// After a fit: the weight of the leaf each training row fell into.
+    pub(crate) row_weight: Vec<f64>,
+}
+
+/// The best split found for a node so far.
+struct Split {
+    /// Position of the feature in the searched `columns`.
+    column: usize,
     threshold: f64,
+}
+
+/// One tree fit in progress.
+struct Grower<'a> {
+    params: &'a TreeParams,
+    grad: &'a [f64],
+    hess: &'a [f64],
+    features: &'a [usize],
+    ws: &'a mut Workspace,
+    nodes: Vec<Node>,
+}
+
+impl Grower<'_> {
+    /// Grows the subtree over the rows in `lo..hi`; returns its node index.
+    ///
+    /// Node ids come out in preorder (a split reserves its slot before its
+    /// children), and every sum runs in a fixed order — node totals over
+    /// ascending rows, split statistics over `(value, row)` order — so the
+    /// tree matches `reference::fit` bit for bit.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let mut g = 0.0;
+        let mut h = 0.0;
+        for &r in &self.ws.rows[lo..hi] {
+            g += self.grad[r as usize];
+            h += self.hess[r as usize];
+        }
+
+        let split = if depth >= self.params.max_depth || hi - lo < 2 {
+            None
+        } else {
+            self.best_split(lo, hi, g, h)
+        };
+        let Some(split) = split else {
+            let weight = -g / (h + self.params.lambda);
+            for &r in &self.ws.rows[lo..hi] {
+                self.ws.row_weight[r as usize] = weight;
+            }
+            self.nodes.push(Node::Leaf { weight });
+            return self.nodes.len() - 1;
+        };
+
+        let mid = self.partition(lo, hi, &split, depth + 1 < self.params.max_depth);
+        // Reserve this node's slot before the children claim indices.
+        let id = self.nodes.len();
+        self.nodes.push(Node::Leaf { weight: 0.0 });
+        let left = self.grow(lo, mid, depth + 1);
+        let right = self.grow(mid, hi, depth + 1);
+        let feature = self.features[split.column];
+        self.nodes[id] = Node::Split { feature, threshold: split.threshold, left, right };
+        id
+    }
+
+    /// Exact greedy split search over the node's presorted range: one
+    /// linear scan per candidate feature, features tried in `columns`
+    /// order, a later candidate winning only on a strictly larger gain.
+    fn best_split(&self, lo: usize, hi: usize, g_total: f64, h_total: f64) -> Option<Split> {
+        let params = self.params;
+        let score = |g: f64, h: f64| g * g / (h + params.lambda);
+        let parent = score(g_total, h_total);
+        let mut best: Option<Split> = None;
+        // A split must gain more than zero, and more than the best so far.
+        let mut best_gain = 0.0;
+        for (column, entries) in self.ws.columns.iter().enumerate() {
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            // The previous value; NaN compares false, so the first row
+            // opens no boundary.
+            let mut prev = f64::NAN;
+            for e in &entries[lo..hi] {
+                let v = e.value;
+                if v > prev {
+                    let hr = h_total - hl;
+                    if hl >= params.min_child_weight && hr >= params.min_child_weight {
+                        let gain =
+                            0.5 * (score(gl, hl) + score(g_total - gl, hr) - parent) - params.gamma;
+                        if gain > best_gain {
+                            best_gain = gain;
+                            best = Some(Split { column, threshold: 0.5 * (prev + v) });
+                        }
+                    }
+                }
+                gl += self.grad[e.row as usize];
+                hl += self.hess[e.row as usize];
+                prev = v;
+            }
+        }
+        best
+    }
+
+    /// Stably partitions the node's range into its left then right child
+    /// and returns the boundary. The per-column ranges are only needed when
+    /// the children may split again (`columns_too`).
+    fn partition(&mut self, lo: usize, hi: usize, split: &Split, columns_too: bool) -> usize {
+        let ws = &mut *self.ws;
+        for e in &ws.columns[split.column][lo..hi] {
+            ws.go_left[e.row as usize] = e.value < split.threshold;
+        }
+        let go_left = &ws.go_left;
+        let mid = lo
+            + stable_partition(&mut ws.rows[lo..hi], &mut ws.scratch_rows, |&r| {
+                go_left[r as usize]
+            });
+        if columns_too {
+            for col in &mut ws.columns {
+                stable_partition(&mut col[lo..hi], &mut ws.scratch, |e| go_left[e.row as usize]);
+            }
+        }
+        mid
+    }
+}
+
+/// Moves the items satisfying `left` to the front of `items`, keeping the
+/// relative order on both sides; returns how many went left. `scratch`
+/// must be at least as long as `items`.
+///
+/// Branch-free: every item is written to both sides and only the matching
+/// cursor advances, since the split direction of consecutive rows is
+/// unpredictable.
+fn stable_partition<T: Copy>(
+    items: &mut [T],
+    scratch: &mut [T],
+    left: impl Fn(&T) -> bool,
+) -> usize {
+    let (mut n_left, mut n_right) = (0, 0);
+    for j in 0..items.len() {
+        let item = items[j];
+        let goes_left = left(&item);
+        items[n_left] = item;
+        scratch[n_right] = item;
+        n_left += usize::from(goes_left);
+        n_right += usize::from(!goes_left);
+    }
+    items[n_left..].copy_from_slice(&scratch[..n_right]);
+    n_left
 }
 
 impl RegressionTree {
@@ -99,7 +270,8 @@ impl RegressionTree {
     ///
     /// # Panics
     ///
-    /// Panics if `grad`, `hess` and the matrix disagree on sample count.
+    /// Panics if `grad`, `hess`, the matrix and `order` disagree on sample
+    /// count.
     #[must_use]
     pub fn fit_presorted(
         params: &TreeParams,
@@ -109,132 +281,42 @@ impl RegressionTree {
         columns: &[usize],
         order: &FeatureOrder,
     ) -> Self {
-        assert_eq!(x.rows(), grad.len(), "gradient length mismatch");
-        assert_eq!(x.rows(), hess.len(), "hessian length mismatch");
-        let mut tree = RegressionTree { nodes: Vec::new() };
-        let in_node = vec![true; x.rows()];
-        tree.grow(params, x, grad, hess, columns, order, in_node, x.rows(), 0);
-        tree
+        assert_eq!(x.rows(), order.rows, "feature order comes from another matrix");
+        Self::fit_rows(params, grad, hess, columns, order, &mut Workspace::default())
     }
 
-    /// Recursively grows a subtree over the rows flagged in `in_node`;
-    /// returns its node index.
-    #[allow(clippy::too_many_arguments)]
-    fn grow(
-        &mut self,
+    /// The split search behind every fit. Leaves `ws.row_weight[i]` set to
+    /// the weight of the leaf training row `i` falls into, so boosting can
+    /// update its residuals without re-predicting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad`, `hess` and `order` disagree on sample count.
+    pub(crate) fn fit_rows(
         params: &TreeParams,
-        x: &Matrix,
         grad: &[f64],
         hess: &[f64],
         columns: &[usize],
         order: &FeatureOrder,
-        in_node: Vec<bool>,
-        n_rows: usize,
-        depth: usize,
-    ) -> usize {
-        let mut g = 0.0;
-        let mut h = 0.0;
-        for (i, &inside) in in_node.iter().enumerate() {
-            if inside {
-                g += grad[i];
-                h += hess[i];
-            }
+        ws: &mut Workspace,
+    ) -> Self {
+        let n = order.rows;
+        assert_eq!(n, grad.len(), "gradient length mismatch");
+        assert_eq!(n, hess.len(), "hessian length mismatch");
+        ws.columns.resize_with(columns.len(), Vec::new);
+        for (col, &f) in ws.columns.iter_mut().zip(columns) {
+            col.clear();
+            col.extend_from_slice(&order.per_feature[f]);
         }
-
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            let weight = -g / (h + params.lambda);
-            nodes.push(Node::Leaf { weight });
-            nodes.len() - 1
-        };
-
-        if depth >= params.max_depth || n_rows < 2 {
-            return make_leaf(&mut self.nodes);
-        }
-
-        let best = Self::best_split(params, x, grad, hess, columns, order, &in_node, g, h);
-        let Some(split) = best else {
-            return make_leaf(&mut self.nodes);
-        };
-
-        let mut left_mask = vec![false; in_node.len()];
-        let mut right_mask = vec![false; in_node.len()];
-        let mut n_left = 0;
-        let mut n_right = 0;
-        for (i, &inside) in in_node.iter().enumerate() {
-            if !inside {
-                continue;
-            }
-            if x.get(i, split.feature) < split.threshold {
-                left_mask[i] = true;
-                n_left += 1;
-            } else {
-                right_mask[i] = true;
-                n_right += 1;
-            }
-        }
-
-        // Reserve this node's slot before the children claim indices.
-        let id = self.nodes.len();
-        self.nodes.push(Node::Leaf { weight: 0.0 });
-        let left = self.grow(params, x, grad, hess, columns, order, left_mask, n_left, depth + 1);
-        let right =
-            self.grow(params, x, grad, hess, columns, order, right_mask, n_right, depth + 1);
-        self.nodes[id] =
-            Node::Split { feature: split.feature, threshold: split.threshold, left, right };
-        id
-    }
-
-    /// Exact greedy split search over pre-sorted feature orders: one linear
-    /// scan per candidate feature.
-    #[allow(clippy::too_many_arguments)]
-    fn best_split(
-        params: &TreeParams,
-        x: &Matrix,
-        grad: &[f64],
-        hess: &[f64],
-        columns: &[usize],
-        order: &FeatureOrder,
-        in_node: &[bool],
-        g_total: f64,
-        h_total: f64,
-    ) -> Option<SplitCandidate> {
-        let score = |g: f64, h: f64| g * g / (h + params.lambda);
-        let parent = score(g_total, h_total);
-        let mut best: Option<SplitCandidate> = None;
-        for &feature in columns {
-            let sorted = &order.per_feature[feature];
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            // Pending boundary: value of the last in-node row scanned.
-            let mut prev: Option<f64> = None;
-            for &ri in sorted {
-                let i = ri as usize;
-                if !in_node[i] {
-                    continue;
-                }
-                let v = x.get(i, feature);
-                if let Some(pv) = prev {
-                    if v > pv {
-                        let hr = h_total - hl;
-                        if hl >= params.min_child_weight && hr >= params.min_child_weight {
-                            let gain = 0.5 * (score(gl, hl) + score(g_total - gl, hr) - parent)
-                                - params.gamma;
-                            if gain > 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                                best = Some(SplitCandidate {
-                                    gain,
-                                    feature,
-                                    threshold: 0.5 * (pv + v),
-                                });
-                            }
-                        }
-                    }
-                }
-                gl += grad[i];
-                hl += hess[i];
-                prev = Some(v);
-            }
-        }
-        best
+        ws.rows.clear();
+        ws.rows.extend(0..n as u32);
+        ws.go_left.resize(n, false);
+        ws.scratch.resize(n, Entry { value: 0.0, row: 0 });
+        ws.scratch_rows.resize(n, 0);
+        ws.row_weight.resize(n, 0.0);
+        let mut grower = Grower { params, grad, hess, features: columns, ws, nodes: Vec::new() };
+        grower.grow(0, n, 0);
+        RegressionTree { nodes: grower.nodes }
     }
 
     /// Predicts the leaf weight for one feature row.

@@ -8,8 +8,9 @@
 //! of magnitude — which is what the paper's distance-based TED (Algorithm 1)
 //! and radius-based neighborhoods rely on.
 
-use crate::knob::{Knob, KnobValue};
+use crate::knob::Knob;
 use crate::space::{Config, ConfigSpace};
+use std::sync::OnceLock;
 
 /// Dimensionality of the feature vector produced for `space`.
 #[must_use]
@@ -35,20 +36,36 @@ pub fn features(space: &ConfigSpace, config: &Config) -> Vec<f64> {
 /// Appends the feature vector of `config` to `out` — lets hot scoring loops
 /// reuse one flat buffer across rows instead of allocating a `Vec` per
 /// configuration.
+///
+/// Reads each knob's candidate table in place (no [`ConfigSpace::values`]
+/// copies) and split factors' log2 from a table, so featurizing is cheap
+/// enough to run on every candidate of every proposal step.
 pub fn features_into(space: &ConfigSpace, config: &Config, out: &mut Vec<f64>) {
-    for value in space.values(config) {
-        match value {
-            KnobValue::Split(factors) => {
-                out.extend(factors.iter().map(|&f| (f as f64).log2()));
+    for (&c, knob) in config.choices.iter().zip(space.knobs()) {
+        match knob {
+            Knob::Split { candidates, .. } => {
+                out.extend(candidates[c].iter().map(|&f| log2_factor(f)));
             }
-            KnobValue::Choice(v) => {
+            Knob::Choice { values, .. } => {
                 // Signed log1p keeps large step values (1500) commensurate
                 // with log2 tile factors and stays finite for any integer.
-                let x = v as f64;
+                let x = values[c] as f64;
                 out.push(x.signum() * x.abs().ln_1p());
             }
         }
     }
+}
+
+/// Split factors below this bound read their log2 from a table.
+const LOG2_TABLE_LEN: usize = 4096;
+
+/// `(f as f64).log2()`, from a table for the small factors every tiling
+/// knob uses. The table holds that very expression's results, so the bits
+/// are the same either way.
+fn log2_factor(f: usize) -> f64 {
+    static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| (0..LOG2_TABLE_LEN).map(|f| (f as f64).log2()).collect());
+    table.get(f).copied().unwrap_or_else(|| (f as f64).log2())
 }
 
 /// Embeds many configurations at once (row-major).
@@ -71,6 +88,7 @@ pub fn sq_distance(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knob::KnobValue;
 
     fn space() -> ConfigSpace {
         ConfigSpace::new("t", vec![Knob::split("a", 8, 2), Knob::choice("u", vec![0, 512])])
@@ -119,6 +137,34 @@ mod tests {
         assert_eq!(buf.len(), 2 * feature_len(&s));
         assert_eq!(&buf[..3], features(&s, &a).as_slice());
         assert_eq!(&buf[3..], features(&s, &b).as_slice());
+    }
+
+    #[test]
+    fn features_match_the_knob_values() {
+        // Every split feature is the log2 of the factor `values` reports,
+        // bit for bit, on both sides of the table bound.
+        let s = ConfigSpace::new(
+            "t",
+            vec![Knob::split("a", 3 * LOG2_TABLE_LEN, 2), Knob::choice("u", vec![-7, 0, 1500])],
+        );
+        for i in 0..s.len() {
+            let cfg = s.config(i).unwrap();
+            let mut want = Vec::new();
+            for v in s.values(&cfg) {
+                match v {
+                    KnobValue::Split(fs) => want.extend(fs.iter().map(|&f| (f as f64).log2())),
+                    KnobValue::Choice(v) => {
+                        let x = v as f64;
+                        want.push(x.signum() * x.abs().ln_1p());
+                    }
+                }
+            }
+            let got = features(&s, &cfg);
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.to_bits(), w.to_bits(), "config {i}");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   [`enumerate_neighborhood`]) — distance between per-knob candidate
 //!   indices; cheap, enumerable, used for diagnostics and tests.
 
-use crate::feature::{features, sq_distance};
+use crate::feature::{features, features_into, sq_distance};
 use crate::knob::{Knob, KnobValue};
 use crate::space::{Config, ConfigSpace};
 use rand::Rng;
@@ -211,13 +211,17 @@ fn elementary_move<R: Rng + ?Sized>(
 ///
 /// This is the search-scope generator BAO uses: it yields *semantically*
 /// local schedules (nearby tilings, one-step unroll changes) rather than
-/// nearby candidate indices.
+/// nearby candidate indices. The feature vector of every returned
+/// configuration is appended to `rows` (row-major, in return order): the
+/// radius test computes them anyway, so a caller that scores the scope
+/// need not featurize it again.
 pub fn sample_feature_neighborhood<R: Rng + ?Sized>(
     space: &ConfigSpace,
     center: &Config,
     radius: f64,
     n: usize,
     rng: &mut R,
+    rows: &mut Vec<f64>,
 ) -> Vec<Config> {
     let center_feat = features(space, center);
     let r2 = radius * radius;
@@ -247,7 +251,12 @@ pub fn sample_feature_neighborhood<R: Rng + ?Sized>(
             continue;
         }
         let cand = Config { index, choices };
-        if sq_distance(&center_feat, &features(space, &cand)) > r2 {
+        // Featurize straight into `rows`; a rejected candidate's row is
+        // dropped again.
+        let start = rows.len();
+        features_into(space, &cand, rows);
+        if sq_distance(&center_feat, &rows[start..]) > r2 {
+            rows.truncate(start);
             continue;
         }
         seen.insert(index);
@@ -326,13 +335,25 @@ mod tests {
         let s = space();
         let center = s.config(s.len() / 3).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let hood = sample_feature_neighborhood(&s, &center, 3.0, 200, &mut rng);
+        let hood = sample_feature_neighborhood(&s, &center, 3.0, 200, &mut rng, &mut Vec::new());
         assert!(!hood.is_empty());
         for cfg in &hood {
             let d = feature_distance(&s, &center, cfg);
             assert!(d <= 3.0 + 1e-9, "distance {d} exceeds radius");
             assert_ne!(cfg.index, center.index);
         }
+    }
+
+    #[test]
+    fn feature_neighborhood_rows_are_the_members_features() {
+        let s = space();
+        let center = s.config(s.len() / 3).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let mut rows = vec![-1.0]; // appended to, never cleared
+        let hood = sample_feature_neighborhood(&s, &center, 3.0, 50, &mut rng, &mut rows);
+        let want: Vec<f64> =
+            std::iter::once(-1.0).chain(hood.iter().flat_map(|cfg| features(&s, cfg))).collect();
+        assert_eq!(rows, want);
     }
 
     #[test]
@@ -343,7 +364,7 @@ mod tests {
         let s = space();
         let center = s.config(s.len() / 2).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        for cfg in sample_feature_neighborhood(&s, &center, 1.5, 100, &mut rng) {
+        for cfg in sample_feature_neighborhood(&s, &center, 1.5, 100, &mut rng, &mut Vec::new()) {
             let split_diffs = cfg
                 .choices
                 .iter()
