@@ -89,8 +89,7 @@ pub static RULES: &[Rule] = &[
         category: "crash-safety",
         desc: "writes an artifact with raw File::create / fs::write, \
                bypassing the append-before-apply discipline",
-        instead: "go through the checksummed appender or a \
-                  temp+fsync+rename helper",
+        instead: "go through telemetry::durable (replace or open_append)",
         patterns: &[
             &[M::Id("File"), M::P(":"), M::P(":"), M::Id("create"), M::P("(")],
             &[M::Id("fs"), M::P(":"), M::P(":"), M::Id("write"), M::P("(")],

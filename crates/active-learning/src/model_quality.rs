@@ -80,7 +80,7 @@ struct ModelQualityHeader {
 }
 
 /// Writes `records` as a `model_quality.jsonl` file (header line followed
-/// by one record per line). The write is atomic (temp file + rename) so a
+/// by one record per line) through [`telemetry::durable::replace`], so a
 /// crash mid-write never leaves a half-file next to valid trial logs.
 ///
 /// # Errors
@@ -105,22 +105,15 @@ pub(crate) fn write_record_lines(
     path: &Path,
     blocks: impl IntoIterator<Item = impl AsRef<str>>,
 ) -> std::io::Result<()> {
-    let tmp = path.with_extension("jsonl.tmp");
-    {
-        // aal-lint: allow(raw-artifact-write, reason = "temp side of temp+fsync+rename")
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        let header = ModelQualityHeader {
-            kind: "model_quality".to_string(),
-            schema_version: MODEL_QUALITY_SCHEMA_VERSION,
-        };
+    let header = ModelQualityHeader {
+        kind: "model_quality".to_string(),
+        schema_version: MODEL_QUALITY_SCHEMA_VERSION,
+    };
+    telemetry::durable::replace(path, |f| {
         // aal-lint: allow(unwrap, reason = "header is a plain data struct; serialization cannot fail")
         writeln!(f, "{}", serde_json::to_string(&header).expect("header serializes"))?;
-        for block in blocks {
-            f.write_all(block.as_ref().as_bytes())?;
-        }
-        f.flush()?;
-    }
-    std::fs::rename(&tmp, path)
+        blocks.into_iter().try_for_each(|block| f.write_all(block.as_ref().as_bytes()))
+    })
 }
 
 /// Reads a `model_quality.jsonl` file back.

@@ -5,8 +5,9 @@
 use crate::options::TuneOptions;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::{BufRead, Seek, Write};
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
+use telemetry::durable;
 
 /// One measured configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -167,19 +168,15 @@ pub struct RecoveredLog {
     pub dropped_tail: bool,
 }
 
-/// An open, crash-safe trial-log writer: the header is written on
-/// creation and every [`append`](LogWriter::append) flushes one complete
-/// line to the OS before returning, so a killed process loses at most
-/// the line it was mid-writing — which [`TuningLog::recover_jsonl`]
-/// drops cleanly.
+/// An open, crash-safe trial-log writer over a [`durable::Appender`]:
+/// every [`append`](LogWriter::append) hands one complete line to the OS
+/// in one write, so a killed process loses at most the line it was
+/// mid-writing — which [`TuningLog::recover_jsonl`] drops cleanly.
 #[derive(Debug)]
-pub struct LogWriter {
-    file: std::fs::File,
-    path: PathBuf,
-}
+pub struct LogWriter(durable::Appender);
 
 impl LogWriter {
-    /// Appends one trial record as a JSON line and flushes it.
+    /// Appends one trial record as a JSON line.
     ///
     /// # Errors
     ///
@@ -187,13 +184,17 @@ impl LogWriter {
     pub fn append(&mut self, rec: &TrialRecord) -> std::io::Result<()> {
         // aal-lint: allow(unwrap, reason = "TrialRecord is a plain data struct; serialization cannot fail")
         let line = serde_json::to_string(rec).expect("record serializes");
-        writeln!(self.file, "{line}")
+        self.0.append_line(line.as_bytes())
     }
 
-    /// Where this log lives.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Forces every appended line to stable storage (`fdatasync`), so
+    /// the log survives a power cut, not only a killed process.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sync failure.
+    pub fn sync(&mut self) -> std::io::Result<()> {
+        self.0.sync_data()
     }
 }
 
@@ -388,17 +389,9 @@ impl RunDir {
     pub fn write_manifest(&self, manifest: &RunManifest) -> std::io::Result<()> {
         // aal-lint: allow(unwrap, reason = "RunManifest is a plain data struct; serialization cannot fail")
         let body = serde_json::to_string_pretty(manifest).expect("manifest serializes");
-        // Temp + fsync + rename: the registry and `aaltune top` read the
-        // manifest of live runs, so a torn write must never be visible.
-        let tmp = self.root.join("manifest.json.tmp");
-        {
-            use std::io::Write as _;
-            // aal-lint: allow(raw-artifact-write, reason = "temp side of temp+fsync+rename")
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, self.root.join("manifest.json"))
+        // The registry and `aaltune top` read the manifest of live runs,
+        // so a torn write must never be visible.
+        durable::replace(&self.root.join("manifest.json"), |w| w.write_all(body.as_bytes()))
     }
 
     /// Where the log of `task_name` lives (task names may contain
@@ -412,16 +405,15 @@ impl RunDir {
         self.root.join("logs").join(format!("{stem}.jsonl"))
     }
 
-    /// Writes one task's log as `logs/<task>.jsonl`, returning the path.
+    /// Writes one task's log as `logs/<task>.jsonl` through
+    /// [`durable::replace`], returning the path.
     ///
     /// # Errors
     ///
     /// Propagates file-creation and write failures.
     pub fn write_log(&self, log: &TuningLog) -> std::io::Result<PathBuf> {
         let path = self.log_path(&log.task_name);
-        // aal-lint: allow(raw-artifact-write, reason = "whole-log rewrite of a regenerable view; recovery trims torn tails via valid-prefix parse")
-        let f = std::fs::File::create(&path)?;
-        log.write_jsonl(std::io::BufWriter::new(f))?;
+        durable::replace(&path, |w| log.write_jsonl(w))?;
         Ok(path)
     }
 
@@ -434,17 +426,17 @@ impl RunDir {
     /// Propagates file-creation and write failures.
     pub fn create_log(&self, task_name: &str, method: &str) -> std::io::Result<LogWriter> {
         let path = self.log_path(task_name);
-        // aal-lint: allow(raw-artifact-write, reason = "opens the crash-safe append-only log; recovery trims torn tails")
-        let mut file = std::fs::File::create(&path)?;
         let header = serde_json::json!({ "task_name": task_name, "method": method });
-        writeln!(file, "{header}")?;
-        Ok(LogWriter { file, path })
+        let mut file = durable::open_append(&path)?;
+        file.truncate(0)?;
+        file.append_line(header.to_string().as_bytes())?;
+        Ok(LogWriter(file))
     }
 
     /// Recovers the crash-truncated log of `task_name` for resumption:
-    /// parses the valid prefix, truncates the file to exactly those
-    /// bytes (dropping a half-written final line), and reopens it for
-    /// appending. Returns `None` when no log file exists yet.
+    /// parses the valid prefix, reopens the file for appending, and
+    /// truncates it to exactly those bytes (dropping a half-written final
+    /// line). Returns `None` when no log file exists yet.
     ///
     /// # Errors
     ///
@@ -461,11 +453,9 @@ impl RunDir {
             Err(e) => return Err(e.into()),
         };
         let recovered = TuningLog::recover_jsonl(&data)?;
-        let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-        file.set_len(recovered.valid_bytes)?;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::End(0))?;
-        Ok(Some((recovered, LogWriter { file, path })))
+        let mut file = durable::open_append(&path)?;
+        file.truncate(recovered.valid_bytes)?;
+        Ok(Some((recovered, LogWriter(file))))
     }
 
     /// Where the crash-recovery checkpoint lives.
@@ -474,11 +464,9 @@ impl RunDir {
         self.root.join("checkpoint.json")
     }
 
-    /// Writes `checkpoint.json` atomically: write a temp file, fsync it,
-    /// rename over the old one. The fsync matters — without it the rename
-    /// can land before the data on a power cut, publishing a truncated
-    /// checkpoint. A crash at any step leaves either the previous
-    /// checkpoint or the complete new one, never a torn in-place write.
+    /// Writes `checkpoint.json` through [`durable::replace`]: a crash or
+    /// power cut at any step leaves either the previous checkpoint or the
+    /// complete new one, never a torn in-place write.
     ///
     /// # Errors
     ///
@@ -486,14 +474,7 @@ impl RunDir {
     pub fn write_checkpoint(&self, checkpoint: &Checkpoint) -> std::io::Result<()> {
         // aal-lint: allow(unwrap, reason = "checkpoint struct is plain data; serialization cannot fail")
         let body = serde_json::to_string_pretty(checkpoint).expect("checkpoint serializes");
-        let tmp = self.root.join("checkpoint.json.tmp");
-        {
-            // aal-lint: allow(raw-artifact-write, reason = "temp side of temp+fsync+rename")
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, self.checkpoint_path())
+        durable::replace(&self.checkpoint_path(), |w| w.write_all(body.as_bytes()))
     }
 
     /// Reads back `checkpoint.json`; `None` when the run never wrote one.
@@ -524,8 +505,8 @@ impl RunDir {
         self.root.join("warm").join(format!("{stem}.json"))
     }
 
-    /// Persists the warm-start seed for `task_name` atomically
-    /// (write-temp, fsync, rename — same contract as the checkpoint).
+    /// Persists the warm-start seed for `task_name` through
+    /// [`durable::replace`] (same contract as the checkpoint).
     ///
     /// # Errors
     ///
@@ -534,16 +515,9 @@ impl RunDir {
         let path = self.warm_start_path(task_name);
         // aal-lint: allow(unwrap, reason = "warm paths are <run>/warm/<file>, so a parent always exists")
         std::fs::create_dir_all(path.parent().expect("warm path has a parent"))?;
-        let tmp = path.with_extension("json.tmp");
         // aal-lint: allow(unwrap, reason = "seed record is plain data; serialization cannot fail")
         let body = serde_json::to_string(seed).expect("seed serializes");
-        {
-            // aal-lint: allow(raw-artifact-write, reason = "temp side of temp+fsync+rename")
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        durable::replace(&path, |w| w.write_all(body.as_bytes()))
     }
 
     /// Reads back the persisted warm-start seed; `None` when the task

@@ -335,8 +335,10 @@ impl<M: Measurer + Sync> Session<'_, M> {
         let mut log = TuningLog::new(task.name.clone(), self.method.label());
         log.records.push(rec.clone());
         if let Some(dir) = self.dir {
-            self.create_log(dir, task)?
+            let mut writer = self.create_log(dir, task)?;
+            writer
                 .append(&rec)
+                .and_then(|()| writer.sync())
                 .map_err(|e| format!("trial log of {} failed to write: {e}", task.name))?;
         }
         self.complete(task, &log, st)?;
@@ -400,7 +402,11 @@ impl<M: Measurer + Sync> Session<'_, M> {
                 warm_start: warm.as_deref(),
             },
         );
-        if let Some(e) = write_err {
+        // The log must be on disk before the completion checkpoint
+        // declares the task done, or a power cut could leave a complete
+        // task whose trials are lost.
+        let synced = log_writer.as_mut().map_or(Ok(()), LogWriter::sync);
+        if let Some(e) = write_err.or_else(|| synced.err().map(|e| e.to_string())) {
             return Err(format!("trial log of {} failed to write: {e}", task.name));
         }
         if let Some(diag) = &r.aborted {

@@ -19,6 +19,7 @@ use schedule::template::space_for_task;
 use serde_json::{json, Value};
 use serve::client::{self, ClientConn};
 use serve::{ServeConfig, Server};
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -226,8 +227,8 @@ fn main() {
         }),
     });
     let pretty = serde_json::to_string_pretty(&report).expect("encode report");
-    // aal-lint: allow(raw-artifact-write, reason = "benchmark report; regenerable by re-running the binary")
-    std::fs::write(&out, format!("{pretty}\n")).expect("write report");
+    telemetry::durable::replace(Path::new(&out), |w| writeln!(w, "{pretty}"))
+        .expect("write report");
     eprintln!("loadgen: wrote {out}");
     let _ = std::fs::remove_dir_all(&root);
 

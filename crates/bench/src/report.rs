@@ -3,6 +3,7 @@
 
 use crate::experiments::{Fig4Data, Fig5Data, Table1Data};
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::Path;
 
 /// Serializes `value` as pretty JSON into `dir/name`.
@@ -13,8 +14,7 @@ use std::path::Path;
 pub fn write_json<T: serde::Serialize>(dir: &Path, name: &str, value: &T) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let body = serde_json::to_string_pretty(value).expect("experiment data serializes");
-    // aal-lint: allow(raw-artifact-write, reason = "experiment figure data; regenerable by re-running the binary")
-    std::fs::write(dir.join(name), body)
+    telemetry::durable::replace(&dir.join(name), |w| w.write_all(body.as_bytes()))
 }
 
 /// Renders Fig. 4 as a text table: one row per checkpoint, one column per

@@ -10,9 +10,11 @@ use dnn_graph::task::extract_tasks;
 use executor::{Executor, ExecutorConfig};
 use gpu_sim::{FaultConfig, FaultInjectingMeasurer, RetryPolicy, RobustMeasurer, SimMeasurer};
 use schedule::template::space_for_task;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
+use telemetry::durable;
 use trace_analysis::{
     compare_logs, compare_run_dirs, render_report, CompareOptions, LoadedRun, Registry, RunEntry,
     Verdict,
@@ -423,13 +425,6 @@ fn tune(cli: &Cli) -> Result<(), String> {
     if let Some(q) = plan.checkpoint.quarantine.clone() {
         robust.restore_quarantine(q);
     }
-    let m = Executor::new(
-        robust,
-        ExecutorConfig::for_workers(plan.workers)
-            .with_devices(plan.devices)
-            .with_device_hold(Duration::from_secs_f64(device_ms / 1000.0)),
-    );
-
     // A resumed process appends to the existing trace; its fresh schema
     // header marks the segment boundary for counter summing.
     let trace: Option<PathBuf> = cli
@@ -465,6 +460,15 @@ fn tune(cli: &Cli) -> Result<(), String> {
         )),
         _ => None,
     };
+    // Built after the pipeline is installed: each worker thread takes the
+    // global telemetry handle when it starts, and one started earlier
+    // would count into the disabled default.
+    let m = Executor::new(
+        robust,
+        ExecutorConfig::for_workers(plan.workers)
+            .with_devices(plan.devices)
+            .with_device_hold(Duration::from_secs_f64(device_ms / 1000.0)),
+    );
 
     let mut tasks = extract_tasks(&plan.model);
     if let Some(names) = &plan.task_names {
@@ -559,12 +563,10 @@ fn tune(cli: &Cli) -> Result<(), String> {
         tel.report(|| format!("wrote run artifacts to {}", dir.path().display()));
     }
     if let Some(path) = cli.flag_str("log") {
-        let mut f =
-            // aal-lint: allow(raw-artifact-write, reason = "explicit --log export requested by the user; regenerable from the run directory")
-            std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-        for log in &logs {
-            log.write_jsonl(&mut f).map_err(|e| format!("write failed: {e}"))?;
-        }
+        durable::replace(Path::new(path), |w| {
+            logs.iter().try_for_each(|log| log.write_jsonl(&mut *w))
+        })
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
         tel.report(|| format!("wrote {} logs to {path}", logs.len()));
     }
     finish_telemetry(&tel);
@@ -725,8 +727,8 @@ fn report(cli: &Cli) -> Result<(), String> {
     let html = render_report(&run, baseline.as_ref(), comparison.as_ref());
     let out =
         cli.flag_str("html").map_or_else(|| Path::new(run_path).join("report.html"), PathBuf::from);
-    // aal-lint: allow(raw-artifact-write, reason = "HTML report is a derived view; regenerable from the trace")
-    std::fs::write(&out, html).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    durable::replace(&out, |w| w.write_all(html.as_bytes()))
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     println!("wrote {}", out.display());
     Ok(())
 }

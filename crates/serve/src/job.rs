@@ -1,8 +1,10 @@
 //! Job specifications, states, and the crash-safe submission journal.
 //!
 //! The journal is the queue's durability: one JSONL line per lifecycle
-//! transition (`submitted`, `done`, `failed`), appended and flushed
-//! *before* the client's 202 acknowledgement. On restart the server
+//! transition (`submitted`, `done`, `failed`), appended through
+//! [`telemetry::durable::open_append`] and synced to disk *before* the
+//! client's 202 acknowledgement. A final line without its newline is
+//! uncommitted. On restart the server
 //! replays the journal in order; every acknowledged job whose terminal
 //! line is missing is re-enqueued in its original submission order, so
 //! job ids — assigned sequentially from the journal — are identical to

@@ -30,8 +30,10 @@ use dnn_graph::task::extract_tasks;
 use executor::{DevicePool, Executor, ExecutorConfig};
 use gpu_sim::SimMeasurer;
 use serde_json::{json, Value};
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+use telemetry::durable;
 use tuning_db::TuningDb;
 
 /// Tuning options for a job: the smoke profile (small models, fast
@@ -158,11 +160,9 @@ pub fn run_job(
     });
     // Atomic, wall-clock-free: the twin comparison may diff result files
     // too, and a torn result must never be served.
-    telemetry::stream::write_atomic(
-        &dir.path().join("result.json"),
-        // aal-lint: allow(unwrap, reason = "result is plain JSON built above; serialization cannot fail")
-        serde_json::to_string_pretty(&result).expect("result serializes").as_bytes(),
-    )
-    .map_err(|e| format!("cannot write result for {id}: {e}"))?;
+    // aal-lint: allow(unwrap, reason = "result is plain JSON built above; serialization cannot fail")
+    let body = serde_json::to_string_pretty(&result).expect("result serializes");
+    durable::replace(&dir.path().join("result.json"), |w| w.write_all(body.as_bytes()))
+        .map_err(|e| format!("cannot write result for {id}: {e}"))?;
     Ok(result)
 }

@@ -29,13 +29,14 @@ use executor::{BoundedQueue, DevicePool};
 use schedule::template::space_for_task;
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use telemetry::durable::{self, Appender};
 use telemetry::sync::{lock_or_recover, read_or_recover, write_or_recover};
 use telemetry::{
     FileSink, MetricsRegistry, Record, ReporterSink, SnapshotWriter, TeeSink, Telemetry,
@@ -108,7 +109,7 @@ struct Shared {
     cfg: ServeConfig,
     addr: SocketAddr,
     admission: Admission,
-    journal: Mutex<std::fs::File>,
+    journal: Mutex<Appender>,
     pool: Arc<DevicePool>,
     db: Mutex<TuningDb>,
     read: ReadHandle,
@@ -136,12 +137,14 @@ impl Shared {
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Appends one journal line and flushes it before returning — the
-    /// durability point for every lifecycle transition.
+    /// Appends one journal line and syncs it to disk before returning —
+    /// the durability point for every lifecycle transition.
     fn journal_append(&self, line: &JournalLine) -> Result<(), String> {
         let payload = serde_json::to_string(line).map_err(|e| format!("journal encode: {e}"))?;
         let mut f = lock_or_recover(&self.journal);
-        writeln!(f, "{payload}").and_then(|()| f.flush()).map_err(|e| format!("journal write: {e}"))
+        f.append_line(payload.as_bytes())
+            .and_then(|()| f.sync_data())
+            .map_err(|e| format!("journal write: {e}"))
     }
 
     /// The metric label for `tenant`: its own name for the first
@@ -208,16 +211,13 @@ impl Server {
             }
             admission.restore(&id, spec, state, error);
         }
-        let journal = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&journal_path)
-            .map_err(|e| format!("cannot open journal: {e}"))?;
+        let journal =
+            durable::open_append(&journal_path).map_err(|e| format!("cannot open journal: {e}"))?;
 
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
         let addr = listener.local_addr().map_err(|e| format!("no local addr: {e}"))?;
-        telemetry::stream::write_atomic(&cfg.root.join("serve.addr"), addr.to_string().as_bytes())
+        durable::replace(&cfg.root.join("serve.addr"), |w| write!(w, "{addr}"))
             .map_err(|e| format!("cannot record serve.addr: {e}"))?;
 
         let snapshots = SnapshotWriter::start(
@@ -298,24 +298,26 @@ fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> 
 /// One journal entry replayed at startup: `(id, spec, final state, error)`.
 type ReplayedJob = (String, JobSpec, JobState, Option<String>);
 
-/// Reads the journal back into replayed jobs in submission order. A torn
-/// final line (kill -9 mid-append) is skipped; its job was never
-/// acknowledged, so dropping it is correct.
+/// Reads the journal back into replayed jobs in submission order. A
+/// final line without its newline (kill -9 or power loss mid-append) is
+/// uncommitted and skipped, even when it parses: its job was never
+/// acknowledged, and opening the journal for appends truncates it.
 fn replay_journal(path: &std::path::Path) -> Result<Vec<ReplayedJob>, String> {
-    let file = match std::fs::File::open(path) {
-        Ok(f) => f,
+    let body = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(format!("cannot read journal: {e}")),
     };
+    let committed = body.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
     let mut order: Vec<String> = Vec::new();
     let mut jobs: BTreeMap<String, (JobSpec, JobState, Option<String>)> = BTreeMap::new();
-    for line in std::io::BufReader::new(file).lines() {
-        let line = line.map_err(|e| format!("cannot read journal: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(entry) = serde_json::from_str::<JournalLine>(&line) else {
-            continue; // torn tail from a crash mid-append
+    for line in body[..committed].split(|&b| b == b'\n') {
+        let Some(entry) = std::str::from_utf8(line)
+            .ok()
+            .filter(|l| !l.trim().is_empty())
+            .and_then(|l| serde_json::from_str::<JournalLine>(l).ok())
+        else {
+            continue; // blank or unreadable
         };
         match entry.entry.as_str() {
             "submitted" => {

@@ -255,6 +255,41 @@ fn restart_resumes_queue_with_byte_identical_logs() {
     let _ = std::fs::remove_dir_all(&crash_root);
 }
 
+/// A journal whose final `submitted` line lost its newline (a crash
+/// mid-append, before the 202) must not swallow the next acknowledged
+/// job: that line is uncommitted, so it is dropped, never glued to.
+#[test]
+fn a_torn_final_journal_line_never_loses_an_acknowledged_job() {
+    let root = temp_root("torn-journal");
+    std::fs::create_dir_all(&root).unwrap();
+    let torn = serve::JournalLine {
+        entry: "submitted".to_string(),
+        id: "j1".to_string(),
+        spec: Some(serve::JobSpec::from_value(&spec("alpha", 5, 8)).unwrap()),
+        error: None,
+    };
+    std::fs::write(root.join("journal.jsonl"), serde_json::to_string(&torn).unwrap()).unwrap();
+
+    let server = Server::start(config(&root)).expect("server starts");
+    let addr = server.addr().to_string();
+    let acked = submit(&addr, &spec("beta", 7, 8));
+    wait_done(&addr, &acked);
+    server.shutdown();
+    server.wait();
+
+    let server = Server::start(config(&root)).expect("restarted server");
+    let addr = server.addr().to_string();
+    let (code, body) =
+        client::request(&addr, "GET", &format!("/jobs/{acked}"), None).expect("status");
+    assert_eq!(code, 200, "acknowledged job {acked} must survive the restart: {body}");
+    assert_eq!(body["state"].as_str(), Some("done"), "{acked}: {body}");
+    server.shutdown();
+    server.wait();
+    let journal = std::fs::read_to_string(root.join("journal.jsonl")).unwrap();
+    assert!(journal.ends_with('\n'), "every journal line is committed: {journal:?}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A client that sends request headers and then stalls must not pin an
 /// HTTP worker past shutdown: even with every worker mid-read, the
 /// drain completes within the idle-poll tick.

@@ -45,6 +45,7 @@
 //! ```
 
 pub mod bus;
+pub mod durable;
 pub mod events;
 pub mod export;
 pub mod metrics;

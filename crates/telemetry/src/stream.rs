@@ -8,9 +8,9 @@
 //!   partial trailing line until its newline arrives, and tolerates the
 //!   file not existing yet (a follower can start before the run does).
 //! * [`SnapshotWriter`] is a background thread that every interval writes
-//!   `metrics.snapshot.json` and `metrics.prom` *atomically* (temp file +
-//!   rename, so a reader never sees a torn file) into the run directory,
-//!   and emits a `run.heartbeat` trace event carrying wall-clock time so
+//!   `metrics.snapshot.json` and `metrics.prom` via [`crate::durable`]
+//!   (a reader never sees a torn file) into the run directory, and emits
+//!   a `run.heartbeat` trace event carrying wall-clock time so
 //!   stale/crashed runs are distinguishable from slow ones.
 //!
 //! Determinism: the writer thread only appends events to the trace and
@@ -18,6 +18,7 @@
 //! measurement stream, so trial logs stay byte-identical whether or not a
 //! snapshot writer is running — the invariant CI's `live-smoke` job checks.
 
+use crate::durable::replace;
 use crate::export::to_prometheus;
 use crate::record::Record;
 use crate::registry::{unix_ms_now, MetricsRegistry};
@@ -111,23 +112,6 @@ impl TraceFollower {
     }
 }
 
-/// Writes `bytes` to `path` atomically: write a sibling temp file, flush,
-/// then rename over the target so readers only ever see complete content.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the write or the rename.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        // aal-lint: allow(raw-artifact-write, reason = "temp side of temp+fsync+rename")
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
 /// Publishes `registry` into `dir` once: `metrics.snapshot.json` and
 /// `metrics.prom`, both atomic.
 ///
@@ -138,8 +122,8 @@ pub fn publish_snapshot(dir: &Path, registry: &MetricsRegistry) -> std::io::Resu
     let snap = registry.snapshot();
     let json = serde_json::to_string_pretty(&snap)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    write_atomic(&dir.join(SNAPSHOT_FILE), json.as_bytes())?;
-    write_atomic(&dir.join(PROM_FILE), to_prometheus(&snap).as_bytes())
+    replace(&dir.join(SNAPSHOT_FILE), |w| w.write_all(json.as_bytes()))?;
+    replace(&dir.join(PROM_FILE), |w| w.write_all(to_prometheus(&snap).as_bytes()))
 }
 
 /// Name of the periodic liveness event emitted by [`SnapshotWriter`].
@@ -348,17 +332,6 @@ mod tests {
         assert!(last.unix_ms > 0);
         assert_eq!(last.trials, 7);
         assert_eq!(last.task, "m.T1");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn write_atomic_replaces_content() {
-        let dir = tmp_dir("atomic");
-        let path = dir.join("out.txt");
-        write_atomic(&path, b"first").unwrap();
-        write_atomic(&path, b"second").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
-        assert!(!path.with_extension("tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

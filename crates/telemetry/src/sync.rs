@@ -12,7 +12,7 @@
 //!   device free-lists), so a write interrupted by a panic leaves data that
 //!   is stale at worst, never load-bearing-corrupt.
 //! * Durability never depends on in-memory state surviving a panic: the
-//!   crash-safety discipline (append-before-apply, temp+fsync+rename)
+//!   crash-safety discipline (append-before-apply, `durable::replace`)
 //!   treats *process death* as the failure model, which subsumes panics.
 //! * The panicking thread still unwinds: worker panics surface at `join`
 //!   in the executor, so recovery cannot mask a failure — it only keeps

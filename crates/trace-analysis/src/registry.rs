@@ -16,7 +16,7 @@ use active_learning::{RunDir, TuningLog};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, Write as _};
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
 /// Version of the registry entry format. Readers warn on newer entries
@@ -258,7 +258,7 @@ impl Registry {
     }
 
     /// Appends one entry (creating the root directory and index on first
-    /// use).
+    /// use) after dropping a torn final line ([`telemetry::durable`]).
     ///
     /// # Errors
     ///
@@ -267,9 +267,9 @@ impl Registry {
         if let Some(parent) = self.index.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let mut f = std::fs::OpenOptions::new().create(true).append(true).open(&self.index)?;
         // aal-lint: allow(unwrap, reason = "RunEntry is a plain data struct; serialization cannot fail")
-        writeln!(f, "{}", serde_json::to_string(entry).expect("entry serializes"))
+        let line = serde_json::to_string(entry).expect("entry serializes");
+        telemetry::durable::open_append(&self.index)?.append_line(line.as_bytes())
     }
 
     /// Reads the index. Corrupt lines are counted, not fatal; duplicate run
@@ -515,6 +515,24 @@ mod tests {
         assert_eq!(idx.entries.len(), 1);
         assert_eq!(idx.malformed_lines, 1);
         assert!(idx.render(&idx.filtered(None, None, None)).contains("corrupt"));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn append_after_a_torn_entry_keeps_every_committed_entry() {
+        let root = temp_root("torn");
+        let _ = std::fs::remove_dir_all(&root);
+        let reg = Registry::at(&root);
+        reg.append(&entry("run-a", 0)).unwrap();
+        // A crash mid-append left run-b complete but without its newline.
+        let mut index = std::fs::read_to_string(reg.index_path()).unwrap();
+        index.push_str(&serde_json::to_string(&entry("run-b", 1)).unwrap());
+        std::fs::write(reg.index_path(), index).unwrap();
+        reg.append(&entry("run-c", 2)).unwrap();
+        let idx = reg.load().unwrap();
+        let ids: Vec<&str> = idx.entries.iter().map(|e| e.run_id.as_str()).collect();
+        assert_eq!(ids, ["run-a", "run-c"], "the uncommitted run-b is dropped, not glued");
+        assert_eq!(idx.malformed_lines, 0);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

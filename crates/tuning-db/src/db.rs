@@ -6,7 +6,8 @@
 //! in-memory map. A kill -9 at any byte offset therefore loses at most the
 //! in-flight (uncommitted) line; every record whose newline reached the
 //! file survives, and replay-by-merge is idempotent so double-application
-//! after an interrupted compaction changes nothing.
+//! after an interrupted compaction changes nothing. There is no fsync per
+//! upsert: the database is a cache, and a lost record costs a re-tune.
 //!
 //! Read path: load `index.json` if present and valid (it is a pure
 //! optimization), then replay every segment with `seq > covered_seq` on
@@ -21,10 +22,11 @@ use crate::spec::{DbRecord, TaskSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
+use telemetry::durable::{self, Appender};
 use telemetry::sync::{read_or_recover, write_or_recover};
 
 /// Version stamped into every record and the index snapshot.
@@ -135,7 +137,7 @@ pub struct TuningDb {
     root: PathBuf,
     _lock: DbLock,
     records: Arc<RwLock<BTreeMap<String, DbRecord>>>,
-    active: File,
+    active: Appender,
     active_seq: u64,
     covered_seq: u64,
     corrupt_lines: u64,
@@ -181,18 +183,11 @@ fn load_index(root: &Path) -> Option<Index> {
     serde_json::from_str(&body).ok()
 }
 
-/// Atomically replaces the index snapshot (write-temp, fsync, rename).
+/// Replaces the index snapshot through [`durable::replace`].
 fn store_index(root: &Path, index: &Index) -> std::io::Result<()> {
-    let tmp = root.join("index.json.tmp");
     // aal-lint: allow(unwrap, reason = "index struct is plain data; serialization cannot fail")
     let body = serde_json::to_string_pretty(index).expect("index serializes");
-    {
-        // aal-lint: allow(raw-artifact-write, reason = "temp side of temp+fsync+rename")
-        let mut f = File::create(&tmp)?;
-        f.write_all(body.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, root.join(INDEX_FILE))
+    durable::replace(&root.join(INDEX_FILE), |w| w.write_all(body.as_bytes()))
 }
 
 fn merge_into(records: &mut BTreeMap<String, DbRecord>, rec: DbRecord) {
@@ -268,13 +263,6 @@ impl TuningDb {
                 merge_into(&mut records, rec);
             }
             if i == segments.len() - 1 {
-                if scan.torn_tail && scan.corrupt.is_empty() {
-                    // The normal kill -9 residue: drop the uncommitted
-                    // tail so the next append starts on a line boundary.
-                    let f = OpenOptions::new().write(true).open(path)?;
-                    f.set_len(scan.committed_bytes)?;
-                    f.sync_all()?;
-                }
                 // Mid-file corruption means this file holds evidence fsck
                 // may quarantine — never append into it again.
                 tail_reusable = scan.corrupt.is_empty().then_some(*seq);
@@ -289,8 +277,7 @@ impl TuningDb {
             Some(seq) if seq > covered_seq => seq,
             _ => highest + 1,
         };
-        let active =
-            OpenOptions::new().append(true).create(true).open(segment_path(root, active_seq))?;
+        let active = durable::open_append(&segment_path(root, active_seq))?;
 
         #[allow(clippy::cast_precision_loss)]
         tel.gauge(crate::DB_TASKS_GAUGE, records.len() as f64);
@@ -377,8 +364,8 @@ impl TuningDb {
             None => rec,
         };
         let line = encode_line(&merged);
-        self.active.write_all(&line)?;
-        self.active.flush()?;
+        // The appender adds the newline that commits the line.
+        self.active.append_line(&line[..line.len() - 1])?;
         // Readers never see the record mid-merge: the fully merged clone
         // is swapped in under the write lock only after the append landed.
         let tasks = {
@@ -416,10 +403,7 @@ impl TuningDb {
             }
         }
         self.active_seq = covered + 1;
-        self.active = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(segment_path(&self.root, self.active_seq))?;
+        self.active = durable::open_append(&segment_path(&self.root, self.active_seq))?;
         Ok(())
     }
 

@@ -73,21 +73,12 @@ pub struct SegmentScan<T> {
     pub corrupt: Vec<Vec<u8>>,
     /// True when the file ends mid-line (torn by a kill mid-append).
     pub torn_tail: bool,
-    /// Byte length of the prefix ending at the last committed line —
-    /// truncating here removes the torn tail without touching any
-    /// committed record.
-    pub committed_bytes: u64,
 }
 
 /// Scans raw segment bytes, applying the skip-and-count policy.
 #[must_use]
 pub fn read_segment_bytes<T: DeserializeOwned>(data: &[u8]) -> SegmentScan<T> {
-    let mut scan = SegmentScan {
-        records: Vec::new(),
-        corrupt: Vec::new(),
-        torn_tail: false,
-        committed_bytes: 0,
-    };
+    let mut scan = SegmentScan { records: Vec::new(), corrupt: Vec::new(), torn_tail: false };
     let mut offset = 0usize;
     while offset < data.len() {
         let Some(nl) = data[offset..].iter().position(|&b| b == b'\n') else {
@@ -103,7 +94,6 @@ pub fn read_segment_bytes<T: DeserializeOwned>(data: &[u8]) -> SegmentScan<T> {
             }
         }
         offset = line_end;
-        scan.committed_bytes = offset as u64;
     }
     scan
 }
@@ -160,7 +150,6 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert!(scan.torn_tail);
         assert!(scan.corrupt.is_empty());
-        assert_eq!(scan.committed_bytes, data.len() as u64);
 
         // Mid-file corruption: a flipped byte inside a committed line.
         let mut mid = data.clone();
@@ -178,7 +167,6 @@ mod tests {
         let scan: SegmentScan<serde_json::Value> = read_segment_bytes(&data);
         assert_eq!(scan.records.len(), 2);
         assert!(scan.corrupt.is_empty() && !scan.torn_tail);
-        assert_eq!(scan.committed_bytes, data.len() as u64);
     }
 
     #[test]
