@@ -159,10 +159,9 @@ where
         // Line 6 accumulation: Σ_γ f_γ(x), plus Σ_γ f_γ(x)² so the winner's
         // bagged mean/std fall out without a second prediction pass.
         let _predict = tel.span("bs.predict");
-        for i in 0..cand_x.rows() {
-            let p = eval.predict_row(cand_x.row(i));
-            scores[i] += p;
-            sq_scores[i] += p * p;
+        for ((s, s2), p) in scores.iter_mut().zip(&mut sq_scores).zip(eval.predict(cand_x)) {
+            *s += p;
+            *s2 += p * p;
         }
     }
 

@@ -57,7 +57,7 @@ impl Evaluator for GbtEvaluator {
     fn predict(&self, x: &Matrix) -> Vec<f64> {
         let tel = telemetry::global();
         let _span = tel.span("gbt.predict");
-        (0..x.rows()).map(|i| self.predict_row(x.row(i))).collect()
+        self.model.as_ref().map_or_else(|| vec![0.0; x.rows()], |m| m.predict(x))
     }
 }
 

@@ -57,8 +57,8 @@ pub use bao::BaoOptions;
 pub use bted::BtedOptions;
 pub use evaluator::{Evaluator, GbtEvaluator, RidgeEvaluator};
 pub use model_quality::{
-    read_model_quality, write_model_quality, ModelPredRecord, ProposalDiag, MODEL_QUALITY_FILE,
-    MODEL_QUALITY_SCHEMA_VERSION,
+    read_capture, read_model_quality, write_model_quality, ModelPredRecord, ProposalDiag,
+    MODEL_QUALITY_FILE, MODEL_QUALITY_PARTS_DIR, MODEL_QUALITY_SCHEMA_VERSION,
 };
 pub use model_tuning::{tune_model, tune_model_parallel, ModelTuneResult};
 pub use names::{device_by_name, method_by_name, model_by_name};

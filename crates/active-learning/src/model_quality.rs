@@ -12,15 +12,22 @@
 //! it never touches an RNG stream or changes a proposal — trial logs stay
 //! byte-identical with capture on or off.
 
+use crate::records::RunDir;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Schema version of `model_quality.jsonl` (header line).
 pub const MODEL_QUALITY_SCHEMA_VERSION: u32 = 1;
 
 /// File name of the per-run prediction capture inside a run directory.
 pub const MODEL_QUALITY_FILE: &str = "model_quality.jsonl";
+
+/// Directory of a run's capture parts: one `<task>.jsonl` of record lines
+/// (no header) per completed task, written once when the task completes.
+/// The run's end folds them, in task order, into [`MODEL_QUALITY_FILE`]
+/// and removes the directory, so only a killed run leaves it behind.
+pub const MODEL_QUALITY_PARTS_DIR: &str = "model_quality.d";
 
 /// What the surrogate believed about one proposed configuration at the
 /// moment it was proposed.
@@ -87,7 +94,9 @@ struct ModelQualityHeader {
 ///
 /// Returns an error when the file cannot be created or written.
 pub fn write_model_quality(path: &Path, records: &[ModelPredRecord]) -> std::io::Result<()> {
-    write_record_lines(path, records.iter().map(record_line))
+    write_capture_file(path, |f| {
+        records.iter().try_for_each(|r| f.write_all(record_line(r).as_bytes()))
+    })
 }
 
 /// One record's line of `model_quality.jsonl`, newline included.
@@ -98,12 +107,12 @@ pub(crate) fn record_line(r: &ModelPredRecord) -> String {
     line
 }
 
-/// [`write_model_quality`] for records already rendered by
-/// [`record_line`], in blocks of any number of lines — lets a run that
-/// rewrites the file as tasks finish render each record once.
-pub(crate) fn write_record_lines(
+/// Writes a `model_quality.jsonl` file through
+/// [`telemetry::durable::replace`]: the header line, then the record
+/// lines `body` writes (as rendered by [`record_line`]).
+pub(crate) fn write_capture_file(
     path: &Path,
-    blocks: impl IntoIterator<Item = impl AsRef<str>>,
+    body: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let header = ModelQualityHeader {
         kind: "model_quality".to_string(),
@@ -112,7 +121,7 @@ pub(crate) fn write_record_lines(
     telemetry::durable::replace(path, |f| {
         // aal-lint: allow(unwrap, reason = "header is a plain data struct; serialization cannot fail")
         writeln!(f, "{}", serde_json::to_string(&header).expect("header serializes"))?;
-        blocks.into_iter().try_for_each(|block| f.write_all(block.as_ref().as_bytes()))
+        body(f)
     })
 }
 
@@ -136,16 +145,70 @@ pub fn read_model_quality(path: &Path) -> Result<Vec<ModelPredRecord>, String> {
         return Err(format!("{}: not a model_quality file", path.display()));
     }
     let mut out = Vec::new();
+    read_records(path, lines, 2, &mut out)?;
+    Ok(out)
+}
+
+/// Parses record lines (blank lines skipped) onto `out`; `first_line` is
+/// the 1-based file line of the first one, for error messages.
+fn read_records(
+    path: &Path,
+    lines: impl Iterator<Item = std::io::Result<String>>,
+    first_line: usize,
+    out: &mut Vec<ModelPredRecord>,
+) -> Result<(), String> {
     for (i, line) in lines.enumerate() {
         let line = line.map_err(|e| format!("{}: {e}", path.display()))?;
         if line.trim().is_empty() {
             continue;
         }
         let rec: ModelPredRecord = serde_json::from_str(&line)
-            .map_err(|e| format!("{}: line {}: {e}", path.display(), i + 2))?;
+            .map_err(|e| format!("{}: line {}: {e}", path.display(), i + first_line))?;
         out.push(rec);
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Reads a run directory's model capture: [`MODEL_QUALITY_FILE`] once
+/// the run has ended, else the parts a killed run left in
+/// [`MODEL_QUALITY_PARTS_DIR`], in the manifest's task order (file-name
+/// order when the manifest is unreadable). `None` when the run captured
+/// nothing.
+///
+/// # Errors
+///
+/// Returns a message when a file exists but cannot be read or parsed.
+pub fn read_capture(dir: &RunDir) -> Result<Option<Vec<ModelPredRecord>>, String> {
+    let path = dir.model_quality_path();
+    if path.is_file() {
+        return read_model_quality(&path).map(Some);
+    }
+    let parts_dir = dir.model_quality_parts_dir();
+    if !parts_dir.is_dir() {
+        return Ok(None);
+    }
+    let parts: Vec<PathBuf> = match dir.read_manifest() {
+        Ok(m) => m.tasks.iter().map(|t| dir.model_quality_part_path(t)).collect(),
+        Err(_) => {
+            let entries = std::fs::read_dir(&parts_dir)
+                .map_err(|e| format!("cannot list {}: {e}", parts_dir.display()))?;
+            let mut paths = entries
+                .map(|e| e.map(|e| e.path()))
+                .collect::<std::io::Result<Vec<_>>>()
+                .map_err(|e| format!("cannot list {}: {e}", parts_dir.display()))?;
+            // A `.tmp` beside a part is crash residue of its replace.
+            paths.retain(|p| p.extension().is_some_and(|x| x == "jsonl"));
+            paths.sort();
+            paths
+        }
+    };
+    let mut out = Vec::new();
+    for part in parts.iter().filter(|p| p.is_file()) {
+        let f = std::fs::File::open(part)
+            .map_err(|e| format!("cannot open {}: {e}", part.display()))?;
+        read_records(part, std::io::BufReader::new(f).lines(), 1, &mut out)?;
+    }
+    Ok(Some(out))
 }
 
 #[cfg(test)]
@@ -188,6 +251,49 @@ mod tests {
         let err = read_model_quality(&bad).unwrap_err();
         assert!(err.contains("not a model_quality file"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn capture_is_the_final_file_else_the_parts_in_manifest_order() {
+        let root = std::env::temp_dir().join(format!("aaltune-mq-parts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = RunDir::create(&root).unwrap();
+        assert_eq!(read_capture(&dir).unwrap(), None, "no capture at all");
+        // Task names whose part files sort against the run order.
+        let t2 = vec![rec("m.T2", 0, 0, Some(90.0)), rec("m.T2", 1, 1, None)];
+        let t10 = vec![rec("m.T10", 0, 0, None)];
+        std::fs::create_dir_all(dir.model_quality_parts_dir()).unwrap();
+        for part in [&t2, &t10] {
+            let lines: String = part.iter().map(record_line).collect();
+            std::fs::write(dir.model_quality_part_path(&part[0].task), lines).unwrap();
+        }
+        std::fs::write(dir.model_quality_parts_dir().join("m.T3.jsonl.tmp"), "{torn").unwrap();
+        let by_name = [t10.clone(), t2.clone()].concat();
+        assert_eq!(read_capture(&dir).unwrap(), Some(by_name), "no manifest: file-name order");
+
+        dir.write_manifest(&crate::RunManifest {
+            model: "m".into(),
+            method: "bted+bao".into(),
+            tasks: vec!["m.T2".into(), "m.T10".into()],
+            seed: 0,
+            options: crate::TuneOptions::smoke(),
+            schema_version: None,
+            git_describe: None,
+            wall_time_s: None,
+            device: None,
+            fault: None,
+            resumed: None,
+            workers: None,
+            devices: None,
+            db: None,
+        })
+        .unwrap();
+        let by_run = [t2, t10.clone()].concat();
+        assert_eq!(read_capture(&dir).unwrap(), Some(by_run), "the manifest's task order");
+
+        write_model_quality(&dir.model_quality_path(), &t10).unwrap();
+        assert_eq!(read_capture(&dir).unwrap(), Some(t10), "the final file wins");
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

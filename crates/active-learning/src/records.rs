@@ -218,8 +218,10 @@ pub struct Checkpoint {
     pub in_flight: Option<String>,
     /// Trials logged so far for the in-flight task.
     pub trials_logged: Option<u64>,
-    /// Crash-quarantined configurations, restored into the robust
-    /// measurer on resume.
+    /// Crash-quarantined configurations of the tasks not yet complete,
+    /// restored into the robust measurer on resume. A completed task is
+    /// read back and never measured again, so its set is not recorded;
+    /// one recorded anyway (by an older writer) is restored and unused.
     pub quarantine: Option<gpu_sim::Quarantine>,
 }
 
@@ -324,6 +326,16 @@ impl RunManifest {
     }
 }
 
+/// The `<stem>.jsonl` file name of a task's per-task files: task names
+/// may contain path-hostile characters, so those are flattened to `_`.
+fn task_file(task_name: &str) -> String {
+    let stem: String = task_name
+        .chars()
+        .map(|c| if c.is_alphanumeric() || c == '.' || c == '-' { c } else { '_' })
+        .collect();
+    format!("{stem}.jsonl")
+}
+
 /// A per-run results directory:
 ///
 /// ```text
@@ -331,6 +343,9 @@ impl RunManifest {
 ///   manifest.json      what produced the run (RunManifest)
 ///   logs/<task>.jsonl  one TuningLog per tuned task
 ///   trace.jsonl        telemetry trace (written by the caller)
+///   checkpoint.json    completed tasks, plus unfinished tasks' quarantine
+///   model_quality.d/   capture parts of completed tasks, until the run ends
+///   model_quality.jsonl  the run's model capture, once the run ends
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunDir {
@@ -381,6 +396,20 @@ impl RunDir {
         self.root.join(crate::model_quality::MODEL_QUALITY_FILE)
     }
 
+    /// Directory of the per-task capture parts (`model_quality.d/`),
+    /// which exists while a capturing run is unfinished.
+    #[must_use]
+    pub fn model_quality_parts_dir(&self) -> PathBuf {
+        self.root.join(crate::model_quality::MODEL_QUALITY_PARTS_DIR)
+    }
+
+    /// Where the capture part of `task_name` lives (flattened like
+    /// [`RunDir::log_path`]).
+    #[must_use]
+    pub fn model_quality_part_path(&self, task_name: &str) -> PathBuf {
+        self.model_quality_parts_dir().join(task_file(task_name))
+    }
+
     /// Writes `manifest.json`.
     ///
     /// # Errors
@@ -398,11 +427,7 @@ impl RunDir {
     /// path-hostile characters; the file name is a flattened form).
     #[must_use]
     pub fn log_path(&self, task_name: &str) -> PathBuf {
-        let stem: String = task_name
-            .chars()
-            .map(|c| if c.is_alphanumeric() || c == '.' || c == '-' { c } else { '_' })
-            .collect();
-        self.root.join("logs").join(format!("{stem}.jsonl"))
+        self.root.join("logs").join(task_file(task_name))
     }
 
     /// Writes one task's log as `logs/<task>.jsonl` through

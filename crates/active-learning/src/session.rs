@@ -8,22 +8,24 @@
 //!   an in-flight task's log is recovered (torn tail dropped) and
 //!   replayed, so the finished log is byte-identical to an uninterrupted
 //!   run's;
-//! * **checkpoints** — at task start, every 16 durable trials
-//!   (each in-flight task's quarantine restricted to its durably logged
-//!   configs), and at task completion, written in that order by one
-//!   writer thread; a task waits for its start and completion
-//!   checkpoints to be durable, never for the ones in between;
+//! * **checkpoints** — at task start, every 16 durable trials, and at
+//!   task completion, written in that order by one writer thread; a
+//!   task waits for its start and completion checkpoints to be durable,
+//!   never for the ones in between. A checkpoint holds the quarantine of
+//!   unfinished tasks only, each in-flight task's set restricted to its
+//!   durably logged configs, so it stays small however long the run;
 //! * **database** — the warm seed pinned before the first trial and
 //!   replayed on resume, the [`DbPolicy::Serve`] verifying measurement,
 //!   and the top-k upsert, which lands before the completion checkpoint;
-//! * **model capture** — `model_quality.jsonl` rewritten per completed
-//!   task.
+//! * **model capture** — each completed task's records written once, as
+//!   a part under `model_quality.d/`, before its completion checkpoint;
+//!   the run's end folds the parts into `model_quality.jsonl`.
 //!
 //! Callers pass what differs as values and hooks; run-level
 //! I/O (manifest, registries, snapshots, result files) stays with them.
 
 use crate::model_quality::{
-    read_model_quality, record_line, write_record_lines, ModelPredRecord, MODEL_QUALITY_FILE,
+    read_capture, record_line, write_capture_file, ModelPredRecord, MODEL_QUALITY_FILE,
 };
 use crate::options::TuneOptions;
 use crate::records::{
@@ -35,11 +37,12 @@ use gpu_sim::{Measurer, Quarantine};
 use schedule::template::space_for_task;
 use schedule::Config;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Mutex, MutexGuard};
 use telemetry::sync::lock_or_recover;
-use telemetry::Telemetry;
+use telemetry::{durable, Telemetry};
 use tuning_db::{
     decimate_curve, DbRecord, TaskSpec, TopConfig, TuningDb, DB_SCHEMA_VERSION,
     DB_WARM_START_COUNTER, TOP_K,
@@ -115,9 +118,9 @@ pub struct Session<'a, M> {
     pub task_workers: usize,
     /// Tuning database, if the run is attached to one.
     pub db: Option<SessionDb<'a>>,
-    /// Snapshot of the measurer's quarantine, recorded in checkpoints;
-    /// `None` writes checkpoints without one.
-    pub quarantine: Option<&'a (dyn Fn() -> Quarantine + Sync)>,
+    /// The measurer's quarantine, whose unfinished tasks' sets are
+    /// recorded in checkpoints; `None` writes checkpoints without one.
+    pub quarantine: Option<&'a Mutex<Quarantine>>,
     /// Receives the engine's progress lines and counters.
     pub tel: &'a Telemetry,
     /// Called once a live trial is durable (and any checkpoint due).
@@ -152,19 +155,44 @@ struct RunState {
     checkpoints: Mutex<Option<SyncSender<CheckpointWrite>>>,
     /// Task names in run order (the capture file's record order).
     order: Vec<String>,
-    /// Capture lines per task, each record rendered once; on resume,
-    /// seeded from the capture file, which holds the records of every
-    /// task completed before the kill.
-    capture: Mutex<BTreeMap<String, String>>,
+    /// On resume, the capture lines per task of the capture the
+    /// interrupted run left. A task with a part on disk is taken from
+    /// the part; this covers a capture written whole, by a run that
+    /// ended or by an older binary.
+    resumed_capture: BTreeMap<String, String>,
 }
 
 impl RunState {
-    /// Rewrites the capture file (atomically) from every task so far.
-    fn write_capture(&self, dir: &RunDir) -> Result<(), String> {
-        let by_task = lock_or_recover(&self.capture);
-        let blocks = self.order.iter().filter_map(|name| by_task.get(name));
-        write_record_lines(&dir.model_quality_path(), blocks)
-            .map_err(|e| format!("cannot write {MODEL_QUALITY_FILE}: {e}"))
+    /// Folds the capture parts, in run order, into the capture file,
+    /// then removes them.
+    fn write_capture(&self, dir: &RunDir, tel: &Telemetry) -> Result<(), String> {
+        let _span = tel.span("session.capture");
+        write_capture_file(&dir.model_quality_path(), |f| {
+            for name in &self.order {
+                match std::fs::read(dir.model_quality_part_path(name)) {
+                    Ok(part) => f.write_all(&part)?,
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                        if let Some(lines) = self.resumed_capture.get(name) {
+                            f.write_all(lines.as_bytes())?;
+                        }
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(())
+        })
+        .map_err(|e| format!("cannot write {MODEL_QUALITY_FILE}: {e}"))?;
+        remove_dir(&dir.model_quality_parts_dir())
+    }
+}
+
+/// Removes `path` and everything in it; absent is fine.
+fn remove_dir(path: &std::path::Path) -> Result<(), String> {
+    match std::fs::remove_dir_all(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            Err(format!("cannot remove {}: {e}", path.display()))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -179,11 +207,21 @@ impl<M: Measurer + Sync> Session<'_, M> {
     ///
     /// The first failure in task order.
     pub fn run(&self, tasks: &[TuningTask]) -> Result<Vec<TuningLog>, String> {
-        let mut capture: BTreeMap<String, String> = BTreeMap::new();
-        if let Some(dir) = self.capture_dir().filter(|_| self.resume) {
-            if dir.model_quality_path().is_file() {
-                for rec in read_model_quality(&dir.model_quality_path())? {
-                    capture.entry(rec.task.clone()).or_default().push_str(&record_line(&rec));
+        let mut resumed_capture: BTreeMap<String, String> = BTreeMap::new();
+        if let Some(dir) = self.capture_dir() {
+            if self.resume {
+                for rec in read_capture(dir)?.unwrap_or_default() {
+                    let lines = resumed_capture.entry(rec.task.clone()).or_default();
+                    lines.push_str(&record_line(&rec));
+                }
+            } else {
+                // A fresh run over an old run directory: the old capture
+                // must not stand in for this run's.
+                remove_dir(&dir.model_quality_parts_dir())?;
+                if let Err(e) = std::fs::remove_file(dir.model_quality_path()) {
+                    if e.kind() != std::io::ErrorKind::NotFound {
+                        return Err(format!("cannot remove the old {MODEL_QUALITY_FILE}: {e}"));
+                    }
                 }
             }
         }
@@ -194,7 +232,10 @@ impl<M: Measurer + Sync> Session<'_, M> {
                 let (queue, pending) = sync_channel::<CheckpointWrite>(CHECKPOINT_BACKLOG);
                 scope.spawn(move || {
                     for w in pending {
-                        let r = dir.write_checkpoint(&w.checkpoint);
+                        let r = {
+                            let _span = self.tel.span("session.checkpoint");
+                            dir.write_checkpoint(&w.checkpoint)
+                        };
                         if let Some(written) = w.written {
                             let _ = written.send(r);
                         }
@@ -209,7 +250,7 @@ impl<M: Measurer + Sync> Session<'_, M> {
                 }),
                 checkpoints: Mutex::new(checkpoints),
                 order: tasks.iter().map(|t| t.name.clone()).collect(),
-                capture: Mutex::new(capture),
+                resumed_capture,
             };
             let failed = AtomicBool::new(false);
             let outcomes =
@@ -227,7 +268,7 @@ impl<M: Measurer + Sync> Session<'_, M> {
             drop(lock_or_recover(&st.checkpoints).take());
             let logs = outcomes.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
             if let Some(dir) = self.capture_dir() {
-                st.write_capture(dir)?;
+                st.write_capture(dir, self.tel)?;
             }
             Ok(logs)
         })
@@ -412,11 +453,13 @@ impl<M: Measurer + Sync> Session<'_, M> {
         if let Some(diag) = &r.aborted {
             (self.on_abort)(task, diag)?;
         }
-        self.complete(task, &r.log, st)?;
+        // The part is durable before the completion checkpoint: a task
+        // the checkpoint lists as complete is never re-tuned, so its
+        // records could not be recomputed.
         if let Some(dir) = self.capture_dir() {
-            lock_or_recover(&st.capture).insert(task.name.clone(), lines);
-            st.write_capture(dir)?;
+            self.write_part(dir, task, &lines)?;
         }
+        self.complete(task, &r.log, st)?;
         self.tel.report(|| {
             format!(
                 "{:<18} {:>9.1} GFLOPS in {:>4} measurements ({})",
@@ -424,6 +467,20 @@ impl<M: Measurer + Sync> Session<'_, M> {
             )
         });
         Ok(r.log)
+    }
+
+    /// Writes a completed task's capture lines as its part.
+    fn write_part(&self, dir: &RunDir, task: &TuningTask, lines: &str) -> Result<(), String> {
+        let _span = self.tel.span("session.capture");
+        let parts = dir.model_quality_parts_dir();
+        if !parts.is_dir() {
+            durable::create_dir(&parts)
+                .map_err(|e| format!("cannot create {}: {e}", parts.display()))?;
+        }
+        durable::replace(&dir.model_quality_part_path(&task.name), |f| {
+            f.write_all(lines.as_bytes())
+        })
+        .map_err(|e| format!("cannot write the capture part of {}: {e}", task.name))
     }
 
     /// Recovers the task's partial log on resume, or creates a fresh one.
@@ -469,11 +526,13 @@ impl<M: Measurer + Sync> Session<'_, M> {
         Ok(())
     }
 
-    /// Checkpoints the progress the caller has locked. Each in-flight
-    /// task's quarantine is restricted to its durably logged configs: a
-    /// batch can quarantine a config before that trial's record is
-    /// durable, and a resume that excluded such a config would diverge
-    /// from the uninterrupted run.
+    /// Checkpoints the progress the caller has locked. The quarantine is
+    /// copied for the tasks not yet complete: a completed task is read
+    /// back on resume and never measured again, so its set is dead
+    /// weight. Each in-flight task's set is restricted to its durably
+    /// logged configs: a batch can quarantine a config before that
+    /// trial's record is durable, and a resume that excluded such a
+    /// config would diverge from the uninterrupted run.
     ///
     /// The contents are taken under the progress lock; the writer thread
     /// serializes, fsyncs and renames. With `wait` the call returns once
@@ -489,8 +548,9 @@ impl<M: Measurer + Sync> Session<'_, M> {
         trials: Option<u64>,
         wait: bool,
     ) -> Result<(), String> {
-        let quarantine = self.quarantine.map(|snapshot| {
-            let mut q = snapshot();
+        let quarantine = self.quarantine.map(|shared| {
+            let mut q =
+                lock_or_recover(shared).subset(|task| !p.completed.iter().any(|c| c == task));
             for (task, allowed) in &p.appended {
                 q.restrict(task, allowed);
             }

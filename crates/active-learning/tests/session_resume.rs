@@ -10,11 +10,19 @@
 //!
 //! The measurer is the production stack with fault injection, so
 //! configs get quarantined mid-run and the checkpoint's per-task
-//! quarantine restriction is exercised.
+//! quarantine restriction is exercised. Every checkpoint a session
+//! leaves on disk as it runs is checked to hold quarantine sets of
+//! unfinished tasks only.
+//!
+//! Two more crash images are resumed: one taken between the last task's
+//! capture part and the final capture file, and one in the format of an
+//! older binary, whose checkpoint still holds completed tasks'
+//! quarantine sets and whose capture is one file rewritten per task.
 
 use active_learning::{
-    Checkpoint, DbPolicy, Method, RunDir, Session, SessionDb, TuneOptions, TuningLog,
-    MODEL_QUALITY_FILE,
+    read_capture, read_model_quality, write_model_quality, Checkpoint, DbPolicy, Method,
+    ModelPredRecord, RunDir, Session, SessionDb, TuneOptions, TuningLog, MODEL_QUALITY_FILE,
+    MODEL_QUALITY_PARTS_DIR,
 };
 use dnn_graph::models;
 use dnn_graph::task::{extract_tasks, TuningTask};
@@ -127,8 +135,24 @@ impl CrashAt {
     }
 }
 
-/// Tunes `tasks()` into `run`, resuming from `resume` when given, and
-/// returns the logs plus the measurer's final quarantine.
+/// Asserts that the checkpoint on disk holds no quarantine set of a
+/// completed task; returns whether it holds any set at all.
+fn check_checkpoint(dir: &RunDir) -> bool {
+    let Some(ckpt) = dir.read_checkpoint().unwrap() else { return false };
+    let q = ckpt.quarantine.unwrap_or_default();
+    for task in &ckpt.completed_tasks {
+        assert!(q.indices_for(task).is_empty(), "checkpoint keeps the set of completed {task}");
+    }
+    !q.is_empty()
+}
+
+/// What a session run returns: its logs, the measurer's final
+/// quarantine, and how many of the checkpoints seen after a trial held a
+/// quarantine set.
+type Outcome = (Vec<TuningLog>, Quarantine, usize);
+
+/// Tunes `tasks()` into `run`, resuming from `resume` when given. After
+/// every live trial, the checkpoint on disk is checked.
 fn session(
     run: &Path,
     db: Option<&Path>,
@@ -137,12 +161,13 @@ fn session(
     seed: u64,
     resume: Option<Checkpoint>,
     hooks: &CrashAt,
-) -> (Vec<TuningLog>, Quarantine) {
+) -> Outcome {
     let dir = RunDir::create(run).unwrap();
     let ckpt = resume.clone().unwrap_or_default();
     let m = stack(workers, ckpt.quarantine);
     let store = db.map(|p| Mutex::new(TuningDb::open(p, &LockOptions::default()).unwrap()));
-    let quarantine = || m.inner().quarantine_snapshot();
+    let quarantine = m.inner().shared_quarantine();
+    let with_sets = AtomicUsize::new(0);
     let logs = Session {
         measurer: &m,
         method: Method::BtedBao,
@@ -153,21 +178,52 @@ fn session(
         completed: ckpt.completed_tasks,
         task_workers: workers,
         db: store.as_ref().map(|store| SessionDb { store, consult }),
-        quarantine: Some(&quarantine),
+        quarantine: Some(&*quarantine),
         tel: &telemetry::Telemetry::disabled(),
-        on_trial: &|_, _| hooks.trial(),
+        on_trial: &|_, _| {
+            if check_checkpoint(&dir) {
+                with_sets.fetch_add(1, Ordering::Relaxed);
+            }
+            hooks.trial();
+        },
         on_abort: &|_, _| Ok(()),
     }
     .run(&tasks())
     .expect("session runs");
-    (logs, m.inner().quarantine_snapshot())
+    check_checkpoint(&dir);
+    (logs, m.inner().quarantine_snapshot(), with_sets.into_inner())
 }
 
-fn resume_matches_twin(with_db: bool, workers: usize, at: usize) {
+/// The capture records of each of `tasks()` that has a part in `dir`,
+/// in task order.
+fn parts_in_task_order(dir: &RunDir) -> Vec<ModelPredRecord> {
+    let mut out = Vec::new();
+    for task in tasks() {
+        let Ok(body) = std::fs::read_to_string(dir.model_quality_part_path(&task.name)) else {
+            continue;
+        };
+        out.extend(body.lines().map(|l| serde_json::from_str::<ModelPredRecord>(l).unwrap()));
+    }
+    out
+}
+
+/// How the crash image is laid out before the resume.
+#[derive(Clone, Copy, PartialEq)]
+enum Format {
+    /// As this binary leaves it.
+    Current,
+    /// As an older binary left it: the checkpoint holds every task's
+    /// quarantine set, and the capture is one file holding the completed
+    /// tasks, with no parts.
+    Older,
+}
+
+fn resume_matches_twin(with_db: bool, workers: usize, at: usize, format: Format) {
     let base = std::env::temp_dir().join(format!(
-        "aaltune-session-{}-db{}-w{workers}",
+        "aaltune-session-{}-db{}-w{workers}-{}",
         std::process::id(),
-        u8::from(with_db)
+        u8::from(with_db),
+        u8::from(format == Format::Older)
     ));
     let _ = std::fs::remove_dir_all(&base);
     let never = CrashAt::never();
@@ -185,9 +241,11 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize) {
     let consult = with_db.then_some(DbPolicy::Warm);
 
     let twin = base.join("twin");
-    let (twin_logs, twin_quarantine) =
+    let (twin_logs, twin_quarantine, with_sets) =
         session(&twin, db_of(&twin_db).as_deref(), consult, workers, 5, None, &never);
     assert!(!twin_quarantine.is_empty(), "fault injection must quarantine configs");
+    assert!(with_sets > 0, "in-flight tasks' sets must reach the checkpoint");
+    assert!(!twin.join(MODEL_QUALITY_PARTS_DIR).exists(), "the run's end removes the parts");
     // The run returns only after its last checkpoint is on disk.
     let done = RunDir::create(&twin).unwrap().read_checkpoint().unwrap().expect("checkpoint");
     assert_eq!(done.completed_tasks.len(), tasks().len());
@@ -195,7 +253,8 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize) {
 
     let cut = base.join("cut");
     let crash = CrashAt::new(at, &cut, db_of(&cut_db));
-    let (cut_logs, _) = session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, None, &crash);
+    let (cut_logs, _, _) =
+        session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, None, &crash);
     assert_eq!(cut_logs, twin_logs, "the cut run is itself a twin before the crash");
     let (run_image, db_image) = crash.image.into_inner().unwrap().expect("crash image taken");
 
@@ -220,10 +279,27 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize) {
         restore(&cut_db, db);
     }
 
-    let ckpt = RunDir::create(&cut).unwrap().read_checkpoint().unwrap().expect("checkpoint");
+    let cut_dir = RunDir::create(&cut).unwrap();
+    if format == Format::Older {
+        // Put the completed tasks' sets back, as the final quarantine
+        // holds them, and fold the parts into one capture file.
+        let mut ckpt = cut_dir.read_checkpoint().unwrap().expect("checkpoint");
+        let q = ckpt.quarantine.get_or_insert_with(Quarantine::new);
+        let before = q.len();
+        for task in &ckpt.completed_tasks {
+            for i in twin_quarantine.indices_for(task) {
+                q.insert(task, i);
+            }
+        }
+        assert!(q.len() > before, "a completed task's set must be put back");
+        cut_dir.write_checkpoint(&ckpt).unwrap();
+        write_model_quality(&cut_dir.model_quality_path(), &parts_in_task_order(&cut_dir)).unwrap();
+        std::fs::remove_dir_all(cut_dir.model_quality_parts_dir()).unwrap();
+    }
+    let ckpt = cut_dir.read_checkpoint().unwrap().expect("checkpoint");
     assert!(ckpt.in_flight.is_some(), "the restored checkpoint is mid-task");
     let resumed_hooks = CrashAt::never();
-    let (resumed, _) =
+    let (resumed, _, _) =
         session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, Some(ckpt), &resumed_hooks);
     assert_eq!(resumed, twin_logs);
     // Resume continues where the logs end: only the lost trials are
@@ -242,20 +318,67 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize) {
 
 #[test]
 fn resume_is_byte_identical_without_db_one_task_in_flight() {
-    resume_matches_twin(false, 1, 60);
+    resume_matches_twin(false, 1, 60, Format::Current);
 }
 
 #[test]
 fn resume_is_byte_identical_without_db_two_tasks_in_flight() {
-    resume_matches_twin(false, 2, 45);
+    resume_matches_twin(false, 2, 45, Format::Current);
 }
 
 #[test]
 fn resume_is_byte_identical_with_warm_db_one_task_in_flight() {
-    resume_matches_twin(true, 1, 60);
+    resume_matches_twin(true, 1, 60, Format::Current);
 }
 
 #[test]
 fn resume_is_byte_identical_with_warm_db_two_tasks_in_flight() {
-    resume_matches_twin(true, 2, 45);
+    resume_matches_twin(true, 2, 45, Format::Current);
+}
+
+#[test]
+fn resume_of_an_older_binarys_crash_image_is_byte_identical() {
+    resume_matches_twin(false, 1, 60, Format::Older);
+}
+
+/// A kill after every task's part is durable but before the final
+/// capture file is written: the run is explainable from the parts, and
+/// its resume writes the twin's capture bytes.
+#[test]
+fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
+    let base = std::env::temp_dir().join(format!("aaltune-session-{}-parts", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let never = CrashAt::never();
+    let twin = base.join("twin");
+    let (twin_logs, _, _) = session(&twin, None, None, 1, 5, None, &never);
+    let twin_files = image(&twin);
+    let capture = PathBuf::from(MODEL_QUALITY_FILE);
+    let twin_records = read_model_quality(&twin.join(MODEL_QUALITY_FILE)).unwrap();
+
+    // Split the capture into one part per task, as the run wrote them.
+    let cut = base.join("cut");
+    let mut crashed = twin_files.clone();
+    crashed.remove(&capture);
+    restore(&cut, &crashed);
+    let cut_dir = RunDir::create(&cut).unwrap();
+    std::fs::create_dir_all(cut_dir.model_quality_parts_dir()).unwrap();
+    for task in tasks() {
+        let lines: String = twin_records
+            .iter()
+            .filter(|r| r.task == task.name)
+            .map(|r| serde_json::to_string(r).unwrap() + "\n")
+            .collect();
+        assert!(!lines.is_empty(), "every task captured records");
+        std::fs::write(cut_dir.model_quality_part_path(&task.name), lines).unwrap();
+    }
+    assert_eq!(read_capture(&cut_dir).unwrap(), Some(twin_records), "parts read as the file");
+
+    let ckpt = cut_dir.read_checkpoint().unwrap().expect("checkpoint");
+    assert_eq!(ckpt.completed_tasks.len(), tasks().len());
+    let (resumed, _, _) = session(&cut, None, None, 1, 5, Some(ckpt), &never);
+    assert_eq!(resumed, twin_logs);
+    let cut_files = image(&cut);
+    assert!(twin_files[&capture] == cut_files[&capture], "model capture differs after resume");
+    assert!(!cut.join(MODEL_QUALITY_PARTS_DIR).exists(), "the resume removes the parts");
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -50,6 +50,18 @@ fn bench_components(c: &mut Criterion) {
         });
     }
 
+    // Scoring with the fitted AutoTVM model: one batch call over the
+    // matrix (what SA and BS do) against a `predict_row` per row.
+    let model = Gbt::fit(&GbtParams::default(), &x, &ys, 0);
+    c.bench_function("gbt_predict_batch_512x22", |b| {
+        b.iter(|| black_box(model.predict(&x)));
+    });
+    c.bench_function("gbt_predict_rows_512x22", |b| {
+        b.iter(|| {
+            black_box((0..x.rows()).map(|i| model.predict_row(x.row(i))).collect::<Vec<_>>())
+        });
+    });
+
     // BAO's surrogate fit: a Γ=2 bag at the tuner's `bao_gbt` params, each
     // member on a bootstrap resample, at the mean fit size of a 512-trial
     // run (167 rows) and at a full fit window (416 rows). Labels are

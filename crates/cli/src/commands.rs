@@ -2,9 +2,9 @@
 
 use crate::opts::Cli;
 use active_learning::{
-    device_by_name, method_by_name, model_by_name, read_model_quality, tune_model_parallel,
-    Checkpoint, DbPolicy, DbProvenance, Method, RunDir, RunManifest, Session, SessionDb,
-    TuneOptions, MANIFEST_SCHEMA_VERSION, MODEL_QUALITY_FILE,
+    device_by_name, method_by_name, model_by_name, read_capture, tune_model_parallel, Checkpoint,
+    DbPolicy, DbProvenance, Method, RunDir, RunManifest, Session, SessionDb, TuneOptions,
+    MANIFEST_SCHEMA_VERSION, MODEL_QUALITY_FILE,
 };
 use dnn_graph::task::extract_tasks;
 use executor::{Executor, ExecutorConfig};
@@ -516,7 +516,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
         })
         .transpose()
         .inspect_err(|_| finish_telemetry(&tel))?;
-    let quarantine = || m.inner().quarantine_snapshot();
+    let quarantine = m.inner().shared_quarantine();
     let session = Session {
         measurer: &m,
         method: plan.method,
@@ -529,7 +529,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
         db: db
             .as_ref()
             .map(|store| SessionDb { store, consult: plan.db.as_ref().map(|s| s.policy) }),
-        quarantine: Some(&quarantine),
+        quarantine: Some(&*quarantine),
         tel: &tel,
         on_trial: &|_, _| {},
         // An aborted task is reported but keeps its truncated log.
@@ -738,16 +738,16 @@ fn explain(cli: &Cli) -> Result<(), String> {
     if !path.is_dir() {
         return Err(format!("{} is not a run directory", path.display()));
     }
-    let file = path.join(MODEL_QUALITY_FILE);
-    if !file.is_file() {
+    let dir = RunDir::create(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    // A killed run is explained from the parts of its completed tasks.
+    let Some(records) = read_capture(&dir)? else {
         return Err(format!(
             "{} has no {MODEL_QUALITY_FILE} — the run was tuned without model capture \
              (capture is on by default; drop --no-capture-model and re-tune to record \
              the surrogate's predictions)",
             path.display()
         ));
-    }
-    let records = read_model_quality(&file)?;
+    };
     print!("{}", trace_analysis::render_explain(&trace_analysis::analyze(&records)));
     Ok(())
 }
@@ -1292,7 +1292,7 @@ mod tests {
         dispatch(&args(&base.join("cap"), &[])).unwrap();
         let run_name = "squeezenet_v1.1-bted+bao-seed0";
         let cap_run = base.join("cap").join(run_name);
-        let records = read_model_quality(&cap_run.join(MODEL_QUALITY_FILE))
+        let records = active_learning::read_model_quality(&cap_run.join(MODEL_QUALITY_FILE))
             .expect("capture is on by default and must leave a model_quality.jsonl");
         assert!(!records.is_empty());
         assert!(

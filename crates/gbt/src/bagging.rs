@@ -71,17 +71,30 @@ impl BaggedGbt {
         var.max(0.0).sqrt()
     }
 
+    /// Batched acquisition score over every row of `x`: bit for bit
+    /// [`Self::predict_sum_row`] of each row.
+    #[must_use]
+    pub fn predict_sum(&self, x: &Matrix) -> Vec<f64> {
+        let mut sums = vec![crate::gbm::empty_sum(); x.rows()];
+        for m in &self.models {
+            for (s, p) in sums.iter_mut().zip(m.predict(x)) {
+                *s += p;
+            }
+        }
+        sums
+    }
+
     /// Batched bagged mean over every row of `x`.
     ///
-    /// One pass per model rather than one per `(model, row)` pair — this is
-    /// the prediction entry used by the introspection capture path, where a
-    /// whole proposal batch is scored at once.
+    /// One batch prediction per model — this is the prediction entry used
+    /// by the introspection capture path, where a whole proposal batch is
+    /// scored at once.
     #[must_use]
     pub fn predict_mean(&self, x: &Matrix) -> Vec<f64> {
         let mut sums = vec![0.0; x.rows()];
         for m in &self.models {
-            for (i, s) in sums.iter_mut().enumerate() {
-                *s += m.predict_row(x.row(i));
+            for (s, p) in sums.iter_mut().zip(m.predict(x)) {
+                *s += p;
             }
         }
         let inv = 1.0 / self.models.len() as f64;
@@ -91,7 +104,7 @@ impl BaggedGbt {
     /// Batched bagged standard deviation over every row of `x`.
     ///
     /// Accumulates per-row sum and sum-of-squares across the bag, so the
-    /// cost is one prediction per `(model, row)` — the same work
+    /// cost is one batch prediction per model — the same work
     /// [`Self::predict_mean`] does, not Γ× more.
     #[must_use]
     pub fn predict_std(&self, x: &Matrix) -> Vec<f64> {
@@ -99,10 +112,9 @@ impl BaggedGbt {
         let mut sums = vec![0.0; x.rows()];
         let mut sq_sums = vec![0.0; x.rows()];
         for m in &self.models {
-            for i in 0..x.rows() {
-                let p = m.predict_row(x.row(i));
-                sums[i] += p;
-                sq_sums[i] += p * p;
+            for ((s, s2), p) in sums.iter_mut().zip(&mut sq_sums).zip(m.predict(x)) {
+                *s += p;
+                *s2 += p * p;
             }
         }
         sums.iter()

@@ -1,7 +1,7 @@
 //! Gradient boosting over regression trees.
 
 use crate::data::Matrix;
-use crate::tree::{FeatureOrder, RegressionTree, TreeParams, Workspace};
+use crate::tree::{FeatureOrder, RegressionTree, TreeParams, Workspace, BLOCK};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -125,10 +125,25 @@ impl Gbt {
         self.base_score + self.eta * self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>()
     }
 
-    /// Predicts every row of `x`.
+    /// Predicts every row of `x`, bit for bit as [`Gbt::predict_row`]
+    /// does: tree by tree over blocks of rows, each row adding the same
+    /// leaf weights in the same tree order from the same starting value.
     #[must_use]
     pub fn predict(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.rows()).map(|i| self.predict_row(x.row(i))).collect()
+        let mut out = Vec::with_capacity(x.rows());
+        let mut rows: [&[f64]; BLOCK] = [&[]; BLOCK];
+        for first in (0..x.rows()).step_by(BLOCK) {
+            let n = BLOCK.min(x.rows() - first);
+            for (k, row) in rows[..n].iter_mut().enumerate() {
+                *row = x.row(first + k);
+            }
+            let mut acc = [empty_sum(); BLOCK];
+            for t in &self.trees {
+                t.add_leaf_weights(&rows[..n], &mut acc[..n]);
+            }
+            out.extend(acc[..n].iter().map(|s| self.base_score + self.eta * s));
+        }
+        out
     }
 
     /// Number of trees in the ensemble.
@@ -146,6 +161,13 @@ impl Gbt {
         }
         counts
     }
+}
+
+/// The value `Iterator::sum` over `f64` starts from (currently `-0.0`,
+/// the additive identity for every sign of zero). A batch accumulator
+/// starts from it to match a per-row sum bit for bit.
+pub(crate) fn empty_sum() -> f64 {
+    std::iter::empty::<f64>().sum()
 }
 
 #[cfg(test)]
@@ -225,6 +247,7 @@ mod tests {
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use crate::bagging::BaggedGbt;
     use crate::tree::reference::{self, strategy};
     use proptest::prelude::*;
 
@@ -312,5 +335,71 @@ mod oracle {
                 );
             }
         }
+
+        #[test]
+        fn batch_predictions_match_per_row_bit_for_bit(
+            (x, y) in dataset(),
+            params in gbt_params(),
+            seed in 0u64..1000,
+            gamma in 1usize..4,
+        ) {
+            let probes = strategy::probe_rows(&x);
+            let flat: Vec<f64> = probes.iter().flatten().copied().collect();
+            let px = Matrix::new(flat, probes.len(), x.cols());
+            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+
+            let m = Gbt::fit(&params, &x, &y, seed);
+            let want: Vec<f64> = probes.iter().map(|r| m.predict_row(r)).collect();
+            prop_assert_eq!(bits(&m.predict(&px)), bits(&want));
+
+            // The bagged batch calls against their per-row definitions.
+            let bag = BaggedGbt::fit(&params, &x, &y, gamma, seed);
+            let models: Vec<Gbt> =
+                (0..gamma).map(|g| bag_member(&params, &x, &y, gamma, seed, g)).collect();
+            let n = gamma as f64;
+            let (mut sum, mut mean, mut std) = (Vec::new(), Vec::new(), Vec::new());
+            for r in &probes {
+                sum.push(bag.predict_sum_row(r));
+                let (mut s, mut s2) = (0.0, 0.0);
+                for m in &models {
+                    let p = m.predict_row(r);
+                    s += p;
+                    s2 += p * p;
+                }
+                mean.push(s * (1.0 / n));
+                std.push((s2 / n - (s / n) * (s / n)).max(0.0).sqrt());
+            }
+            prop_assert_eq!(bits(&bag.predict_sum(&px)), bits(&sum));
+            prop_assert_eq!(bits(&bag.predict_mean(&px)), bits(&mean));
+            prop_assert_eq!(bits(&bag.predict_std(&px)), bits(&std));
+        }
+    }
+
+    /// Member `g` of `BaggedGbt::fit(params, x, y, gamma, seed)`, refit
+    /// from the same resample.
+    fn bag_member(
+        params: &GbtParams,
+        x: &Matrix,
+        y: &[f64],
+        gamma: usize,
+        seed: u64,
+        g: usize,
+    ) -> Gbt {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = x.rows();
+        let mut member = None;
+        for k in 0..gamma {
+            let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            if k == g {
+                let yg: Vec<f64> = indices.iter().map(|&i| y[i]).collect();
+                member = Some(Gbt::fit(
+                    params,
+                    &x.select_rows(&indices),
+                    &yg,
+                    seed.wrapping_add(k as u64 + 1),
+                ));
+            }
+        }
+        member.expect("g < gamma")
     }
 }

@@ -25,8 +25,9 @@ impl Default for TreeParams {
     }
 }
 
-/// Node arena entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Node arena entry: the preorder scratch a fit grows, compiled into a
+/// [`RegressionTree`]'s flat layout once the tree is complete.
+#[derive(Debug)]
 enum Node {
     Leaf {
         weight: f64,
@@ -41,10 +42,33 @@ enum Node {
     },
 }
 
-/// A fitted regression tree.
+/// Rows walked together by [`RegressionTree::add_leaf_weights`]: enough
+/// independent walks to hide each level's load latency, few enough to
+/// keep their slots in registers.
+pub(crate) const BLOCK: usize = 8;
+
+/// A fitted regression tree, compiled into a perfect binary tree padded
+/// to the tree's own depth.
+///
+/// Internal slots are stored level by level (slot `i` has children
+/// `2i + 1` and `2i + 2`); the bottom level holds the leaf weights, left
+/// to right. A leaf above the bottom fills every bottom slot below it, so
+/// every walk takes exactly `depth` steps and no step branches on the
+/// node kind. A walk goes right iff `!(value < threshold)`, the routing
+/// of the fit itself, so NaN goes right.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegressionTree {
-    nodes: Vec<Node>,
+    /// Levels of internal slots; `0` for a single-leaf tree.
+    depth: u32,
+    /// Split feature per internal slot (`0` below a leaf, where both
+    /// sides carry the same weight).
+    features: Vec<u32>,
+    /// Split threshold per internal slot.
+    thresholds: Vec<f64>,
+    /// The `2^depth` bottom-level leaf weights.
+    leaves: Vec<f64>,
+    /// Feature of every real split in preorder (padding excluded).
+    split_features: Vec<u32>,
 }
 
 /// One presorted entry: a feature value and the row it came from.
@@ -316,7 +340,49 @@ impl RegressionTree {
         ws.row_weight.resize(n, 0.0);
         let mut grower = Grower { params, grad, hess, features: columns, ws, nodes: Vec::new() };
         grower.grow(0, n, 0);
-        RegressionTree { nodes: grower.nodes }
+        RegressionTree::compile(&grower.nodes)
+    }
+
+    /// Compiles a preorder node arena (root at index 0) into the flat
+    /// layout.
+    fn compile(nodes: &[Node]) -> Self {
+        fn depth(nodes: &[Node], id: usize) -> u32 {
+            match nodes[id] {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => 1 + depth(nodes, left).max(depth(nodes, right)),
+            }
+        }
+        let depth = depth(nodes, 0);
+        let internal = (1usize << depth) - 1;
+        let mut tree = RegressionTree {
+            depth,
+            features: vec![0; internal],
+            thresholds: vec![0.0; internal],
+            leaves: vec![0.0; internal + 1],
+            split_features: Vec::new(),
+        };
+        tree.place(nodes, 0, 0, 0);
+        tree
+    }
+
+    /// Writes node `id` of the arena into `slot`, which sits on `level`.
+    fn place(&mut self, nodes: &[Node], id: usize, slot: usize, level: u32) {
+        match nodes[id] {
+            Node::Leaf { weight } => {
+                // The slot's subtree covers `span` bottom slots, starting
+                // at its position within its level times `span`.
+                let span = 1usize << (self.depth - level);
+                let first = (slot + 1 - (1usize << level)) * span;
+                self.leaves[first..first + span].fill(weight);
+            }
+            Node::Split { feature, threshold, left, right } => {
+                self.features[slot] = feature as u32;
+                self.thresholds[slot] = threshold;
+                self.split_features.push(feature as u32);
+                self.place(nodes, left, 2 * slot + 1, level + 1);
+                self.place(nodes, right, 2 * slot + 2, level + 1);
+            }
+        }
     }
 
     /// Predicts the leaf weight for one feature row.
@@ -327,30 +393,52 @@ impl RegressionTree {
     /// does not come from the training feature layout).
     #[must_use]
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut id = 0;
-        loop {
-            match &self.nodes[id] {
-                Node::Leaf { weight } => return *weight,
-                Node::Split { feature, threshold, left, right } => {
-                    id = if row[*feature] < *threshold { *left } else { *right };
-                }
+        let mut slot = 0;
+        for _ in 0..self.depth {
+            slot = self.step(slot, row);
+        }
+        self.leaves[slot - self.features.len()]
+    }
+
+    /// Adds the leaf weight of `rows[k]` to `acc[k]` for every `k` (at
+    /// most [`BLOCK`] rows), walking the rows level by level together.
+    ///
+    /// # Panics
+    ///
+    /// As [`RegressionTree::predict_row`], or if `acc` is shorter than
+    /// `rows` or `rows` longer than [`BLOCK`].
+    pub(crate) fn add_leaf_weights(&self, rows: &[&[f64]], acc: &mut [f64]) {
+        let mut slots = [0usize; BLOCK];
+        let slots = &mut slots[..rows.len()];
+        for _ in 0..self.depth {
+            for (slot, row) in slots.iter_mut().zip(rows) {
+                *slot = self.step(*slot, row);
             }
+        }
+        for (a, &slot) in acc.iter_mut().zip(slots.iter()) {
+            *a += self.leaves[slot - self.features.len()];
         }
     }
 
-    /// Number of nodes in the tree.
+    /// The child of internal `slot` that `row` goes to: left iff
+    /// `value < threshold`, so NaN goes right.
+    #[inline]
+    fn step(&self, slot: usize, row: &[f64]) -> usize {
+        let left = row[self.features[slot] as usize] < self.thresholds[slot];
+        2 * slot + 2 - usize::from(left)
+    }
+
+    /// Number of nodes in the tree (padding excluded).
     #[must_use]
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        2 * self.split_features.len() + 1
     }
 
     /// Accumulates split counts per feature into `counts` (a crude feature
     /// importance).
     pub fn add_split_counts(&self, counts: &mut [usize]) {
-        for n in &self.nodes {
-            if let Node::Split { feature, .. } = n {
-                counts[*feature] += 1;
-            }
+        for &f in &self.split_features {
+            counts[f as usize] += 1;
         }
     }
 }

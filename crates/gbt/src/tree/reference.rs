@@ -15,7 +15,7 @@ struct SplitCandidate {
 }
 
 /// Fits a tree the original way: per-feature stable sorts, then recursive
-/// growth over row masks.
+/// growth over row masks, compiled like a production fit.
 pub(crate) fn fit(
     params: &TreeParams,
     x: &Matrix,
@@ -23,6 +23,17 @@ pub(crate) fn fit(
     hess: &[f64],
     columns: &[usize],
 ) -> RegressionTree {
+    RegressionTree::compile(&fit_nodes(params, x, grad, hess, columns))
+}
+
+/// The node arena of [`fit`], before compiling.
+fn fit_nodes(
+    params: &TreeParams,
+    x: &Matrix,
+    grad: &[f64],
+    hess: &[f64],
+    columns: &[usize],
+) -> Vec<Node> {
     let order: Vec<Vec<u32>> = (0..x.cols())
         .map(|f| {
             let mut idx: Vec<u32> = (0..x.rows() as u32).collect();
@@ -30,17 +41,30 @@ pub(crate) fn fit(
             idx
         })
         .collect();
-    let mut tree = RegressionTree { nodes: Vec::new() };
+    let mut nodes = Vec::new();
     let in_node = vec![true; x.rows()];
-    grow(&mut tree, params, x, grad, hess, columns, &order, in_node, x.rows(), 0);
-    tree
+    grow(&mut nodes, params, x, grad, hess, columns, &order, in_node, x.rows(), 0);
+    nodes
+}
+
+/// Predicts one row by walking the node arena, one node kind at a time.
+fn walk(nodes: &[Node], row: &[f64]) -> f64 {
+    let mut id = 0;
+    loop {
+        match nodes[id] {
+            Node::Leaf { weight } => return weight,
+            Node::Split { feature, threshold, left, right } => {
+                id = if row[feature] < threshold { left } else { right };
+            }
+        }
+    }
 }
 
 /// Recursively grows a subtree over the rows flagged in `in_node`; returns
 /// its node index.
 #[allow(clippy::too_many_arguments)]
 fn grow(
-    tree: &mut RegressionTree,
+    nodes: &mut Vec<Node>,
     params: &TreeParams,
     x: &Matrix,
     grad: &[f64],
@@ -67,12 +91,12 @@ fn grow(
     };
 
     if depth >= params.max_depth || n_rows < 2 {
-        return make_leaf(&mut tree.nodes);
+        return make_leaf(nodes);
     }
 
     let best = best_split(params, x, grad, hess, columns, order, &in_node, g, h);
     let Some(split) = best else {
-        return make_leaf(&mut tree.nodes);
+        return make_leaf(nodes);
     };
 
     let mut left_mask = vec![false; in_node.len()];
@@ -93,12 +117,11 @@ fn grow(
     }
 
     // Reserve this node's slot before the children claim indices.
-    let id = tree.nodes.len();
-    tree.nodes.push(Node::Leaf { weight: 0.0 });
-    let left = grow(tree, params, x, grad, hess, columns, order, left_mask, n_left, depth + 1);
-    let right = grow(tree, params, x, grad, hess, columns, order, right_mask, n_right, depth + 1);
-    tree.nodes[id] =
-        Node::Split { feature: split.feature, threshold: split.threshold, left, right };
+    let id = nodes.len();
+    nodes.push(Node::Leaf { weight: 0.0 });
+    let left = grow(nodes, params, x, grad, hess, columns, order, left_mask, n_left, depth + 1);
+    let right = grow(nodes, params, x, grad, hess, columns, order, right_mask, n_right, depth + 1);
+    nodes[id] = Node::Split { feature: split.feature, threshold: split.threshold, left, right };
     id
 }
 
@@ -193,6 +216,25 @@ pub(crate) mod strategy {
         })
     }
 
+    /// Every row of `x`, then each row with one feature at a time set to
+    /// NaN, `-0.0`, `0.0` and `±inf`: the values whose routing differs
+    /// between `<` and its negation or between signed zeros.
+    pub(crate) fn probe_rows(x: &Matrix) -> Vec<Vec<f64>> {
+        let mut out = Vec::new();
+        for i in 0..x.rows() {
+            let row = x.row(i);
+            out.push(row.to_vec());
+            for j in 0..row.len() {
+                for v in [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut r = row.to_vec();
+                    r[j] = v;
+                    out.push(r);
+                }
+            }
+        }
+        out
+    }
+
     /// Squared-loss-like gradients for `n` rows and hessians that are 1,
     /// 0 (a row left out by `subsample`) or an arbitrary positive weight.
     pub(crate) fn stats(n: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -266,6 +308,22 @@ mod tests {
                 RegressionTree::fit_presorted(&params, &x, &grad, &hess, &columns, &order);
             prop_assert_eq!(&presorted, &want);
             prop_assert_eq!(&RegressionTree::fit(&params, &x, &grad, &hess, &columns), &want);
+        }
+
+        #[test]
+        fn compiled_tree_walks_like_the_node_arena(
+            (x, grad, hess, columns) in case(),
+            params in strategy::tree_params(),
+        ) {
+            let nodes = super::fit_nodes(&params, &x, &grad, &hess, &columns);
+            let tree = RegressionTree::compile(&nodes);
+            for row in strategy::probe_rows(&x) {
+                prop_assert_eq!(
+                    tree.predict_row(&row).to_bits(),
+                    super::walk(&nodes, &row).to_bits(),
+                    "row {:?}", row
+                );
+            }
         }
     }
 }

@@ -42,6 +42,25 @@ fn probes(x: &Matrix) -> Vec<Vec<f64>> {
     out
 }
 
+/// The committed fixture lines: `<case> <probe> <bits>`.
+fn committed() -> Vec<&'static str> {
+    include_str!("golden_predictions.txt").lines().collect()
+}
+
+fn assert_matches_fixture(got: &[String]) {
+    let want = committed();
+    assert_eq!(got.len(), want.len(), "fixture covers every probe of every case");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "prediction bits changed");
+    }
+}
+
+fn render(got: &mut Vec<String>, name: &str, preds: impl IntoIterator<Item = f64>) {
+    for (i, p) in preds.into_iter().enumerate() {
+        got.push(format!("{name} {i} {:016x}", p.to_bits()));
+    }
+}
+
 #[test]
 fn predictions_match_the_committed_bits() {
     let (x, y) = dataset();
@@ -49,22 +68,28 @@ fn predictions_match_the_committed_bits() {
     let bao = GbtParams { n_rounds: 35, colsample: 0.6, ..GbtParams::default() };
     let p = probes(&x);
     let mut got = Vec::new();
-    let mut record = |name: &str, predict: &dyn Fn(&[f64]) -> f64| {
-        for (i, r) in p.iter().enumerate() {
-            got.push(format!("{name} {i} {:016x}", predict(r).to_bits()));
-        }
-    };
     let m = Gbt::fit(&gbt, &x, &y, 7);
-    record("gbt", &|r| m.predict_row(r));
+    render(&mut got, "gbt", p.iter().map(|r| m.predict_row(r)));
     let m = Gbt::fit(&bao, &x, &y, 7);
-    record("bao_gbt", &|r| m.predict_row(r));
+    render(&mut got, "bao_gbt", p.iter().map(|r| m.predict_row(r)));
     let m = BaggedGbt::fit(&gbt, &x, &y, 2, 11);
-    record("bagged_gbt", &|r| m.predict_sum_row(r));
+    render(&mut got, "bagged_gbt", p.iter().map(|r| m.predict_sum_row(r)));
     let m = BaggedGbt::fit(&bao, &x, &y, 2, 11);
-    record("bagged_bao_gbt", &|r| m.predict_sum_row(r));
-    let want: Vec<&str> = include_str!("golden_predictions.txt").lines().collect();
-    assert_eq!(got.len(), want.len(), "fixture covers every probe of every case");
-    for (g, w) in got.iter().zip(&want) {
-        assert_eq!(g, w, "prediction bits changed");
-    }
+    render(&mut got, "bagged_bao_gbt", p.iter().map(|r| m.predict_sum_row(r)));
+    assert_matches_fixture(&got);
+}
+
+/// The batch calls reproduce the same committed bits.
+#[test]
+fn batch_predictions_match_the_committed_bits() {
+    let (x, y) = dataset();
+    let gbt = GbtParams::default();
+    let bao = GbtParams { n_rounds: 35, colsample: 0.6, ..GbtParams::default() };
+    let p = Matrix::from_rows(&probes(&x));
+    let mut got = Vec::new();
+    render(&mut got, "gbt", Gbt::fit(&gbt, &x, &y, 7).predict(&p));
+    render(&mut got, "bao_gbt", Gbt::fit(&bao, &x, &y, 7).predict(&p));
+    render(&mut got, "bagged_gbt", BaggedGbt::fit(&gbt, &x, &y, 2, 11).predict_sum(&p));
+    render(&mut got, "bagged_bao_gbt", BaggedGbt::fit(&bao, &x, &y, 2, 11).predict_sum(&p));
+    assert_matches_fixture(&got);
 }

@@ -102,6 +102,18 @@ impl Quarantine {
         self.sets.values().all(BTreeSet::is_empty)
     }
 
+    /// A copy holding only the sets of the tasks `keep` accepts.
+    #[must_use]
+    pub fn subset(&self, keep: impl Fn(&str) -> bool) -> Quarantine {
+        let sets = self
+            .sets
+            .iter()
+            .filter(|(task, _)| keep(task))
+            .map(|(task, set)| (task.clone(), set.clone()))
+            .collect();
+        Quarantine { sets }
+    }
+
     /// Drops every quarantined index of `task` not in `allowed`.
     ///
     /// Used when checkpointing a batched run: a pooled executor can have
@@ -397,6 +409,18 @@ mod tests {
         assert_eq!(q.indices_for("t2"), vec![9], "other tasks untouched");
         q.restrict("t3", &allowed); // absent task is a no-op
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn subset_keeps_only_the_accepted_tasks() {
+        let mut q = Quarantine::new();
+        q.insert("t1", 3);
+        q.insert("t2", 9);
+        q.insert("t2", 4);
+        let only_t2 = q.subset(|task| task == "t2");
+        assert!(only_t2.indices_for("t1").is_empty());
+        assert_eq!(only_t2.indices_for("t2"), vec![4, 9]);
+        assert_eq!(q.len(), 3, "the source is untouched");
     }
 
     #[test]

@@ -48,6 +48,18 @@ pub fn open_append(path: &Path) -> std::io::Result<Appender> {
     Ok(log)
 }
 
+/// Creates the directory `path` (and any missing parents), then fsyncs
+/// its parent so the new entry survives power loss. An existing
+/// directory is left as it is.
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub fn create_dir(path: &Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(path)?;
+    sync_parent(path)
+}
+
 /// Fsyncs the directory holding `path` (`.` for a bare file name), so a
 /// rename or create in it survives power loss. Directories cannot be
 /// opened for syncing off Unix, where this is a no-op.
@@ -93,6 +105,18 @@ impl Appender {
             self.new_file = None;
         }
         Ok(())
+    }
+}
+
+/// Raw buffered writes, for a caller that frames its own lines (the
+/// trace sink); unlike [`Appender::append_line`], a line may span writes.
+impl std::io::Write for Appender {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
     }
 }
 

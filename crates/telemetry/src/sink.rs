@@ -48,17 +48,18 @@ impl FileSink {
         Ok(FileSink { out: Mutex::new(Box::new(std::io::BufWriter::new(f))) })
     }
 
-    /// Opens `path` for appending (creating it if absent). A resumed run
-    /// uses this so its records extend the crashed run's trace; the
-    /// fresh [`Record::Schema`] header it emits marks the segment
-    /// boundary for [`crate::TraceSummary`]'s merge rules.
+    /// Opens `path` for appending (creating it if absent) through
+    /// [`crate::durable::open_append`], which cuts a line torn by a kill.
+    /// A resumed run uses this so its records extend the crashed run's
+    /// trace; the fresh [`Record::Schema`] header it emits marks the
+    /// segment boundary for [`crate::TraceSummary`]'s merge rules.
     ///
     /// # Errors
     ///
     /// Propagates file-open errors.
     pub fn append(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(FileSink { out: Mutex::new(Box::new(std::io::BufWriter::new(f))) })
+        let log = crate::durable::open_append(path.as_ref())?;
+        Ok(FileSink { out: Mutex::new(Box::new(std::io::BufWriter::new(log))) })
     }
 
     /// Wraps an arbitrary writer (e.g. a `Vec<u8>` in tests).
@@ -239,6 +240,31 @@ mod tests {
         tee.record(&ev("x"));
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn reopening_a_torn_trace_cuts_the_torn_line() {
+        let dir = std::env::temp_dir().join(format!("aaltune-sink-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
+        let whole = serde_json::to_string(&ev("whole")).unwrap();
+        let torn = serde_json::to_string(&ev("torn")).unwrap();
+        // A kill mid-append leaves half a line after the last newline.
+        std::fs::write(&path, format!("{whole}\n{}", &torn[..torn.len() / 2])).unwrap();
+        let sink = FileSink::append(&path).unwrap();
+        sink.record(&ev("resumed"));
+        sink.flush();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let names: Vec<String> = text
+            .lines()
+            .map(|l| match serde_json::from_str::<Record>(l).unwrap() {
+                Record::Event { name, .. } => name,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect();
+        assert_eq!(names, ["whole", "resumed"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::model_insight::TaskModelQuality;
 use crate::stats::{bootstrap_mean_delta_ci, mean, BootstrapCi};
-use active_learning::{read_model_quality, RunDir, RunManifest, TuningLog, MODEL_QUALITY_FILE};
+use active_learning::{read_capture, RunDir, RunManifest, TuningLog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -303,21 +303,22 @@ pub fn compare_run_dirs(
         compare_logs(run_id(base), run_id(cand), &base_logs, &cand_logs, options, warnings);
     // Surrogate-quality gating applies only when BOTH runs captured model
     // diagnostics — a capture-less run is not a model regression.
-    let base_mq = base.join(MODEL_QUALITY_FILE);
-    let cand_mq = cand.join(MODEL_QUALITY_FILE);
-    if base_mq.is_file() && cand_mq.is_file() {
-        match (read_model_quality(&base_mq), read_model_quality(&cand_mq)) {
-            (Ok(b), Ok(c)) => {
-                cmp.model_quality = compare_model_quality(
-                    &crate::model_insight::analyze(&b),
-                    &crate::model_insight::analyze(&c),
-                );
-            }
-            (b, c) => {
-                for (label, r) in [("baseline", &b), ("candidate", &c)] {
-                    if let Err(e) = r {
-                        cmp.warnings.push(format!("{label} model quality unreadable: {e}"));
-                    }
+    let capture = |path: &Path| {
+        RunDir::create(path)
+            .map_err(|e| format!("cannot open {}: {e}", path.display()))
+            .and_then(|dir| read_capture(&dir))
+    };
+    match (capture(base), capture(cand)) {
+        (Ok(Some(b)), Ok(Some(c))) => {
+            cmp.model_quality = compare_model_quality(
+                &crate::model_insight::analyze(&b),
+                &crate::model_insight::analyze(&c),
+            );
+        }
+        (b, c) => {
+            for (label, r) in [("baseline", &b), ("candidate", &c)] {
+                if let Err(e) = r {
+                    cmp.warnings.push(format!("{label} model quality unreadable: {e}"));
                 }
             }
         }

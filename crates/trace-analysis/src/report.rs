@@ -16,7 +16,7 @@
 use crate::compare::{RunComparison, Verdict};
 use crate::model_insight;
 use crate::trace::{FlameNode, TraceData};
-use active_learning::{read_model_quality, ModelPredRecord, RunDir, RunManifest, TuningLog};
+use active_learning::{read_capture, ModelPredRecord, RunDir, RunManifest, TuningLog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -54,13 +54,9 @@ impl LoadedRun {
         let logs = dir.read_logs().map_err(|e| format!("bad logs in {}: {e}", path.display()))?;
         let trace = TraceData::load(&dir.trace_path())
             .map_err(|e| format!("unreadable trace in {}: {e}", path.display()))?;
-        let mq_path = dir.model_quality_path();
-        let model_quality = if mq_path.is_file() {
-            read_model_quality(&mq_path)
-                .map_err(|e| format!("bad model quality in {}: {e}", path.display()))?
-        } else {
-            Vec::new()
-        };
+        let model_quality = read_capture(&dir)
+            .map_err(|e| format!("bad model quality in {}: {e}", path.display()))?
+            .unwrap_or_default();
         let id = path
             .file_name()
             .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned());
