@@ -69,10 +69,10 @@ impl Default for BaoOptions {
 }
 
 /// The BAO tuner: owns the measured set and the adaptive search scope.
-pub struct BaoTuner<'s, E = GbtEvaluator, F = Box<dyn Fn() -> GbtEvaluator>>
+pub struct BaoTuner<'s, E = GbtEvaluator, F = Box<dyn Fn() -> GbtEvaluator + Send + Sync>>
 where
     E: Evaluator,
-    F: Fn() -> E,
+    F: Fn() -> E + Sync,
 {
     space: &'s ConfigSpace,
     opts: BaoOptions,
@@ -116,9 +116,11 @@ impl<'s> BaoTuner<'s> {
 impl<'s, E, F> BaoTuner<'s, E, F>
 where
     E: Evaluator,
-    F: Fn() -> E,
+    F: Fn() -> E + Sync,
 {
     /// Creates a BAO tuner with a custom evaluation-function family.
+    /// `make_evaluator` is `Sync` because each step calls it from several
+    /// threads at once, one per bootstrap resample.
     pub fn with_evaluator(
         space: &'s ConfigSpace,
         init: Vec<Config>,
@@ -246,7 +248,7 @@ where
 impl<E, F> Tuner for BaoTuner<'_, E, F>
 where
     E: Evaluator,
-    F: Fn() -> E,
+    F: Fn() -> E + Sync,
 {
     fn next_batch(&mut self, n: usize) -> Vec<Config> {
         self.diags.clear();

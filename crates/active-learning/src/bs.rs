@@ -5,6 +5,13 @@
 //! candidate in the search scope `C` maximizing the **sum** of the Γ
 //! functions. Generic over the evaluation-function family via
 //! [`crate::Evaluator`].
+//!
+//! The Γ fits are independent, so they run concurrently on up to the
+//! calling thread's [`executor::cpu_share`] of the CPUs; the evaluator
+//! factory is therefore `Sync`. The pick and its diagnostics are the same bits at any CPU
+//! count: the resample indices are all drawn from the step's RNG before
+//! any fit starts, and the Γ predictions are summed in γ order after the
+//! join.
 
 use crate::evaluator::Evaluator;
 use crate::model_quality::ProposalDiag;
@@ -56,7 +63,7 @@ pub fn bootstrap_select<E, F>(
 ) -> Option<Config>
 where
     E: Evaluator,
-    F: Fn() -> E,
+    F: Fn() -> E + Sync,
 {
     bootstrap_select_diag(space, measured, candidates, gamma, make_evaluator, seed)
         .map(|(cfg, _)| cfg)
@@ -82,7 +89,7 @@ pub fn bootstrap_select_diag<E, F>(
 ) -> Option<(Config, ProposalDiag)>
 where
     E: Evaluator,
-    F: Fn() -> E,
+    F: Fn() -> E + Sync,
 {
     assert!(!measured.is_empty(), "BS needs an initial measured set");
     assert!(gamma > 0, "need at least one bootstrap resample");
@@ -126,7 +133,7 @@ pub(crate) fn select_featurized<E, F>(
 ) -> (Config, ProposalDiag)
 where
     E: Evaluator,
-    F: Fn() -> E,
+    F: Fn() -> E + Sync,
 {
     assert!(x.rows() > 0, "BS needs an initial measured set");
     assert!(gamma > 0, "need at least one bootstrap resample");
@@ -142,24 +149,37 @@ where
             "gamma": gamma as u64,
         })
     });
+    // Lines 2-3: Γ bootstrap resamples with |X_γ| = |X|. Every index is
+    // drawn before any fit runs, and fitting never touches `rng`, so the
+    // draws are those of a one-resample-at-a-time loop.
     let mut rng = StdRng::seed_from_u64(seed);
+    let resamples: Vec<Vec<usize>> =
+        (0..gamma).map(|_| (0..n).map(|_| rng.gen_range(0..n)).collect()).collect();
+    // Line 4: the Γ evaluation functions f_γ are independent, so they are
+    // fitted (and score the scope) concurrently. `bs.fits` names the
+    // caller's wait; the worker threads' `bs.fit` spans are their own roots.
+    let predictions = {
+        let _fits = tel.span("bs.fits");
+        let workers = gamma.min(executor::cpu_share());
+        executor::run_ordered(resamples, workers, |g, indices| {
+            let xg = x.select_rows(&indices);
+            let yg: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
+            let mut eval = make_evaluator();
+            {
+                let _fit = tel.span("bs.fit");
+                eval.fit(&xg, &yg, seed.wrapping_add(g as u64));
+            }
+            let _predict = tel.span("bs.predict");
+            eval.predict(cand_x)
+        })
+    };
+    // Line 6 accumulation, in γ order whatever the fits' finishing order:
+    // Σ_γ f_γ(x), plus Σ_γ f_γ(x)² so the winner's bagged mean/std fall out
+    // without a second prediction pass.
     let mut scores = vec![0.0f64; candidates.len()];
     let mut sq_scores = vec![0.0f64; candidates.len()];
-    for g in 0..gamma {
-        // Lines 2-3: bootstrap resample with |X_γ| = |X|.
-        let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-        let xg = x.select_rows(&indices);
-        let yg: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
-        // Line 4: build the evaluation function f_γ.
-        let mut eval = make_evaluator();
-        {
-            let _fit = tel.span("bs.fit");
-            eval.fit(&xg, &yg, seed.wrapping_add(g as u64));
-        }
-        // Line 6 accumulation: Σ_γ f_γ(x), plus Σ_γ f_γ(x)² so the winner's
-        // bagged mean/std fall out without a second prediction pass.
-        let _predict = tel.span("bs.predict");
-        for ((s, s2), p) in scores.iter_mut().zip(&mut sq_scores).zip(eval.predict(cand_x)) {
+    for prediction in predictions {
+        for ((s, s2), p) in scores.iter_mut().zip(&mut sq_scores).zip(prediction) {
             *s += p;
             *s2 += p * p;
         }
@@ -189,6 +209,7 @@ where
 mod tests {
     use super::*;
     use crate::evaluator::{GbtEvaluator, RidgeEvaluator};
+    use proptest::prelude::*;
     use rand_chacha::ChaCha8Rng;
     use schedule::Knob;
 
@@ -293,6 +314,99 @@ mod tests {
             bootstrap_select_diag(&space, &measured, &candidates, 1, GbtEvaluator::default, 3)
                 .expect("candidates non-empty");
         assert_eq!(diag.predicted_std.unwrap(), 0.0, "one model cannot disagree with itself");
+    }
+
+    /// The serial reference: one resample drawn, fitted and summed at a
+    /// time, as BS ran before its fits went concurrent.
+    fn select_serial<E: Evaluator>(
+        x: &Matrix,
+        ys: &[f64],
+        candidates: &[Config],
+        cand_x: &Matrix,
+        gamma: usize,
+        make_evaluator: impl Fn() -> E,
+        seed: u64,
+    ) -> (Config, ProposalDiag) {
+        let n = x.rows();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scores = vec![0.0f64; candidates.len()];
+        let mut sq_scores = vec![0.0f64; candidates.len()];
+        for g in 0..gamma {
+            let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            let xg = x.select_rows(&indices);
+            let yg: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
+            let mut eval = make_evaluator();
+            eval.fit(&xg, &yg, seed.wrapping_add(g as u64));
+            for ((s, s2), p) in scores.iter_mut().zip(&mut sq_scores).zip(eval.predict(cand_x)) {
+                *s += p;
+                *s2 += p * p;
+            }
+        }
+        let best =
+            scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap();
+        let g = gamma as f64;
+        let mean = scores[best] / g;
+        let std = (sq_scores[best] / g - mean * mean).max(0.0).sqrt();
+        let diag = ProposalDiag {
+            config_index: candidates[best].index,
+            predicted_mean: Some(mean),
+            predicted_std: Some(std),
+            acquisition: Some(scores[best]),
+        };
+        (candidates[best].clone(), diag)
+    }
+
+    /// The bits of a diagnostic's mean, std and acquisition.
+    fn diag_bits(d: &ProposalDiag) -> [Option<u64>; 3] {
+        [d.predicted_mean, d.predicted_std, d.acquisition].map(|v| v.map(f64::to_bits))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Concurrent fits pick the serial loop's candidate with the same
+        /// mean, std and acquisition bits, for any Γ, either evaluator
+        /// family, and small or duplicate-heavy measured sets.
+        #[test]
+        fn concurrent_fits_match_the_serial_loop_bit_for_bit(
+            gamma in 1usize..=5,
+            measured_n in 1usize..=24,
+            distinct in 1usize..=10,
+            ridge in prop_oneof![Just(false), Just(true)],
+            seed in 0u64..1_000_000,
+        ) {
+            let (space, truth) = toy();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // Drawing from a pool of `distinct` configurations repeats
+            // rows whenever the pool is smaller than the measured set.
+            let pool = space.sample_distinct(&mut rng, distinct);
+            let measured: Vec<(Config, f64)> = (0..measured_n)
+                .map(|_| {
+                    let c = pool[rng.gen_range(0..pool.len())].clone();
+                    let y = truth(&c);
+                    (c, y)
+                })
+                .collect();
+            let candidates = space.sample_distinct(&mut rng, 16);
+            let x = feature_rows(&space, measured.iter().map(|(c, _)| c));
+            let ys: Vec<f64> = measured.iter().map(|&(_, y)| y).collect();
+            let cand_x = feature_rows(&space, &candidates);
+            let ((got, got_diag), (want, want_diag)) = if ridge {
+                let make = || RidgeEvaluator::new(0.1);
+                (
+                    select_featurized(&x, &ys, &candidates, &cand_x, gamma, make, seed),
+                    select_serial(&x, &ys, &candidates, &cand_x, gamma, make, seed),
+                )
+            } else {
+                let make = GbtEvaluator::default;
+                (
+                    select_featurized(&x, &ys, &candidates, &cand_x, gamma, make, seed),
+                    select_serial(&x, &ys, &candidates, &cand_x, gamma, make, seed),
+                )
+            };
+            prop_assert_eq!(got.index, want.index);
+            prop_assert_eq!(got_diag.config_index, want_diag.config_index);
+            prop_assert_eq!(diag_bits(&got_diag), diag_bits(&want_diag));
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! restores scalability through randomness and batching: draw `B` random
 //! subsets of `M` candidates, TED each down to `m`, union the results, and
 //! TED the union down to the final `m`. The batches are independent, so they
-//! run on parallel threads — the "system parallelism" the paper highlights.
+//! run on parallel threads — the "system parallelism" the paper highlights —
+//! up to the calling thread's [`executor::cpu_share`].
 
 use crate::ted::{ted, TedKernel};
 use rand::SeedableRng;
@@ -85,22 +86,16 @@ pub fn bted(space: &ConfigSpace, opts: &BtedOptions, seed: u64) -> Vec<Config> {
             "num_selected": opts.num_selected as u64,
         })
     });
-    let union: Vec<Config> = if opts.num_batches > 1 && num_cpus() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..opts.num_batches)
-                .map(|b| {
-                    let bseed = seed.wrapping_add(b as u64 * 0x9E37_79B9);
-                    scope.spawn(move || ted_batch(space, opts, bseed))
-                })
-                .collect();
-            // aal-lint: allow(unwrap, reason = "join propagates a worker panic; swallowing it would hide the failure")
-            handles.into_iter().flat_map(|h| h.join().expect("TED batch panicked")).collect()
-        })
-    } else {
-        (0..opts.num_batches)
-            .flat_map(|b| ted_batch(space, opts, seed.wrapping_add(b as u64 * 0x9E37_79B9)))
-            .collect()
-    };
+    // The batches run on up to the calling thread's CPU share, and their
+    // union keeps batch order whatever order they finish in.
+    let seeds: Vec<u64> =
+        (0..opts.num_batches).map(|b| seed.wrapping_add(b as u64 * 0x9E37_79B9)).collect();
+    let union: Vec<Config> = executor::run_ordered(seeds, executor::cpu_share(), |_, bseed| {
+        ted_batch(space, opts, bseed)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
 
     // Line 5: the union may contain duplicates across batches.
     let raw_union = union.len();
@@ -118,10 +113,6 @@ pub fn bted(space: &ConfigSpace, opts: &BtedOptions, seed: u64) -> Vec<Config> {
         .into_iter()
         .map(|i| union[i].clone())
         .collect()
-}
-
-fn num_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 #[cfg(test)]

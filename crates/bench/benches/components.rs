@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the framework's building blocks: TED selection,
 //! BTED initialization, GBT fitting, bootstrap selection, simulated
-//! annealing and single measurements — the per-iteration costs that
-//! determine how "scalable" (the paper's term) each stage is.
+//! annealing, single measurements and the executor's per-batch hand-off —
+//! the per-iteration costs that determine how "scalable" (the paper's
+//! term) each stage is.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -13,6 +14,7 @@ use active_learning::sa::{simulated_annealing, SaOptions};
 use active_learning::ted::{ted, TedKernel};
 use active_learning::TuneOptions;
 use dnn_graph::{models, task::extract_tasks};
+use executor::{Executor, ExecutorConfig};
 use gbt::{BaggedGbt, Gbt, GbtParams, Matrix};
 use gpu_sim::{GpuDevice, Measurer, SimMeasurer};
 use rand::SeedableRng;
@@ -129,6 +131,14 @@ fn bench_components(c: &mut Criterion) {
     let cfg = space.sample(&mut rng);
     c.bench_function("measure_one_config", |b| {
         b.iter(|| black_box(measurer.measure(&task, &space, &cfg)));
+    });
+
+    // The same measurement as a BAO step submits it: a one-config batch
+    // through a one-worker executor. The difference from
+    // `measure_one_config` is the executor's cost per batch.
+    let exec = Executor::new(SimMeasurer::new(GpuDevice::gtx_1080_ti()), ExecutorConfig::default());
+    c.bench_function("executor_batch_of_one_workers1", |b| {
+        b.iter(|| black_box(exec.measure_batch(&task, &space, std::slice::from_ref(&cfg))));
     });
 }
 

@@ -16,11 +16,14 @@
 //!   [`gpu_sim::Measurer`], overriding `measure_batch` to fan a batch out
 //!   over the pools and re-sequence results by submission index; wrap any
 //!   measurer stack (`RobustMeasurer<FaultInjectingMeasurer<SimMeasurer>>`
-//!   included) and hand it to the existing tuning loop unchanged.
+//!   included) and hand it to the existing tuning loop unchanged. At one
+//!   worker it runs no threads and measures on the caller's thread.
 //!
 //! [`run_ordered`] adds task-level scheduling on top: tune several
 //! `TuningTask`s concurrently with deterministic result ordering, while
 //! the shared [`DevicePool`] arbitrates devices between them fairly.
+//! [`cpu_share`] sizes it for CPU-bound work, such as the bootstrap fits
+//! of one BAO step, so that nested fan-out never oversubscribes the CPUs.
 //!
 //! ## Determinism contract
 //!
@@ -39,4 +42,4 @@ pub mod scheduler;
 pub use device::{DeviceLease, DevicePool};
 pub use pool::{BatchHandle, Executor, ExecutorConfig};
 pub use queue::BoundedQueue;
-pub use scheduler::run_ordered;
+pub use scheduler::{available_cpus, cpu_share, run_ordered, set_cpu_share};

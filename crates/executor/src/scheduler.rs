@@ -9,9 +9,47 @@
 //! down, in [`crate::DevicePool`], keyed by the task name each measurement
 //! batch carries.
 
-use std::sync::{Mutex, PoisonError};
+use std::cell::Cell;
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 use telemetry::sync::lock_or_recover;
+
+/// The CPUs this process may run on, read once per process.
+///
+/// [`std::thread::available_parallelism`] honours the affinity mask
+/// (`taskset`) and, on Linux, reads cgroup quota files, which is too slow
+/// for a per-step call.
+#[must_use]
+pub fn available_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+thread_local! {
+    /// The calling thread's CPU share, when something narrowed it.
+    static CPU_SHARE: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The CPUs the calling thread may keep busy with CPU-bound work of its
+/// own, such as the bootstrap fits of one BAO step; callers size an inner
+/// [`run_ordered`] with it, and a share of one makes that a plain
+/// in-thread loop.
+///
+/// All of [`available_cpus`] unless narrowed: each `run_ordered` worker
+/// gets an even split of its caller's share (at least one), so nested
+/// fan-out, such as concurrent tasks each fitting concurrently, runs no
+/// more busy threads than there are CPUs.
+#[must_use]
+pub fn cpu_share() -> usize {
+    CPU_SHARE.with(Cell::get).unwrap_or_else(available_cpus)
+}
+
+/// Narrows the calling thread's [`cpu_share`] to `cpus` (at least one),
+/// for a long-lived worker thread that runs beside others of its kind.
+pub fn set_cpu_share(cpus: usize) {
+    CPU_SHARE.with(|share| share.set(Some(cpus.max(1))));
+}
 
 /// Runs `f` over every item with up to `concurrency` worker threads,
 /// returning results in item order (index `i` of the output is item `i`'s
@@ -19,6 +57,7 @@ use telemetry::sync::lock_or_recover;
 ///
 /// `concurrency <= 1` degrades to a plain in-thread loop — no threads are
 /// spawned, so the serial path is bit-for-bit the pre-parallel behavior.
+/// Otherwise each worker's [`cpu_share`] is the caller's split evenly.
 ///
 /// # Panics
 ///
@@ -37,19 +76,24 @@ where
     let tel = telemetry::global();
     #[allow(clippy::cast_precision_loss)]
     tel.observe("exec.sched.concurrency", concurrency as f64);
+    let share = (cpu_share() / concurrency).max(1);
     let work = Mutex::new(items.into_iter().enumerate());
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // aal-lint: allow(wall-clock, reason = "scheduler wall-time metric; trial order is fixed by slot index, not by time")
     let started = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..concurrency {
-            scope.spawn(|| loop {
-                // Claim the next item in index order; drop the lock before
-                // the (long) call so claims never serialize the work.
-                let claimed = lock_or_recover(&work).next();
-                let Some((i, item)) = claimed else { break };
-                let r = f(i, item);
-                *lock_or_recover(&results[i]) = Some(r);
+            scope.spawn(|| {
+                set_cpu_share(share);
+                loop {
+                    // Claim the next item in index order; drop the lock
+                    // before the (long) call so claims never serialize the
+                    // work.
+                    let claimed = lock_or_recover(&work).next();
+                    let Some((i, item)) = claimed else { break };
+                    let r = f(i, item);
+                    *lock_or_recover(&results[i]) = Some(r);
+                }
             });
         }
     });
@@ -89,6 +133,28 @@ mod tests {
         });
         assert_eq!(out.len(), 100);
         assert_eq!(hits.load(Ordering::SeqCst), 100);
+    }
+
+    #[test]
+    fn nested_workers_split_the_callers_cpu_share() {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                set_cpu_share(8);
+                assert_eq!(cpu_share(), 8);
+                // The in-thread loop keeps the caller's share.
+                assert_eq!(run_ordered(vec![()], 4, |_, ()| cpu_share()), vec![8]);
+                assert_eq!(run_ordered(vec![(); 4], 2, |_, ()| cpu_share()), vec![4; 4]);
+                // Three workers on eight CPUs get two each, and a split
+                // below one CPU still leaves every worker one.
+                assert_eq!(run_ordered(vec![(); 3], 3, |_, ()| cpu_share()), vec![2; 3]);
+                assert_eq!(run_ordered(vec![(); 16], 16, |_, ()| cpu_share()), vec![1; 16]);
+                // Nesting splits the worker's share again.
+                let nested = run_ordered(vec![(); 2], 2, |_, ()| {
+                    run_ordered(vec![(); 2], 2, |_, ()| cpu_share())
+                });
+                assert_eq!(nested, vec![vec![2; 2]; 2]);
+            });
+        });
     }
 
     #[test]

@@ -39,7 +39,8 @@ use std::time::{Duration, Instant};
 use telemetry::durable::{self, Appender};
 use telemetry::sync::{lock_or_recover, read_or_recover, write_or_recover};
 use telemetry::{
-    FileSink, MetricsRegistry, Record, ReporterSink, SnapshotWriter, TeeSink, Telemetry,
+    FileSink, MetricsRegistry, Record, ReporterSink, SnapshotRequest, SnapshotWriter, TeeSink,
+    Telemetry,
 };
 use tuning_db::{LockOptions, ReadHandle, TaskSpec, TuningDb};
 
@@ -104,6 +105,9 @@ const SPEC_CACHE_CAP: usize = 512;
 /// the registry without bound.
 const TENANT_LABEL_CAP: usize = 64;
 
+/// The counters of `/best`'s outcomes: exact, nearest and miss.
+const READ_OUTCOMES: [&str; 3] = ["serve.read.hit", "serve.read.nearest", "serve.read.miss"];
+
 /// State shared by every server thread.
 struct Shared {
     cfg: ServeConfig,
@@ -116,6 +120,12 @@ struct Shared {
     bus: telemetry::EventBus,
     tel: Telemetry,
     shutdown: Arc<AtomicBool>,
+    /// Publishes the metrics snapshot at once when something a dashboard
+    /// should see has happened: a job ended, a read outcome was first
+    /// recorded, or shutdown began.
+    snapshot_now: SnapshotRequest,
+    /// Whether `/best` has answered with each of [`READ_OUTCOMES`] yet.
+    reads_seen: [AtomicBool; 3],
     conns: BoundedQueue<TcpStream>,
     /// `model/task/device` → (spec, feature): `/best` rebuilds neither
     /// the graph nor the task features on the hot path.
@@ -133,6 +143,7 @@ impl Shared {
             return;
         }
         self.admission.drain();
+        self.snapshot_now.publish_now();
         self.conns.close();
         let _ = TcpStream::connect(self.addr);
     }
@@ -237,6 +248,8 @@ impl Server {
             bus,
             tel,
             shutdown: Arc::new(AtomicBool::new(false)),
+            snapshot_now: snapshots.request(),
+            reads_seen: Default::default(),
             conns: BoundedQueue::new(64, "serve.conns.depth"),
             spec_cache: RwLock::new(BTreeMap::new()),
             tenant_labels: Mutex::new(BTreeSet::new()),
@@ -527,16 +540,20 @@ fn get_best(shared: &Arc<Shared>, conn: &mut Conn, req: &Request) -> std::io::Re
             built
         }
     };
-    let result = if let Some(rec) = shared.read.lookup(&spec) {
-        shared.tel.count("serve.read.hit", 1);
-        Some(("exact", rec))
+    let (outcome, result) = if let Some(rec) = shared.read.lookup(&spec) {
+        (0, Some(("exact", rec)))
     } else if let Some(rec) = shared.read.nearest(&spec, &feature, 1).into_iter().next() {
-        shared.tel.count("serve.read.nearest", 1);
-        Some(("nearest", rec))
+        (1, Some(("nearest", rec)))
     } else {
-        shared.tel.count("serve.read.miss", 1);
-        None
+        (2, None)
     };
+    shared.tel.count(READ_OUTCOMES[outcome], 1);
+    // The first answer of each kind is in the snapshot before the client
+    // gets it, so a script that reads the snapshot next finds it.
+    let seen = &shared.reads_seen[outcome];
+    if !seen.load(Ordering::Relaxed) && !seen.swap(true, Ordering::Relaxed) {
+        shared.snapshot_now.publish_and_wait();
+    }
     let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
     shared.tel.observe("serve.read.us", elapsed_us);
     match result {
@@ -641,6 +658,9 @@ fn to_f64(n: usize) -> f64 {
 }
 
 fn job_worker(shared: &Arc<Shared>) {
+    // Jobs run side by side, so each one's CPU-bound fan-out (a BAO step's
+    // bootstrap fits) gets an even split of the CPUs.
+    executor::set_cpu_share(executor::available_cpus() / shared.cfg.job_workers.max(1));
     while let Some((id, spec)) = shared.admission.next_job() {
         shared.tel.gauge("serve.queue.depth", to_f64(shared.admission.queue_depth()));
         shared.tel.gauge_add("serve.jobs.running", 1.0);
@@ -695,6 +715,7 @@ fn job_worker(shared: &Arc<Shared>) {
         if let Some(stamped) = shared.admission.complete(&id, outcome.map(|_| ()), event) {
             shared.tel.event(name, || stamped);
         }
+        shared.snapshot_now.publish_now();
     }
 }
 

@@ -350,3 +350,35 @@ fn status_read_right_after_the_terminal_event_is_terminal() {
     server.wait();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Whether the serve root's metrics snapshot holds counter `name`.
+fn snapshot_has(root: &Path, name: &str) -> bool {
+    std::fs::read_to_string(root.join(telemetry::SNAPSHOT_FILE))
+        .ok()
+        .and_then(|body| serde_json::from_str::<Value>(&body).ok())
+        .is_some_and(|snap| snap["counters"].get(name).is_some())
+}
+
+#[test]
+fn finished_jobs_and_first_reads_reach_the_snapshot_without_waiting_the_interval() {
+    let root = temp_root("snapshot-now");
+    let cfg = ServeConfig { snapshot_interval: Duration::from_secs(600), ..config(&root) };
+    let server = Server::start(cfg).expect("server starts");
+    let addr = server.addr().to_string();
+
+    let id = submit(&addr, &spec("alpha", 3, 8));
+    wait_done(&addr, &id);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !snapshot_has(&root, "serve.jobs.completed") && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(snapshot_has(&root, "serve.jobs.completed"), "job end publishes a snapshot");
+    let (code, _) =
+        client::request(&addr, "GET", "/best?model=squeezenet&task=0", None).expect("best");
+    assert_eq!(code, 200);
+    assert!(snapshot_has(&root, "serve.read.hit"), "published before the first exact answer");
+
+    server.shutdown();
+    server.wait();
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -66,7 +66,7 @@ pub use registry::{MetricsRegistry, MetricsSnapshot, SNAPSHOT_SCHEMA_VERSION};
 /// depending on `serde_json` directly.
 pub use serde_json::{json, Value};
 pub use sink::{FileSink, NoopSink, ReporterSink, Sink, TeeSink, VecSink};
-pub use stream::{SnapshotWriter, TraceFollower, PROM_FILE, SNAPSHOT_FILE};
+pub use stream::{SnapshotRequest, SnapshotWriter, TraceFollower, PROM_FILE, SNAPSHOT_FILE};
 pub use summary::TraceSummary;
 pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
 

@@ -469,9 +469,16 @@ fn executor_section(body: &mut String, run: &LoadedRun, trace: &TraceData) {
     kv("jobs measured", c("exec.jobs.total").to_string());
     kv("batches", c("exec.batch.submitted").to_string());
     kv("invalid builds", c("exec.build.invalid").to_string());
+    // A one-worker executor measures on the caller's thread: it has no
+    // worker threads, so it never records idle time.
+    let inline = !["exec.worker.build.idle_us", "exec.worker.run.idle_us"]
+        .iter()
+        .any(|name| summary.counters.contains_key(*name));
     let util = |busy: u64, idle: u64| {
         let total = busy + idle;
-        if total == 0 {
+        if inline {
+            "inline (1 worker)".to_string()
+        } else if total == 0 {
             "n/a".to_string()
         } else {
             #[allow(clippy::cast_precision_loss)]
@@ -1018,6 +1025,26 @@ mod tests {
         assert!(html.contains("90%"), "busy 900 of 1000 µs rounds to 90%");
         assert!(html.contains("batch wall µs"));
         assert!(html.contains("device 0") && html.contains("device 1"));
+        assert!(!html.contains("inline (1 worker)"));
+
+        // A one-worker executor records busy time but no idle time.
+        let mut trace = trace_with_spans();
+        for (name, value) in [
+            ("exec.jobs.total", 48),
+            ("exec.batch.submitted", 48),
+            ("exec.worker.build.busy_us", 300),
+            ("exec.worker.run.busy_us", 900),
+        ] {
+            trace.records.push(Record::Counter { name: name.into(), value });
+        }
+        run.trace = Some(trace);
+        run.manifest.workers = Some(1);
+        run.manifest.devices = Some(1);
+        let html = render_report(&run, None, None);
+        for line in ["builder busy", "runner busy"] {
+            let row = format!("{line}</div><div class=\"v\">inline (1 worker)</div>");
+            assert!(html.contains(&row), "{line} reads inline: {html}");
+        }
     }
 
     #[test]
