@@ -50,7 +50,6 @@ pub mod sa;
 pub mod session;
 pub mod task_tuning;
 pub mod ted;
-pub mod transfer;
 pub mod tuner;
 
 pub use bao::BaoOptions;
@@ -69,4 +68,3 @@ pub use records::{
 };
 pub use session::{DbPolicy, Session, SessionDb};
 pub use task_tuning::{tune_task, tune_task_with, Method, TaskTuneResult, TuneHooks};
-pub use transfer::{warm_start_configs, TransferStats, STALE_RECORD_COUNTER};

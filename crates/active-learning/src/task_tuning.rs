@@ -346,15 +346,6 @@ pub fn drive_loop<M: Measurer>(
                 best_gflops: best_now,
             };
             if live {
-                tel.event(telemetry::events::TRIAL_EVENT, || {
-                    telemetry::json!({
-                        "trial": measured as u64,
-                        "config_index": cfg.index,
-                        "gflops": gflops,
-                        "best_gflops": best_now,
-                        "improved": improved && gflops > 0.0,
-                    })
-                });
                 tel.observe("trial.gflops", gflops);
                 tel.count("tune.trials", 1);
                 if tel.has_live_registry() {
@@ -380,19 +371,6 @@ pub fn drive_loop<M: Measurer>(
                     acquisition: diag.acquisition,
                     measured_gflops: gflops,
                 };
-                if live {
-                    tel.event(telemetry::events::MODEL_PRED_EVENT, || {
-                        telemetry::json!({
-                            "round": mrec.round as u64,
-                            "trial": mrec.trial as u64,
-                            "config_index": mrec.config_index,
-                            "predicted_mean": mrec.predicted_mean,
-                            "predicted_std": mrec.predicted_std,
-                            "acquisition": mrec.acquisition,
-                            "measured_gflops": mrec.measured_gflops,
-                        })
-                    });
-                }
                 if let Some(p) = diag.predicted_mean {
                     if gflops > 0.0 {
                         cap_pred.push(p);

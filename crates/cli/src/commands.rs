@@ -143,23 +143,27 @@ pub fn dispatch(args: &[String]) -> Result<u8, String> {
     }
 }
 
-/// Installs the global telemetry pipeline from `--trace`/`--quiet`/`--json`,
-/// preferring an explicit `--trace` path over the run directory's default.
-fn install_telemetry(cli: &Cli, run_dir: Option<&RunDir>) -> Result<telemetry::Telemetry, String> {
-    let trace: Option<PathBuf> =
-        cli.flag_str("trace").map(PathBuf::from).or_else(|| run_dir.map(RunDir::trace_path));
+/// Installs the global telemetry pipeline from `--trace`/`--quiet`/`--json`.
+fn install_telemetry(cli: &Cli) -> Result<telemetry::Telemetry, String> {
     telemetry::install_pipeline(
-        trace.as_deref(),
+        cli.flag_str("trace").map(Path::new),
         cli.flag_present("quiet"),
         cli.flag_present("json"),
     )
     .map_err(|e| format!("cannot create trace file: {e}"))
 }
 
-/// Flushes counters/histograms into the trace and uninstalls the pipeline.
-fn finish_telemetry(tel: &telemetry::Telemetry) {
-    tel.flush();
-    telemetry::set_global(telemetry::Telemetry::disabled());
+/// The installed pipeline, flushed into its trace and uninstalled when
+/// dropped. The global handle lives in a static and is never dropped
+/// itself, so without this a command's early return would lose the final
+/// counter snapshot and the buffered tail of the trace.
+struct TelemetryGuard(telemetry::Telemetry);
+
+impl Drop for TelemetryGuard {
+    fn drop(&mut self) {
+        self.0.flush();
+        telemetry::set_global(telemetry::Telemetry::disabled());
+    }
 }
 
 fn model_arg(cli: &Cli) -> Result<dnn_graph::Graph, String> {
@@ -451,6 +455,9 @@ fn tune(cli: &Cli) -> Result<(), String> {
         live_registry.clone(),
     )
     .map_err(|e| format!("cannot create trace file: {e}"))?;
+    // Declared before everything that reports into the pipeline, so it
+    // drops last: every return below leaves a complete trace.
+    let _finish = TelemetryGuard(tel.clone());
     let mut snapshot_writer = match (&plan.run_dir, &live_registry) {
         (Some(dir), Some(reg)) => Some(telemetry::SnapshotWriter::start(
             dir.path().to_path_buf(),
@@ -476,7 +483,6 @@ fn tune(cli: &Cli) -> Result<(), String> {
     } else if let Some(s) = cli.flag_str("task") {
         let i: usize = s.parse().map_err(|_| format!("invalid --task index `{s}`"))?;
         if i >= tasks.len() {
-            finish_telemetry(&tel);
             return Err(format!("--task {i} out of range (model has {})", tasks.len()));
         }
         tasks = vec![tasks.swap_remove(i)];
@@ -514,8 +520,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
                 .map(Mutex::new)
                 .map_err(|e| format!("cannot open tuning database {}: {e}", s.path.display()))
         })
-        .transpose()
-        .inspect_err(|_| finish_telemetry(&tel))?;
+        .transpose()?;
     let quarantine = m.inner().shared_quarantine();
     let session = Session {
         measurer: &m,
@@ -538,7 +543,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
             Ok(())
         },
     };
-    let logs = session.run(&tasks).inspect_err(|_| finish_telemetry(&tel))?;
+    let logs = session.run(&tasks)?;
 
     if let Some(dir) = &plan.run_dir {
         // Stop the snapshot thread first: its final publish lands before
@@ -569,7 +574,6 @@ fn tune(cli: &Cli) -> Result<(), String> {
         .map_err(|e| format!("cannot write {path}: {e}"))?;
         tel.report(|| format!("wrote {} logs to {path}", logs.len()));
     }
-    finish_telemetry(&tel);
     Ok(())
 }
 
@@ -640,7 +644,8 @@ fn deploy(cli: &Cli) -> Result<(), String> {
         return Err("--workers must be at least 1".to_string());
     }
     let m = measurer(cli)?;
-    let tel = install_telemetry(cli, None)?;
+    let tel = install_telemetry(cli)?;
+    let _finish = TelemetryGuard(tel.clone());
     let r = tune_model_parallel(&model, &m, method, &opts, runs, workers);
     tel.report(|| {
         format!(
@@ -654,7 +659,6 @@ fn deploy(cli: &Cli) -> Result<(), String> {
             r.total_measurements
         )
     });
-    finish_telemetry(&tel);
     Ok(())
 }
 
@@ -1206,6 +1210,38 @@ mod tests {
             "0.5",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn a_failed_log_write_still_flushes_the_trace() {
+        let base = std::env::temp_dir().join(format!("aaltune-cli-logfail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let trace = base.join("trace.jsonl");
+        let log = base.join("missing").join("log.jsonl");
+        let e = dispatch(&sv(&[
+            "tune",
+            "squeezenet",
+            "--task",
+            "0",
+            "--n-trial",
+            "32",
+            "--method",
+            "random",
+            "--quiet",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--log",
+            log.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert!(e.contains("cannot write"), "{e}");
+        let f = std::fs::File::open(&trace).unwrap();
+        let summary = telemetry::TraceSummary::from_reader(std::io::BufReader::new(f)).unwrap();
+        assert_eq!(summary.malformed_lines, 0, "no torn tail");
+        assert_eq!(summary.unclosed_spans, 0);
+        assert_eq!(summary.counters.get("tune.trials"), Some(&32), "final counters flushed");
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end crash safety: SIGKILL a chaos `tune` mid-run, resume it, and
 //! require the final per-task trial log to be byte-identical to an
-//! uninterrupted run with the same seed and fault stream.
+//! uninterrupted run with the same seed and fault stream, and its report
+//! to draw the same convergence curves.
 //!
 //! If the child happens to finish before the kill lands, the resume path
 //! degrades to a completed-task read-back and the assertion still holds, so
@@ -29,6 +30,10 @@ fn tune_args(out: &Path) -> Vec<String> {
         "0.1",
         "--fault-seed",
         "3",
+        // Holds the device 2 ms per measurement, so the kill lands
+        // mid-run; the hold changes timing only, never the log.
+        "--device-ms",
+        "2",
         "--out",
         out.to_str().unwrap(),
     ]
@@ -86,6 +91,24 @@ fn sigkill_mid_run_then_resume_matches_uninterrupted() {
     let full = std::fs::read(task_log(&base, "full", run)).expect("full log");
     let cut = std::fs::read(task_log(&base, "cut", run)).expect("cut log");
     assert_eq!(full, cut, "resumed log must be byte-identical to the uninterrupted run");
+
+    // The report's curves come from the logs, so the resumed run's
+    // convergence section is the uninterrupted run's, even though its
+    // trace lost the killed process's unflushed tail.
+    let convergence = |sub: &str| {
+        let html = base.join(format!("{sub}.html"));
+        let out = aaltune()
+            .args(["report", base.join(sub).join(run).to_str().unwrap(), "--html"])
+            .arg(&html)
+            .output()
+            .expect("spawn report");
+        assert!(out.status.success(), "report must succeed");
+        let html = std::fs::read_to_string(html).expect("report html");
+        let start = html.find("<section><h2>Convergence").expect("convergence section");
+        let len = html[start..].find("</section>").expect("section end");
+        html[start..start + len].to_string()
+    };
+    assert_eq!(convergence("full"), convergence("cut"), "resumed run draws the same curves");
 
     std::fs::remove_dir_all(&base).expect("cleanup");
 }

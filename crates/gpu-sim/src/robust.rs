@@ -250,14 +250,6 @@ impl<M: Measurer> Measurer for RobustMeasurer<M> {
                 let newly = lock_or_recover(&self.quarantine).insert(&task.name, config.index);
                 if newly {
                     tel.count("measure.quarantine", 1);
-                    let kind = error.kind;
-                    tel.event(telemetry::events::MEASURE_QUARANTINE_EVENT, || {
-                        serde_json::json!({
-                            "task": task.name,
-                            "config_index": config.index,
-                            "kind": kind.label(),
-                        })
-                    });
                 }
             }
             tel.count("measure.failed", 1);

@@ -5,13 +5,13 @@
 //! This module is the single place that knows each event's payload shape:
 //! every accessor returns `None` for a record that is not that event or
 //! whose payload is missing a required field, so misparses are visible to
-//! the caller instead of becoming fabricated data.
+//! the caller instead of becoming fabricated data. An event gets a typed
+//! view only when some consumer reads it; the rest are named here so
+//! emitters agree on their names.
 
 use crate::record::Record;
 use serde_json::Value;
 
-/// Name of the per-measurement event emitted by the tuning loop.
-pub const TRIAL_EVENT: &str = "trial";
 /// Name of the BAO scope-radius adaptation event.
 pub const RADIUS_EVENT: &str = "bao.radius";
 /// Name of the per-invocation SA search summary event.
@@ -22,14 +22,10 @@ pub const TUNE_START_EVENT: &str = "tune.start";
 pub const MEASURE_FAULT_EVENT: &str = "measure.fault";
 /// Name of the transient-fault retry event.
 pub const MEASURE_RETRY_EVENT: &str = "measure.retry";
-/// Name of the crashing-config quarantine event.
-pub const MEASURE_QUARANTINE_EVENT: &str = "measure.quarantine";
 /// Name of the crash-safe resume event (a tuning loop replaying a log).
 pub const TUNE_RESUME_EVENT: &str = "tune.resume";
 /// Name of the periodic liveness event the snapshot writer emits.
 pub const RUN_HEARTBEAT_EVENT: &str = "run.heartbeat";
-/// Name of the per-trial model-introspection event (capture only).
-pub const MODEL_PRED_EVENT: &str = "model.pred";
 
 fn event_parts<'a>(rec: &'a Record, expect: &str) -> Option<(Option<u64>, u64, &'a Value)> {
     match rec {
@@ -37,42 +33,6 @@ fn event_parts<'a>(rec: &'a Record, expect: &str) -> Option<(Option<u64>, u64, &
             Some((*span, *t_us, fields))
         }
         _ => None,
-    }
-}
-
-/// One `trial` event: a single measured configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialEvent {
-    /// 0-based measurement counter within the task.
-    pub trial: u64,
-    /// Flat configuration index in the task's space.
-    pub config_index: u64,
-    /// Measured GFLOPS (0.0 for a failed launch).
-    pub gflops: f64,
-    /// Best GFLOPS seen up to and including this trial.
-    pub best_gflops: f64,
-    /// Whether this trial improved on the best so far.
-    pub improved: bool,
-    /// Innermost open span at emission time.
-    pub span: Option<u64>,
-    /// Emission time, µs since telemetry start.
-    pub t_us: u64,
-}
-
-impl TrialEvent {
-    /// Parses a [`Record`] as a trial event; `None` for anything else.
-    #[must_use]
-    pub fn from_record(rec: &Record) -> Option<TrialEvent> {
-        let (span, t_us, fields) = event_parts(rec, TRIAL_EVENT)?;
-        Some(TrialEvent {
-            trial: fields["trial"].as_u64()?,
-            config_index: fields["config_index"].as_u64()?,
-            gflops: fields["gflops"].as_f64()?,
-            best_gflops: fields["best_gflops"].as_f64()?,
-            improved: fields["improved"].as_bool().unwrap_or(false),
-            span,
-            t_us,
-        })
     }
 }
 
@@ -153,168 +113,6 @@ impl SaDoneEvent {
     }
 }
 
-/// One `tune.start` event: a task-tuning run beginning.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TuneStartEvent {
-    /// Task name.
-    pub task: String,
-    /// Method label.
-    pub method: String,
-    /// Master seed.
-    pub seed: u64,
-    /// Trial budget.
-    pub n_trial: u64,
-    /// Innermost open span at emission time (the `tune_task` span).
-    pub span: Option<u64>,
-    /// Emission time, µs since telemetry start.
-    pub t_us: u64,
-}
-
-impl TuneStartEvent {
-    /// Parses a [`Record`] as a tune-start event; `None` for anything else.
-    #[must_use]
-    pub fn from_record(rec: &Record) -> Option<TuneStartEvent> {
-        let (span, t_us, fields) = event_parts(rec, TUNE_START_EVENT)?;
-        Some(TuneStartEvent {
-            task: fields["task"].as_str()?.to_string(),
-            method: fields["method"].as_str()?.to_string(),
-            seed: fields["seed"].as_u64()?,
-            n_trial: fields["n_trial"].as_u64()?,
-            span,
-            t_us,
-        })
-    }
-}
-
-/// One `measure.fault` event: a measurement failure at the fault boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasureFaultEvent {
-    /// Task name.
-    pub task: String,
-    /// Flat configuration index.
-    pub config_index: u64,
-    /// Fault-taxonomy label (`timeout`, `launch_crash`, ...).
-    pub kind: String,
-    /// Whether a retry can plausibly clear it.
-    pub transient: bool,
-    /// 0-based attempt number for this configuration.
-    pub attempt: u64,
-    /// Innermost open span at emission time.
-    pub span: Option<u64>,
-    /// Emission time, µs since telemetry start.
-    pub t_us: u64,
-}
-
-impl MeasureFaultEvent {
-    /// Parses a [`Record`] as a fault event; `None` for anything else.
-    #[must_use]
-    pub fn from_record(rec: &Record) -> Option<MeasureFaultEvent> {
-        let (span, t_us, fields) = event_parts(rec, MEASURE_FAULT_EVENT)?;
-        Some(MeasureFaultEvent {
-            task: fields["task"].as_str()?.to_string(),
-            config_index: fields["config_index"].as_u64()?,
-            kind: fields["kind"].as_str()?.to_string(),
-            transient: fields["transient"].as_bool().unwrap_or(false),
-            attempt: fields["attempt"].as_u64().unwrap_or(0),
-            span,
-            t_us,
-        })
-    }
-}
-
-/// One `measure.retry` event: the robust layer retrying a transient fault.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasureRetryEvent {
-    /// Task name.
-    pub task: String,
-    /// Flat configuration index.
-    pub config_index: u64,
-    /// 1-based retry attempt.
-    pub attempt: u64,
-    /// Fault-taxonomy label that triggered the retry.
-    pub kind: String,
-    /// Exponential backoff recorded for this retry, milliseconds.
-    pub backoff_ms: u64,
-    /// Innermost open span at emission time.
-    pub span: Option<u64>,
-    /// Emission time, µs since telemetry start.
-    pub t_us: u64,
-}
-
-impl MeasureRetryEvent {
-    /// Parses a [`Record`] as a retry event; `None` for anything else.
-    #[must_use]
-    pub fn from_record(rec: &Record) -> Option<MeasureRetryEvent> {
-        let (span, t_us, fields) = event_parts(rec, MEASURE_RETRY_EVENT)?;
-        Some(MeasureRetryEvent {
-            task: fields["task"].as_str()?.to_string(),
-            config_index: fields["config_index"].as_u64()?,
-            attempt: fields["attempt"].as_u64()?,
-            kind: fields["kind"].as_str()?.to_string(),
-            backoff_ms: fields["backoff_ms"].as_u64().unwrap_or(0),
-            span,
-            t_us,
-        })
-    }
-}
-
-/// One `measure.quarantine` event: a config banned after persistent failure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasureQuarantineEvent {
-    /// Task name.
-    pub task: String,
-    /// Flat configuration index now quarantined.
-    pub config_index: u64,
-    /// Fault-taxonomy label of the persistent failure.
-    pub kind: String,
-    /// Innermost open span at emission time.
-    pub span: Option<u64>,
-    /// Emission time, µs since telemetry start.
-    pub t_us: u64,
-}
-
-impl MeasureQuarantineEvent {
-    /// Parses a [`Record`] as a quarantine event; `None` for anything else.
-    #[must_use]
-    pub fn from_record(rec: &Record) -> Option<MeasureQuarantineEvent> {
-        let (span, t_us, fields) = event_parts(rec, MEASURE_QUARANTINE_EVENT)?;
-        Some(MeasureQuarantineEvent {
-            task: fields["task"].as_str()?.to_string(),
-            config_index: fields["config_index"].as_u64()?,
-            kind: fields["kind"].as_str()?.to_string(),
-            span,
-            t_us,
-        })
-    }
-}
-
-/// One `tune.resume` event: a crash-safe resume replaying a trial log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TuneResumeEvent {
-    /// Task name.
-    pub task: String,
-    /// Trials replayed from the recovered log before measuring resumed.
-    pub replayed: u64,
-    /// Innermost open span at emission time.
-    pub span: Option<u64>,
-    /// Emission time, µs since telemetry start.
-    pub t_us: u64,
-}
-
-impl TuneResumeEvent {
-    /// Parses a [`Record`] as a resume event; `None` for anything else.
-    #[must_use]
-    pub fn from_record(rec: &Record) -> Option<TuneResumeEvent> {
-        let (span, t_us, fields) = event_parts(rec, TUNE_RESUME_EVENT)?;
-        Some(TuneResumeEvent {
-            task: fields["task"].as_str()?.to_string(),
-            replayed: fields["replayed"].as_u64()?,
-            span,
-            t_us,
-        })
-    }
-}
-
 /// One `run.heartbeat` event: periodic liveness proof from a running tune.
 ///
 /// Carries *wall-clock* time (unlike `t_us`, which is process-relative), so
@@ -352,54 +150,6 @@ impl HeartbeatEvent {
     }
 }
 
-/// One `model.pred` event: the surrogate's opinion of a measured trial.
-///
-/// Emitted only when model-introspection capture is on, alongside the
-/// trial's `trial` event. Predictions are in measured units (GFLOPS);
-/// `predicted_mean`/`predicted_std`/`acquisition` are `None` for blind
-/// proposals (initialization, ε-greedy exploration, random fallback).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelPredEvent {
-    /// Model-refit round the proposal came from (0-based).
-    pub round: u64,
-    /// 0-based measurement counter within the task.
-    pub trial: u64,
-    /// Flat configuration index in the task's space.
-    pub config_index: u64,
-    /// Surrogate's predicted GFLOPS (`None` for blind proposals).
-    pub predicted_mean: Option<f64>,
-    /// Predictive standard deviation (`None` when the model has no
-    /// uncertainty estimate, e.g. a single non-bagged GBT).
-    pub predicted_std: Option<f64>,
-    /// Acquisition score the proposer ranked this config by.
-    pub acquisition: Option<f64>,
-    /// Measured GFLOPS (0.0 for a failed launch).
-    pub measured_gflops: f64,
-    /// Innermost open span at emission time.
-    pub span: Option<u64>,
-    /// Emission time, µs since telemetry start.
-    pub t_us: u64,
-}
-
-impl ModelPredEvent {
-    /// Parses a [`Record`] as a model-prediction event; `None` otherwise.
-    #[must_use]
-    pub fn from_record(rec: &Record) -> Option<ModelPredEvent> {
-        let (span, t_us, fields) = event_parts(rec, MODEL_PRED_EVENT)?;
-        Some(ModelPredEvent {
-            round: fields["round"].as_u64()?,
-            trial: fields["trial"].as_u64()?,
-            config_index: fields["config_index"].as_u64()?,
-            predicted_mean: fields["predicted_mean"].as_f64(),
-            predicted_std: fields["predicted_std"].as_f64(),
-            acquisition: fields["acquisition"].as_f64(),
-            measured_gflops: fields["measured_gflops"].as_f64()?,
-            span,
-            t_us,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,35 +160,13 @@ mod tests {
     }
 
     #[test]
-    fn trial_event_round_trips() {
-        let rec = ev(
-            TRIAL_EVENT,
-            json!({
-                "trial": 3u64,
-                "config_index": 99u64,
-                "gflops": 120.5,
-                "best_gflops": 130.0,
-                "improved": false,
-            }),
-        );
-        let t = TrialEvent::from_record(&rec).unwrap();
-        assert_eq!(t.trial, 3);
-        assert_eq!(t.config_index, 99);
-        assert!((t.gflops - 120.5).abs() < 1e-12);
-        assert!((t.best_gflops - 130.0).abs() < 1e-12);
-        assert!(!t.improved);
-        assert_eq!(t.span, Some(7));
-        assert_eq!(t.t_us, 42);
-    }
-
-    #[test]
     fn wrong_name_or_missing_field_is_none() {
-        let other = ev("not.a.trial", json!({"trial": 1u64}));
-        assert!(TrialEvent::from_record(&other).is_none());
-        let missing = ev(TRIAL_EVENT, json!({"trial": 1u64}));
-        assert!(TrialEvent::from_record(&missing).is_none());
-        let non_event = Record::Counter { name: TRIAL_EVENT.into(), value: 1 };
-        assert!(TrialEvent::from_record(&non_event).is_none());
+        let other = ev(SA_DONE_EVENT, json!({"step": 1u64, "radius": 2.0}));
+        assert!(RadiusEvent::from_record(&other).is_none());
+        let missing = ev(RADIUS_EVENT, json!({"step": 1u64}));
+        assert!(RadiusEvent::from_record(&missing).is_none());
+        let non_event = Record::Counter { name: RADIUS_EVENT.into(), value: 1 };
+        assert!(RadiusEvent::from_record(&non_event).is_none());
     }
 
     #[test]
@@ -471,53 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_retry_quarantine_and_resume_events_round_trip() {
-        let fault = ev(
-            MEASURE_FAULT_EVENT,
-            json!({
-                "task": "m.T1", "config_index": 12u64, "kind": "timeout",
-                "transient": true, "attempt": 1u64,
-            }),
-        );
-        let f = MeasureFaultEvent::from_record(&fault).unwrap();
-        assert_eq!(f.task, "m.T1");
-        assert_eq!(f.config_index, 12);
-        assert_eq!(f.kind, "timeout");
-        assert!(f.transient);
-        assert_eq!(f.attempt, 1);
-
-        let retry = ev(
-            MEASURE_RETRY_EVENT,
-            json!({
-                "task": "m.T1", "config_index": 12u64, "attempt": 2u64,
-                "kind": "transient_flake", "backoff_ms": 200u64,
-            }),
-        );
-        let r = MeasureRetryEvent::from_record(&retry).unwrap();
-        assert_eq!(r.attempt, 2);
-        assert_eq!(r.backoff_ms, 200);
-        assert_eq!(r.kind, "transient_flake");
-
-        let quarantine = ev(
-            MEASURE_QUARANTINE_EVENT,
-            json!({"task": "m.T1", "config_index": 12u64, "kind": "launch_crash"}),
-        );
-        let q = MeasureQuarantineEvent::from_record(&quarantine).unwrap();
-        assert_eq!(q.config_index, 12);
-        assert_eq!(q.kind, "launch_crash");
-
-        let resume = ev(TUNE_RESUME_EVENT, json!({"task": "m.T1", "replayed": 37u64}));
-        let t = TuneResumeEvent::from_record(&resume).unwrap();
-        assert_eq!(t.replayed, 37);
-
-        // Cross-parse must fail, not fabricate.
-        assert!(MeasureFaultEvent::from_record(&retry).is_none());
-        assert!(MeasureRetryEvent::from_record(&fault).is_none());
-        assert!(MeasureQuarantineEvent::from_record(&resume).is_none());
-        assert!(TuneResumeEvent::from_record(&quarantine).is_none());
-    }
-
-    #[test]
     fn heartbeat_round_trips_and_requires_wall_clock() {
         let rec = ev(
             RUN_HEARTBEAT_EVENT,
@@ -532,57 +213,5 @@ mod tests {
         // unix_ms is the staleness signal: without it the event is useless.
         let missing = ev(RUN_HEARTBEAT_EVENT, json!({"trials": 1u64}));
         assert!(HeartbeatEvent::from_record(&missing).is_none());
-    }
-
-    #[test]
-    fn model_pred_event_round_trips_and_tolerates_blind_proposals() {
-        let rec = ev(
-            MODEL_PRED_EVENT,
-            json!({
-                "round": 4u64, "trial": 70u64, "config_index": 1234u64,
-                "predicted_mean": 110.5, "predicted_std": 8.25,
-                "acquisition": 0.91, "measured_gflops": 104.0,
-            }),
-        );
-        let m = ModelPredEvent::from_record(&rec).unwrap();
-        assert_eq!(m.round, 4);
-        assert_eq!(m.trial, 70);
-        assert_eq!(m.config_index, 1234);
-        assert!((m.predicted_mean.unwrap() - 110.5).abs() < 1e-12);
-        assert!((m.predicted_std.unwrap() - 8.25).abs() < 1e-12);
-        assert!((m.acquisition.unwrap() - 0.91).abs() < 1e-12);
-        assert!((m.measured_gflops - 104.0).abs() < 1e-12);
-
-        // Blind proposals carry null opinions, not fabricated zeros.
-        let blind = ev(
-            MODEL_PRED_EVENT,
-            json!({
-                "round": 0u64, "trial": 0u64, "config_index": 7u64,
-                "predicted_mean": Value::Null, "predicted_std": Value::Null,
-                "acquisition": Value::Null, "measured_gflops": 50.0,
-            }),
-        );
-        let b = ModelPredEvent::from_record(&blind).unwrap();
-        assert_eq!(b.predicted_mean, None);
-        assert_eq!(b.predicted_std, None);
-        assert_eq!(b.acquisition, None);
-
-        // Cross-parse must fail, not fabricate.
-        let trial = ev(TRIAL_EVENT, json!({"trial": 1u64}));
-        assert!(ModelPredEvent::from_record(&trial).is_none());
-        assert!(TrialEvent::from_record(&rec).is_none());
-    }
-
-    #[test]
-    fn tune_start_extracts_task_and_method() {
-        let rec = ev(
-            TUNE_START_EVENT,
-            json!({"task": "m.T1", "method": "bted+bao", "seed": 9u64, "n_trial": 512u64}),
-        );
-        let t = TuneStartEvent::from_record(&rec).unwrap();
-        assert_eq!(t.task, "m.T1");
-        assert_eq!(t.method, "bted+bao");
-        assert_eq!(t.seed, 9);
-        assert_eq!(t.n_trial, 512);
     }
 }

@@ -9,7 +9,8 @@
 //!   reconstructs the per-phase breakdown (init-set selection, surrogate
 //!   fits, measurement batches).
 //! * **Events** — point-in-time facts with typed JSON payloads (one per
-//!   trial, one per BAO radius adaptation, …).
+//!   task start, one per BAO radius adaptation, …). Per-trial facts live
+//!   in the trial logs and the model capture, not in the trace.
 //! * **Metrics** — monotonic counters (SA proposals accepted/rejected) and
 //!   mergeable log-scale [`Histogram`]s (measurement latency, fit time),
 //!   snapshotted into the trace at [`Telemetry::flush`].
@@ -35,7 +36,7 @@
 //! {
 //!     let tel = global();
 //!     let _span = tel.span("bted");
-//!     tel.event("trial", || telemetry::json!({"trial": 1u64, "gflops": 88.5}));
+//!     tel.event("bao.radius", || telemetry::json!({"step": 1u64, "radius": 2.0}));
 //!     tel.count("sa.accepted", 1);
 //!     tel.observe("measure.us", 1250.0);
 //! }
@@ -57,7 +58,7 @@ pub mod summary;
 pub mod sync;
 
 pub use bus::{BusRecv, EventBus, EventSub};
-pub use events::{HeartbeatEvent, RadiusEvent, SaDoneEvent, TrialEvent, TuneStartEvent};
+pub use events::{HeartbeatEvent, RadiusEvent, SaDoneEvent};
 pub use export::{parse_prometheus, to_prometheus};
 pub use metrics::Histogram;
 pub use record::Record;
@@ -96,6 +97,10 @@ pub const REPORT_EVENT: &str = "report";
 /// trace file, and a mid-stream [`Record::Schema`] marker starts a new
 /// process segment whose counter/histogram snapshots sum/merge with the
 /// previous segment's finals.
+///
+/// The per-trial `trial`, `model.pred` and `measure.quarantine` events
+/// were later dropped without a bump: the trial logs and the model
+/// capture hold the same facts, and no reader depends on them.
 pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 struct Inner {

@@ -46,40 +46,14 @@ pub struct SpanStats {
 
 impl TraceSummary {
     /// Parses a JSONL trace. Corrupt, truncated, or non-UTF-8 lines are
-    /// counted and skipped, not fatal — a trace cut short by a crash (or a
-    /// partially flushed final line) should still summarize. Only the very
-    /// first read failing surfaces as an error.
-    pub fn from_reader(mut reader: impl BufRead) -> std::io::Result<TraceSummary> {
-        let mut records = Vec::new();
-        let mut malformed = 0u64;
-        let mut buf = Vec::new();
-        let mut first_read = true;
-        loop {
-            buf.clear();
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => break,
-                Ok(_) => {}
-                // An unreadable tail (e.g. a bad sector or a stream error
-                // mid-file) is truncation, not a reason to drop the prefix.
-                Err(_) if !first_read => {
-                    malformed += 1;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-            first_read = false;
-            let Ok(line) = std::str::from_utf8(&buf) else {
-                malformed += 1;
-                continue;
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<Record>(line) {
-                Ok(r) => records.push(r),
-                Err(_) => malformed += 1,
-            }
-        }
+    /// counted and skipped ([`crate::record::read_jsonl`]), so a trace cut
+    /// short by a crash still summarizes.
+    ///
+    /// # Errors
+    ///
+    /// Only the very first read failing.
+    pub fn from_reader(reader: impl BufRead) -> std::io::Result<TraceSummary> {
+        let (records, malformed) = crate::record::read_jsonl(reader)?;
         let mut s = TraceSummary::from_records(&records);
         s.malformed_lines += malformed;
         Ok(s)

@@ -13,9 +13,9 @@
 //!   improved, regressed, or noise — the basis for CI gating via
 //!   `--fail-on-regress`.
 //! - **Reports** ([`report`]): `aaltune report RUN [BASELINE]` renders one
-//!   self-contained HTML file with convergence curves, a per-phase
-//!   flamegraph, and the BAO/SA adaptation panels, reconstructed from the
-//!   trace by [`trace`].
+//!   self-contained HTML file with convergence curves drawn from the trial
+//!   logs, and a per-phase flamegraph and the BAO/SA adaptation panels
+//!   reconstructed from the trace by [`trace`].
 //! - **Model insight** ([`model_insight`]): `aaltune explain RUN` scores
 //!   the surrogate round by round — rank correlation, top-k recall,
 //!   calibration error, cumulative regret — from the run's

@@ -63,25 +63,10 @@ impl LoadedRun {
         Ok(LoadedRun { id, manifest, logs, trace, model_quality })
     }
 
-    /// Best-so-far GFLOPS per trial, per task. Prefers the trace's `trial`
-    /// events (they carry span context and survive partial runs); falls
-    /// back to the task logs for trace-less run directories.
+    /// Best-so-far GFLOPS per trial, per task, from the task logs: the
+    /// one durable record of every trial, a resumed run's included.
     #[must_use]
     pub fn convergence_curves(&self) -> BTreeMap<String, Vec<(f64, f64)>> {
-        if let Some(trace) = &self.trace {
-            let series = trace.task_series();
-            if series.values().any(|s| !s.is_empty()) {
-                return series
-                    .into_iter()
-                    .filter(|(_, s)| !s.is_empty())
-                    .map(|(task, s)| {
-                        #[allow(clippy::cast_precision_loss)]
-                        let pts = s.iter().map(|t| (t.trial as f64, t.best_gflops)).collect();
-                        (task, pts)
-                    })
-                    .collect();
-            }
-        }
         self.logs
             .iter()
             .filter(|l| !l.records.is_empty())
@@ -967,8 +952,60 @@ mod tests {
         let run = sample_run("run-c", 50.0);
         let html = render_report(&run, None, None);
         assert!(html.contains("no trace.jsonl"));
-        assert!(html.contains("Convergence"), "log fallback still draws curves");
+        assert!(html.contains("Convergence"), "curves come from the logs");
         assert!(!html.contains("Where the wall clock went"));
+    }
+
+    #[test]
+    fn curves_come_from_the_logs_when_the_trace_lacks_trials() {
+        // A killed-and-resumed run: its log holds every trial, while its
+        // trace lost the last two `trial` events of the killed process
+        // (never flushed) and the resume never re-emits replayed trials.
+        let run = sample_run("run-h", 100.0);
+        let log = &run.logs[0];
+        let n = log.records.len();
+        let path =
+            std::env::temp_dir().join(format!("aaltune-report-short-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let dir = RunDir::create(&path).unwrap();
+        dir.write_manifest(&run.manifest).unwrap();
+        dir.write_log(log).unwrap();
+        let mut trace = String::new();
+        let head = [
+            Record::Schema { version: 2 },
+            Record::SpanStart { id: 1, parent: None, name: "tune_task".into(), t_us: 0 },
+            Record::Event {
+                name: "tune.start".into(),
+                span: Some(1),
+                t_us: 0,
+                fields: serde_json::json!({
+                    "task": "m.T1", "method": "bted+bao", "seed": 0u64, "n_trial": n as u64,
+                }),
+            },
+        ];
+        for rec in head.into_iter().chain(log.records[..n - 2].iter().map(|t| Record::Event {
+            name: "trial".into(),
+            span: Some(1),
+            t_us: t.trial as u64,
+            fields: serde_json::json!({
+                "trial": t.trial as u64, "config_index": t.config_index,
+                "gflops": t.gflops, "best_gflops": t.best_gflops, "improved": true,
+            }),
+        })) {
+            trace.push_str(&serde_json::to_string(&rec).unwrap());
+            trace.push('\n');
+        }
+        std::fs::write(dir.trace_path(), trace).unwrap();
+
+        let loaded = LoadedRun::load(&path).unwrap();
+        assert!(loaded.trace.is_some());
+        let curves = loaded.convergence_curves();
+        assert_eq!(curves.len(), 1);
+        let expected: Vec<(f64, f64)> =
+            log.convergence_curve().iter().enumerate().map(|(i, &g)| (i as f64, g)).collect();
+        assert_eq!(curves["m.T1"].len(), n, "one point per logged trial");
+        assert_eq!(curves["m.T1"], expected);
+        let _ = std::fs::remove_dir_all(&path);
     }
 
     #[test]

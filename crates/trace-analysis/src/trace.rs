@@ -1,14 +1,15 @@
 //! Reconstructing analysis-ready series from a raw JSONL trace.
 //!
 //! [`TraceSummary`](telemetry::TraceSummary) aggregates a trace into tables;
-//! this module keeps the *sequence*: per-task trial series (convergence
-//! curves), the span tree with durations (flamegraph input), and the BAO /
-//! SA adaptation series, all recovered from the flat record stream.
+//! this module keeps the *sequence*: the span tree with durations
+//! (flamegraph input) and the BAO / SA adaptation series, recovered from
+//! the flat record stream. Per-trial series (convergence curves) come from
+//! the trial logs, not the trace.
 
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::Path;
-use telemetry::events::{RadiusEvent, SaDoneEvent, TrialEvent, TuneStartEvent};
+use telemetry::events::{RadiusEvent, SaDoneEvent};
 use telemetry::Record;
 
 /// A trace loaded back into memory, with the same robustness contract as
@@ -31,43 +32,16 @@ impl TraceData {
     ///
     /// Only the very first read failing surfaces as an error; later I/O
     /// failures count as truncation.
-    pub fn from_reader(mut reader: impl BufRead) -> std::io::Result<TraceData> {
-        let mut out = TraceData::default();
-        let mut buf = Vec::new();
-        let mut first_read = true;
-        loop {
-            buf.clear();
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(_) if !first_read => {
-                    out.malformed_lines += 1;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-            first_read = false;
-            let Ok(line) = std::str::from_utf8(&buf) else {
-                out.malformed_lines += 1;
-                continue;
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<Record>(line) {
-                Ok(Record::Schema { version }) => {
-                    out.schema_version = Some(version);
-                    // Kept in the stream: schema markers delimit process
-                    // segments, which segment-aware consumers
-                    // ([`telemetry::TraceSummary`]) need to sum counters
-                    // across a resumed run correctly.
-                    out.records.push(Record::Schema { version });
-                }
-                Ok(r) => out.records.push(r),
-                Err(_) => out.malformed_lines += 1,
-            }
-        }
-        Ok(out)
+    pub fn from_reader(reader: impl BufRead) -> std::io::Result<TraceData> {
+        let (records, malformed_lines) = telemetry::record::read_jsonl(reader)?;
+        // Schema markers stay in the stream: they delimit process segments,
+        // which segment-aware consumers ([`telemetry::TraceSummary`]) need
+        // to sum counters across a resumed run correctly.
+        let schema_version = records.iter().rev().find_map(|r| match r {
+            Record::Schema { version } => Some(*version),
+            _ => None,
+        });
+        Ok(TraceData { records, malformed_lines, schema_version })
     }
 
     /// Loads `path`; a missing file reads as `None` (old run directories
@@ -95,52 +69,6 @@ impl TraceData {
             )),
             _ => None,
         }
-    }
-
-    /// Trial events grouped by the task that emitted them.
-    ///
-    /// A `trial` event does not carry its task name; it carries the id of
-    /// the innermost span open when it fired. Each `tune.start` event marks
-    /// its span as belonging to a task, so attribution walks the span
-    /// parent chain from the trial's span up to the nearest task-marked
-    /// ancestor. Trials with no such ancestor group under
-    /// `"(unattributed)"`.
-    #[must_use]
-    pub fn task_series(&self) -> BTreeMap<String, Vec<TrialEvent>> {
-        let mut parent_of: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-        let mut task_of_span: BTreeMap<u64, String> = BTreeMap::new();
-        let mut out: BTreeMap<String, Vec<TrialEvent>> = BTreeMap::new();
-        for rec in &self.records {
-            if let Record::SpanStart { id, parent, .. } = rec {
-                parent_of.insert(*id, *parent);
-                continue;
-            }
-            if let Some(start) = TuneStartEvent::from_record(rec) {
-                if let Some(span) = start.span {
-                    task_of_span.insert(span, start.task.clone());
-                }
-                out.entry(start.task).or_default();
-                continue;
-            }
-            if let Some(trial) = TrialEvent::from_record(rec) {
-                let mut cursor = trial.span;
-                let mut task = None;
-                // Bounded walk: a cycle in parent links (corrupt trace)
-                // must not hang the report.
-                for _ in 0..64 {
-                    let Some(id) = cursor else { break };
-                    if let Some(t) = task_of_span.get(&id) {
-                        task = Some(t.clone());
-                        break;
-                    }
-                    cursor = parent_of.get(&id).copied().flatten();
-                }
-                out.entry(task.unwrap_or_else(|| "(unattributed)".to_string()))
-                    .or_default()
-                    .push(trial);
-            }
-        }
-        out
     }
 
     /// All BAO radius-adaptation events, in emission order.
@@ -239,8 +167,6 @@ impl FlameNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
-    use telemetry::events::{TRIAL_EVENT, TUNE_START_EVENT};
 
     fn start(id: u64, parent: Option<u64>, name: &str, t: u64) -> Record {
         Record::SpanStart { id, parent, name: name.into(), t_us: t }
@@ -250,60 +176,17 @@ mod tests {
         Record::SpanEnd { id, name: name.into(), t_us: t, dur_us: dur }
     }
 
-    fn tune_start(span: u64, task: &str) -> Record {
-        Record::Event {
-            name: TUNE_START_EVENT.into(),
-            span: Some(span),
-            t_us: 0,
-            fields: json!({"task": task, "method": "bted+bao", "seed": 0u64, "n_trial": 4u64}),
-        }
-    }
-
-    fn trial(span: Option<u64>, n: u64, best: f64) -> Record {
-        Record::Event {
-            name: TRIAL_EVENT.into(),
-            span,
-            t_us: n,
-            fields: json!({
-                "trial": n, "config_index": n, "gflops": best,
-                "best_gflops": best, "improved": true,
-            }),
-        }
-    }
-
     fn two_task_trace() -> TraceData {
-        // tune_task(m.T1) > bted > (trials); then tune_task(m.T2) > trials.
+        // tune_task > bted; then a second tune_task.
         let records = vec![
             start(1, None, "tune_task", 0),
-            tune_start(1, "m.T1"),
             start(2, Some(1), "bted", 1),
-            trial(Some(2), 0, 10.0),
-            trial(Some(2), 1, 12.0),
             end(2, "bted", 50, 49),
             end(1, "tune_task", 60, 60),
             start(3, None, "tune_task", 70),
-            tune_start(3, "m.T2"),
-            trial(Some(3), 0, 99.0),
             end(3, "tune_task", 90, 20),
         ];
         TraceData { records, ..TraceData::default() }
-    }
-
-    #[test]
-    fn trials_attribute_to_tasks_through_span_parents() {
-        let series = two_task_trace().task_series();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series["m.T1"].len(), 2);
-        assert_eq!(series["m.T1"][1].best_gflops, 12.0);
-        assert_eq!(series["m.T2"].len(), 1);
-        assert_eq!(series["m.T2"][0].best_gflops, 99.0);
-    }
-
-    #[test]
-    fn orphan_trials_group_as_unattributed() {
-        let data = TraceData { records: vec![trial(None, 0, 5.0)], ..TraceData::default() };
-        let series = data.task_series();
-        assert_eq!(series["(unattributed)"].len(), 1);
     }
 
     #[test]

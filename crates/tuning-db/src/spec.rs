@@ -380,15 +380,24 @@ mod tests {
         };
         let got = rec.configs_for(&small, 4);
         assert!(!got.is_empty());
+        assert!(got.len() < 4, "the four stored configs collide after clipping");
         let mut seen = std::collections::HashSet::new();
         for cfg in &got {
             assert!(seen.insert(cfg.index), "deduplicated after clipping");
             assert!(cfg.index < small.len());
+            for (&c, k) in cfg.choices.iter().zip(small.knobs()) {
+                assert!(c < k.cardinality(), "each choice is clipped into the knob");
+            }
         }
-        // Identity mapping into the original space returns the stored set.
+        // Identity mapping into the original space returns the stored set,
+        // best first.
         let same = rec.configs_for(&big, 4);
-        assert_eq!(same.len(), 4);
-        assert_eq!(same[0].index, big.len() - 1);
+        let order: Vec<u64> = same.iter().map(|c| c.index).collect();
+        assert_eq!(order, rec.top_k.iter().map(|c| c.config_index).collect::<Vec<_>>());
+        assert_eq!(rec.configs_for(&big, 2).len(), 2, "at most k configs");
+        // A space with another knob count is another template: nothing maps.
+        let other = ConfigSpace::new("o", vec![Knob::choice("x", vec![0, 1])]);
+        assert!(rec.configs_for(&other, 4).is_empty());
     }
 
     #[test]
