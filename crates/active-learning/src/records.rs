@@ -364,10 +364,38 @@ impl RunDir {
         Ok(RunDir { root })
     }
 
+    /// Opens an existing run directory for reading. Creates nothing, so a
+    /// mistyped path is reported, never materialized.
+    ///
+    /// # Errors
+    ///
+    /// "not a run directory" when `root` is not a directory or holds no
+    /// `manifest.json`.
+    pub fn open(root: impl Into<PathBuf>) -> Result<Self, String> {
+        let dir = RunDir { root: root.into() };
+        if dir.root.is_dir() && dir.manifest_path().is_file() {
+            Ok(dir)
+        } else {
+            Err(format!("{} is not a run directory", dir.root.display()))
+        }
+    }
+
     /// The directory itself.
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.root
+    }
+
+    /// The run's id: the directory's own name.
+    #[must_use]
+    pub fn run_id(&self) -> String {
+        self.root
+            .file_name()
+            .map_or_else(|| self.root.display().to_string(), |n| n.to_string_lossy().into_owned())
+    }
+
+    fn manifest_path(&self) -> PathBuf {
+        self.root.join("manifest.json")
     }
 
     /// Default location for the run's telemetry trace.
@@ -420,7 +448,7 @@ impl RunDir {
         let body = serde_json::to_string_pretty(manifest).expect("manifest serializes");
         // The registry and `aaltune top` read the manifest of live runs,
         // so a torn write must never be visible.
-        durable::replace(&self.root.join("manifest.json"), |w| w.write_all(body.as_bytes()))
+        durable::replace(&self.manifest_path(), |w| w.write_all(body.as_bytes()))
     }
 
     /// Where the log of `task_name` lives (task names may contain
@@ -566,7 +594,7 @@ impl RunDir {
     ///
     /// Returns I/O failures or a parse error for a malformed manifest.
     pub fn read_manifest(&self) -> Result<RunManifest, ReadLogError> {
-        let body = std::fs::read_to_string(self.root.join("manifest.json"))?;
+        let body = std::fs::read_to_string(self.manifest_path())?;
         Ok(serde_json::from_str(&body)?)
     }
 

@@ -324,11 +324,7 @@ impl TunePlan {
     /// options, device, and fault stream all come from the directory, so
     /// the continued run is the same experiment.
     fn resume(path: &Path) -> Result<TunePlan, String> {
-        if !path.is_dir() {
-            return Err(format!("{} is not a run directory", path.display()));
-        }
-        let dir =
-            RunDir::create(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+        let dir = RunDir::open(path).map_err(|e| format!("cannot resume: {e}"))?;
         let manifest =
             dir.read_manifest().map_err(|e| format!("cannot resume {}: {e}", path.display()))?;
         if let Some(w) = manifest.schema_warning() {
@@ -739,10 +735,7 @@ fn report(cli: &Cli) -> Result<(), String> {
 
 fn explain(cli: &Cli) -> Result<(), String> {
     let path = Path::new(cli.positional.get(1).ok_or("missing RUN_DIR argument")?);
-    if !path.is_dir() {
-        return Err(format!("{} is not a run directory", path.display()));
-    }
-    let dir = RunDir::create(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    let dir = RunDir::open(path)?;
     // A killed run is explained from the parts of its completed tasks.
     let Some(records) = read_capture(&dir)? else {
         return Err(format!(
@@ -1302,6 +1295,44 @@ mod tests {
     fn compare_on_missing_dirs_errors() {
         assert!(dispatch(&sv(&["compare", "/nonexistent/a"])).is_err());
         assert!(dispatch(&sv(&["report"])).is_err());
+    }
+
+    #[test]
+    fn readers_leave_a_non_run_directory_untouched() {
+        let base = std::env::temp_dir().join(format!("aaltune-cli-not-run-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let empty = base.join("empty");
+        let stray = base.join("stray");
+        std::fs::create_dir_all(&empty).unwrap();
+        std::fs::create_dir_all(stray.join("notes")).unwrap();
+        std::fs::write(stray.join("notes/a.txt"), "not a run").unwrap();
+        // Every path under the tree, with file contents.
+        fn snapshot(dir: &Path, out: &mut Vec<(PathBuf, Vec<u8>)>) {
+            let mut entries: Vec<PathBuf> =
+                std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect();
+            entries.sort();
+            for path in entries {
+                if path.is_dir() {
+                    out.push((path.clone(), Vec::new()));
+                    snapshot(&path, out);
+                } else {
+                    out.push((path.clone(), std::fs::read(&path).unwrap()));
+                }
+            }
+        }
+        let mut before = Vec::new();
+        snapshot(&base, &mut before);
+        for dir in [&empty, &stray] {
+            let d = dir.to_str().unwrap();
+            for args in [vec!["report", d], vec!["compare", d, d], vec!["explain", d]] {
+                let e = dispatch(&sv(&args)).unwrap_err();
+                assert!(e.contains("is not a run directory"), "{args:?}: {e}");
+            }
+        }
+        let mut after = Vec::new();
+        snapshot(&base, &mut after);
+        assert_eq!(before, after, "a failed read must create nothing");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub use registry::{MetricsRegistry, MetricsSnapshot, SNAPSHOT_SCHEMA_VERSION};
 /// depending on `serde_json` directly.
 pub use serde_json::{json, Value};
 pub use sink::{FileSink, NoopSink, ReporterSink, Sink, TeeSink, VecSink};
-pub use stream::{SnapshotRequest, SnapshotWriter, TraceFollower, PROM_FILE, SNAPSHOT_FILE};
-pub use summary::TraceSummary;
+pub use stream::{SnapshotRequest, SnapshotWriter, PROM_FILE, SNAPSHOT_FILE};
+pub use summary::{FlameNode, TraceSummary};
 pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
 
 use std::cell::RefCell;
@@ -409,30 +409,16 @@ pub fn install_pipeline(
     quiet: bool,
     json: bool,
 ) -> std::io::Result<Telemetry> {
-    install_pipeline_mode(trace, quiet, json, false)
+    install_pipeline_live(trace, quiet, json, false, None)
 }
 
-/// [`install_pipeline`] with an explicit trace-file mode: when `append`
-/// is set the trace file is extended instead of truncated, which is what
-/// a crash-safe resume wants — its fresh [`Record::Schema`] header marks
-/// a new process segment in the same trace.
-///
-/// # Errors
-///
-/// Propagates trace-file open errors.
-pub fn install_pipeline_mode(
-    trace: Option<&std::path::Path>,
-    quiet: bool,
-    json: bool,
-    append: bool,
-) -> std::io::Result<Telemetry> {
-    install_pipeline_live(trace, quiet, json, append, None)
-}
-
-/// [`install_pipeline_mode`] with an optional live [`MetricsRegistry`]
-/// attached to the installed handle, so every instrumentation site in the
-/// process publishes live metrics without code changes. The registry never
-/// changes what reaches the trace file.
+/// [`install_pipeline`] with an explicit trace-file mode and an optional
+/// live [`MetricsRegistry`]. When `append` is set the trace file is
+/// extended instead of truncated, which is what a crash-safe resume wants
+/// — its fresh [`Record::Schema`] header marks a new process segment in
+/// the same trace. The registry is attached to the installed handle, so
+/// every instrumentation site in the process publishes live metrics
+/// without code changes; it never changes what reaches the trace file.
 ///
 /// # Errors
 ///

@@ -3,7 +3,6 @@
 use crate::metrics::Histogram;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::io::BufRead;
 
 /// One telemetry record. Traces are streams of these, serialized as JSON
 /// lines in the order they were emitted.
@@ -85,49 +84,6 @@ impl Record {
             | Record::Histogram { name, .. } => name,
         }
     }
-}
-
-/// Reads a JSONL trace back into records, returning them with the number
-/// of lines that did not parse. Corrupt, truncated, or non-UTF-8 lines
-/// are counted and skipped, not fatal: a trace cut short by a crash (or a
-/// partially flushed final line) still reads. An unreadable tail counts
-/// as one more bad line and ends the stream.
-///
-/// # Errors
-///
-/// Only the very first read failing.
-pub fn read_jsonl(mut reader: impl BufRead) -> std::io::Result<(Vec<Record>, u64)> {
-    let mut records = Vec::new();
-    let mut malformed = 0u64;
-    let mut buf = Vec::new();
-    let mut first_read = true;
-    loop {
-        buf.clear();
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => break,
-            Ok(_) => {}
-            // An unreadable tail (e.g. a bad sector or a stream error
-            // mid-file) is truncation, not a reason to drop the prefix.
-            Err(_) if !first_read => {
-                malformed += 1;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-        first_read = false;
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            malformed += 1;
-            continue;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<Record>(line) {
-            Ok(r) => records.push(r),
-            Err(_) => malformed += 1,
-        }
-    }
-    Ok((records, malformed))
 }
 
 #[cfg(test)]

@@ -1,19 +1,14 @@
-//! Streaming observability: tail a live trace and publish periodic
-//! snapshots of the live [`MetricsRegistry`].
+//! Streaming observability: periodic snapshots of the live
+//! [`MetricsRegistry`].
 //!
-//! Two pieces:
-//!
-//! * [`TraceFollower`] tails a JSONL trace with `tail -f` semantics —
-//!   remembers its byte offset, returns only complete new lines, buffers a
-//!   partial trailing line until its newline arrives, and tolerates the
-//!   file not existing yet (a follower can start before the run does).
-//! * [`SnapshotWriter`] is a background thread that every interval writes
-//!   `metrics.snapshot.json` and `metrics.prom` via [`crate::durable`]
-//!   (a reader never sees a torn file) into the run directory, and emits
-//!   a `run.heartbeat` trace event carrying wall-clock time so
-//!   stale/crashed runs are distinguishable from slow ones. A
-//!   [`SnapshotRequest`] asks it to publish now instead of waiting out
-//!   the interval, for moments a dashboard should not miss.
+//! [`SnapshotWriter`] is a background thread that every interval writes
+//! `metrics.snapshot.json` and `metrics.prom` via [`crate::durable`] (a
+//! reader never sees a torn file) into the run directory, and emits a
+//! `run.heartbeat` trace event carrying wall-clock time so stale/crashed
+//! runs are distinguishable from slow ones. A [`SnapshotRequest`] asks it
+//! to publish now instead of waiting out the interval, for moments a
+//! dashboard should not miss. Traces themselves are read back by
+//! [`crate::TraceSummary`].
 //!
 //! Determinism: the writer thread only appends events to the trace and
 //! rewrites side files. It never touches trial logs, checkpoints, or the
@@ -21,13 +16,13 @@
 //! snapshot writer is running — the invariant CI's `live-smoke` job checks.
 
 use crate::durable::replace;
+use crate::events::RUN_HEARTBEAT_EVENT;
 use crate::export::to_prometheus;
-use crate::record::Record;
 use crate::registry::{unix_ms_now, MetricsRegistry};
 use crate::sync::lock_or_recover;
 use crate::Telemetry;
 use serde_json::json;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -45,75 +40,6 @@ pub const TASKS_DONE_COUNTER: &str = "tune.tasks_completed";
 /// Label read by the heartbeat for "current task".
 pub const CURRENT_TASK_LABEL: &str = "task.current";
 
-/// Tails a JSONL trace file, yielding newly completed [`Record`]s on each
-/// [`TraceFollower::poll`].
-#[derive(Debug)]
-pub struct TraceFollower {
-    path: PathBuf,
-    offset: u64,
-    partial: Vec<u8>,
-    malformed: u64,
-}
-
-impl TraceFollower {
-    /// Creates a follower for `path`, starting at the beginning of the
-    /// file. The file need not exist yet.
-    #[must_use]
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        TraceFollower { path: path.into(), offset: 0, partial: Vec::new(), malformed: 0 }
-    }
-
-    /// Lines seen so far that did not parse as a [`Record`] (skipped, not
-    /// fatal — a live trace can interleave with a crash mid-line).
-    #[must_use]
-    pub fn malformed_lines(&self) -> u64 {
-        self.malformed
-    }
-
-    /// Reads any new complete lines since the last poll and parses them.
-    /// Returns an empty vec when the file is absent or has no new complete
-    /// line. A truncated file (shorter than our offset) restarts the
-    /// follower from the beginning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than the file not existing.
-    pub fn poll(&mut self) -> std::io::Result<Vec<Record>> {
-        let mut file = match std::fs::File::open(&self.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let len = file.metadata()?.len();
-        if len < self.offset {
-            // Truncated/rewritten underneath us: start over.
-            self.offset = 0;
-            self.partial.clear();
-        }
-        file.seek(SeekFrom::Start(self.offset))?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        self.offset += buf.len() as u64;
-        self.partial.extend_from_slice(&buf);
-
-        let mut records = Vec::new();
-        // Consume complete lines; keep the trailing partial (if any).
-        while let Some(nl) = self.partial.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.partial.drain(..=nl).collect();
-            let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-            let trimmed = text.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<Record>(trimmed) {
-                Ok(rec) => records.push(rec),
-                Err(_) => self.malformed += 1,
-            }
-        }
-        Ok(records)
-    }
-}
-
 /// Publishes `registry` into `dir` once: `metrics.snapshot.json` and
 /// `metrics.prom`, both atomic.
 ///
@@ -128,13 +54,9 @@ pub fn publish_snapshot(dir: &Path, registry: &MetricsRegistry) -> std::io::Resu
     replace(&dir.join(PROM_FILE), |w| w.write_all(to_prometheus(&snap).as_bytes()))
 }
 
-/// Name of the periodic liveness event emitted by [`SnapshotWriter`].
-/// (Mirrored in [`crate::events::RUN_HEARTBEAT_EVENT`].)
-const HEARTBEAT_EVENT: &str = "run.heartbeat";
-
 fn emit_heartbeat(tel: &Telemetry, registry: &MetricsRegistry) {
     let snap = registry.snapshot();
-    tel.event(HEARTBEAT_EVENT, || {
+    tel.event(RUN_HEARTBEAT_EVENT, || {
         json!({
             "unix_ms": snap.unix_ms,
             "trials": snap.counter(TRIALS_COUNTER),
@@ -331,66 +253,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn follower_tails_complete_lines_only() {
-        let dir = tmp_dir("follow");
-        let path = dir.join("trace.jsonl");
-        let mut follower = TraceFollower::new(&path);
-        // File absent: empty, no error.
-        assert!(follower.poll().unwrap().is_empty());
-
-        let mut f = std::fs::File::create(&path).unwrap();
-        writeln!(f, "{}", serde_json::to_string(&Record::Schema { version: 2 }).unwrap()).unwrap();
-        // A partial line with no newline must not be yielded yet.
-        write!(f, "{{\"Counter\":{{\"name\":\"a\",").unwrap();
-        f.flush().unwrap();
-        let first = follower.poll().unwrap();
-        assert_eq!(first.len(), 1);
-        assert!(matches!(first[0], Record::Schema { version: 2 }));
-
-        // Complete the line: now it parses.
-        writeln!(f, "\"value\":7}}}}").unwrap();
-        f.flush().unwrap();
-        let second = follower.poll().unwrap();
-        assert_eq!(second.len(), 1);
-        assert!(
-            matches!(&second[0], Record::Counter { name, value: 7 } if name == "a"),
-            "{second:?}"
-        );
-        assert_eq!(follower.malformed_lines(), 0);
-
-        // Garbage lines are skipped and counted.
-        writeln!(f, "not json at all").unwrap();
-        f.flush().unwrap();
-        assert!(follower.poll().unwrap().is_empty());
-        assert_eq!(follower.malformed_lines(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn follower_recovers_from_truncation() {
-        let dir = tmp_dir("trunc");
-        let path = dir.join("trace.jsonl");
-        let schema = serde_json::to_string(&Record::Schema { version: 2 }).unwrap();
-        // Several lines, so the rewrite below is genuinely shorter.
-        std::fs::write(&path, format!("{schema}\n{schema}\n{schema}\n")).unwrap();
-        let mut follower = TraceFollower::new(&path);
-        assert_eq!(follower.poll().unwrap().len(), 3);
-        // Rewrite shorter: follower restarts from byte 0.
-        std::fs::write(
-            &path,
-            format!(
-                "{}\n",
-                serde_json::to_string(&Record::Counter { name: "x".into(), value: 1 }).unwrap()
-            ),
-        )
-        .unwrap();
-        let recs = follower.poll().unwrap();
-        assert_eq!(recs.len(), 1);
-        assert!(matches!(&recs[0], Record::Counter { .. }));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

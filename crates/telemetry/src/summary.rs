@@ -1,17 +1,27 @@
 //! Turning a JSONL trace back into numbers: per-phase time breakdown,
-//! counter and histogram tables. Powers the CLI `trace` subcommand.
+//! the aggregated span tree, counter and histogram tables, and the BAO /
+//! SA adaptation series. One fold fills all of them in a single streaming
+//! pass, so `aaltune trace`, `aaltune report` and the run registry read
+//! the same numbers.
 
+use crate::events::{HeartbeatEvent, RadiusEvent, SaDoneEvent};
 use crate::metrics::Histogram;
 use crate::record::Record;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
+use std::path::Path;
 
 /// Aggregated view of one trace.
 #[derive(Debug, Default, Clone)]
 pub struct TraceSummary {
     /// Per span name: aggregated timing.
     pub spans: BTreeMap<String, SpanStats>,
+    /// The span tree aggregated by name path: spans with the same path
+    /// merge, so repeated phases (512 `measure` spans) become one node
+    /// with a count. The synthetic root is named `"run"` and its total is
+    /// the sum of its children.
+    pub flame: FlameNode,
     /// Per event name: how many were emitted (report events included).
     pub events: BTreeMap<String, u64>,
     /// Final value of each counter. Within one process segment (between
@@ -22,6 +32,12 @@ pub struct TraceSummary {
     /// Final snapshot of each histogram, with the same segment rule as
     /// counters: last-wins within a segment, merged across segments.
     pub histograms: BTreeMap<String, Histogram>,
+    /// Every BAO radius-adaptation event, in emission order.
+    pub radius: Vec<RadiusEvent>,
+    /// Every SA search summary, in emission order.
+    pub sa: Vec<SaDoneEvent>,
+    /// The last well-formed `run.heartbeat` event, if any.
+    pub last_heartbeat: Option<HeartbeatEvent>,
     /// Lines that failed to parse as records.
     pub malformed_lines: u64,
     /// Spans that started but never ended (crashed or truncated trace).
@@ -44,84 +60,211 @@ pub struct SpanStats {
     pub self_us: u64,
 }
 
+/// One node of the aggregated span tree.
+#[derive(Debug, Clone, Default)]
+pub struct FlameNode {
+    /// Span name (the synthetic root is `"run"`).
+    pub name: String,
+    /// Summed wall time of all spans merged into this node, µs.
+    pub total_us: u64,
+    /// How many spans merged into this node.
+    pub count: u64,
+    /// Child phases, in the order their first span ended.
+    pub children: Vec<FlameNode>,
+}
+
+impl FlameNode {
+    fn new(name: &str) -> FlameNode {
+        FlameNode { name: name.to_string(), ..FlameNode::default() }
+    }
+
+    fn child_mut(&mut self, name: &str) -> &mut FlameNode {
+        let i = match self.children.iter().position(|c| c.name == name) {
+            Some(i) => i,
+            None => {
+                self.children.push(FlameNode::new(name));
+                self.children.len() - 1
+            }
+        };
+        &mut self.children[i]
+    }
+
+    /// Wall time not attributed to any child, µs.
+    #[must_use]
+    pub fn self_us(&self) -> u64 {
+        self.total_us.saturating_sub(self.children.iter().map(|c| c.total_us).sum())
+    }
+
+    /// Depth of the tree below (and including) this node.
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        1 + self.children.iter().map(FlameNode::depth).max().unwrap_or(0)
+    }
+}
+
+/// The one pass over a record stream that fills every table of a
+/// [`TraceSummary`].
+///
+/// Counter and histogram records are cumulative snapshots within one
+/// process; a [`Record::Schema`] marker mid-stream means a new process
+/// appended to the trace (crash-safe resume), so the finished segment's
+/// final snapshots are committed — summed for counters, merged for
+/// histograms — before the new segment's snapshots start accumulating.
+struct Fold {
+    out: TraceSummary,
+    /// Open span id → (name, parent). Children close before parents, so
+    /// every ancestor of an ending span is still here.
+    open: BTreeMap<u64, (String, Option<u64>)>,
+    /// Span id → child time accumulated so far.
+    child_time: BTreeMap<u64, u64>,
+    /// Last snapshot per name in the current process segment.
+    seg_counters: BTreeMap<String, u64>,
+    seg_histograms: BTreeMap<String, Histogram>,
+}
+
+impl Fold {
+    fn new() -> Fold {
+        Fold {
+            out: TraceSummary { flame: FlameNode::new("run"), ..TraceSummary::default() },
+            open: BTreeMap::new(),
+            child_time: BTreeMap::new(),
+            seg_counters: BTreeMap::new(),
+            seg_histograms: BTreeMap::new(),
+        }
+    }
+
+    fn push(&mut self, rec: Record) {
+        match rec {
+            Record::Schema { version } => {
+                self.commit_segment();
+                self.out.schema_version = Some(version);
+            }
+            Record::SpanStart { id, parent, name, .. } => {
+                self.open.insert(id, (name, parent));
+            }
+            Record::SpanEnd { id, name, dur_us, .. } => {
+                let (name, parent) = self.open.remove(&id).unwrap_or((name, None));
+                let children = self.child_time.remove(&id).unwrap_or(0);
+                if let Some(p) = parent {
+                    *self.child_time.entry(p).or_insert(0) += dur_us;
+                }
+                let mut path = vec![name.as_str()];
+                let mut cursor = parent;
+                for _ in 0..64 {
+                    let Some(pid) = cursor else { break };
+                    let Some((pname, pparent)) = self.open.get(&pid) else { break };
+                    path.push(pname);
+                    cursor = *pparent;
+                }
+                let node = path.iter().rev().fold(&mut self.out.flame, |n, seg| n.child_mut(seg));
+                node.total_us += dur_us;
+                node.count += 1;
+                let stats = self.out.spans.entry(name).or_default();
+                stats.count += 1;
+                stats.total_us += dur_us;
+                stats.self_us += dur_us.saturating_sub(children);
+            }
+            event @ Record::Event { .. } => {
+                if let Some(r) = RadiusEvent::from_record(&event) {
+                    self.out.radius.push(r);
+                } else if let Some(s) = SaDoneEvent::from_record(&event) {
+                    self.out.sa.push(s);
+                } else if let Some(h) = HeartbeatEvent::from_record(&event) {
+                    self.out.last_heartbeat = Some(h);
+                }
+                *self.out.events.entry(event.name().to_string()).or_insert(0) += 1;
+            }
+            Record::Counter { name, value } => {
+                self.seg_counters.insert(name, value);
+            }
+            Record::Histogram { name, hist } => {
+                self.seg_histograms.insert(name, hist);
+            }
+        }
+    }
+
+    fn commit_segment(&mut self) {
+        for (name, value) in std::mem::take(&mut self.seg_counters) {
+            *self.out.counters.entry(name).or_insert(0) += value;
+        }
+        for (name, hist) in std::mem::take(&mut self.seg_histograms) {
+            self.out.histograms.entry(name).or_default().merge(&hist);
+        }
+    }
+
+    fn finish(mut self) -> TraceSummary {
+        self.commit_segment();
+        self.out.unclosed_spans = self.open.len() as u64;
+        self.out.flame.total_us = self.out.flame.children.iter().map(|c| c.total_us).sum();
+        self.out
+    }
+}
+
 impl TraceSummary {
-    /// Parses a JSONL trace. Corrupt, truncated, or non-UTF-8 lines are
-    /// counted and skipped ([`crate::record::read_jsonl`]), so a trace cut
-    /// short by a crash still summarizes.
+    /// Parses and folds a JSONL trace one line at a time, never holding
+    /// the whole trace. Corrupt, truncated, or non-UTF-8 lines are
+    /// counted and skipped, not fatal: a trace cut short by a crash (or a
+    /// partially flushed final line) still summarizes. An unreadable tail
+    /// counts as one more bad line and ends the stream.
     ///
     /// # Errors
     ///
     /// Only the very first read failing.
-    pub fn from_reader(reader: impl BufRead) -> std::io::Result<TraceSummary> {
-        let (records, malformed) = crate::record::read_jsonl(reader)?;
-        let mut s = TraceSummary::from_records(&records);
-        s.malformed_lines += malformed;
-        Ok(s)
-    }
-
-    /// Aggregates in-memory records (e.g. from a [`crate::VecSink`]).
-    ///
-    /// Counter and histogram records are cumulative snapshots within one
-    /// process; a [`Record::Schema`] marker mid-stream means a new
-    /// process appended to the trace (crash-safe resume), so the
-    /// finished segment's final snapshots are committed — summed for
-    /// counters, merged for histograms — before the new segment's
-    /// snapshots start accumulating.
-    #[must_use]
-    pub fn from_records(records: &[Record]) -> TraceSummary {
-        let mut out = TraceSummary::default();
-        // id → (name, parent) from starts; on end, attribute duration to the
-        // span's own name and subtract from the parent's self time.
-        let mut open: BTreeMap<u64, (String, Option<u64>)> = BTreeMap::new();
-        // id → child time accumulated so far (children end before parents).
-        let mut child_time: BTreeMap<u64, u64> = BTreeMap::new();
-        // Last snapshot per name in the current process segment.
-        let mut seg_counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut seg_histograms: BTreeMap<String, Histogram> = BTreeMap::new();
-        let commit = |out: &mut TraceSummary,
-                      seg_counters: &mut BTreeMap<String, u64>,
-                      seg_histograms: &mut BTreeMap<String, Histogram>| {
-            for (name, value) in std::mem::take(seg_counters) {
-                *out.counters.entry(name).or_insert(0) += value;
+    pub fn from_reader(mut reader: impl BufRead) -> std::io::Result<TraceSummary> {
+        let mut fold = Fold::new();
+        let mut buf = Vec::new();
+        let mut first_read = true;
+        loop {
+            buf.clear();
+            match reader.read_until(b'\n', &mut buf) {
+                Ok(0) => break,
+                Ok(_) => {}
+                // An unreadable tail (e.g. a bad sector or a stream error
+                // mid-file) is truncation, not a reason to drop the prefix.
+                Err(_) if !first_read => {
+                    fold.out.malformed_lines += 1;
+                    break;
+                }
+                Err(e) => return Err(e),
             }
-            for (name, hist) in std::mem::take(seg_histograms) {
-                out.histograms.entry(name).or_default().merge(&hist);
+            first_read = false;
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                fold.out.malformed_lines += 1;
+                continue;
+            };
+            if line.trim().is_empty() {
+                continue;
             }
-        };
-        for rec in records {
-            match rec {
-                Record::Schema { version } => {
-                    commit(&mut out, &mut seg_counters, &mut seg_histograms);
-                    out.schema_version = Some(*version);
-                }
-                Record::SpanStart { id, parent, name, .. } => {
-                    open.insert(*id, (name.clone(), *parent));
-                }
-                Record::SpanEnd { id, name, dur_us, .. } => {
-                    let (name, parent) = open.remove(id).unwrap_or_else(|| (name.clone(), None));
-                    let children = child_time.remove(id).unwrap_or(0);
-                    let stats = out.spans.entry(name).or_default();
-                    stats.count += 1;
-                    stats.total_us += dur_us;
-                    stats.self_us += dur_us.saturating_sub(children);
-                    if let Some(p) = parent {
-                        *child_time.entry(p).or_insert(0) += dur_us;
-                    }
-                }
-                Record::Event { name, .. } => {
-                    *out.events.entry(name.clone()).or_insert(0) += 1;
-                }
-                Record::Counter { name, value } => {
-                    seg_counters.insert(name.clone(), *value);
-                }
-                Record::Histogram { name, hist } => {
-                    seg_histograms.insert(name.clone(), hist.clone());
-                }
+            match serde_json::from_str::<Record>(line) {
+                Ok(rec) => fold.push(rec),
+                Err(_) => fold.out.malformed_lines += 1,
             }
         }
-        commit(&mut out, &mut seg_counters, &mut seg_histograms);
-        out.unclosed_spans = open.len() as u64;
-        out
+        Ok(fold.finish())
+    }
+
+    /// Summarizes the trace at `path`; a missing file reads as `None`
+    /// (old run directories have no trace).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures other than the file not existing.
+    pub fn load(path: &Path) -> std::io::Result<Option<TraceSummary>> {
+        match std::fs::File::open(path) {
+            Ok(f) => TraceSummary::from_reader(std::io::BufReader::new(f)).map(Some),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Folds in-memory records (e.g. from a [`crate::VecSink`]).
+    #[must_use]
+    pub fn from_records(records: &[Record]) -> TraceSummary {
+        let mut fold = Fold::new();
+        for rec in records {
+            fold.push(rec.clone());
+        }
+        fold.finish()
     }
 
     /// Renders the summary as aligned text tables.
@@ -216,8 +359,10 @@ impl TraceSummary {
     }
 }
 
-/// Renders microseconds with an adaptive unit.
-fn fmt_us(us: u64) -> String {
+/// Renders microseconds with an adaptive unit, the way `aaltune trace` and
+/// `aaltune report` both print durations.
+#[must_use]
+pub fn fmt_us(us: u64) -> String {
     #[allow(clippy::cast_precision_loss)]
     let us_f = us as f64;
     if us < 1_000 {
@@ -251,6 +396,29 @@ mod tests {
         assert_eq!(s.spans["parent"].self_us, 40);
         assert_eq!(s.spans["child"].self_us, 60);
         assert_eq!(s.unclosed_spans, 0);
+    }
+
+    #[test]
+    fn flame_tree_merges_same_name_paths() {
+        // tune_task > bted; then a second tune_task.
+        let [t0, t1] = span(1, None, "tune_task", 0, 60);
+        let [b0, b1] = span(2, Some(1), "bted", 1, 49);
+        let [u0, u1] = span(3, None, "tune_task", 70, 20);
+        let s = TraceSummary::from_records(&[t0, b0, b1, t1, u0, u1]);
+        let tree = &s.flame;
+        assert_eq!(tree.name, "run");
+        assert_eq!(tree.children.len(), 1, "both tune_task spans merge");
+        let tune = &tree.children[0];
+        assert_eq!(tune.name, "tune_task");
+        assert_eq!(tune.count, 2);
+        assert_eq!(tune.total_us, 80);
+        assert_eq!(tune.children[0].name, "bted");
+        assert_eq!(tune.children[0].total_us, 49);
+        assert_eq!(tune.self_us(), 80 - 49);
+        assert_eq!(tree.total_us, 80);
+        assert_eq!(tree.depth(), 3);
+        // The per-name table comes from the same walk.
+        assert_eq!(s.spans["tune_task"].self_us, 80 - 49);
     }
 
     #[test]
@@ -341,6 +509,52 @@ mod tests {
         assert_eq!(s.malformed_lines, 1);
         assert_eq!(s.unclosed_spans, 1);
         assert!(s.render().contains("truncated"));
+    }
+
+    #[test]
+    fn reader_skips_corrupt_lines_and_splits_segments_at_schema_markers() {
+        let jsonl = format!(
+            "{}\nnot json\n{}\n",
+            serde_json::to_string(&Record::Schema { version: 1 }).unwrap(),
+            serde_json::to_string(&Record::Counter { name: "c".into(), value: 3 }).unwrap(),
+        );
+        let s = TraceSummary::from_reader(jsonl.as_bytes()).unwrap();
+        assert_eq!(s.schema_version, Some(1));
+        assert_eq!(s.malformed_lines, 1);
+        assert_eq!(s.counters["c"], 3);
+        assert!(s.schema_warning().is_none());
+    }
+
+    #[test]
+    fn missing_trace_file_loads_as_none() {
+        let path = std::env::temp_dir().join("aaltune-no-such-trace.jsonl");
+        assert!(TraceSummary::load(&path).unwrap().is_none());
+    }
+
+    #[test]
+    fn adaptation_series_and_last_heartbeat_come_from_the_same_pass() {
+        let ev = |name: &str, t_us: u64, fields: serde_json::Value| Record::Event {
+            name: name.into(),
+            span: None,
+            t_us,
+            fields,
+        };
+        let s = TraceSummary::from_records(&[
+            ev("bao.radius", 1, json!({"step": 1u64, "radius": 2.0})),
+            ev("sa.done", 2, json!({"accepted": 3u64, "rejected": 1u64})),
+            ev("run.heartbeat", 3, json!({"unix_ms": 10u64, "trials": 4u64})),
+            ev("bao.radius", 4, json!({"step": 2u64, "r_t": 0.1, "radius": 3.0, "widened": true})),
+            ev("run.heartbeat", 5, json!({"unix_ms": 20u64, "trials": 9u64})),
+            // Missing its wall clock: not a heartbeat, the earlier one stays last.
+            ev("run.heartbeat", 6, json!({"trials": 11u64})),
+        ]);
+        assert_eq!(s.radius.iter().map(|r| r.step).collect::<Vec<_>>(), [1, 2]);
+        assert!(s.radius[1].widened);
+        assert_eq!(s.sa.len(), 1);
+        assert!((s.sa[0].accept_rate() - 0.75).abs() < 1e-12);
+        let hb = s.last_heartbeat.unwrap();
+        assert_eq!((hb.unix_ms, hb.trials), (20, 9));
+        assert_eq!(s.events["run.heartbeat"], 3);
     }
 
     #[test]

@@ -276,8 +276,9 @@ pub fn compare_run_dirs(
     cand: &Path,
     options: CompareOptions,
 ) -> Result<RunComparison, String> {
-    let (base_manifest, base_logs) = read_run(base)?;
-    let (cand_manifest, cand_logs) = read_run(cand)?;
+    let (base_dir, cand_dir) = (RunDir::open(base)?, RunDir::open(cand)?);
+    let (base_manifest, base_logs) = read_run(&base_dir)?;
+    let (cand_manifest, cand_logs) = read_run(&cand_dir)?;
     let mut warnings = Vec::new();
     for (label, m) in [("baseline", &base_manifest), ("candidate", &cand_manifest)] {
         if let Some(w) = m.schema_warning() {
@@ -299,16 +300,17 @@ pub fn compare_run_dirs(
             base_manifest.method, cand_manifest.method
         ));
     }
-    let mut cmp =
-        compare_logs(run_id(base), run_id(cand), &base_logs, &cand_logs, options, warnings);
+    let mut cmp = compare_logs(
+        base_dir.run_id(),
+        cand_dir.run_id(),
+        &base_logs,
+        &cand_logs,
+        options,
+        warnings,
+    );
     // Surrogate-quality gating applies only when BOTH runs captured model
     // diagnostics — a capture-less run is not a model regression.
-    let capture = |path: &Path| {
-        RunDir::create(path)
-            .map_err(|e| format!("cannot open {}: {e}", path.display()))
-            .and_then(|dir| read_capture(&dir))
-    };
-    match (capture(base), capture(cand)) {
+    match (read_capture(&base_dir), read_capture(&cand_dir)) {
         (Ok(Some(b)), Ok(Some(c))) => {
             cmp.model_quality = compare_model_quality(
                 &crate::model_insight::analyze(&b),
@@ -458,22 +460,11 @@ pub fn compare_logs(
     }
 }
 
-fn read_run(path: &Path) -> Result<(RunManifest, Vec<TuningLog>), String> {
-    if !path.is_dir() {
-        return Err(format!("{} is not a run directory", path.display()));
-    }
-    // `RunDir::create` reuses an existing directory; the guard above keeps
-    // a typo from silently materializing an empty one.
-    let dir = RunDir::create(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let manifest =
-        dir.read_manifest().map_err(|e| format!("bad manifest in {}: {e}", path.display()))?;
-    let logs = dir.read_logs().map_err(|e| format!("bad logs in {}: {e}", path.display()))?;
+fn read_run(dir: &RunDir) -> Result<(RunManifest, Vec<TuningLog>), String> {
+    let path = dir.path().display();
+    let manifest = dir.read_manifest().map_err(|e| format!("bad manifest in {path}: {e}"))?;
+    let logs = dir.read_logs().map_err(|e| format!("bad logs in {path}: {e}"))?;
     Ok((manifest, logs))
-}
-
-fn run_id(path: &Path) -> String {
-    path.file_name()
-        .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned())
 }
 
 #[cfg(test)]

@@ -15,7 +15,8 @@
 //! - **Reports** ([`report`]): `aaltune report RUN [BASELINE]` renders one
 //!   self-contained HTML file with convergence curves drawn from the trial
 //!   logs, and a per-phase flamegraph and the BAO/SA adaptation panels
-//!   reconstructed from the trace by [`trace`].
+//!   from the run's [`telemetry::TraceSummary`] — the same one-pass fold
+//!   that `aaltune trace` prints and the registry's health column reads.
 //! - **Model insight** ([`model_insight`]): `aaltune explain RUN` scores
 //!   the surrogate round by round — rank correlation, top-k recall,
 //!   calibration error, cumulative regret — from the run's
@@ -28,7 +29,6 @@ pub mod model_insight;
 pub mod registry;
 pub mod report;
 pub mod stats;
-pub mod trace;
 
 pub use compare::{
     compare_logs, compare_model_quality, compare_run_dirs, CompareOptions, ModelQualityComparison,
@@ -43,4 +43,3 @@ pub use registry::{
 };
 pub use report::{render_report, LoadedRun};
 pub use stats::{bootstrap_mean_delta_ci, mean, variance, BootstrapCi};
-pub use trace::{FlameNode, TraceData};

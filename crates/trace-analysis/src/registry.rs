@@ -164,22 +164,15 @@ impl RunEntry {
     ///
     /// Returns a message when the manifest or a log cannot be read.
     pub fn from_run_dir(path: &Path) -> Result<RunEntry, String> {
-        if !path.is_dir() {
-            return Err(format!("{} is not a run directory", path.display()));
-        }
-        let dir =
-            RunDir::create(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+        let dir = RunDir::open(path)?;
         let manifest =
             dir.read_manifest().map_err(|e| format!("bad manifest in {}: {e}", path.display()))?;
         let logs: Vec<TuningLog> =
             dir.read_logs().map_err(|e| format!("bad logs in {}: {e}", path.display()))?;
-        let run_id = path
-            .file_name()
-            .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned());
-        // Health counters come from the trace when the run wrote one;
-        // trace-less (or unreadable-trace) runs leave them unset.
-        let trace = crate::trace::TraceData::load(&dir.trace_path()).ok().flatten();
-        let health = trace.as_ref().map(|t| telemetry::TraceSummary::from_records(&t.records));
+        // Health counters and the last heartbeat come from the trace when
+        // the run wrote one; trace-less (or unreadable-trace) runs leave
+        // them unset.
+        let health = telemetry::TraceSummary::load(&dir.trace_path()).ok().flatten();
         let counter =
             |name: &str| health.as_ref().map(|s| s.counters.get(name).copied().unwrap_or(0));
         // Liveness: prefer the (atomically rewritten, hence freshest)
@@ -188,9 +181,7 @@ impl RunEntry {
             std::fs::read_to_string(dir.snapshot_path())
                 .ok()
                 .and_then(|s| serde_json::from_str(&s).ok());
-        let trace_heartbeat = trace
-            .as_ref()
-            .and_then(|t| t.records.iter().rev().find_map(telemetry::HeartbeatEvent::from_record));
+        let trace_heartbeat = health.as_ref().and_then(|s| s.last_heartbeat.as_ref());
         let (last_heartbeat_unix_ms, trials_done) = match (&snapshot, &trace_heartbeat) {
             (Some(s), hb) => (
                 Some(s.unix_ms.max(hb.as_ref().map_or(0, |h| h.unix_ms))),
@@ -201,7 +192,7 @@ impl RunEntry {
         };
         Ok(RunEntry {
             schema_version: Some(REGISTRY_SCHEMA_VERSION),
-            run_id,
+            run_id: dir.run_id(),
             path: Some(path.display().to_string()),
             kind: "tune".to_string(),
             model: manifest.model.clone(),

@@ -15,11 +15,12 @@
 
 use crate::compare::{RunComparison, Verdict};
 use crate::model_insight;
-use crate::trace::{FlameNode, TraceData};
 use active_learning::{read_capture, ModelPredRecord, RunDir, RunManifest, TuningLog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
+use telemetry::summary::fmt_us;
+use telemetry::{FlameNode, TraceSummary};
 
 /// A run directory loaded for reporting.
 #[derive(Debug)]
@@ -30,8 +31,8 @@ pub struct LoadedRun {
     pub manifest: RunManifest,
     /// One log per task.
     pub logs: Vec<TuningLog>,
-    /// The telemetry trace, when the run wrote one.
-    pub trace: Option<TraceData>,
+    /// The telemetry trace folded into one summary, when the run wrote one.
+    pub trace: Option<TraceSummary>,
     /// Model-introspection capture records — empty when the run was not
     /// tuned with capture on.
     pub model_quality: Vec<ModelPredRecord>,
@@ -44,23 +45,16 @@ impl LoadedRun {
     ///
     /// Returns a message when the manifest or logs cannot be read.
     pub fn load(path: &Path) -> Result<LoadedRun, String> {
-        if !path.is_dir() {
-            return Err(format!("{} is not a run directory", path.display()));
-        }
-        let dir =
-            RunDir::create(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+        let dir = RunDir::open(path)?;
         let manifest =
             dir.read_manifest().map_err(|e| format!("bad manifest in {}: {e}", path.display()))?;
         let logs = dir.read_logs().map_err(|e| format!("bad logs in {}: {e}", path.display()))?;
-        let trace = TraceData::load(&dir.trace_path())
+        let trace = TraceSummary::load(&dir.trace_path())
             .map_err(|e| format!("unreadable trace in {}: {e}", path.display()))?;
         let model_quality = read_capture(&dir)
             .map_err(|e| format!("bad model quality in {}: {e}", path.display()))?
             .unwrap_or_default();
-        let id = path
-            .file_name()
-            .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned());
-        Ok(LoadedRun { id, manifest, logs, trace, model_quality })
+        Ok(LoadedRun { id: dir.run_id(), manifest, logs, trace, model_quality })
     }
 
     /// Best-so-far GFLOPS per trial, per task, from the task logs: the
@@ -395,8 +389,7 @@ fn model_quality_section(body: &mut String, run: &LoadedRun) {
 /// The fault-pipeline panel: how many trials failed, were retried, or got
 /// quarantined. Counters come from the trace, summed across process
 /// segments, so a resumed run shows whole-run totals.
-fn health_section(body: &mut String, run: &LoadedRun, trace: &TraceData) {
-    let summary = telemetry::TraceSummary::from_records(&trace.records);
+fn health_section(body: &mut String, run: &LoadedRun, summary: &TraceSummary) {
     let c = |name: &str| summary.counters.get(name).copied().unwrap_or(0);
     let _ = write!(body, "<section><h2>Measurement health</h2><div class=\"meta\">");
     let mut kv = |k: &str, v: String| {
@@ -433,8 +426,7 @@ fn health_section(body: &mut String, run: &LoadedRun, trace: &TraceData) {
 /// Pool health of the parallel measurement executor: worker utilization,
 /// batch latency, queue depth, and per-device occupancy. Omitted entirely
 /// for runs that never went through the executor (no `exec.*` counters).
-fn executor_section(body: &mut String, run: &LoadedRun, trace: &TraceData) {
-    let summary = telemetry::TraceSummary::from_records(&trace.records);
+fn executor_section(body: &mut String, run: &LoadedRun, summary: &TraceSummary) {
     let c = |name: &str| summary.counters.get(name).copied().unwrap_or(0);
     if c("exec.jobs.total") == 0 {
         return;
@@ -527,8 +519,8 @@ fn executor_section(body: &mut String, run: &LoadedRun, trace: &TraceData) {
     let _ = write!(body, "</section>");
 }
 
-fn flame_section(body: &mut String, trace: &TraceData) {
-    let tree = trace.flame_tree();
+fn flame_section(body: &mut String, trace: &TraceSummary) {
+    let tree = &trace.flame;
     if tree.children.is_empty() {
         return;
     }
@@ -538,10 +530,10 @@ fn flame_section(body: &mut String, trace: &TraceData) {
          <div class=\"muted\">aggregated span tree; hover a block for its \
          name and self time, or read the table below</div>"
     );
-    body.push_str(&flamegraph_svg(&tree));
+    body.push_str(&flamegraph_svg(tree));
     // The accessible twin of the flamegraph: the same numbers as a table.
     let mut rows: Vec<(String, &FlameNode)> = Vec::new();
-    flatten(&tree, "", &mut rows);
+    flatten(tree, "", &mut rows);
     rows.sort_by_key(|(_, n)| std::cmp::Reverse(n.self_us()));
     let _ = write!(
         body,
@@ -566,13 +558,13 @@ fn flame_section(body: &mut String, trace: &TraceData) {
     let _ = write!(body, "</tbody></table></section>");
 }
 
-fn adaptation_sections(body: &mut String, trace: &TraceData) {
-    let radius = trace.radius_series();
+fn adaptation_sections(body: &mut String, trace: &TraceSummary) {
+    let radius = &trace.radius;
     if !radius.is_empty() {
         #[allow(clippy::cast_precision_loss)]
         let pts: Vec<(f64, f64)> = radius.iter().map(|r| (r.step as f64, r.radius)).collect();
         let widened: Vec<(f64, f64)> =
-            pts.iter().zip(&radius).filter(|(_, r)| r.widened).map(|(p, _)| *p).collect();
+            pts.iter().zip(radius).filter(|(_, r)| r.widened).map(|(p, _)| *p).collect();
         let _ = write!(
             body,
             "<section><h2>BAO scope radius over time</h2>\
@@ -587,7 +579,7 @@ fn adaptation_sections(body: &mut String, trace: &TraceData) {
         ));
         let _ = write!(body, "</div></section>");
     }
-    let sa = trace.sa_series();
+    let sa = &trace.sa;
     if !sa.is_empty() {
         #[allow(clippy::cast_precision_loss)]
         let pts: Vec<(f64, f64)> =
@@ -820,18 +812,6 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-fn fmt_us(us: u64) -> String {
-    #[allow(clippy::cast_precision_loss)]
-    let f = us as f64;
-    if us < 1_000 {
-        format!("{us}µs")
-    } else if us < 1_000_000 {
-        format!("{:.2}ms", f / 1e3)
-    } else {
-        format!("{:.2}s", f / 1e6)
-    }
-}
-
 fn esc(s: &str) -> String {
     s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;")
 }
@@ -881,38 +861,34 @@ mod tests {
         }
     }
 
-    fn trace_with_spans() -> TraceData {
-        TraceData {
-            records: vec![
-                Record::SpanStart { id: 1, parent: None, name: "tune_task".into(), t_us: 0 },
-                Record::SpanStart { id: 2, parent: Some(1), name: "measure".into(), t_us: 5 },
-                Record::SpanEnd { id: 2, name: "measure".into(), t_us: 80, dur_us: 75 },
-                Record::Event {
-                    name: "bao.radius".into(),
-                    span: Some(1),
-                    t_us: 90,
-                    fields: serde_json::json!({
-                        "step": 1u64, "r_t": 0.5, "radius": 2.0,
-                        "widened": true, "stall_widenings": 1u64,
-                    }),
-                },
-                Record::Event {
-                    name: "sa.done".into(),
-                    span: Some(1),
-                    t_us: 95,
-                    fields: serde_json::json!({"accepted": 3u64, "rejected": 1u64}),
-                },
-                Record::SpanEnd { id: 1, name: "tune_task".into(), t_us: 100, dur_us: 100 },
-            ],
-            malformed_lines: 0,
-            schema_version: Some(1),
-        }
+    fn trace_with_spans() -> Vec<Record> {
+        vec![
+            Record::SpanStart { id: 1, parent: None, name: "tune_task".into(), t_us: 0 },
+            Record::SpanStart { id: 2, parent: Some(1), name: "measure".into(), t_us: 5 },
+            Record::SpanEnd { id: 2, name: "measure".into(), t_us: 80, dur_us: 75 },
+            Record::Event {
+                name: "bao.radius".into(),
+                span: Some(1),
+                t_us: 90,
+                fields: serde_json::json!({
+                    "step": 1u64, "r_t": 0.5, "radius": 2.0,
+                    "widened": true, "stall_widenings": 1u64,
+                }),
+            },
+            Record::Event {
+                name: "sa.done".into(),
+                span: Some(1),
+                t_us: 95,
+                fields: serde_json::json!({"accepted": 3u64, "rejected": 1u64}),
+            },
+            Record::SpanEnd { id: 1, name: "tune_task".into(), t_us: 100, dur_us: 100 },
+        ]
     }
 
     #[test]
     fn report_is_self_contained_html() {
         let mut run = sample_run("run-a", 100.0);
-        run.trace = Some(trace_with_spans());
+        run.trace = Some(TraceSummary::from_records(&trace_with_spans()));
         let html = render_report(&run, None, None);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("run-a"));
@@ -1014,10 +990,10 @@ mod tests {
         let mut trace = trace_with_spans();
         // Final snapshot of the first process, then a resume boundary, then
         // the second process's snapshot: totals must sum to 5.
-        trace.records.push(Record::Counter { name: "measure.fault".into(), value: 3 });
-        trace.records.push(Record::Schema { version: 2 });
-        trace.records.push(Record::Counter { name: "measure.fault".into(), value: 2 });
-        run.trace = Some(trace);
+        trace.push(Record::Counter { name: "measure.fault".into(), value: 3 });
+        trace.push(Record::Schema { version: 2 });
+        trace.push(Record::Counter { name: "measure.fault".into(), value: 2 });
+        run.trace = Some(TraceSummary::from_records(&trace));
         let html = render_report(&run, None, None);
         assert!(html.contains("Measurement health"));
         assert!(html.contains(">5<"), "3 pre-resume + 2 post-resume faults: {html}");
@@ -1028,7 +1004,7 @@ mod tests {
     fn executor_panel_renders_only_for_executor_runs() {
         // Without exec.* counters the panel is omitted entirely.
         let mut run = sample_run("run-f", 100.0);
-        run.trace = Some(trace_with_spans());
+        run.trace = Some(TraceSummary::from_records(&trace_with_spans()));
         let html = render_report(&run, None, None);
         assert!(!html.contains("Executor utilization"));
 
@@ -1046,13 +1022,13 @@ mod tests {
             ("exec.device.1.acquires", 18),
             ("exec.device.1.busy_us", 300),
         ] {
-            trace.records.push(Record::Counter { name: name.into(), value });
+            trace.push(Record::Counter { name: name.into(), value });
         }
         let mut wall = telemetry::Histogram::new();
         wall.observe(1500.0);
         wall.observe(2500.0);
-        trace.records.push(Record::Histogram { name: "exec.batch.wall_us".into(), hist: wall });
-        run.trace = Some(trace);
+        trace.push(Record::Histogram { name: "exec.batch.wall_us".into(), hist: wall });
+        run.trace = Some(TraceSummary::from_records(&trace));
         run.manifest.workers = Some(8);
         run.manifest.devices = Some(2);
         let html = render_report(&run, None, None);
@@ -1072,9 +1048,9 @@ mod tests {
             ("exec.worker.build.busy_us", 300),
             ("exec.worker.run.busy_us", 900),
         ] {
-            trace.records.push(Record::Counter { name: name.into(), value });
+            trace.push(Record::Counter { name: name.into(), value });
         }
-        run.trace = Some(trace);
+        run.trace = Some(TraceSummary::from_records(&trace));
         run.manifest.workers = Some(1);
         run.manifest.devices = Some(1);
         let html = render_report(&run, None, None);
