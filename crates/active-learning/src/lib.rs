@@ -19,8 +19,8 @@
 //! stopping. [`task_tuning::tune_task`] runs one node; [`model_tuning`]
 //! tunes whole models and reports the end-to-end latency statistics of
 //! Table I. [`session::Session`] is the crash-safe run engine behind both
-//! `aaltune tune` and serve jobs: durable logs, checkpoints, replay
-//! resume, and the tuning-database seed and upsert.
+//! `aaltune tune` and serve jobs: durable logs, a progress journal,
+//! replay resume, and the tuning-database seed and upsert.
 //!
 //! # Example
 //!
@@ -63,8 +63,9 @@ pub use model_tuning::{tune_model, tune_model_parallel, ModelTuneResult};
 pub use names::{device_by_name, method_by_name, model_by_name};
 pub use options::TuneOptions;
 pub use records::{
-    Checkpoint, DbProvenance, LogWriter, RecoveredLog, RunDir, RunManifest, TrialRecord, TuningLog,
-    WarmSeed, CHECKPOINT_SCHEMA_VERSION, MANIFEST_SCHEMA_VERSION,
+    Checkpoint, DbProvenance, LogWriter, ProgressEntry, ProgressJournal, RecoveredLog, RunDir,
+    RunManifest, RunProgress, TrialRecord, TuningLog, WarmSeed, CHECKPOINT_SCHEMA_VERSION,
+    MANIFEST_SCHEMA_VERSION,
 };
 pub use session::{DbPolicy, Session, SessionDb};
 pub use task_tuning::{tune_task, tune_task_with, Method, TaskTuneResult, TuneHooks};

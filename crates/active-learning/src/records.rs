@@ -201,13 +201,11 @@ impl LogWriter {
 /// Version of the `checkpoint.json` format.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 
-/// Crash-recovery state written alongside the trial logs.
-///
-/// The checkpoint is advisory: correctness of `tune --resume` rests on
-/// the trial logs themselves (the loop state — step counters, BAO
-/// radius, RNG cursors — is a deterministic function of the replayed
-/// trials). The checkpoint carries what the logs cannot: which tasks
-/// already finished, and the measurement layer's quarantine set.
+/// The whole-file crash-recovery state older binaries rewrote beside the
+/// trial logs, before the progress journal ([`ProgressEntry`]) replaced
+/// it. Runs no longer write it: [`RunDir::recover_progress`] reads it
+/// only to migrate a checkpoint-era run directory once, and
+/// [`RunDir::write_checkpoint`] is kept only for perfbench's traced pass.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Checkpoint {
     /// Format version ([`CHECKPOINT_SCHEMA_VERSION`] at write time).
@@ -218,11 +216,85 @@ pub struct Checkpoint {
     pub in_flight: Option<String>,
     /// Trials logged so far for the in-flight task.
     pub trials_logged: Option<u64>,
-    /// Crash-quarantined configurations of the tasks not yet complete,
-    /// restored into the robust measurer on resume. A completed task is
-    /// read back and never measured again, so its set is not recorded;
-    /// one recorded anyway (by an older writer) is restored and unused.
+    /// Crash-quarantined configurations (of the unfinished tasks, from a
+    /// recent enough binary).
     pub quarantine: Option<gpu_sim::Quarantine>,
+}
+
+/// One line of a run's progress journal, `progress.jsonl`. It is
+/// advisory: resume rests on the trial logs, whose replay rebuilds the
+/// loop state; the journal adds which tasks finished and the quarantine.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ProgressEntry {
+    /// `{"Quarantine":[task,config_index]}`: a configuration the
+    /// measurement layer quarantined, appended right after the trial line
+    /// that logged it, so it never names a config its log lacks.
+    Quarantine(String, u64),
+    /// `{"Complete":task}`: the task's log, capture part and database
+    /// upsert are durable; appended and synced after all three.
+    Complete(String),
+}
+
+impl ProgressEntry {
+    /// The entry as one JSON line, without its `\n`.
+    fn line(&self) -> std::io::Result<String> {
+        serde_json::to_string(self).map_err(std::io::Error::other)
+    }
+}
+
+/// What a progress journal folds to: the tasks to read back on resume,
+/// and the quarantine to restore into the measurer.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunProgress {
+    /// Completed tasks, in journal order, each once.
+    pub completed_tasks: Vec<String>,
+    /// Quarantined configurations of the tasks not yet complete (a
+    /// completed task is read back, never measured again).
+    pub quarantine: gpu_sim::Quarantine,
+}
+
+impl RunProgress {
+    /// Folds journal entries, in order. Repeated lines are idempotent.
+    #[must_use]
+    pub fn fold(entries: &[ProgressEntry]) -> RunProgress {
+        let mut out = RunProgress::default();
+        for entry in entries {
+            if let ProgressEntry::Complete(task) = entry {
+                if !out.completed_tasks.contains(task) {
+                    out.completed_tasks.push(task.clone());
+                }
+            }
+        }
+        for entry in entries {
+            if let ProgressEntry::Quarantine(task, index) = entry {
+                if !out.completed_tasks.contains(task) {
+                    out.quarantine.insert(task, *index);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The progress journal of a run, open for appends over a
+/// [`durable::Appender`] (one `write` per line).
+#[derive(Debug)]
+pub struct ProgressJournal(durable::Appender);
+
+impl ProgressJournal {
+    /// Appends one entry as a JSON line. A `Complete` line is synced
+    /// (`fdatasync`), and with it every line before it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write and sync failures.
+    pub fn append(&mut self, entry: &ProgressEntry) -> std::io::Result<()> {
+        self.0.append_line(entry.line()?.as_bytes())?;
+        match entry {
+            ProgressEntry::Complete(_) => self.0.sync_data(),
+            ProgressEntry::Quarantine(..) => Ok(()),
+        }
+    }
 }
 
 /// Version of the run-directory layout and manifest format.
@@ -343,7 +415,7 @@ fn task_file(task_name: &str) -> String {
 ///   manifest.json      what produced the run (RunManifest)
 ///   logs/<task>.jsonl  one TuningLog per tuned task
 ///   trace.jsonl        telemetry trace (written by the caller)
-///   checkpoint.json    completed tasks, plus unfinished tasks' quarantine
+///   progress.jsonl     completed tasks, plus unfinished tasks' quarantine
 ///   model_quality.d/   capture parts of completed tasks, until the run ends
 ///   model_quality.jsonl  the run's model capture, once the run ends
 /// ```
@@ -511,15 +583,75 @@ impl RunDir {
         Ok(Some((recovered, LogWriter(file))))
     }
 
-    /// Where the crash-recovery checkpoint lives.
+    /// Where the progress journal lives.
+    #[must_use]
+    pub fn progress_path(&self) -> PathBuf {
+        self.root.join("progress.jsonl")
+    }
+
+    /// Opens the progress journal for appends, cutting a torn tail;
+    /// `fresh` empties it first (a new run over an old directory).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn open_progress(&self, fresh: bool) -> std::io::Result<ProgressJournal> {
+        let mut file = durable::open_append(&self.progress_path())?;
+        if fresh {
+            file.truncate(0)?;
+        }
+        Ok(ProgressJournal(file))
+    }
+
+    /// Reads the committed lines of the progress journal, skipping a torn
+    /// final line (no `\n` yet); `None` when there is no journal.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, or a parse error for a malformed committed line.
+    pub fn read_progress(&self) -> Result<Option<Vec<ProgressEntry>>, ReadLogError> {
+        let body = match std::fs::read(self.progress_path()) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let committed = body.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+        let committed = String::from_utf8_lossy(&body[..committed]);
+        Ok(Some(committed.lines().map(serde_json::from_str).collect::<Result<_, _>>()?))
+    }
+
+    /// The progress a resumed run starts from: the journal, folded. A
+    /// checkpoint-era directory (`checkpoint.json`, no journal) is migrated
+    /// once first: its entries become a synced journal, and the checkpoint
+    /// is removed. `None` when the run left neither.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, or a parse error for a malformed journal or checkpoint.
+    pub fn recover_progress(&self) -> Result<Option<RunProgress>, ReadLogError> {
+        if !self.progress_path().exists() {
+            let Some(ckpt) = self.read_checkpoint()? else { return Ok(None) };
+            let body: String = ckpt
+                .quarantine
+                .unwrap_or_default()
+                .iter()
+                .map(|(task, i)| ProgressEntry::Quarantine(task.to_string(), i))
+                .chain(ckpt.completed_tasks.into_iter().map(ProgressEntry::Complete))
+                .map(|entry| entry.line().map(|line| line + "\n"))
+                .collect::<std::io::Result<_>>()?;
+            durable::replace(&self.progress_path(), |w| w.write_all(body.as_bytes()))?;
+            std::fs::remove_file(self.checkpoint_path())?;
+        }
+        Ok(self.read_progress()?.map(|entries| RunProgress::fold(&entries)))
+    }
+
+    /// Where a checkpoint-era run kept its `checkpoint.json`.
     #[must_use]
     pub fn checkpoint_path(&self) -> PathBuf {
         self.root.join("checkpoint.json")
     }
 
-    /// Writes `checkpoint.json` through [`durable::replace`]: a crash or
-    /// power cut at any step leaves either the previous checkpoint or the
-    /// complete new one, never a torn in-place write.
+    /// Writes `checkpoint.json` through [`durable::replace`].
     ///
     /// # Errors
     ///
@@ -530,7 +662,7 @@ impl RunDir {
         durable::replace(&self.checkpoint_path(), |w| w.write_all(body.as_bytes()))
     }
 
-    /// Reads back `checkpoint.json`; `None` when the run never wrote one.
+    /// Reads back `checkpoint.json`; `None` when there is none.
     ///
     /// # Errors
     ///
@@ -559,7 +691,7 @@ impl RunDir {
     }
 
     /// Persists the warm-start seed for `task_name` through
-    /// [`durable::replace`] (same contract as the checkpoint).
+    /// [`durable::replace`] (the old file or the new, never a torn mix).
     ///
     /// # Errors
     ///
@@ -883,6 +1015,98 @@ mod tests {
         std::fs::write(&path, &body).unwrap();
         std::fs::write(root.join("checkpoint.json.tmp"), b"{\"partial").unwrap();
         assert_eq!(dir.read_checkpoint().unwrap().unwrap(), ckpt);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    fn progress_dir(tag: &str) -> (PathBuf, RunDir) {
+        let root =
+            std::env::temp_dir().join(format!("aaltune-progress-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = RunDir::create(&root).unwrap();
+        (root, dir)
+    }
+
+    fn quarantine_of(pairs: &[(&str, u64)]) -> gpu_sim::Quarantine {
+        let mut q = gpu_sim::Quarantine::new();
+        for &(task, i) in pairs {
+            q.insert(task, i);
+        }
+        q
+    }
+
+    #[test]
+    fn progress_journal_drops_a_torn_tail() {
+        let (root, dir) = progress_dir("torn");
+        assert!(dir.recover_progress().unwrap().is_none(), "no journal, no checkpoint");
+        let mut journal = dir.open_progress(true).unwrap();
+        journal.append(&ProgressEntry::Quarantine("m.T1".into(), 7)).unwrap();
+        journal.append(&ProgressEntry::Complete("m.T0".into())).unwrap();
+        drop(journal);
+        let committed = std::fs::read(dir.progress_path()).unwrap();
+        let torn = br#"{"Complete":"m.T1"}"#;
+        for cut in 1..=torn.len() {
+            std::fs::write(dir.progress_path(), [&committed[..], &torn[..cut]].concat()).unwrap();
+            let p = dir.recover_progress().unwrap().unwrap();
+            assert_eq!(p.completed_tasks, ["m.T0"], "cut at {cut}");
+            assert_eq!(p.quarantine, quarantine_of(&[("m.T1", 7)]), "cut at {cut}");
+            // Reopening cuts the torn line, so the next append is whole.
+            dir.open_progress(false)
+                .unwrap()
+                .append(&ProgressEntry::Complete("m.T1".into()))
+                .unwrap();
+            let p = dir.recover_progress().unwrap().unwrap();
+            assert_eq!(p.completed_tasks, ["m.T0", "m.T1"], "cut at {cut}");
+        }
+        std::fs::write(dir.progress_path(), [&committed[..], b"not json\n"].concat()).unwrap();
+        assert!(matches!(dir.recover_progress(), Err(ReadLogError::Parse(_))));
+        dir.open_progress(true).unwrap();
+        assert_eq!(dir.recover_progress().unwrap(), Some(RunProgress::default()), "fresh empties");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn progress_fold_forgets_completed_quarantine_and_repeats() {
+        use ProgressEntry::{Complete, Quarantine};
+        let p = RunProgress::fold(&[
+            Quarantine("a".into(), 3),
+            Quarantine("b".into(), 5),
+            Quarantine("a".into(), 4),
+            Complete("a".into()),
+            Quarantine("b".into(), 5),
+            Complete("c".into()),
+            Complete("a".into()),
+        ]);
+        assert_eq!(p.completed_tasks, ["a", "c"], "a repeated complete line is idempotent");
+        assert_eq!(p.quarantine, quarantine_of(&[("b", 5)]), "completed a's set is not restored");
+    }
+
+    #[test]
+    fn checkpoint_era_run_dir_is_migrated_once() {
+        let (root, dir) = progress_dir("migrate");
+        let ckpt = Checkpoint {
+            schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
+            completed_tasks: vec!["m.T0".into()],
+            in_flight: Some("m.T1".into()),
+            trials_logged: Some(17),
+            quarantine: Some(quarantine_of(&[("m.T0", 3), ("m.T1", 42), ("m.T1", 9)])),
+        };
+        dir.write_checkpoint(&ckpt).unwrap();
+        let want = RunProgress {
+            completed_tasks: vec!["m.T0".into()],
+            quarantine: quarantine_of(&[("m.T1", 9), ("m.T1", 42)]),
+        };
+        assert_eq!(dir.recover_progress().unwrap().as_ref(), Some(&want));
+        assert!(!dir.checkpoint_path().exists(), "the checkpoint is migrated away");
+        let journal = std::fs::read_to_string(dir.progress_path()).unwrap();
+        assert_eq!(
+            journal,
+            "{\"Quarantine\":[\"m.T0\",3]}\n{\"Quarantine\":[\"m.T1\",9]}\n\
+             {\"Quarantine\":[\"m.T1\",42]}\n{\"Complete\":\"m.T0\"}\n"
+        );
+        // A checkpoint beside a journal is never read again.
+        dir.write_checkpoint(&Checkpoint::default()).unwrap();
+        assert_eq!(dir.recover_progress().unwrap(), Some(want));
+        assert_eq!(std::fs::read_to_string(dir.progress_path()).unwrap(), journal);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

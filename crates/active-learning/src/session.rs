@@ -4,22 +4,22 @@
 //! A [`Session`] tunes a list of tasks, optionally into a [`RunDir`], and
 //! owns each durability guarantee in one place:
 //!
-//! * **resume** — a task the checkpoint lists as complete is read back;
-//!   an in-flight task's log is recovered (torn tail dropped) and
+//! * **resume** — a task the progress journal lists as complete is read
+//!   back; an in-flight task's log is recovered (torn tail dropped) and
 //!   replayed, so the finished log is byte-identical to an uninterrupted
 //!   run's;
-//! * **checkpoints** — at task start, every 16 durable trials, and at
-//!   task completion, written in that order by one writer thread; a
-//!   task waits for its start and completion checkpoints to be durable,
-//!   never for the ones in between. A checkpoint holds the quarantine of
-//!   unfinished tasks only, each in-flight task's set restricted to its
-//!   durably logged configs, so it stays small however long the run;
+//! * **progress journal** — `progress.jsonl` grows by one line per change
+//!   of state, never per trial: a `Quarantine` line right after the trial
+//!   line that logged a quarantined config (so it never names a config
+//!   the log lacks), and one synced `Complete` line per finished task.
+//!   Resume folds it into the completed tasks and the unfinished tasks'
+//!   quarantine;
 //! * **database** — the warm seed pinned before the first trial and
 //!   replayed on resume, the [`DbPolicy::Serve`] verifying measurement,
-//!   and the top-k upsert, which lands before the completion checkpoint;
+//!   and the top-k upsert, which lands before the `Complete` line;
 //! * **model capture** — each completed task's records written once, as
-//!   a part under `model_quality.d/`, before its completion checkpoint;
-//!   the run's end folds the parts into `model_quality.jsonl`.
+//!   a part under `model_quality.d/`, before its `Complete` line; the
+//!   run's end folds the parts into `model_quality.jsonl`.
 //!
 //! Callers pass what differs as values and hooks; run-level
 //! I/O (manifest, registries, snapshots, result files) stays with them.
@@ -29,7 +29,7 @@ use crate::model_quality::{
 };
 use crate::options::TuneOptions;
 use crate::records::{
-    Checkpoint, LogWriter, RunDir, TrialRecord, TuningLog, WarmSeed, CHECKPOINT_SCHEMA_VERSION,
+    LogWriter, ProgressEntry, ProgressJournal, RunDir, TrialRecord, TuningLog, WarmSeed,
 };
 use crate::task_tuning::{tune_task_with, Method, TuneHooks};
 use dnn_graph::task::TuningTask;
@@ -39,20 +39,13 @@ use schedule::Config;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use telemetry::sync::lock_or_recover;
 use telemetry::{durable, Telemetry};
 use tuning_db::{
     decimate_curve, DbRecord, TaskSpec, TopConfig, TuningDb, DB_SCHEMA_VERSION,
     DB_WARM_START_COUNTER, TOP_K,
 };
-
-/// Durable trials between two in-flight checkpoints of a task.
-const CHECKPOINT_EVERY: u64 = 16;
-
-/// Checkpoints the writer may fall behind by before a task waits for it.
-const CHECKPOINT_BACKLOG: usize = 4;
 
 /// How a session consumes an exact tuning-database hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,51 +101,35 @@ pub struct Session<'a, M> {
     /// Device name that keys database records.
     pub device: &'a str,
     /// Durable run directory; `None` tunes in memory (no logs, no
-    /// checkpoints, no capture file).
+    /// progress journal, no capture file).
     pub dir: Option<&'a RunDir>,
     /// Continue the interrupted run in `dir` instead of starting fresh.
     pub resume: bool,
-    /// Tasks the run's checkpoint lists as complete.
+    /// Tasks the run's progress journal lists as complete.
     pub completed: Vec<String>,
     /// Tasks tuned concurrently.
     pub task_workers: usize,
     /// Tuning database, if the run is attached to one.
     pub db: Option<SessionDb<'a>>,
-    /// The measurer's quarantine, whose unfinished tasks' sets are
-    /// recorded in checkpoints; `None` writes checkpoints without one.
+    /// The measurer's quarantine, whose entries are journaled once their
+    /// trials are logged; `None` journals no quarantine.
     pub quarantine: Option<&'a Mutex<Quarantine>>,
     /// Receives the engine's progress lines and counters.
     pub tel: &'a Telemetry,
-    /// Called once a live trial is durable (and any checkpoint due).
+    /// Called once a live trial (and any `Quarantine` line of it) is
+    /// appended.
     pub on_trial: &'a (dyn Fn(&TuningTask, &TrialRecord) + Sync),
     /// Called when a task's loop stops early. `Ok` keeps the truncated
-    /// log, which is upserted and checkpointed like any other; `Err` fails
+    /// log, which is upserted and completed like any other; `Err` fails
     /// the task before the database sees it.
     pub on_abort: &'a (dyn Fn(&TuningTask, &str) -> Result<(), String> + Sync),
 }
 
-/// Crash-safety bookkeeping shared by concurrently tuning tasks.
-struct Progress {
-    /// Tasks whose logs are complete and durable.
-    completed: Vec<String>,
-    /// Per in-flight task: config indices already appended to its log.
-    appended: BTreeMap<String, BTreeSet<u64>>,
-}
-
-/// A checkpoint handed to the writer thread; `written` hears the outcome
-/// when the caller waits for it.
-struct CheckpointWrite {
-    checkpoint: Checkpoint,
-    written: Option<SyncSender<std::io::Result<()>>>,
-}
-
 /// State of one [`Session::run`].
 struct RunState {
-    progress: Mutex<Progress>,
-    /// The checkpoint writer's queue (`None` without a run directory).
-    /// Locked before the progress lock is released, so checkpoints reach
-    /// the writer in the order their contents were taken.
-    checkpoints: Mutex<Option<SyncSender<CheckpointWrite>>>,
+    /// The progress journal, shared by concurrently tuning tasks (`None`
+    /// without a run directory).
+    journal: Option<Mutex<ProgressJournal>>,
     /// Task names in run order (the capture file's record order).
     order: Vec<String>,
     /// On resume, the capture lines per task of the capture the
@@ -225,53 +202,33 @@ impl<M: Measurer + Sync> Session<'_, M> {
                 }
             }
         }
-        std::thread::scope(|scope| {
-            // One writer thread owns `checkpoint.json`: it writes every
-            // checkpoint in order, and the run joins it before returning.
-            let checkpoints = self.dir.map(|dir| {
-                let (queue, pending) = sync_channel::<CheckpointWrite>(CHECKPOINT_BACKLOG);
-                scope.spawn(move || {
-                    for w in pending {
-                        let r = {
-                            let _span = self.tel.span("session.checkpoint");
-                            dir.write_checkpoint(&w.checkpoint)
-                        };
-                        if let Some(written) = w.written {
-                            let _ = written.send(r);
-                        }
-                    }
-                });
-                queue
+        let journal = self
+            .dir
+            .map(|dir| dir.open_progress(!self.resume).map(Mutex::new))
+            .transpose()
+            .map_err(|e| format!("cannot open the progress journal: {e}"))?;
+        let st = RunState {
+            journal,
+            order: tasks.iter().map(|t| t.name.clone()).collect(),
+            resumed_capture,
+        };
+        let failed = AtomicBool::new(false);
+        let outcomes =
+            executor::run_ordered(tasks.iter().collect(), self.task_workers, |_, task| {
+                if failed.load(Ordering::Acquire) {
+                    return None;
+                }
+                let r = self.run_task(task, &st);
+                if r.is_err() {
+                    failed.store(true, Ordering::Release);
+                }
+                Some(r)
             });
-            let st = RunState {
-                progress: Mutex::new(Progress {
-                    completed: self.completed.clone(),
-                    appended: BTreeMap::new(),
-                }),
-                checkpoints: Mutex::new(checkpoints),
-                order: tasks.iter().map(|t| t.name.clone()).collect(),
-                resumed_capture,
-            };
-            let failed = AtomicBool::new(false);
-            let outcomes =
-                executor::run_ordered(tasks.iter().collect(), self.task_workers, |_, task| {
-                    if failed.load(Ordering::Acquire) {
-                        return None;
-                    }
-                    let r = self.run_task(task, &st);
-                    if r.is_err() {
-                        failed.store(true, Ordering::Release);
-                    }
-                    Some(r)
-                });
-            // Closing the queue lets the writer drain it and exit.
-            drop(lock_or_recover(&st.checkpoints).take());
-            let logs = outcomes.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
-            if let Some(dir) = self.capture_dir() {
-                st.write_capture(dir, self.tel)?;
-            }
-            Ok(logs)
-        })
+        let logs = outcomes.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
+        if let Some(dir) = self.capture_dir() {
+            st.write_capture(dir, self.tel)?;
+        }
+        Ok(logs)
     }
 
     /// The run directory, when model capture is on.
@@ -281,7 +238,7 @@ impl<M: Measurer + Sync> Session<'_, M> {
 
     fn run_task(&self, task: &TuningTask, st: &RunState) -> Result<TuningLog, String> {
         if let Some(dir) = self.dir {
-            if lock_or_recover(&st.progress).completed.contains(&task.name) {
+            if self.completed.contains(&task.name) {
                 return self.read_back(dir, task);
             }
         }
@@ -295,8 +252,8 @@ impl<M: Measurer + Sync> Session<'_, M> {
     }
 
     /// A task that finished before the kill: its durable log is read back.
-    /// Its database upsert was durable before the completion checkpoint,
-    /// so the store is not consulted again.
+    /// Its database upsert was durable before its `Complete` line, so the
+    /// store is not consulted again.
     fn read_back(&self, dir: &RunDir, task: &TuningTask) -> Result<TuningLog, String> {
         let f = std::fs::File::open(dir.log_path(&task.name))
             .map_err(|e| format!("cannot reopen log of {}: {e}", task.name))?;
@@ -403,26 +360,16 @@ impl<M: Measurer + Sync> Session<'_, M> {
         let (replay, mut log_writer) = match self.dir {
             Some(dir) => {
                 let (replay, writer) = self.open_log(dir, task)?;
-                let mut p = lock_or_recover(&st.progress);
-                p.appended
-                    .insert(task.name.clone(), replay.iter().map(|r| r.config_index).collect());
-                self.checkpoint(st, p, Some(&task.name), Some(replay.len() as u64), true)?;
                 (replay, Some(writer))
             }
             None => (Vec::new(), None),
         };
-        let mut trials_logged = replay.len() as u64;
         let mut write_err: Option<String> = None;
         let mut on_trial = |rec: &TrialRecord| {
             if let Some(writer) = log_writer.as_mut() {
-                if let Err(e) = writer.append(rec) {
+                let r = writer.append(rec).and_then(|()| self.journal_quarantine(st, task, rec));
+                if let Err(e) = r {
                     write_err.get_or_insert(e.to_string());
-                }
-                trials_logged += 1;
-                let mut p = lock_or_recover(&st.progress);
-                p.appended.entry(task.name.clone()).or_default().insert(rec.config_index);
-                if trials_logged.is_multiple_of(CHECKPOINT_EVERY) {
-                    let _ = self.checkpoint(st, p, Some(&task.name), Some(trials_logged), false);
                 }
             }
             (self.on_trial)(task, rec);
@@ -443,9 +390,9 @@ impl<M: Measurer + Sync> Session<'_, M> {
                 warm_start: warm.as_deref(),
             },
         );
-        // The log must be on disk before the completion checkpoint
-        // declares the task done, or a power cut could leave a complete
-        // task whose trials are lost.
+        // The log must be on disk before the `Complete` line declares the
+        // task done, or a power cut could leave a complete task whose
+        // trials are lost.
         let synced = log_writer.as_mut().map_or(Ok(()), LogWriter::sync);
         if let Some(e) = write_err.or_else(|| synced.err().map(|e| e.to_string())) {
             return Err(format!("trial log of {} failed to write: {e}", task.name));
@@ -453,9 +400,9 @@ impl<M: Measurer + Sync> Session<'_, M> {
         if let Some(diag) = &r.aborted {
             (self.on_abort)(task, diag)?;
         }
-        // The part is durable before the completion checkpoint: a task
-        // the checkpoint lists as complete is never re-tuned, so its
-        // records could not be recomputed.
+        // The part is durable before the `Complete` line: a task the
+        // journal lists as complete is never re-tuned, so its records
+        // could not be recomputed.
         if let Some(dir) = self.capture_dir() {
             self.write_part(dir, task, &lines)?;
         }
@@ -512,76 +459,36 @@ impl<M: Measurer + Sync> Session<'_, M> {
             .map_err(|e| format!("cannot create log of {}: {e}", task.name))
     }
 
-    /// Upserts a finished task, then writes its completion checkpoint. The
-    /// order matters: a kill between the two re-runs the task on resume
-    /// (an idempotent merge) instead of silently losing the upsert.
-    fn complete(&self, task: &TuningTask, log: &TuningLog, st: &RunState) -> Result<(), String> {
-        self.upsert(task, log)?;
-        if self.dir.is_some() {
-            let mut p = lock_or_recover(&st.progress);
-            p.appended.remove(&task.name);
-            p.completed.push(task.name.clone());
-            self.checkpoint(st, p, None, None, true)?;
-        }
-        Ok(())
-    }
-
-    /// Checkpoints the progress the caller has locked. The quarantine is
-    /// copied for the tasks not yet complete: a completed task is read
-    /// back on resume and never measured again, so its set is dead
-    /// weight. Each in-flight task's set is restricted to its durably
-    /// logged configs: a batch can quarantine a config before that
-    /// trial's record is durable, and a resume that excluded such a
-    /// config would diverge from the uninterrupted run.
-    ///
-    /// The contents are taken under the progress lock; the writer thread
-    /// serializes, fsyncs and renames. With `wait` the call returns once
-    /// this checkpoint is durable. Without it the call returns at once,
-    /// so tuning never waits on the disk, and a crash can find the file
-    /// a few checkpoints behind the logs. That is safe: the checkpoint is
-    /// advisory, and an older one is still a consistent one.
-    fn checkpoint(
+    /// Journals the quarantine of the trial just logged. A config enters
+    /// the journal only after its trial line: a batch can quarantine a
+    /// config before that trial is logged, and a resume that excluded
+    /// such a config would diverge from the uninterrupted run.
+    fn journal_quarantine(
         &self,
         st: &RunState,
-        p: MutexGuard<'_, Progress>,
-        in_flight: Option<&str>,
-        trials: Option<u64>,
-        wait: bool,
-    ) -> Result<(), String> {
-        let quarantine = self.quarantine.map(|shared| {
-            let mut q =
-                lock_or_recover(shared).subset(|task| !p.completed.iter().any(|c| c == task));
-            for (task, allowed) in &p.appended {
-                q.restrict(task, allowed);
-            }
-            q
-        });
-        let checkpoint = Checkpoint {
-            schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
-            completed_tasks: p.completed.clone(),
-            in_flight: in_flight.map(str::to_string),
-            trials_logged: trials,
-            quarantine,
-        };
-        let guard = lock_or_recover(&st.checkpoints);
-        drop(p);
-        let Some(queue) = guard.as_ref() else { return Ok(()) };
-        let (written, outcome) = if wait {
-            let (tx, rx) = sync_channel(1);
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
-        let stopped = || "cannot write checkpoint: the writer stopped".to_string();
-        queue.send(CheckpointWrite { checkpoint, written }).map_err(|_| stopped())?;
-        drop(guard);
-        match outcome {
-            Some(rx) => rx
-                .recv()
-                .map_err(|_| stopped())?
-                .map_err(|e| format!("cannot write checkpoint: {e}")),
-            None => Ok(()),
+        task: &TuningTask,
+        rec: &TrialRecord,
+    ) -> std::io::Result<()> {
+        let (Some(q), Some(journal)) = (self.quarantine, &st.journal) else { return Ok(()) };
+        if !lock_or_recover(q).contains(&task.name, rec.config_index) {
+            return Ok(());
         }
+        let entry = ProgressEntry::Quarantine(task.name.clone(), rec.config_index);
+        lock_or_recover(journal).append(&entry)
+    }
+
+    /// Upserts a finished task, then appends and syncs its `Complete`
+    /// line. The order matters: a kill between the two re-runs the task on
+    /// resume (an idempotent merge) instead of silently losing the upsert.
+    fn complete(&self, task: &TuningTask, log: &TuningLog, st: &RunState) -> Result<(), String> {
+        self.upsert(task, log)?;
+        if let Some(journal) = &st.journal {
+            let _span = self.tel.span("session.progress");
+            lock_or_recover(journal)
+                .append(&ProgressEntry::Complete(task.name.clone()))
+                .map_err(|e| format!("cannot journal the completion of {}: {e}", task.name))?;
+        }
+        Ok(())
     }
 
     /// Folds a finished task's log into the database: the top-k measured

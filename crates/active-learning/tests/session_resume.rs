@@ -3,26 +3,28 @@
 //! Each case tunes two tasks through [`Session`] twice: once
 //! uninterrupted (the twin), and once with a crash image of the run
 //! directory and the tuning database taken mid-run. The crash image is
-//! restored over the finished run — an earlier checkpoint, logs cut back
-//! to where they stood with the in-flight lines torn mid-line — and the
-//! session resumes it. Every trial log and the model-capture file must
-//! then be byte-identical to the twin's.
+//! restored over the finished run — a shorter progress journal, logs cut
+//! back to where they stood with the in-flight lines torn mid-line — and
+//! the session resumes it. Every trial log and the model-capture file
+//! must then be byte-identical to the twin's.
 //!
 //! The measurer is the production stack with fault injection, so
-//! configs get quarantined mid-run and the checkpoint's per-task
-//! quarantine restriction is exercised. Every checkpoint a session
-//! leaves on disk as it runs is checked to hold quarantine sets of
-//! unfinished tasks only.
+//! configs get quarantined mid-run and reach the journal. After every
+//! live trial the journal on disk is checked: no entry follows its
+//! task's `Complete` line, and every journaled config is already in its
+//! task's log.
 //!
-//! Two more crash images are resumed: one taken between the last task's
+//! More crash images are resumed: one torn between a quarantined
+//! trial's log line and its `Quarantine` line, one between a task's
+//! capture part and its `Complete` line, one between the last task's
 //! capture part and the final capture file, and one in the format of an
-//! older binary, whose checkpoint still holds completed tasks'
+//! older binary, whose `checkpoint.json` still holds completed tasks'
 //! quarantine sets and whose capture is one file rewritten per task.
 
 use active_learning::{
     read_capture, read_model_quality, write_model_quality, Checkpoint, DbPolicy, Method,
-    ModelPredRecord, RunDir, Session, SessionDb, TuneOptions, TuningLog, MODEL_QUALITY_FILE,
-    MODEL_QUALITY_PARTS_DIR,
+    ModelPredRecord, ProgressEntry, RunDir, RunProgress, Session, SessionDb, TuneOptions,
+    TuningLog, CHECKPOINT_SCHEMA_VERSION, MODEL_QUALITY_FILE, MODEL_QUALITY_PARTS_DIR,
 };
 use dnn_graph::models;
 use dnn_graph::task::{extract_tasks, TuningTask};
@@ -31,7 +33,7 @@ use gpu_sim::{
     FaultConfig, FaultInjectingMeasurer, GpuDevice, Quarantine, RetryPolicy, RobustMeasurer,
     SimMeasurer,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -56,13 +58,11 @@ fn tasks() -> Vec<TuningTask> {
     extract_tasks(&models::squeezenet_v1_1(1)).into_iter().take(2).collect()
 }
 
-fn stack(workers: usize, quarantine: Option<Quarantine>) -> Stack {
+fn stack(workers: usize, quarantine: Quarantine) -> Stack {
     let sim = SimMeasurer::new(GpuDevice::gtx_1080_ti());
     let faulty = FaultInjectingMeasurer::new(sim, FaultConfig { rate: 0.2, seed: 7 });
     let robust = RobustMeasurer::new(faulty, RetryPolicy::default());
-    if let Some(q) = quarantine {
-        robust.restore_quarantine(q);
-    }
+    robust.restore_quarantine(quarantine);
     Executor::new(robust, ExecutorConfig::for_workers(workers))
 }
 
@@ -99,10 +99,25 @@ fn restore(root: &Path, image: &Image) {
     }
 }
 
-/// Counts live trials, and takes the crash image of `run` (and `db`) at
-/// the `at`-th one.
+/// Where a crash image is taken, relative to the lines a run appends.
+#[derive(Clone, Copy, PartialEq)]
+enum Kill {
+    /// Right after the `at`-th live trial.
+    AfterTrial,
+    /// At the first live trial from the `at`-th on whose config was
+    /// quarantined, between its log line and its `Quarantine` line
+    /// (which the image holds torn mid-line).
+    BeforeQuarantineLine,
+    /// Between the first task's capture part and its `Complete` line
+    /// (one task at a time).
+    BeforeCompleteLine,
+}
+
+/// Counts live trials, and takes the crash image of `run` (and `db`)
+/// where `kill` says.
 struct CrashAt {
     at: usize,
+    kill: Kill,
     seen: AtomicUsize,
     run: PathBuf,
     db: Option<PathBuf>,
@@ -110,9 +125,10 @@ struct CrashAt {
 }
 
 impl CrashAt {
-    fn new(at: usize, run: &Path, db: Option<PathBuf>) -> CrashAt {
+    fn new(at: usize, kill: Kill, run: &Path, db: Option<PathBuf>) -> CrashAt {
         CrashAt {
             at,
+            kill,
             seen: AtomicUsize::new(0),
             run: run.to_path_buf(),
             db,
@@ -122,49 +138,79 @@ impl CrashAt {
 
     /// Only counts.
     fn never() -> CrashAt {
-        CrashAt::new(0, Path::new(""), None)
+        CrashAt::new(0, Kill::AfterTrial, Path::new(""), None)
     }
-}
 
-impl CrashAt {
-    fn trial(&self) {
-        if self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.at {
+    /// A live trial of `task` measuring `config` was appended; `journal`
+    /// is the progress journal on disk.
+    fn trial(&self, journal: &[ProgressEntry], task: &str, config: u64) {
+        let n = self.seen.fetch_add(1, Ordering::SeqCst) + 1;
+        let due = match self.kill {
+            Kill::AfterTrial => n == self.at,
+            Kill::BeforeQuarantineLine => {
+                n >= self.at
+                    && journal.last() == Some(&ProgressEntry::Quarantine(task.to_string(), config))
+            }
+            Kill::BeforeCompleteLine => {
+                journal.iter().any(|e| matches!(e, ProgressEntry::Complete(_)))
+            }
+        };
+        let mut image_slot = self.image.lock().unwrap();
+        if due && image_slot.is_none() {
             let db = self.db.as_deref().map(image);
-            *self.image.lock().unwrap() = Some((image(&self.run), db));
+            *image_slot = Some((image(&self.run), db));
         }
     }
 }
 
-/// Asserts that the checkpoint on disk holds no quarantine set of a
-/// completed task; returns whether it holds any set at all.
-fn check_checkpoint(dir: &RunDir) -> bool {
-    let Some(ckpt) = dir.read_checkpoint().unwrap() else { return false };
-    let q = ckpt.quarantine.unwrap_or_default();
-    for task in &ckpt.completed_tasks {
-        assert!(q.indices_for(task).is_empty(), "checkpoint keeps the set of completed {task}");
+/// Reads the progress journal on disk and asserts what it promises: no
+/// entry follows its task's `Complete` line, and every journaled config
+/// is already in its task's log.
+fn check_journal(dir: &RunDir) -> Vec<ProgressEntry> {
+    let Some(entries) = dir.read_progress().unwrap() else { return Vec::new() };
+    let mut completed = BTreeSet::new();
+    for entry in &entries {
+        match entry {
+            ProgressEntry::Complete(task) => {
+                assert!(completed.insert(task), "{task} is journaled complete twice");
+            }
+            ProgressEntry::Quarantine(task, i) => {
+                assert!(!completed.contains(task), "config {i} of completed {task} is journaled");
+                let log = std::fs::read(dir.log_path(task)).unwrap();
+                let log = TuningLog::recover_jsonl(&log).unwrap().log;
+                assert!(
+                    log.records.iter().any(|r| r.config_index == *i),
+                    "journaled config {i} of {task} is not in its log"
+                );
+            }
+        }
     }
-    !q.is_empty()
+    entries
 }
 
 /// What a session run returns: its logs, the measurer's final
-/// quarantine, and how many of the checkpoints seen after a trial held a
-/// quarantine set.
+/// quarantine, and how many of the journals seen after a trial held a
+/// `Quarantine` line.
 type Outcome = (Vec<TuningLog>, Quarantine, usize);
 
-/// Tunes `tasks()` into `run`, resuming from `resume` when given. After
-/// every live trial, the checkpoint on disk is checked.
+/// Tunes `tasks()` into `run`, resuming from its progress journal when
+/// `resume`. After every live trial, the journal on disk is checked.
 fn session(
     run: &Path,
     db: Option<&Path>,
     consult: Option<DbPolicy>,
     workers: usize,
     seed: u64,
-    resume: Option<Checkpoint>,
+    resume: bool,
     hooks: &CrashAt,
 ) -> Outcome {
     let dir = RunDir::create(run).unwrap();
-    let ckpt = resume.clone().unwrap_or_default();
-    let m = stack(workers, ckpt.quarantine);
+    let progress = if resume {
+        dir.recover_progress().unwrap().expect("progress journal")
+    } else {
+        RunProgress::default()
+    };
+    let m = stack(workers, progress.quarantine);
     let store = db.map(|p| Mutex::new(TuningDb::open(p, &LockOptions::default()).unwrap()));
     let quarantine = m.inner().shared_quarantine();
     let with_sets = AtomicUsize::new(0);
@@ -174,23 +220,24 @@ fn session(
         opts: opts(seed),
         device: "gtx1080ti",
         dir: Some(&dir),
-        resume: resume.is_some(),
-        completed: ckpt.completed_tasks,
+        resume,
+        completed: progress.completed_tasks,
         task_workers: workers,
         db: store.as_ref().map(|store| SessionDb { store, consult }),
         quarantine: Some(&*quarantine),
         tel: &telemetry::Telemetry::disabled(),
-        on_trial: &|_, _| {
-            if check_checkpoint(&dir) {
+        on_trial: &|task, rec| {
+            let journal = check_journal(&dir);
+            if journal.iter().any(|e| matches!(e, ProgressEntry::Quarantine(..))) {
                 with_sets.fetch_add(1, Ordering::Relaxed);
             }
-            hooks.trial();
+            hooks.trial(&journal, &task.name, rec.config_index);
         },
         on_abort: &|_, _| Ok(()),
     }
     .run(&tasks())
     .expect("session runs");
-    check_checkpoint(&dir);
+    check_journal(&dir);
     (logs, m.inner().quarantine_snapshot(), with_sets.into_inner())
 }
 
@@ -212,17 +259,18 @@ fn parts_in_task_order(dir: &RunDir) -> Vec<ModelPredRecord> {
 enum Format {
     /// As this binary leaves it.
     Current,
-    /// As an older binary left it: the checkpoint holds every task's
-    /// quarantine set, and the capture is one file holding the completed
-    /// tasks, with no parts.
+    /// As an older binary left it: `checkpoint.json` and no journal;
+    /// the checkpoint holds every task's quarantine set, and the capture
+    /// is one file holding the completed tasks, with no parts.
     Older,
 }
 
-fn resume_matches_twin(with_db: bool, workers: usize, at: usize, format: Format) {
+fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, format: Format) {
     let base = std::env::temp_dir().join(format!(
-        "aaltune-session-{}-db{}-w{workers}-{}",
+        "aaltune-session-{}-db{}-w{workers}-{}-{}",
         std::process::id(),
         u8::from(with_db),
+        kill as u8,
         u8::from(format == Format::Older)
     ));
     let _ = std::fs::remove_dir_all(&base);
@@ -232,7 +280,7 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, format: Format)
     // the cut run each start from their own copy of it.
     let (twin_db, cut_db) = (base.join("twin-db"), base.join("cut-db"));
     if with_db {
-        session(&base.join("seed-run"), Some(&base.join("db")), None, 1, 11, None, &never);
+        session(&base.join("seed-run"), Some(&base.join("db")), None, 1, 11, false, &never);
         for copy in [&twin_db, &cut_db] {
             restore(copy, &image(&base.join("db")));
         }
@@ -242,19 +290,24 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, format: Format)
 
     let twin = base.join("twin");
     let (twin_logs, twin_quarantine, with_sets) =
-        session(&twin, db_of(&twin_db).as_deref(), consult, workers, 5, None, &never);
+        session(&twin, db_of(&twin_db).as_deref(), consult, workers, 5, false, &never);
     assert!(!twin_quarantine.is_empty(), "fault injection must quarantine configs");
-    assert!(with_sets > 0, "in-flight tasks' sets must reach the checkpoint");
+    assert!(with_sets > 0, "in-flight tasks' sets must reach the journal");
     assert!(!twin.join(MODEL_QUALITY_PARTS_DIR).exists(), "the run's end removes the parts");
-    // The run returns only after its last checkpoint is on disk.
-    let done = RunDir::create(&twin).unwrap().read_checkpoint().unwrap().expect("checkpoint");
-    assert_eq!(done.completed_tasks.len(), tasks().len());
-    assert!(done.in_flight.is_none(), "the last checkpoint is a completion");
+    let twin_dir = RunDir::create(&twin).unwrap();
+    let done = twin_dir.read_progress().unwrap().expect("progress journal");
+    assert_eq!(
+        done.iter().filter(|e| matches!(e, ProgressEntry::Complete(_))).count(),
+        tasks().len(),
+        "one Complete line per task"
+    );
+    assert!(RunProgress::fold(&done).quarantine.is_empty(), "a finished run restores none");
+    assert!(!twin_dir.checkpoint_path().exists(), "no checkpoint is written");
 
     let cut = base.join("cut");
-    let crash = CrashAt::new(at, &cut, db_of(&cut_db));
+    let crash = CrashAt::new(at, kill, &cut, db_of(&cut_db));
     let (cut_logs, _, _) =
-        session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, None, &crash);
+        session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, false, &crash);
     assert_eq!(cut_logs, twin_logs, "the cut run is itself a twin before the crash");
     let (run_image, db_image) = crash.image.into_inner().unwrap().expect("crash image taken");
 
@@ -262,8 +315,33 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, format: Format)
     // count the trials that survive in it (complete lines after the
     // header).
     let finished = image(&cut);
-    let (mut torn, mut durable) = (0, 0);
     let mut crashed = run_image;
+    let journal = PathBuf::from("progress.jsonl");
+    let journal_bytes = crashed.get_mut(&journal).expect("journal in the crash image");
+    match kill {
+        Kill::AfterTrial => {}
+        Kill::BeforeQuarantineLine => {
+            let last_line = journal_bytes[..journal_bytes.len() - 1]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |nl| nl + 1);
+            assert!(journal_bytes[last_line..].starts_with(b"{\"Quarantine\""));
+            journal_bytes.truncate(last_line + (journal_bytes.len() - last_line) / 2);
+        }
+        Kill::BeforeCompleteLine => {
+            // The journal ends before the first `Complete` line, and the
+            // second task has not started.
+            let text = String::from_utf8(journal_bytes.clone()).unwrap();
+            journal_bytes.truncate(text.find("{\"Complete\"").expect("a Complete line"));
+            let first = RunDir::create(&cut).unwrap().log_path(&tasks()[0].name);
+            let first = first.strip_prefix(&cut).unwrap().to_path_buf();
+            crashed.retain(|rel, _| !rel.starts_with("logs") || *rel == first);
+            assert!(crashed.contains_key(
+                &PathBuf::from(MODEL_QUALITY_PARTS_DIR).join(first.file_name().unwrap())
+            ));
+        }
+    }
+    let (mut torn, mut durable) = (0, 0);
     for (rel, bytes) in &mut crashed {
         let Some(full) = finished.get(rel).filter(|_| rel.starts_with("logs")) else { continue };
         if bytes.len() < full.len() {
@@ -273,7 +351,7 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, format: Format)
         }
         durable += bytes.iter().filter(|&&b| b == b'\n').count().saturating_sub(1);
     }
-    assert!(torn > 0, "the crash must land mid-task");
+    assert!(torn > 0 || kill == Kill::BeforeCompleteLine, "the crash must land mid-task");
     restore(&cut, &crashed);
     if let Some(db) = &db_image {
         restore(&cut_db, db);
@@ -281,26 +359,36 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, format: Format)
 
     let cut_dir = RunDir::create(&cut).unwrap();
     if format == Format::Older {
-        // Put the completed tasks' sets back, as the final quarantine
-        // holds them, and fold the parts into one capture file.
-        let mut ckpt = cut_dir.read_checkpoint().unwrap().expect("checkpoint");
-        let q = ckpt.quarantine.get_or_insert_with(Quarantine::new);
+        // Turn the journal into a checkpoint, with the completed tasks'
+        // sets put back as the final quarantine holds them, and fold the
+        // parts into one capture file.
+        let progress = RunProgress::fold(&cut_dir.read_progress().unwrap().unwrap());
+        let mut q = progress.quarantine;
         let before = q.len();
-        for task in &ckpt.completed_tasks {
+        for task in &progress.completed_tasks {
             for i in twin_quarantine.indices_for(task) {
                 q.insert(task, i);
             }
         }
         assert!(q.len() > before, "a completed task's set must be put back");
-        cut_dir.write_checkpoint(&ckpt).unwrap();
+        cut_dir
+            .write_checkpoint(&Checkpoint {
+                schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
+                completed_tasks: progress.completed_tasks,
+                quarantine: Some(q),
+                ..Checkpoint::default()
+            })
+            .unwrap();
+        std::fs::remove_file(cut_dir.progress_path()).unwrap();
         write_model_quality(&cut_dir.model_quality_path(), &parts_in_task_order(&cut_dir)).unwrap();
         std::fs::remove_dir_all(cut_dir.model_quality_parts_dir()).unwrap();
     }
-    let ckpt = cut_dir.read_checkpoint().unwrap().expect("checkpoint");
-    assert!(ckpt.in_flight.is_some(), "the restored checkpoint is mid-task");
+    let progress = cut_dir.recover_progress().unwrap().expect("progress journal");
+    assert!(progress.completed_tasks.len() < tasks().len(), "the crash image is mid-run");
+    assert!(!cut_dir.checkpoint_path().exists(), "a checkpoint is migrated once");
     let resumed_hooks = CrashAt::never();
     let (resumed, _, _) =
-        session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, Some(ckpt), &resumed_hooks);
+        session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, true, &resumed_hooks);
     assert_eq!(resumed, twin_logs);
     // Resume continues where the logs end: only the lost trials are
     // measured again.
@@ -318,27 +406,37 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, format: Format)
 
 #[test]
 fn resume_is_byte_identical_without_db_one_task_in_flight() {
-    resume_matches_twin(false, 1, 60, Format::Current);
+    resume_matches_twin(false, 1, 60, Kill::AfterTrial, Format::Current);
 }
 
 #[test]
 fn resume_is_byte_identical_without_db_two_tasks_in_flight() {
-    resume_matches_twin(false, 2, 45, Format::Current);
+    resume_matches_twin(false, 2, 45, Kill::AfterTrial, Format::Current);
 }
 
 #[test]
 fn resume_is_byte_identical_with_warm_db_one_task_in_flight() {
-    resume_matches_twin(true, 1, 60, Format::Current);
+    resume_matches_twin(true, 1, 60, Kill::AfterTrial, Format::Current);
 }
 
 #[test]
 fn resume_is_byte_identical_with_warm_db_two_tasks_in_flight() {
-    resume_matches_twin(true, 2, 45, Format::Current);
+    resume_matches_twin(true, 2, 45, Kill::AfterTrial, Format::Current);
 }
 
 #[test]
 fn resume_of_an_older_binarys_crash_image_is_byte_identical() {
-    resume_matches_twin(false, 1, 60, Format::Older);
+    resume_matches_twin(false, 1, 60, Kill::AfterTrial, Format::Older);
+}
+
+#[test]
+fn resume_after_a_torn_quarantine_line_is_byte_identical() {
+    resume_matches_twin(false, 1, 10, Kill::BeforeQuarantineLine, Format::Current);
+}
+
+#[test]
+fn resume_between_a_capture_part_and_its_complete_line_is_byte_identical() {
+    resume_matches_twin(false, 1, 0, Kill::BeforeCompleteLine, Format::Current);
 }
 
 /// A kill after every task's part is durable but before the final
@@ -350,7 +448,7 @@ fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&base);
     let never = CrashAt::never();
     let twin = base.join("twin");
-    let (twin_logs, _, _) = session(&twin, None, None, 1, 5, None, &never);
+    let (twin_logs, _, _) = session(&twin, None, None, 1, 5, false, &never);
     let twin_files = image(&twin);
     let capture = PathBuf::from(MODEL_QUALITY_FILE);
     let twin_records = read_model_quality(&twin.join(MODEL_QUALITY_FILE)).unwrap();
@@ -373,9 +471,9 @@ fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
     }
     assert_eq!(read_capture(&cut_dir).unwrap(), Some(twin_records), "parts read as the file");
 
-    let ckpt = cut_dir.read_checkpoint().unwrap().expect("checkpoint");
-    assert_eq!(ckpt.completed_tasks.len(), tasks().len());
-    let (resumed, _, _) = session(&cut, None, None, 1, 5, Some(ckpt), &never);
+    let progress = cut_dir.recover_progress().unwrap().expect("progress journal");
+    assert_eq!(progress.completed_tasks.len(), tasks().len());
+    let (resumed, _, _) = session(&cut, None, None, 1, 5, true, &never);
     assert_eq!(resumed, twin_logs);
     let cut_files = image(&cut);
     assert!(twin_files[&capture] == cut_files[&capture], "model capture differs after resume");

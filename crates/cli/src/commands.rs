@@ -2,8 +2,8 @@
 
 use crate::opts::Cli;
 use active_learning::{
-    device_by_name, method_by_name, model_by_name, read_capture, tune_model_parallel, Checkpoint,
-    DbPolicy, DbProvenance, Method, RunDir, RunManifest, Session, SessionDb, TuneOptions,
+    device_by_name, method_by_name, model_by_name, read_capture, tune_model_parallel, DbPolicy,
+    DbProvenance, Method, RunDir, RunManifest, RunProgress, Session, SessionDb, TuneOptions,
     MANIFEST_SCHEMA_VERSION, MODEL_QUALITY_FILE,
 };
 use dnn_graph::task::extract_tasks;
@@ -105,7 +105,7 @@ serving: `serve` runs a long-lived tuning server: POST /jobs queues tuning
          jobs per tenant (fair-share scheduling, per-tenant --backlog and
          --tenant-devices quotas), GET /best answers from the tuning
          database without touching the tuning loop, and GET /jobs/ID/events
-         streams progress. Jobs are journaled and checkpointed: kill the
+         streams progress. Jobs and their progress are journaled: kill the
          server and restart it on the same --root, and the queue resumes
          with byte-identical trial logs. `top ROOT` watches a live server;
          `client` is the matching command-line client (--root reads the
@@ -254,8 +254,8 @@ struct TunePlan {
     /// Where the run registry lives (the parent of the run directory).
     registry_base: Option<PathBuf>,
     resume: bool,
-    /// Loop state recovered from `checkpoint.json` (default when fresh).
-    checkpoint: Checkpoint,
+    /// Progress recovered from `progress.jsonl` (default when fresh).
+    progress: RunProgress,
     /// Exact task set pinned by the original manifest on resume.
     task_names: Option<Vec<String>>,
     /// Measurement worker threads (free to change on resume: worker count
@@ -312,7 +312,7 @@ impl TunePlan {
             run_dir,
             registry_base: cli.flag_str("out").map(PathBuf::from),
             resume: false,
-            checkpoint: Checkpoint::default(),
+            progress: RunProgress::default(),
             task_names: None,
             workers: 1,
             devices: 1,
@@ -330,9 +330,9 @@ impl TunePlan {
         if let Some(w) = manifest.schema_warning() {
             return Err(format!("cannot resume {}: {w}", path.display()));
         }
-        let checkpoint = dir
-            .read_checkpoint()
-            .map_err(|e| format!("bad checkpoint in {}: {e}", path.display()))?
+        let progress = dir
+            .recover_progress()
+            .map_err(|e| format!("bad progress journal in {}: {e}", path.display()))?
             .unwrap_or_default();
         let db = manifest
             .db
@@ -353,7 +353,7 @@ impl TunePlan {
             registry_base: path.parent().map(Path::to_path_buf),
             run_dir: Some(dir),
             resume: true,
-            checkpoint,
+            progress,
             task_names: Some(manifest.tasks),
             workers: manifest.workers.unwrap_or(1),
             devices: manifest.devices.unwrap_or(1),
@@ -410,7 +410,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
     // The full measurement stack, always assembled the same way: fault
     // injection (transparent at rate 0) under the retry/timeout/quarantine
     // policy, fanned out over the executor's worker pool (a transparent
-    // pass-through at --workers 1). A resumed run restores the checkpointed
+    // pass-through at --workers 1). A resumed run restores the journaled
     // quarantine so known-crashing configs are never re-measured.
     let policy = RetryPolicy {
         max_retries: plan.opts.max_retries_or_default(),
@@ -422,9 +422,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
         FaultInjectingMeasurer::new(SimMeasurer::new(device), plan.fault),
         policy,
     );
-    if let Some(q) = plan.checkpoint.quarantine.clone() {
-        robust.restore_quarantine(q);
-    }
+    robust.restore_quarantine(plan.progress.quarantine.clone());
     // A resumed process appends to the existing trace; its fresh schema
     // header marks the segment boundary for counter summing.
     let trace: Option<PathBuf> = cli
@@ -525,7 +523,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
         device: &plan.device_name,
         dir: plan.run_dir.as_ref(),
         resume: plan.resume,
-        completed: plan.checkpoint.completed_tasks.clone(),
+        completed: plan.progress.completed_tasks.clone(),
         task_workers: plan.workers,
         db: db
             .as_ref()
@@ -1028,7 +1026,8 @@ mod tests {
         assert_eq!(full, std::fs::read(log_of("cut")).unwrap(), "same seed ⇒ same log");
 
         // Simulate a mid-task kill: keep the header plus 12 trials and a
-        // half-written 13th line, and forget the end-of-task checkpoint.
+        // half-written 13th line, and cut the task's `Complete` line from
+        // the progress journal.
         let cut_path = log_of("cut");
         let keep = full
             .split_inclusive(|&b| b == b'\n')
@@ -1040,7 +1039,11 @@ mod tests {
         assert!(keep.len() < full.len(), "the cut must drop real trials");
         std::fs::write(&cut_path, keep).unwrap();
         let cut_run = base.join("cut").join(run);
-        let _ = std::fs::remove_file(cut_run.join("checkpoint.json"));
+        let journal = cut_run.join("progress.jsonl");
+        let lines = std::fs::read_to_string(&journal).unwrap();
+        let last = lines.trim_end().rfind('\n').map_or(0, |nl| nl + 1);
+        assert!(lines[last..].starts_with("{\"Complete\""), "{lines}");
+        std::fs::write(&journal, &lines[..last]).unwrap();
 
         dispatch(&sv(&["tune", "--resume", cut_run.to_str().unwrap(), "--quiet"])).unwrap();
         assert_eq!(

@@ -57,9 +57,10 @@ impl RetryPolicy {
 
 /// Per-task sets of configuration indices known to crash persistently.
 ///
-/// Keys are task names; the snapshot/restore pair round-trips through the
-/// crash-safe checkpoint so a resumed run starts with the same
-/// quarantine it died with.
+/// Keys are task names. A run journals each entry once the trial that
+/// quarantined it is logged, and a resumed run restores the unfinished
+/// tasks' sets, so it starts with the quarantine it died with, less any
+/// config whose trial line never reached the log.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Quarantine {
     sets: BTreeMap<String, BTreeSet<u64>>,
@@ -102,30 +103,9 @@ impl Quarantine {
         self.sets.values().all(BTreeSet::is_empty)
     }
 
-    /// A copy holding only the sets of the tasks `keep` accepts.
-    #[must_use]
-    pub fn subset(&self, keep: impl Fn(&str) -> bool) -> Quarantine {
-        let sets = self
-            .sets
-            .iter()
-            .filter(|(task, _)| keep(task))
-            .map(|(task, set)| (task.clone(), set.clone()))
-            .collect();
-        Quarantine { sets }
-    }
-
-    /// Drops every quarantined index of `task` not in `allowed`.
-    ///
-    /// Used when checkpointing a batched run: a pooled executor can have
-    /// quarantined configurations whose trial records are not yet durable,
-    /// and persisting those entries would make a resumed run exclude
-    /// configurations its replayed proposal stream still expects to see.
-    /// Restricting the in-flight task's set to the durably-logged indices
-    /// keeps checkpoints consistent with the log.
-    pub fn restrict(&mut self, task: &str, allowed: &BTreeSet<u64>) {
-        if let Some(set) = self.sets.get_mut(task) {
-            set.retain(|i| allowed.contains(i));
-        }
+    /// Every quarantined `(task, index)`, sorted by task, then index.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        self.sets.iter().flat_map(|(task, set)| set.iter().map(move |&i| (task.as_str(), i)))
     }
 }
 
@@ -173,7 +153,7 @@ impl<M: Measurer> RobustMeasurer<M> {
         *lock_or_recover(&self.quarantine) = quarantine;
     }
 
-    /// Snapshot of the current quarantine, for checkpointing.
+    /// Snapshot of the current quarantine.
     #[must_use]
     pub fn quarantine_snapshot(&self) -> Quarantine {
         lock_or_recover(&self.quarantine).clone()
@@ -390,32 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn restrict_drops_entries_outside_the_allowed_set() {
-        let mut q = Quarantine::new();
-        q.insert("t1", 3);
-        q.insert("t1", 7);
-        q.insert("t2", 9);
-        let allowed: std::collections::BTreeSet<u64> = [3].into_iter().collect();
-        q.restrict("t1", &allowed);
-        assert_eq!(q.indices_for("t1"), vec![3]);
-        assert_eq!(q.indices_for("t2"), vec![9], "other tasks untouched");
-        q.restrict("t3", &allowed); // absent task is a no-op
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn subset_keeps_only_the_accepted_tasks() {
-        let mut q = Quarantine::new();
-        q.insert("t1", 3);
-        q.insert("t2", 9);
-        q.insert("t2", 4);
-        let only_t2 = q.subset(|task| task == "t2");
-        assert!(only_t2.indices_for("t1").is_empty());
-        assert_eq!(only_t2.indices_for("t2"), vec![4, 9]);
-        assert_eq!(q.len(), 3, "the source is untouched");
-    }
-
-    #[test]
     fn quarantine_snapshot_round_trips() {
         let mut q = Quarantine::new();
         assert!(q.is_empty());
@@ -425,6 +379,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert!(q.contains("t1", 5));
         assert!(!q.contains("t1", 6));
+        assert_eq!(q.iter().collect::<Vec<_>>(), [("t1", 5), ("t2", 9)]);
         let json = serde_json::to_string(&q).unwrap();
         let back: Quarantine = serde_json::from_str(&json).unwrap();
         assert_eq!(back, q);

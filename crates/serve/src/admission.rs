@@ -11,7 +11,7 @@
 //! Draining (graceful shutdown): no new submissions, workers finish
 //! their in-flight job and then exit; queued jobs stay journaled and
 //! are re-enqueued by the next start. A kill -9 skips the protocol
-//! entirely and relies on the same journal + checkpoint replay.
+//! entirely and relies on the same journal + log replay.
 
 use crate::job::{JobSpec, JobState};
 use serde_json::{json, Value};

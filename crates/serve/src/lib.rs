@@ -6,8 +6,8 @@
 //! composition of existing subsystems:
 //!
 //! * jobs run through the same crash-safe run engine as `aaltune tune`
-//!   (`active_learning::Session`: per-task logs, checkpoints, replay
-//!   resume) plus a submission journal, so a killed server resumes its
+//!   (`active_learning::Session`: per-task logs, a progress journal,
+//!   replay resume) plus a submission journal, so a killed server resumes its
 //!   queue on restart with byte-identical trial logs ([`runner`]);
 //! * tenants share one device pool with fair-share scheduling and
 //!   optional hard quotas ([`admission`] + `executor::DevicePool` tag

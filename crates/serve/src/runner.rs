@@ -1,17 +1,17 @@
 //! Executes one tuning job inside its per-job run directory.
 //!
 //! A job is a thin adapter over [`active_learning::Session`], the same
-//! crash-safe engine behind `aaltune tune`: durable per-task logs,
-//! checkpoints, replay resume, and the upsert into the tuning database
-//! before each completion checkpoint. A server killed mid-job therefore
-//! continues exactly where each log ends, and the finished logs are
-//! byte-identical to an uninterrupted run's.
+//! crash-safe engine behind `aaltune tune`: durable per-task logs, the
+//! progress journal, replay resume, and the upsert into the tuning
+//! database before each task's `Complete` line. A server killed mid-job
+//! therefore continues exactly where each log ends, and the finished
+//! logs are byte-identical to an uninterrupted run's.
 //!
 //! What the adapter keeps is what differs from the CLI:
 //!
 //! * the measurer is a plain [`SimMeasurer`] leasing from the server's
-//!   shared [`DevicePool`] under the tenant tag, so checkpoints carry no
-//!   quarantine;
+//!   shared [`DevicePool`] under the tenant tag, so the journal carries
+//!   no quarantine;
 //! * a job tunes one task at a time and **cold**: it upserts but never
 //!   consults the database, so its trial stream is a pure function of
 //!   the spec, independent of what other tenants upserted meanwhile —
@@ -80,11 +80,13 @@ pub fn run_job(
         tasks = vec![tasks.swap_remove(i)];
     }
 
-    // Resume iff a checkpoint exists; its `completed_tasks` list is the
-    // same advisory state `tune --resume` uses (correctness rests on the
-    // logs themselves).
-    let checkpoint = dir.read_checkpoint().map_err(|e| format!("bad checkpoint for {id}: {e}"))?;
-    let resume = checkpoint.is_some();
+    // Resume iff the progress journal exists (a checkpoint-era job is
+    // migrated to one first); its completed tasks are the same advisory
+    // state `tune --resume` uses (correctness rests on the logs
+    // themselves).
+    let progress =
+        dir.recover_progress().map_err(|e| format!("bad progress journal for {id}: {e}"))?;
+    let resume = progress.is_some();
     if !resume {
         dir.write_manifest(&RunManifest {
             model: spec.model.clone(),
@@ -121,7 +123,7 @@ pub fn run_job(
         device: &spec.device,
         dir: Some(&dir),
         resume,
-        completed: checkpoint.map(|c| c.completed_tasks).unwrap_or_default(),
+        completed: progress.map(|p| p.completed_tasks).unwrap_or_default(),
         task_workers: 1,
         db: db.map(|store| SessionDb { store, consult: None }),
         quarantine: None,

@@ -15,9 +15,9 @@
 //! Every layer reports through one [`MetricsRegistry`]; a
 //! [`SnapshotWriter`] publishes it into the serve root so `aaltune top
 //! ROOT` works against a live server. Graceful shutdown (`POST
-//! /shutdown`) drains: in-flight jobs finish through their checkpoint
-//! machinery, queued jobs stay journaled for the next start. A kill -9
-//! skips all of that and relies on journal + checkpoint replay alone.
+//! /shutdown`) drains: in-flight jobs finish and journal their progress,
+//! queued jobs stay journaled for the next start. A kill -9 skips all of
+//! that and relies on journal + log replay alone.
 
 use crate::admission::{Admission, SubmitError};
 use crate::http::{Conn, ReadOutcome, Request, IDLE_POLL};

@@ -181,7 +181,8 @@ fn restart_resumes_queue_with_byte_identical_logs() {
     std::fs::write(crash_root.join("journal.jsonl"), submitted).unwrap();
 
     // ...j1's run dir torn mid-task: log truncated on a line boundary
-    // after 11 lines (header + 10 trials), checkpoint mid-flight...
+    // after 11 lines (header + 10 trials), no task complete in its
+    // progress journal...
     let twin_j1 = twin_root.join("jobs").join(&j1);
     let log_name = std::fs::read_dir(twin_j1.join("logs"))
         .unwrap()
@@ -196,19 +197,7 @@ fn restart_resumes_queue_with_byte_identical_logs() {
     assert!(full_log.len() > torn.len(), "the twin log must extend past the tear");
     std::fs::write(twin_j1.join("logs").join(&log_name), &full_log).unwrap();
     std::fs::write(crash_j1.path().join("logs").join(&log_name), &torn).unwrap();
-    let task_name = {
-        let header: Value = serde_json::from_str(full_log.lines().next().unwrap()).unwrap();
-        header["task_name"].as_str().unwrap().to_string()
-    };
-    crash_j1
-        .write_checkpoint(&active_learning::Checkpoint {
-            schema_version: Some(active_learning::CHECKPOINT_SCHEMA_VERSION),
-            completed_tasks: Vec::new(),
-            in_flight: Some(task_name),
-            trials_logged: Some(10),
-            quarantine: None,
-        })
-        .unwrap();
+    std::fs::write(crash_j1.path().join("progress.jsonl"), "").unwrap();
     // ...and j2 not started at all (journaled, no run dir).
 
     let server = Server::start(config(&crash_root)).expect("restarted server");

@@ -11,7 +11,7 @@
 //! [`crate::TraceSummary`].
 //!
 //! Determinism: the writer thread only appends events to the trace and
-//! rewrites side files. It never touches trial logs, checkpoints, or the
+//! rewrites side files. It never touches trial logs, progress journals, or the
 //! measurement stream, so trial logs stay byte-identical whether or not a
 //! snapshot writer is running — the invariant CI's `live-smoke` job checks.
 

@@ -110,6 +110,8 @@ impl FlameNode {
 /// appended to the trace (crash-safe resume), so the finished segment's
 /// final snapshots are committed — summed for counters, merged for
 /// histograms — before the new segment's snapshots start accumulating.
+/// A new process also numbers its spans from 1 again, so the spans the
+/// finished segment left open are counted as unclosed and forgotten.
 struct Fold {
     out: TraceSummary,
     /// Open span id → (name, parent). Children close before parents, so
@@ -137,6 +139,9 @@ impl Fold {
         match rec {
             Record::Schema { version } => {
                 self.commit_segment();
+                self.out.unclosed_spans += self.open.len() as u64;
+                self.open.clear();
+                self.child_time.clear();
                 self.out.schema_version = Some(version);
             }
             Record::SpanStart { id, parent, name, .. } => {
@@ -194,7 +199,7 @@ impl Fold {
 
     fn finish(mut self) -> TraceSummary {
         self.commit_segment();
-        self.out.unclosed_spans = self.open.len() as u64;
+        self.out.unclosed_spans += self.open.len() as u64;
         self.out.flame.total_us = self.out.flame.children.iter().map(|c| c.total_us).sum();
         self.out
     }
@@ -470,6 +475,21 @@ mod tests {
         assert!((h.sum() - 1030.0).abs() / 1030.0 < 0.1, "sum={}", h.sum());
         // The merged tail is visible: p99 sits near the appended 1000.
         assert!(h.quantile(0.99) > 500.0);
+    }
+
+    #[test]
+    fn a_resumed_segment_reusing_span_ids_starts_clean() {
+        // A killed process left span 2 (inside span 1) open after its
+        // child 3 ended; the resumed process numbers from 1 again.
+        let schema = || Record::Schema { version: crate::TRACE_SCHEMA_VERSION };
+        let [a0, _] = span(1, None, "tune_task", 0, 100);
+        let [b0, _] = span(2, Some(1), "measure", 1, 90);
+        let [c0, c1] = span(3, Some(2), "sim", 2, 40);
+        let [x0, x1] = span(2, None, "session.progress", 0, 10);
+        let s = TraceSummary::from_records(&[schema(), a0, b0, c0, c1, schema(), x0, x1]);
+        assert_eq!(s.unclosed_spans, 2, "the killed segment's open spans stay unclosed");
+        let x = s.spans["session.progress"];
+        assert_eq!((x.count, x.total_us, x.self_us), (1, 10, 10), "no stale child time");
     }
 
     #[test]

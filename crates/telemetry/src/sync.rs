@@ -8,7 +8,7 @@
 //! Why recovery is sound here, uniformly:
 //!
 //! * Guarded state is either monotone (counters, histograms, append-only
-//!   record vectors) or re-derivable (quarantine sets, checkpoint staging,
+//!   record vectors) or re-derivable (quarantine sets, progress journals,
 //!   device free-lists), so a write interrupted by a panic leaves data that
 //!   is stale at worst, never load-bearing-corrupt.
 //! * Durability never depends on in-memory state surviving a panic: the
