@@ -64,7 +64,7 @@ pub use names::{device_by_name, method_by_name, model_by_name};
 pub use options::TuneOptions;
 pub use records::{
     Checkpoint, DbProvenance, LogWriter, ProgressEntry, ProgressJournal, RecoveredLog, RunDir,
-    RunManifest, RunProgress, TrialRecord, TuningLog, WarmSeed, CHECKPOINT_SCHEMA_VERSION,
+    RunManifest, TrialRecord, TuningLog, WarmSeed, CHECKPOINT_SCHEMA_VERSION,
     MANIFEST_SCHEMA_VERSION,
 };
 pub use session::{DbPolicy, Session, SessionDb};

@@ -216,19 +216,19 @@ pub struct Checkpoint {
     pub in_flight: Option<String>,
     /// Trials logged so far for the in-flight task.
     pub trials_logged: Option<u64>,
-    /// Crash-quarantined configurations (of the unfinished tasks, from a
-    /// recent enough binary).
+    /// Crash-quarantined configurations, from a recent enough binary.
+    /// The migration drops them: replaying the logs rebuilds exclusion.
     pub quarantine: Option<gpu_sim::Quarantine>,
 }
 
 /// One line of a run's progress journal, `progress.jsonl`. It is
 /// advisory: resume rests on the trial logs, whose replay rebuilds the
-/// loop state; the journal adds which tasks finished and the quarantine.
+/// loop state, quarantine exclusions included; the journal adds which
+/// tasks finished.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProgressEntry {
-    /// `{"Quarantine":[task,config_index]}`: a configuration the
-    /// measurement layer quarantined, appended right after the trial line
-    /// that logged it, so it never names a config its log lacks.
+    /// `{"Quarantine":[task,config_index]}`: written by earlier binaries,
+    /// ignored.
     Quarantine(String, u64),
     /// `{"Complete":task}`: the task's log, capture part and database
     /// upsert are durable; appended and synced after all three.
@@ -242,58 +242,20 @@ impl ProgressEntry {
     }
 }
 
-/// What a progress journal folds to: the tasks to read back on resume,
-/// and the quarantine to restore into the measurer.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunProgress {
-    /// Completed tasks, in journal order, each once.
-    pub completed_tasks: Vec<String>,
-    /// Quarantined configurations of the tasks not yet complete (a
-    /// completed task is read back, never measured again).
-    pub quarantine: gpu_sim::Quarantine,
-}
-
-impl RunProgress {
-    /// Folds journal entries, in order. Repeated lines are idempotent.
-    #[must_use]
-    pub fn fold(entries: &[ProgressEntry]) -> RunProgress {
-        let mut out = RunProgress::default();
-        for entry in entries {
-            if let ProgressEntry::Complete(task) = entry {
-                if !out.completed_tasks.contains(task) {
-                    out.completed_tasks.push(task.clone());
-                }
-            }
-        }
-        for entry in entries {
-            if let ProgressEntry::Quarantine(task, index) = entry {
-                if !out.completed_tasks.contains(task) {
-                    out.quarantine.insert(task, *index);
-                }
-            }
-        }
-        out
-    }
-}
-
 /// The progress journal of a run, open for appends over a
 /// [`durable::Appender`] (one `write` per line).
 #[derive(Debug)]
 pub struct ProgressJournal(durable::Appender);
 
 impl ProgressJournal {
-    /// Appends one entry as a JSON line. A `Complete` line is synced
-    /// (`fdatasync`), and with it every line before it.
+    /// Appends `task`'s `Complete` line and syncs it (`fdatasync`).
     ///
     /// # Errors
     ///
     /// Propagates write and sync failures.
-    pub fn append(&mut self, entry: &ProgressEntry) -> std::io::Result<()> {
-        self.0.append_line(entry.line()?.as_bytes())?;
-        match entry {
-            ProgressEntry::Complete(_) => self.0.sync_data(),
-            ProgressEntry::Quarantine(..) => Ok(()),
-        }
+    pub fn complete(&mut self, task: &str) -> std::io::Result<()> {
+        self.0.append_line(ProgressEntry::Complete(task.to_string()).line()?.as_bytes())?;
+        self.0.sync_data()
     }
 }
 
@@ -415,7 +377,7 @@ fn task_file(task_name: &str) -> String {
 ///   manifest.json      what produced the run (RunManifest)
 ///   logs/<task>.jsonl  one TuningLog per tuned task
 ///   trace.jsonl        telemetry trace (written by the caller)
-///   progress.jsonl     completed tasks, plus unfinished tasks' quarantine
+///   progress.jsonl     one Complete line per finished task
 ///   model_quality.d/   capture parts of completed tasks, until the run ends
 ///   model_quality.jsonl  the run's model capture, once the run ends
 /// ```
@@ -620,29 +582,37 @@ impl RunDir {
         Ok(Some(committed.lines().map(serde_json::from_str).collect::<Result<_, _>>()?))
     }
 
-    /// The progress a resumed run starts from: the journal, folded. A
-    /// checkpoint-era directory (`checkpoint.json`, no journal) is migrated
-    /// once first: its entries become a synced journal, and the checkpoint
-    /// is removed. `None` when the run left neither.
+    /// The tasks a resumed run reads back: the journal's `Complete`
+    /// lines, in order, each once. A checkpoint-era directory
+    /// (`checkpoint.json`, no journal) is migrated once first: its
+    /// completed tasks become a synced journal, and the checkpoint is
+    /// removed. `None` when the run left neither.
     ///
     /// # Errors
     ///
     /// I/O failures, or a parse error for a malformed journal or checkpoint.
-    pub fn recover_progress(&self) -> Result<Option<RunProgress>, ReadLogError> {
+    pub fn recover_progress(&self) -> Result<Option<Vec<String>>, ReadLogError> {
         if !self.progress_path().exists() {
             let Some(ckpt) = self.read_checkpoint()? else { return Ok(None) };
             let body: String = ckpt
-                .quarantine
-                .unwrap_or_default()
-                .iter()
-                .map(|(task, i)| ProgressEntry::Quarantine(task.to_string(), i))
-                .chain(ckpt.completed_tasks.into_iter().map(ProgressEntry::Complete))
-                .map(|entry| entry.line().map(|line| line + "\n"))
+                .completed_tasks
+                .into_iter()
+                .map(|task| ProgressEntry::Complete(task).line().map(|line| line + "\n"))
                 .collect::<std::io::Result<_>>()?;
             durable::replace(&self.progress_path(), |w| w.write_all(body.as_bytes()))?;
             std::fs::remove_file(self.checkpoint_path())?;
         }
-        Ok(self.read_progress()?.map(|entries| RunProgress::fold(&entries)))
+        Ok(self.read_progress()?.map(|entries| {
+            let mut completed: Vec<String> = Vec::new();
+            for entry in entries {
+                if let ProgressEntry::Complete(task) = entry {
+                    if !completed.contains(&task) {
+                        completed.push(task);
+                    }
+                }
+            }
+            completed
+        }))
     }
 
     /// Where a checkpoint-era run kept its `checkpoint.json`.
@@ -1026,86 +996,63 @@ mod tests {
         (root, dir)
     }
 
-    fn quarantine_of(pairs: &[(&str, u64)]) -> gpu_sim::Quarantine {
-        let mut q = gpu_sim::Quarantine::new();
-        for &(task, i) in pairs {
-            q.insert(task, i);
-        }
-        q
-    }
-
     #[test]
     fn progress_journal_drops_a_torn_tail() {
         let (root, dir) = progress_dir("torn");
         assert!(dir.recover_progress().unwrap().is_none(), "no journal, no checkpoint");
-        let mut journal = dir.open_progress(true).unwrap();
-        journal.append(&ProgressEntry::Quarantine("m.T1".into(), 7)).unwrap();
-        journal.append(&ProgressEntry::Complete("m.T0".into())).unwrap();
-        drop(journal);
+        dir.open_progress(true).unwrap().complete("m.T0").unwrap();
         let committed = std::fs::read(dir.progress_path()).unwrap();
         let torn = br#"{"Complete":"m.T1"}"#;
         for cut in 1..=torn.len() {
             std::fs::write(dir.progress_path(), [&committed[..], &torn[..cut]].concat()).unwrap();
-            let p = dir.recover_progress().unwrap().unwrap();
-            assert_eq!(p.completed_tasks, ["m.T0"], "cut at {cut}");
-            assert_eq!(p.quarantine, quarantine_of(&[("m.T1", 7)]), "cut at {cut}");
+            assert_eq!(dir.recover_progress().unwrap().unwrap(), ["m.T0"], "cut at {cut}");
             // Reopening cuts the torn line, so the next append is whole.
-            dir.open_progress(false)
-                .unwrap()
-                .append(&ProgressEntry::Complete("m.T1".into()))
-                .unwrap();
-            let p = dir.recover_progress().unwrap().unwrap();
-            assert_eq!(p.completed_tasks, ["m.T0", "m.T1"], "cut at {cut}");
+            dir.open_progress(false).unwrap().complete("m.T1").unwrap();
+            let completed = dir.recover_progress().unwrap().unwrap();
+            assert_eq!(completed, ["m.T0", "m.T1"], "cut at {cut}");
         }
         std::fs::write(dir.progress_path(), [&committed[..], b"not json\n"].concat()).unwrap();
         assert!(matches!(dir.recover_progress(), Err(ReadLogError::Parse(_))));
         dir.open_progress(true).unwrap();
-        assert_eq!(dir.recover_progress().unwrap(), Some(RunProgress::default()), "fresh empties");
+        assert_eq!(dir.recover_progress().unwrap(), Some(Vec::new()), "fresh empties");
         std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
-    fn progress_fold_forgets_completed_quarantine_and_repeats() {
-        use ProgressEntry::{Complete, Quarantine};
-        let p = RunProgress::fold(&[
-            Quarantine("a".into(), 3),
-            Quarantine("b".into(), 5),
-            Quarantine("a".into(), 4),
-            Complete("a".into()),
-            Quarantine("b".into(), 5),
-            Complete("c".into()),
-            Complete("a".into()),
-        ]);
-        assert_eq!(p.completed_tasks, ["a", "c"], "a repeated complete line is idempotent");
-        assert_eq!(p.quarantine, quarantine_of(&[("b", 5)]), "completed a's set is not restored");
+    fn progress_fold_ignores_quarantine_and_repeated_complete_lines() {
+        let (root, dir) = progress_dir("fold");
+        // A journal as earlier binaries wrote it, with `Quarantine` lines.
+        std::fs::write(
+            dir.progress_path(),
+            "{\"Quarantine\":[\"a\",3]}\n{\"Quarantine\":[\"b\",5]}\n{\"Complete\":\"a\"}\n\
+             {\"Quarantine\":[\"b\",6]}\n{\"Complete\":\"c\"}\n{\"Complete\":\"a\"}\n",
+        )
+        .unwrap();
+        assert_eq!(dir.recover_progress().unwrap().unwrap(), ["a", "c"]);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn checkpoint_era_run_dir_is_migrated_once() {
         let (root, dir) = progress_dir("migrate");
+        let mut quarantine = gpu_sim::Quarantine::new();
+        quarantine.insert("m.T0", 3);
+        quarantine.insert("m.T1", 42);
         let ckpt = Checkpoint {
             schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
             completed_tasks: vec!["m.T0".into()],
             in_flight: Some("m.T1".into()),
             trials_logged: Some(17),
-            quarantine: Some(quarantine_of(&[("m.T0", 3), ("m.T1", 42), ("m.T1", 9)])),
+            quarantine: Some(quarantine),
         };
         dir.write_checkpoint(&ckpt).unwrap();
-        let want = RunProgress {
-            completed_tasks: vec!["m.T0".into()],
-            quarantine: quarantine_of(&[("m.T1", 9), ("m.T1", 42)]),
-        };
-        assert_eq!(dir.recover_progress().unwrap().as_ref(), Some(&want));
+        assert_eq!(dir.recover_progress().unwrap().unwrap(), ["m.T0"]);
         assert!(!dir.checkpoint_path().exists(), "the checkpoint is migrated away");
         let journal = std::fs::read_to_string(dir.progress_path()).unwrap();
-        assert_eq!(
-            journal,
-            "{\"Quarantine\":[\"m.T0\",3]}\n{\"Quarantine\":[\"m.T1\",9]}\n\
-             {\"Quarantine\":[\"m.T1\",42]}\n{\"Complete\":\"m.T0\"}\n"
-        );
+        assert_eq!(journal, "{\"Complete\":\"m.T0\"}\n", "only Complete lines are migrated");
         // A checkpoint beside a journal is never read again.
         dir.write_checkpoint(&Checkpoint::default()).unwrap();
-        assert_eq!(dir.recover_progress().unwrap(), Some(want));
+        assert_eq!(dir.recover_progress().unwrap().unwrap(), ["m.T0"]);
         assert_eq!(std::fs::read_to_string(dir.progress_path()).unwrap(), journal);
         std::fs::remove_dir_all(&root).unwrap();
     }

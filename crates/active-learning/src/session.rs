@@ -8,12 +8,11 @@
 //!   back; an in-flight task's log is recovered (torn tail dropped) and
 //!   replayed, so the finished log is byte-identical to an uninterrupted
 //!   run's;
-//! * **progress journal** — `progress.jsonl` grows by one line per change
-//!   of state, never per trial: a `Quarantine` line right after the trial
-//!   line that logged a quarantined config (so it never names a config
-//!   the log lacks), and one synced `Complete` line per finished task.
-//!   Resume folds it into the completed tasks and the unfinished tasks'
-//!   quarantine;
+//! * **progress journal** — `progress.jsonl` holds one synced `Complete`
+//!   line per finished task, never a line per trial. Resume reads back
+//!   the tasks it lists. The measurer's quarantine is not journaled: a
+//!   resumed task's replay marks every logged config visited, so
+//!   exclusion is rebuilt from the log alone;
 //! * **database** — the warm seed pinned before the first trial and
 //!   replayed on resume, the [`DbPolicy::Serve`] verifying measurement,
 //!   and the top-k upsert, which lands before the `Complete` line;
@@ -28,12 +27,10 @@ use crate::model_quality::{
     read_capture, record_line, write_capture_file, ModelPredRecord, MODEL_QUALITY_FILE,
 };
 use crate::options::TuneOptions;
-use crate::records::{
-    LogWriter, ProgressEntry, ProgressJournal, RunDir, TrialRecord, TuningLog, WarmSeed,
-};
+use crate::records::{LogWriter, ProgressJournal, RunDir, TrialRecord, TuningLog, WarmSeed};
 use crate::task_tuning::{tune_task_with, Method, TuneHooks};
 use dnn_graph::task::TuningTask;
-use gpu_sim::{Measurer, Quarantine};
+use gpu_sim::Measurer;
 use schedule::template::space_for_task;
 use schedule::Config;
 use std::collections::{BTreeMap, BTreeSet};
@@ -111,13 +108,9 @@ pub struct Session<'a, M> {
     pub task_workers: usize,
     /// Tuning database, if the run is attached to one.
     pub db: Option<SessionDb<'a>>,
-    /// The measurer's quarantine, whose entries are journaled once their
-    /// trials are logged; `None` journals no quarantine.
-    pub quarantine: Option<&'a Mutex<Quarantine>>,
     /// Receives the engine's progress lines and counters.
     pub tel: &'a Telemetry,
-    /// Called once a live trial (and any `Quarantine` line of it) is
-    /// appended.
+    /// Called once a live trial is appended.
     pub on_trial: &'a (dyn Fn(&TuningTask, &TrialRecord) + Sync),
     /// Called when a task's loop stops early. `Ok` keeps the truncated
     /// log, which is upserted and completed like any other; `Err` fails
@@ -367,8 +360,7 @@ impl<M: Measurer + Sync> Session<'_, M> {
         let mut write_err: Option<String> = None;
         let mut on_trial = |rec: &TrialRecord| {
             if let Some(writer) = log_writer.as_mut() {
-                let r = writer.append(rec).and_then(|()| self.journal_quarantine(st, task, rec));
-                if let Err(e) = r {
+                if let Err(e) = writer.append(rec) {
                     write_err.get_or_insert(e.to_string());
                 }
             }
@@ -459,24 +451,6 @@ impl<M: Measurer + Sync> Session<'_, M> {
             .map_err(|e| format!("cannot create log of {}: {e}", task.name))
     }
 
-    /// Journals the quarantine of the trial just logged. A config enters
-    /// the journal only after its trial line: a batch can quarantine a
-    /// config before that trial is logged, and a resume that excluded
-    /// such a config would diverge from the uninterrupted run.
-    fn journal_quarantine(
-        &self,
-        st: &RunState,
-        task: &TuningTask,
-        rec: &TrialRecord,
-    ) -> std::io::Result<()> {
-        let (Some(q), Some(journal)) = (self.quarantine, &st.journal) else { return Ok(()) };
-        if !lock_or_recover(q).contains(&task.name, rec.config_index) {
-            return Ok(());
-        }
-        let entry = ProgressEntry::Quarantine(task.name.clone(), rec.config_index);
-        lock_or_recover(journal).append(&entry)
-    }
-
     /// Upserts a finished task, then appends and syncs its `Complete`
     /// line. The order matters: a kill between the two re-runs the task on
     /// resume (an idempotent merge) instead of silently losing the upsert.
@@ -485,7 +459,7 @@ impl<M: Measurer + Sync> Session<'_, M> {
         if let Some(journal) = &st.journal {
             let _span = self.tel.span("session.progress");
             lock_or_recover(journal)
-                .append(&ProgressEntry::Complete(task.name.clone()))
+                .complete(&task.name)
                 .map_err(|e| format!("cannot journal the completion of {}: {e}", task.name))?;
         }
         Ok(())

@@ -247,11 +247,11 @@ pub fn drive_loop<M: Measurer>(
             || telemetry::json!({ "task": task.name.clone(), "replayed": replayed }),
         );
     }
-    // The quarantine is consulted once the replay phase is over. Never
-    // earlier: configurations quarantined mid-run were still *proposed*
-    // by the recorded run before their failure, so pre-excluding them
-    // would make the replayed proposal stream diverge from the log.
-    let mut quarantine_applied = false;
+    // Configurations this measurer quarantined before the task started
+    // (a task tuned twice in one process) are never proposed. A resumed
+    // task starts with none: the quarantine is not persisted, and every
+    // config it held was measured, so the replay marks it visited.
+    tuner.exclude(&measurer.quarantined(task));
 
     while measured < opts.n_trial && since_best < opts.early_stopping {
         let cap = opts.fail_rate_cap_or_default();
@@ -268,13 +268,6 @@ pub fn drive_loop<M: Measurer>(
                 aborted = Some(diag);
                 break;
             }
-        }
-        if replay.is_empty() && !quarantine_applied {
-            let quarantined = measurer.quarantined(task);
-            if !quarantined.is_empty() {
-                tuner.exclude(&quarantined);
-            }
-            quarantine_applied = true;
         }
         let want = tuner.preferred_batch().min(opts.batch_size).min(opts.n_trial - measured).max(1);
         let batch = tuner.next_batch(want);

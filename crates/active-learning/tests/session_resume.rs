@@ -9,22 +9,23 @@
 //! must then be byte-identical to the twin's.
 //!
 //! The measurer is the production stack with fault injection, so
-//! configs get quarantined mid-run and reach the journal. After every
-//! live trial the journal on disk is checked: no entry follows its
-//! task's `Complete` line, and every journaled config is already in its
-//! task's log.
+//! configs get quarantined mid-run. The quarantine stays in memory: after
+//! every live trial the journal on disk is checked to hold only
+//! `Complete` lines, each once.
 //!
-//! More crash images are resumed: one torn between a quarantined
-//! trial's log line and its `Quarantine` line, one between a task's
-//! capture part and its `Complete` line, one between the last task's
-//! capture part and the final capture file, and one in the format of an
-//! older binary, whose `checkpoint.json` still holds completed tasks'
-//! quarantine sets and whose capture is one file rewritten per task.
+//! More crash images are resumed: one after a power loss in which the
+//! journal outlived the unsynced log tail and holds a `Quarantine` line
+//! for a config the log lost, one between a task's capture part and its
+//! `Complete` line, one between the last task's capture part and the
+//! final capture file, and two in the formats of older binaries: a
+//! journal with complete and torn `Quarantine` lines, and a
+//! `checkpoint.json` holding every task's quarantine set beside a
+//! capture that is one file rewritten per task.
 
 use active_learning::{
     read_capture, read_model_quality, write_model_quality, Checkpoint, DbPolicy, Method,
-    ModelPredRecord, ProgressEntry, RunDir, RunProgress, Session, SessionDb, TuneOptions,
-    TuningLog, CHECKPOINT_SCHEMA_VERSION, MODEL_QUALITY_FILE, MODEL_QUALITY_PARTS_DIR,
+    ModelPredRecord, ProgressEntry, RunDir, Session, SessionDb, TuneOptions, TuningLog,
+    CHECKPOINT_SCHEMA_VERSION, MODEL_QUALITY_FILE, MODEL_QUALITY_PARTS_DIR,
 };
 use dnn_graph::models;
 use dnn_graph::task::{extract_tasks, TuningTask};
@@ -58,11 +59,10 @@ fn tasks() -> Vec<TuningTask> {
     extract_tasks(&models::squeezenet_v1_1(1)).into_iter().take(2).collect()
 }
 
-fn stack(workers: usize, quarantine: Quarantine) -> Stack {
+fn stack(workers: usize) -> Stack {
     let sim = SimMeasurer::new(GpuDevice::gtx_1080_ti());
     let faulty = FaultInjectingMeasurer::new(sim, FaultConfig { rate: 0.2, seed: 7 });
     let robust = RobustMeasurer::new(faulty, RetryPolicy::default());
-    robust.restore_quarantine(quarantine);
     Executor::new(robust, ExecutorConfig::for_workers(workers))
 }
 
@@ -104,10 +104,11 @@ fn restore(root: &Path, image: &Image) {
 enum Kill {
     /// Right after the `at`-th live trial.
     AfterTrial,
-    /// At the first live trial from the `at`-th on whose config was
-    /// quarantined, between its log line and its `Quarantine` line
-    /// (which the image holds torn mid-line).
-    BeforeQuarantineLine,
+    /// Right after the `at`-th live trial, by a power loss that kept a
+    /// journal line written after the log's unsynced tail: a
+    /// `Quarantine` line (as an earlier binary wrote them) for a config
+    /// the twin quarantined later in an in-flight task.
+    JournalOutlivesLog,
     /// Between the first task's capture part and its `Complete` line
     /// (one task at a time).
     BeforeCompleteLine,
@@ -141,16 +142,12 @@ impl CrashAt {
         CrashAt::new(0, Kill::AfterTrial, Path::new(""), None)
     }
 
-    /// A live trial of `task` measuring `config` was appended; `journal`
-    /// is the progress journal on disk.
-    fn trial(&self, journal: &[ProgressEntry], task: &str, config: u64) {
+    /// A live trial was appended; `journal` is the progress journal on
+    /// disk.
+    fn trial(&self, journal: &[ProgressEntry]) {
         let n = self.seen.fetch_add(1, Ordering::SeqCst) + 1;
         let due = match self.kill {
-            Kill::AfterTrial => n == self.at,
-            Kill::BeforeQuarantineLine => {
-                n >= self.at
-                    && journal.last() == Some(&ProgressEntry::Quarantine(task.to_string(), config))
-            }
+            Kill::AfterTrial | Kill::JournalOutlivesLog => n == self.at,
             Kill::BeforeCompleteLine => {
                 journal.iter().any(|e| matches!(e, ProgressEntry::Complete(_)))
             }
@@ -163,24 +160,21 @@ impl CrashAt {
     }
 }
 
-/// Reads the progress journal on disk and asserts what it promises: no
-/// entry follows its task's `Complete` line, and every journaled config
-/// is already in its task's log.
-fn check_journal(dir: &RunDir) -> Vec<ProgressEntry> {
+/// Reads the progress journal on disk and asserts what it promises: it
+/// holds only `Complete` lines, each once. The first `inherited` lines
+/// are an older binary's, which may also hold `Quarantine` lines.
+fn check_journal(dir: &RunDir, inherited: usize) -> Vec<ProgressEntry> {
     let Some(entries) = dir.read_progress().unwrap() else { return Vec::new() };
     let mut completed = BTreeSet::new();
-    for entry in &entries {
+    for (i, entry) in entries.iter().enumerate() {
         match entry {
             ProgressEntry::Complete(task) => {
                 assert!(completed.insert(task), "{task} is journaled complete twice");
             }
-            ProgressEntry::Quarantine(task, i) => {
-                assert!(!completed.contains(task), "config {i} of completed {task} is journaled");
-                let log = std::fs::read(dir.log_path(task)).unwrap();
-                let log = TuningLog::recover_jsonl(&log).unwrap().log;
+            ProgressEntry::Quarantine(..) => {
                 assert!(
-                    log.records.iter().any(|r| r.config_index == *i),
-                    "journaled config {i} of {task} is not in its log"
+                    i < inherited,
+                    "the journal gained a line other than `Complete`: {entry:?}"
                 );
             }
         }
@@ -188,10 +182,9 @@ fn check_journal(dir: &RunDir) -> Vec<ProgressEntry> {
     entries
 }
 
-/// What a session run returns: its logs, the measurer's final
-/// quarantine, and how many of the journals seen after a trial held a
-/// `Quarantine` line.
-type Outcome = (Vec<TuningLog>, Quarantine, usize);
+/// What a session run returns: its logs and the measurer's final
+/// quarantine.
+type Outcome = (Vec<TuningLog>, Quarantine);
 
 /// Tunes `tasks()` into `run`, resuming from its progress journal when
 /// `resume`. After every live trial, the journal on disk is checked.
@@ -205,15 +198,14 @@ fn session(
     hooks: &CrashAt,
 ) -> Outcome {
     let dir = RunDir::create(run).unwrap();
-    let progress = if resume {
+    let completed = if resume {
         dir.recover_progress().unwrap().expect("progress journal")
     } else {
-        RunProgress::default()
+        Vec::new()
     };
-    let m = stack(workers, progress.quarantine);
+    let inherited = if resume { dir.read_progress().unwrap().map_or(0, |e| e.len()) } else { 0 };
+    let m = stack(workers);
     let store = db.map(|p| Mutex::new(TuningDb::open(p, &LockOptions::default()).unwrap()));
-    let quarantine = m.inner().shared_quarantine();
-    let with_sets = AtomicUsize::new(0);
     let logs = Session {
         measurer: &m,
         method: Method::BtedBao,
@@ -221,24 +213,17 @@ fn session(
         device: "gtx1080ti",
         dir: Some(&dir),
         resume,
-        completed: progress.completed_tasks,
+        completed,
         task_workers: workers,
         db: store.as_ref().map(|store| SessionDb { store, consult }),
-        quarantine: Some(&*quarantine),
         tel: &telemetry::Telemetry::disabled(),
-        on_trial: &|task, rec| {
-            let journal = check_journal(&dir);
-            if journal.iter().any(|e| matches!(e, ProgressEntry::Quarantine(..))) {
-                with_sets.fetch_add(1, Ordering::Relaxed);
-            }
-            hooks.trial(&journal, &task.name, rec.config_index);
-        },
+        on_trial: &|_, _| hooks.trial(&check_journal(&dir, inherited)),
         on_abort: &|_, _| Ok(()),
     }
     .run(&tasks())
     .expect("session runs");
-    check_journal(&dir);
-    (logs, m.inner().quarantine_snapshot(), with_sets.into_inner())
+    check_journal(&dir, inherited);
+    (logs, m.inner().quarantine_snapshot())
 }
 
 /// The capture records of each of `tasks()` that has a part in `dir`,
@@ -259,10 +244,41 @@ fn parts_in_task_order(dir: &RunDir) -> Vec<ModelPredRecord> {
 enum Format {
     /// As this binary leaves it.
     Current,
+    /// As the binary before this one left it: the journal also holds a
+    /// `Quarantine` line for each logged trial of a quarantined config,
+    /// and ends in a torn one.
+    QuarantineLines,
     /// As an older binary left it: `checkpoint.json` and no journal;
     /// the checkpoint holds every task's quarantine set, and the capture
     /// is one file holding the completed tasks, with no parts.
-    Older,
+    Checkpoint,
+}
+
+/// The twin's quarantined configs that the logs of the crash image in
+/// `dir` hold, as `Quarantine` lines in log order, and the first one
+/// those logs lost: a config the resume measures again.
+fn quarantine_lines(
+    dir: &RunDir,
+    twin_logs: &[TuningLog],
+    twin_quarantine: &Quarantine,
+) -> (Vec<ProgressEntry>, Option<ProgressEntry>) {
+    let (mut logged, mut lost) = (Vec::new(), None);
+    for twin_log in twin_logs {
+        let task = &twin_log.task_name;
+        let kept = std::fs::read(dir.log_path(task))
+            .map_or(0, |b| TuningLog::recover_jsonl(&b).unwrap().log.records.len());
+        for (i, rec) in twin_log.records.iter().enumerate() {
+            if twin_quarantine.contains(task, rec.config_index) {
+                let line = ProgressEntry::Quarantine(task.clone(), rec.config_index);
+                if i < kept {
+                    logged.push(line);
+                } else {
+                    lost.get_or_insert(line);
+                }
+            }
+        }
+    }
+    (logged, lost)
 }
 
 fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, format: Format) {
@@ -271,7 +287,7 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
         std::process::id(),
         u8::from(with_db),
         kill as u8,
-        u8::from(format == Format::Older)
+        format as u8
     ));
     let _ = std::fs::remove_dir_all(&base);
     let never = CrashAt::never();
@@ -289,24 +305,18 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
     let consult = with_db.then_some(DbPolicy::Warm);
 
     let twin = base.join("twin");
-    let (twin_logs, twin_quarantine, with_sets) =
+    let (twin_logs, twin_quarantine) =
         session(&twin, db_of(&twin_db).as_deref(), consult, workers, 5, false, &never);
     assert!(!twin_quarantine.is_empty(), "fault injection must quarantine configs");
-    assert!(with_sets > 0, "in-flight tasks' sets must reach the journal");
     assert!(!twin.join(MODEL_QUALITY_PARTS_DIR).exists(), "the run's end removes the parts");
     let twin_dir = RunDir::create(&twin).unwrap();
     let done = twin_dir.read_progress().unwrap().expect("progress journal");
-    assert_eq!(
-        done.iter().filter(|e| matches!(e, ProgressEntry::Complete(_))).count(),
-        tasks().len(),
-        "one Complete line per task"
-    );
-    assert!(RunProgress::fold(&done).quarantine.is_empty(), "a finished run restores none");
+    assert_eq!(done.len(), tasks().len(), "one Complete line per task, and nothing else");
     assert!(!twin_dir.checkpoint_path().exists(), "no checkpoint is written");
 
     let cut = base.join("cut");
     let crash = CrashAt::new(at, kill, &cut, db_of(&cut_db));
-    let (cut_logs, _, _) =
+    let (cut_logs, _) =
         session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, false, &crash);
     assert_eq!(cut_logs, twin_logs, "the cut run is itself a twin before the crash");
     let (run_image, db_image) = crash.image.into_inner().unwrap().expect("crash image taken");
@@ -316,30 +326,17 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
     // header).
     let finished = image(&cut);
     let mut crashed = run_image;
-    let journal = PathBuf::from("progress.jsonl");
-    let journal_bytes = crashed.get_mut(&journal).expect("journal in the crash image");
-    match kill {
-        Kill::AfterTrial => {}
-        Kill::BeforeQuarantineLine => {
-            let last_line = journal_bytes[..journal_bytes.len() - 1]
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |nl| nl + 1);
-            assert!(journal_bytes[last_line..].starts_with(b"{\"Quarantine\""));
-            journal_bytes.truncate(last_line + (journal_bytes.len() - last_line) / 2);
-        }
-        Kill::BeforeCompleteLine => {
-            // The journal ends before the first `Complete` line, and the
-            // second task has not started.
-            let text = String::from_utf8(journal_bytes.clone()).unwrap();
-            journal_bytes.truncate(text.find("{\"Complete\"").expect("a Complete line"));
-            let first = RunDir::create(&cut).unwrap().log_path(&tasks()[0].name);
-            let first = first.strip_prefix(&cut).unwrap().to_path_buf();
-            crashed.retain(|rel, _| !rel.starts_with("logs") || *rel == first);
-            assert!(crashed.contains_key(
-                &PathBuf::from(MODEL_QUALITY_PARTS_DIR).join(first.file_name().unwrap())
-            ));
-        }
+    if kill == Kill::BeforeCompleteLine {
+        // The journal ends before the first `Complete` line, and the
+        // second task has not started.
+        let journal = crashed.get_mut(&PathBuf::from("progress.jsonl"));
+        journal.expect("journal in the crash image").clear();
+        let first = RunDir::create(&cut).unwrap().log_path(&tasks()[0].name);
+        let first = first.strip_prefix(&cut).unwrap().to_path_buf();
+        crashed.retain(|rel, _| !rel.starts_with("logs") || *rel == first);
+        assert!(crashed.contains_key(
+            &PathBuf::from(MODEL_QUALITY_PARTS_DIR).join(first.file_name().unwrap())
+        ));
     }
     let (mut torn, mut durable) = (0, 0);
     for (rel, bytes) in &mut crashed {
@@ -358,36 +355,53 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
     }
 
     let cut_dir = RunDir::create(&cut).unwrap();
-    if format == Format::Older {
-        // Turn the journal into a checkpoint, with the completed tasks'
-        // sets put back as the final quarantine holds them, and fold the
-        // parts into one capture file.
-        let progress = RunProgress::fold(&cut_dir.read_progress().unwrap().unwrap());
-        let mut q = progress.quarantine;
-        let before = q.len();
-        for task in &progress.completed_tasks {
-            for i in twin_quarantine.indices_for(task) {
-                q.insert(task, i);
-            }
-        }
-        assert!(q.len() > before, "a completed task's set must be put back");
-        cut_dir
-            .write_checkpoint(&Checkpoint {
-                schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
-                completed_tasks: progress.completed_tasks,
-                quarantine: Some(q),
-                ..Checkpoint::default()
-            })
-            .unwrap();
-        std::fs::remove_file(cut_dir.progress_path()).unwrap();
-        write_model_quality(&cut_dir.model_quality_path(), &parts_in_task_order(&cut_dir)).unwrap();
-        std::fs::remove_dir_all(cut_dir.model_quality_parts_dir()).unwrap();
+    let completed = cut_dir.recover_progress().unwrap().expect("progress journal");
+    assert!(completed.len() < tasks().len(), "the crash image is mid-run");
+    let (logged, lost) = quarantine_lines(&cut_dir, &twin_logs, &twin_quarantine);
+    let line = |entry: &ProgressEntry| serde_json::to_string(entry).unwrap() + "\n";
+    let lost = || line(lost.as_ref().expect("the twin quarantined a config the image lost"));
+    let journal = std::fs::read_to_string(cut_dir.progress_path()).unwrap();
+    if kill == Kill::JournalOutlivesLog {
+        // The unsynced journal line reached the disk; the unsynced log
+        // line of its trial did not.
+        std::fs::write(cut_dir.progress_path(), journal.clone() + &lost()).unwrap();
     }
-    let progress = cut_dir.recover_progress().unwrap().expect("progress journal");
-    assert!(progress.completed_tasks.len() < tasks().len(), "the crash image is mid-run");
+    match format {
+        Format::Current => {}
+        Format::QuarantineLines => {
+            let torn = lost();
+            let lines: String = logged.iter().map(line).collect();
+            let body = lines + &journal + &torn[..torn.len() / 2];
+            std::fs::write(cut_dir.progress_path(), body).unwrap();
+        }
+        Format::Checkpoint => {
+            // Turn the journal into a checkpoint holding the quarantine
+            // of every logged trial, and fold the parts into one capture
+            // file.
+            let mut q = Quarantine::new();
+            for entry in &logged {
+                if let ProgressEntry::Quarantine(task, i) = entry {
+                    q.insert(task, *i);
+                }
+            }
+            cut_dir
+                .write_checkpoint(&Checkpoint {
+                    schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
+                    completed_tasks: completed.clone(),
+                    quarantine: Some(q),
+                    ..Checkpoint::default()
+                })
+                .unwrap();
+            std::fs::remove_file(cut_dir.progress_path()).unwrap();
+            write_model_quality(&cut_dir.model_quality_path(), &parts_in_task_order(&cut_dir))
+                .unwrap();
+            std::fs::remove_dir_all(cut_dir.model_quality_parts_dir()).unwrap();
+        }
+    }
+    assert_eq!(cut_dir.recover_progress().unwrap(), Some(completed), "the same tasks read back");
     assert!(!cut_dir.checkpoint_path().exists(), "a checkpoint is migrated once");
     let resumed_hooks = CrashAt::never();
-    let (resumed, _, _) =
+    let (resumed, _) =
         session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, true, &resumed_hooks);
     assert_eq!(resumed, twin_logs);
     // Resume continues where the logs end: only the lost trials are
@@ -424,14 +438,22 @@ fn resume_is_byte_identical_with_warm_db_two_tasks_in_flight() {
     resume_matches_twin(true, 2, 45, Kill::AfterTrial, Format::Current);
 }
 
+/// A power loss keeps what the disk happened to write: here a journal
+/// line naming a quarantined config whose trial line was lost. The
+/// resume must measure that config again, as the twin did.
+#[test]
+fn resume_after_a_power_loss_that_kept_a_quarantine_line_is_byte_identical() {
+    resume_matches_twin(false, 1, 30, Kill::JournalOutlivesLog, Format::Current);
+}
+
 #[test]
 fn resume_of_an_older_binarys_crash_image_is_byte_identical() {
-    resume_matches_twin(false, 1, 60, Kill::AfterTrial, Format::Older);
+    resume_matches_twin(false, 1, 60, Kill::AfterTrial, Format::Checkpoint);
 }
 
 #[test]
 fn resume_after_a_torn_quarantine_line_is_byte_identical() {
-    resume_matches_twin(false, 1, 10, Kill::BeforeQuarantineLine, Format::Current);
+    resume_matches_twin(false, 1, 10, Kill::AfterTrial, Format::QuarantineLines);
 }
 
 #[test]
@@ -448,7 +470,7 @@ fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&base);
     let never = CrashAt::never();
     let twin = base.join("twin");
-    let (twin_logs, _, _) = session(&twin, None, None, 1, 5, false, &never);
+    let (twin_logs, _) = session(&twin, None, None, 1, 5, false, &never);
     let twin_files = image(&twin);
     let capture = PathBuf::from(MODEL_QUALITY_FILE);
     let twin_records = read_model_quality(&twin.join(MODEL_QUALITY_FILE)).unwrap();
@@ -471,9 +493,9 @@ fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
     }
     assert_eq!(read_capture(&cut_dir).unwrap(), Some(twin_records), "parts read as the file");
 
-    let progress = cut_dir.recover_progress().unwrap().expect("progress journal");
-    assert_eq!(progress.completed_tasks.len(), tasks().len());
-    let (resumed, _, _) = session(&cut, None, None, 1, 5, true, &never);
+    let completed = cut_dir.recover_progress().unwrap().expect("progress journal");
+    assert_eq!(completed.len(), tasks().len());
+    let (resumed, _) = session(&cut, None, None, 1, 5, true, &never);
     assert_eq!(resumed, twin_logs);
     let cut_files = image(&cut);
     assert!(twin_files[&capture] == cut_files[&capture], "model capture differs after resume");

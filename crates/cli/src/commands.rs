@@ -3,7 +3,7 @@
 use crate::opts::Cli;
 use active_learning::{
     device_by_name, method_by_name, model_by_name, read_capture, tune_model_parallel, DbPolicy,
-    DbProvenance, Method, RunDir, RunManifest, RunProgress, Session, SessionDb, TuneOptions,
+    DbProvenance, Method, RunDir, RunManifest, Session, SessionDb, TuneOptions,
     MANIFEST_SCHEMA_VERSION, MODEL_QUALITY_FILE,
 };
 use dnn_graph::task::extract_tasks;
@@ -25,8 +25,8 @@ use tuning_db::{LockOptions, TuningDb};
 /// from 1, which `main` uses for usage/runtime errors.
 pub const EXIT_REGRESSED: u8 = 2;
 
-/// Usage text printed on errors.
-pub const USAGE: &str = "\
+/// Usage text, carried by the error of a malformed command line.
+const USAGE: &str = "\
 usage:
   aaltune tasks   <model>
   aaltune dot     <model> [--fused true]
@@ -118,8 +118,11 @@ serving: `serve` runs a long-lived tuning server: POST /jobs queues tuning
 /// # Errors
 ///
 /// Returns a human-readable message for unknown commands, names, or values.
+/// Only a command line that does not parse, or names no known command,
+/// carries the usage text; a failing command reports its error alone.
 pub fn dispatch(args: &[String]) -> Result<u8, String> {
-    let cli = Cli::parse(args)?;
+    let usage = |e: String| format!("{e}\n\n{USAGE}");
+    let cli = Cli::parse(args).map_err(usage)?;
     match cli.positional.first().map(String::as_str) {
         Some("tasks") => tasks(&cli).map(|()| 0),
         Some("dot") => dot(&cli).map(|()| 0),
@@ -138,8 +141,8 @@ pub fn dispatch(args: &[String]) -> Result<u8, String> {
         Some("report") => report(&cli).map(|()| 0),
         Some("serve") => serve_cmd(&cli).map(|()| 0),
         Some("client") => client_cmd(&cli),
-        Some(other) => Err(format!("unknown command `{other}`")),
-        None => Err("no command given".to_string()),
+        Some(other) => Err(usage(format!("unknown command `{other}`"))),
+        None => Err(usage("no command given".to_string())),
     }
 }
 
@@ -254,8 +257,8 @@ struct TunePlan {
     /// Where the run registry lives (the parent of the run directory).
     registry_base: Option<PathBuf>,
     resume: bool,
-    /// Progress recovered from `progress.jsonl` (default when fresh).
-    progress: RunProgress,
+    /// Tasks `progress.jsonl` lists as complete (none when fresh).
+    completed: Vec<String>,
     /// Exact task set pinned by the original manifest on resume.
     task_names: Option<Vec<String>>,
     /// Measurement worker threads (free to change on resume: worker count
@@ -312,7 +315,7 @@ impl TunePlan {
             run_dir,
             registry_base: cli.flag_str("out").map(PathBuf::from),
             resume: false,
-            progress: RunProgress::default(),
+            completed: Vec::new(),
             task_names: None,
             workers: 1,
             devices: 1,
@@ -330,7 +333,7 @@ impl TunePlan {
         if let Some(w) = manifest.schema_warning() {
             return Err(format!("cannot resume {}: {w}", path.display()));
         }
-        let progress = dir
+        let completed = dir
             .recover_progress()
             .map_err(|e| format!("bad progress journal in {}: {e}", path.display()))?
             .unwrap_or_default();
@@ -353,7 +356,7 @@ impl TunePlan {
             registry_base: path.parent().map(Path::to_path_buf),
             run_dir: Some(dir),
             resume: true,
-            progress,
+            completed,
             task_names: Some(manifest.tasks),
             workers: manifest.workers.unwrap_or(1),
             devices: manifest.devices.unwrap_or(1),
@@ -410,8 +413,8 @@ fn tune(cli: &Cli) -> Result<(), String> {
     // The full measurement stack, always assembled the same way: fault
     // injection (transparent at rate 0) under the retry/timeout/quarantine
     // policy, fanned out over the executor's worker pool (a transparent
-    // pass-through at --workers 1). A resumed run restores the journaled
-    // quarantine so known-crashing configs are never re-measured.
+    // pass-through at --workers 1). A resumed run's quarantine starts
+    // empty: replaying the logs keeps known-crashing configs excluded.
     let policy = RetryPolicy {
         max_retries: plan.opts.max_retries_or_default(),
         trial_timeout_ms: plan.opts.trial_timeout_ms.unwrap_or(0.0),
@@ -422,7 +425,6 @@ fn tune(cli: &Cli) -> Result<(), String> {
         FaultInjectingMeasurer::new(SimMeasurer::new(device), plan.fault),
         policy,
     );
-    robust.restore_quarantine(plan.progress.quarantine.clone());
     // A resumed process appends to the existing trace; its fresh schema
     // header marks the segment boundary for counter summing.
     let trace: Option<PathBuf> = cli
@@ -515,7 +517,6 @@ fn tune(cli: &Cli) -> Result<(), String> {
                 .map_err(|e| format!("cannot open tuning database {}: {e}", s.path.display()))
         })
         .transpose()?;
-    let quarantine = m.inner().shared_quarantine();
     let session = Session {
         measurer: &m,
         method: plan.method,
@@ -523,12 +524,11 @@ fn tune(cli: &Cli) -> Result<(), String> {
         device: &plan.device_name,
         dir: plan.run_dir.as_ref(),
         resume: plan.resume,
-        completed: plan.progress.completed_tasks.clone(),
+        completed: plan.completed.clone(),
         task_workers: plan.workers,
         db: db
             .as_ref()
             .map(|store| SessionDb { store, consult: plan.db.as_ref().map(|s| s.policy) }),
-        quarantine: Some(&*quarantine),
         tel: &tel,
         on_trial: &|_, _| {},
         // An aborted task is reported but keeps its truncated log.
@@ -919,6 +919,19 @@ mod tests {
     fn unknown_command_errors() {
         assert!(dispatch(&sv(&["frobnicate"])).is_err());
         assert!(dispatch(&sv(&[])).is_err());
+    }
+
+    #[test]
+    fn only_usage_errors_carry_the_usage_text() {
+        // A port that was free a moment ago: nothing listens on it.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let e =
+            dispatch(&sv(&["client", "status", "j1", "--addr", &addr.to_string()])).unwrap_err();
+        assert!(!e.contains("usage:"), "a connection error is not a usage error: {e}");
+        for args in [&["frobnicate"][..], &[], &["tune", "--seed"]] {
+            let e = dispatch(&sv(args)).unwrap_err();
+            assert!(e.contains(USAGE), "{args:?} is a usage error: {e}");
+        }
     }
 
     #[test]

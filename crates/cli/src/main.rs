@@ -40,8 +40,6 @@ fn main() -> ExitCode {
         Ok(code) => ExitCode::from(code),
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{}", commands::USAGE);
             ExitCode::FAILURE
         }
     }

@@ -13,7 +13,11 @@
 //! * **quarantine** — configurations that fail persistently are added to
 //!   a per-task quarantine set, surfaced through
 //!   [`Measurer::quarantined`] so tuners (the SA proposer's exclusion
-//!   set, BAO's scope filter) never re-propose a known-crashing config;
+//!   set, BAO's scope filter) never re-propose a known-crashing config.
+//!   The set lives in memory for the process that found it; it is never
+//!   persisted, because every quarantined config was measured, and a
+//!   resumed run's log replay puts every measured config back into the
+//!   tuner's visited set;
 //! * **graceful degradation** — failures still come back as zero-GFLOPS
 //!   penalty results (AutoTVM semantics), so cost models learn the
 //!   validity cliff instead of the loop falling over.
@@ -26,7 +30,7 @@ use dnn_graph::task::TuningTask;
 use schedule::{Config, ConfigSpace};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use telemetry::sync::lock_or_recover;
 
 /// Retry/timeout policy for [`RobustMeasurer`].
@@ -57,10 +61,9 @@ impl RetryPolicy {
 
 /// Per-task sets of configuration indices known to crash persistently.
 ///
-/// Keys are task names. A run journals each entry once the trial that
-/// quarantined it is logged, and a resumed run restores the unfinished
-/// tasks' sets, so it starts with the quarantine it died with, less any
-/// config whose trial line never reached the log.
+/// Keys are task names. The set is process memory only: a resumed run
+/// starts empty and rebuilds its exclusions by replaying the trial logs.
+/// It serializes only as a field of the checkpoint older binaries wrote.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Quarantine {
     sets: BTreeMap<String, BTreeSet<u64>>,
@@ -102,55 +105,24 @@ impl Quarantine {
     pub fn is_empty(&self) -> bool {
         self.sets.values().all(BTreeSet::is_empty)
     }
-
-    /// Every quarantined `(task, index)`, sorted by task, then index.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.sets.iter().flat_map(|(task, set)| set.iter().map(move |&i| (task.as_str(), i)))
-    }
 }
 
 /// A [`Measurer`] wrapper applying [`RetryPolicy`] and [`Quarantine`].
 ///
-/// The quarantine lives behind an `Arc<Mutex<_>>`, so one set can be
-/// shared across worker threads (one `RobustMeasurer` driven by a pooled
-/// executor) *and* across independently constructed instances via
-/// [`RobustMeasurer::with_shared_quarantine`]: a configuration that
-/// crashed on worker 1 is never retried on worker 2.
+/// The quarantine lives behind a `Mutex`, so the worker threads of a
+/// pooled executor driving one `RobustMeasurer` share one set: a
+/// configuration that crashed on worker 1 is never retried on worker 2.
 #[derive(Debug)]
 pub struct RobustMeasurer<M> {
     inner: M,
     policy: RetryPolicy,
-    quarantine: Arc<Mutex<Quarantine>>,
+    quarantine: Mutex<Quarantine>,
 }
 
 impl<M: Measurer> RobustMeasurer<M> {
     /// Wraps `inner` with `policy` and an empty quarantine.
     pub fn new(inner: M, policy: RetryPolicy) -> Self {
-        Self::with_shared_quarantine(inner, policy, Arc::new(Mutex::new(Quarantine::new())))
-    }
-
-    /// Wraps `inner` with `policy`, sharing an existing quarantine set —
-    /// several measurer instances (e.g. one per worker pool) then see and
-    /// extend the same per-task crash lists.
-    pub fn with_shared_quarantine(
-        inner: M,
-        policy: RetryPolicy,
-        quarantine: Arc<Mutex<Quarantine>>,
-    ) -> Self {
-        RobustMeasurer { inner, policy, quarantine }
-    }
-
-    /// Handle to the shared quarantine set, for wiring further instances
-    /// through [`RobustMeasurer::with_shared_quarantine`].
-    #[must_use]
-    pub fn shared_quarantine(&self) -> Arc<Mutex<Quarantine>> {
-        Arc::clone(&self.quarantine)
-    }
-
-    /// Seeds the quarantine (crash-safe resume restores the set the
-    /// crashed run had accumulated).
-    pub fn restore_quarantine(&self, quarantine: Quarantine) {
-        *lock_or_recover(&self.quarantine) = quarantine;
+        RobustMeasurer { inner, policy, quarantine: Mutex::new(Quarantine::new()) }
     }
 
     /// Snapshot of the current quarantine.
@@ -345,31 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_quarantine_is_visible_across_instances() {
-        let (task, space) = setup();
-        let a = RobustMeasurer::new(faulty(0.5), RetryPolicy::default());
-        let b = RobustMeasurer::with_shared_quarantine(
-            faulty(0.5),
-            RetryPolicy::default(),
-            a.shared_quarantine(),
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let cfg = loop {
-            let c = space.sample(&mut rng);
-            let r = a.measure(&task, &space, &c);
-            if r.error_kind().is_some_and(|k| !k.is_transient()) {
-                break c;
-            }
-        };
-        // The crash was observed through `a`; `b` must refuse to retry it.
-        assert!(b.quarantined(&task).contains(&cfg.index));
-        assert_eq!(
-            b.measure(&task, &space, &cfg).error_kind(),
-            Some(MeasureErrorKind::LaunchCrash)
-        );
-    }
-
-    #[test]
     fn quarantine_snapshot_round_trips() {
         let mut q = Quarantine::new();
         assert!(q.is_empty());
@@ -379,7 +326,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert!(q.contains("t1", 5));
         assert!(!q.contains("t1", 6));
-        assert_eq!(q.iter().collect::<Vec<_>>(), [("t1", 5), ("t2", 9)]);
         let json = serde_json::to_string(&q).unwrap();
         let back: Quarantine = serde_json::from_str(&json).unwrap();
         assert_eq!(back, q);

@@ -10,8 +10,8 @@
 //! What the adapter keeps is what differs from the CLI:
 //!
 //! * the measurer is a plain [`SimMeasurer`] leasing from the server's
-//!   shared [`DevicePool`] under the tenant tag, so the journal carries
-//!   no quarantine;
+//!   shared [`DevicePool`] under the tenant tag, with no retry or
+//!   quarantine policy;
 //! * a job tunes one task at a time and **cold**: it upserts but never
 //!   consults the database, so its trial stream is a pure function of
 //!   the spec, independent of what other tenants upserted meanwhile —
@@ -84,9 +84,9 @@ pub fn run_job(
     // migrated to one first); its completed tasks are the same advisory
     // state `tune --resume` uses (correctness rests on the logs
     // themselves).
-    let progress =
+    let completed =
         dir.recover_progress().map_err(|e| format!("bad progress journal for {id}: {e}"))?;
-    let resume = progress.is_some();
+    let resume = completed.is_some();
     if !resume {
         dir.write_manifest(&RunManifest {
             model: spec.model.clone(),
@@ -123,10 +123,9 @@ pub fn run_job(
         device: &spec.device,
         dir: Some(&dir),
         resume,
-        completed: progress.map(|p| p.completed_tasks).unwrap_or_default(),
+        completed: completed.unwrap_or_default(),
         task_workers: 1,
         db: db.map(|store| SessionDb { store, consult: None }),
-        quarantine: None,
         tel: &telemetry::Telemetry::disabled(),
         on_trial: &|task, rec| {
             let fields = json!({

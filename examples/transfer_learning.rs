@@ -44,7 +44,6 @@ fn main() -> Result<(), String> {
         completed: Vec::new(),
         task_workers: 1,
         db: Some(SessionDb { store: &store, consult: None }),
-        quarantine: None,
         tel: &Telemetry::disabled(),
         on_trial: &|_, _| {},
         on_abort: &|_, _| Ok(()),

@@ -54,7 +54,6 @@ fn warm_start_from_a_real_log_lands_in_the_new_space() {
         completed: Vec::new(),
         task_workers: 1,
         db: Some(SessionDb { store: &store, consult: None }),
-        quarantine: None,
         tel: &Telemetry::disabled(),
         on_trial: &|_, _| {},
         on_abort: &|_, _| Ok(()),
