@@ -341,7 +341,7 @@ pub fn drive_loop<M: Measurer>(
             if live {
                 tel.observe("trial.gflops", gflops);
                 tel.count("tune.trials", 1);
-                if tel.has_live_registry() {
+                if tel.is_enabled() {
                     // Per-task progress gauges for the live dashboard.
                     tel.gauge(&format!("task.{}.best_gflops", task.name), best_now);
                     #[allow(clippy::cast_precision_loss)]
@@ -386,7 +386,7 @@ pub fn drive_loop<M: Measurer>(
             measured += 1;
             results.push((cfg, gflops));
         }
-        if capture && tel.has_live_registry() {
+        if capture && tel.is_enabled() {
             // Live-only model-quality gauges for `aaltune top`: cumulative
             // Spearman rank correlation between predictions and
             // measurements, and |coverage(|z| ≤ 1) − 0.683| calibration

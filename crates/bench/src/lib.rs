@@ -32,6 +32,7 @@ pub fn init_telemetry(args: &args::Args) -> telemetry::Telemetry {
         args.get_opt("trace").map(std::path::Path::new),
         args.present("quiet"),
         args.present("json"),
+        false,
     )
     .expect("create trace file")
 }

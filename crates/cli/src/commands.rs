@@ -152,6 +152,7 @@ fn install_telemetry(cli: &Cli) -> Result<telemetry::Telemetry, String> {
         cli.flag_str("trace").map(Path::new),
         cli.flag_present("quiet"),
         cli.flag_present("json"),
+        false,
     )
     .map_err(|e| format!("cannot create trace file: {e}"))
 }
@@ -431,38 +432,29 @@ fn tune(cli: &Cli) -> Result<(), String> {
         .flag_str("trace")
         .map(PathBuf::from)
         .or_else(|| plan.run_dir.as_ref().map(RunDir::trace_path));
-    // Live observability: with a run dir and a non-zero interval, attach a
-    // metrics registry so every probe publishes live, and snapshot it into
-    // the run dir periodically. The registry and the snapshot thread only
-    // write side files (metrics.snapshot.json / metrics.prom) and append
-    // heartbeat events to the trace — trial logs stay byte-identical
-    // whether or not snapshots are enabled.
-    let snapshot_ms: u64 = cli.flag("snapshot-interval-ms", 1000)?;
-    let live_registry = plan
-        .run_dir
-        .as_ref()
-        .filter(|_| snapshot_ms > 0)
-        .map(|_| std::sync::Arc::new(telemetry::MetricsRegistry::new()));
-    let tel = telemetry::install_pipeline_live(
+    let tel = telemetry::install_pipeline(
         trace.as_deref(),
         cli.flag_present("quiet"),
         cli.flag_present("json"),
         plan.resume,
-        live_registry.clone(),
     )
     .map_err(|e| format!("cannot create trace file: {e}"))?;
     // Declared before everything that reports into the pipeline, so it
     // drops last: every return below leaves a complete trace.
     let _finish = TelemetryGuard(tel.clone());
-    let mut snapshot_writer = match (&plan.run_dir, &live_registry) {
-        (Some(dir), Some(reg)) => Some(telemetry::SnapshotWriter::start(
+    // Live observability: with a run dir and a non-zero interval, snapshot
+    // the handle's metrics registry into the run dir periodically. The
+    // snapshot thread only writes side files (metrics.snapshot.json /
+    // metrics.prom) and appends heartbeat events to the trace — trial logs
+    // stay byte-identical whether or not snapshots are enabled.
+    let snapshot_ms: u64 = cli.flag("snapshot-interval-ms", 1000)?;
+    let mut snapshot_writer = plan.run_dir.as_ref().filter(|_| snapshot_ms > 0).map(|dir| {
+        telemetry::SnapshotWriter::start(
             dir.path().to_path_buf(),
-            std::sync::Arc::clone(reg),
             Duration::from_millis(snapshot_ms),
             tel.clone(),
-        )),
-        _ => None,
-    };
+        )
+    });
     // Built after the pipeline is installed: each worker thread takes the
     // global telemetry handle when it starts, and one started earlier
     // would count into the disabled default.

@@ -142,7 +142,7 @@ impl DevicePool {
                 #[allow(clippy::cast_precision_loss)]
                 let busy = (self.devices - self.free_now()) as f64;
                 tel.observe("exec.device.pool_busy", busy);
-                if tel.has_live_registry() {
+                if tel.is_enabled() {
                     tel.gauge("exec.devices.busy.now", busy);
                     tel.gauge(&format!("exec.device.{id}.busy.now"), 1.0);
                 }
@@ -235,7 +235,7 @@ impl Drop for DeviceLease {
         #[allow(clippy::cast_precision_loss)]
         tel.observe("exec.device.busy_us", busy_us as f64);
         self.pool.release(self.id, &self.tag);
-        if tel.has_live_registry() {
+        if tel.is_enabled() {
             tel.gauge(&format!("exec.device.{}.busy.now", self.id), 0.0);
             #[allow(clippy::cast_precision_loss)]
             let busy = (self.pool.devices - self.pool.free_now()) as f64;

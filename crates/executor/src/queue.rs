@@ -80,10 +80,10 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Mirrors the instantaneous depth into a live gauge (`<metric>.now`)
-    /// for dashboards. Only pays the name allocation when a live registry
-    /// is actually attached.
+    /// for dashboards. Only pays the name allocation when telemetry is
+    /// enabled.
     fn publish_depth(&self, tel: &telemetry::Telemetry, depth: f64) {
-        if tel.has_live_registry() {
+        if tel.is_enabled() {
             tel.gauge(&format!("{}.now", self.depth_metric), depth);
         }
     }
@@ -213,7 +213,8 @@ mod tests {
         let _ = q.pop();
         assert!((reg.snapshot().gauge("gaugetest.depth.now") - 1.0).abs() < 1e-12);
         telemetry::set_global(telemetry::Telemetry::disabled());
-        // Without a registry the gauge path is a no-op and pushes still work.
+        // On the disabled handle the gauge path is a no-op and pushes still
+        // work.
         q.push(3).unwrap();
         assert!((reg.snapshot().gauge("gaugetest.depth.now") - 1.0).abs() < 1e-12);
     }

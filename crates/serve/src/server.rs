@@ -12,9 +12,9 @@
 //!                                          └──────> TuningDb upserts
 //! ```
 //!
-//! Every layer reports through one [`MetricsRegistry`]; a
-//! [`SnapshotWriter`] publishes it into the serve root so `aaltune top
-//! ROOT` works against a live server. Graceful shutdown (`POST
+//! Every layer reports through the telemetry handle's
+//! [`telemetry::MetricsRegistry`]; a [`SnapshotWriter`] publishes it into
+//! the serve root so `aaltune top ROOT` works against a live server. Graceful shutdown (`POST
 //! /shutdown`) drains: in-flight jobs finish and journal their progress,
 //! queued jobs stay journaled for the next start. A kill -9 skips all of
 //! that and relies on journal + log replay alone.
@@ -39,8 +39,7 @@ use std::time::{Duration, Instant};
 use telemetry::durable::{self, Appender};
 use telemetry::sync::{lock_or_recover, read_or_recover, write_or_recover};
 use telemetry::{
-    FileSink, MetricsRegistry, Record, ReporterSink, SnapshotRequest, SnapshotWriter, TeeSink,
-    Telemetry,
+    FileSink, Record, ReporterSink, SnapshotRequest, SnapshotWriter, TeeSink, Telemetry,
 };
 use tuning_db::{LockOptions, ReadHandle, TaskSpec, TuningDb};
 
@@ -193,7 +192,6 @@ impl Server {
         std::fs::create_dir_all(cfg.root.join("jobs"))
             .map_err(|e| format!("cannot create serve root: {e}"))?;
 
-        let registry = Arc::new(MetricsRegistry::new());
         // The bus instance inside the tee is what subscribers must attach
         // to, so build it first and clone it into the tee.
         let bus = telemetry::EventBus::default();
@@ -204,7 +202,7 @@ impl Server {
             )
             .with(bus.clone());
         let tee = if cfg.quiet { tee } else { tee.with(ReporterSink::human()) };
-        let tel = Telemetry::with_registry(tee, Arc::clone(&registry));
+        let tel = Telemetry::new(tee);
         telemetry::set_global(tel.clone());
 
         let db_root = cfg.db.clone().unwrap_or_else(|| cfg.root.join("db"));
@@ -231,12 +229,7 @@ impl Server {
         durable::replace(&cfg.root.join("serve.addr"), |w| write!(w, "{addr}"))
             .map_err(|e| format!("cannot record serve.addr: {e}"))?;
 
-        let snapshots = SnapshotWriter::start(
-            cfg.root.clone(),
-            Arc::clone(&registry),
-            cfg.snapshot_interval,
-            tel.clone(),
-        );
+        let snapshots = SnapshotWriter::start(cfg.root.clone(), cfg.snapshot_interval, tel.clone());
 
         let shared = Arc::new(Shared {
             addr,

@@ -13,7 +13,10 @@
 //!   in the trial logs and the model capture, not in the trace.
 //! * **Metrics** — monotonic counters (SA proposals accepted/rejected) and
 //!   mergeable log-scale [`Histogram`]s (measurement latency, fit time),
-//!   snapshotted into the trace at [`Telemetry::flush`].
+//!   kept in the handle's one [`MetricsRegistry`] and snapshotted into the
+//!   trace at [`Telemetry::flush`]. Gauges and labels live in the same
+//!   registry but never reach the trace; observers such as the
+//!   [`SnapshotWriter`] read the registry while the run executes.
 //!
 //! Everything flows into a [`Sink`]: [`FileSink`] writes JSONL trace
 //! artifacts, [`VecSink`] captures records for tests, [`ReporterSink`]
@@ -72,9 +75,8 @@ pub use summary::{FlameNode, TraceSummary};
 pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// Name of the progress-report event rendered by [`ReporterSink`].
@@ -107,11 +109,10 @@ struct Inner {
     sink: Box<dyn Sink>,
     start: Instant,
     next_span: AtomicU64,
-    counters: Mutex<BTreeMap<String, u64>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-    /// Optional live mirror: when attached, `count`/`observe` also publish
-    /// into it immediately, and `gauge`/`set_label` become live-only probes.
-    live: Option<Arc<MetricsRegistry>>,
+    /// The handle's one metrics store: `count`/`observe` land here, `flush`
+    /// writes its counters and histograms into the trace, and observers
+    /// (snapshot writer, dashboards) read it live.
+    metrics: Arc<MetricsRegistry>,
 }
 
 thread_local! {
@@ -136,49 +137,34 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// Creates a handle that emits every record to `sink`. Timestamps are
-    /// microseconds since this call.
+    /// Creates a handle that emits every record to `sink` and keeps its
+    /// metrics in a fresh [`MetricsRegistry`]. Timestamps are microseconds
+    /// since this call.
     pub fn new(sink: impl Sink + 'static) -> Self {
-        Self::build(Box::new(sink), None)
+        Self::with_registry(sink, Arc::new(MetricsRegistry::new()))
     }
 
-    /// [`Telemetry::new`] with a live [`MetricsRegistry`] attached: every
-    /// `count`/`observe` also publishes into the registry immediately, and
-    /// [`Telemetry::gauge`]/[`Telemetry::set_label`] become live probes.
-    /// The registry never alters what reaches the sink.
+    /// [`Telemetry::new`] keeping its metrics in the caller's `registry`
+    /// instead of a fresh one, so the caller can watch them live. The
+    /// registry's counters and histograms are what [`Telemetry::flush`]
+    /// writes to the trace.
     pub fn with_registry(sink: impl Sink + 'static, registry: Arc<MetricsRegistry>) -> Self {
-        Self::build(Box::new(sink), Some(registry))
-    }
-
-    fn build(sink: Box<dyn Sink>, live: Option<Arc<MetricsRegistry>>) -> Self {
-        let tel = Telemetry {
-            inner: Some(Arc::new(Inner {
-                sink,
-                start: Instant::now(),
-                next_span: AtomicU64::new(1),
-                counters: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
-                live,
-            })),
+        let inner = Inner {
+            sink: Box::new(sink),
+            start: Instant::now(),
+            next_span: AtomicU64::new(1),
+            metrics: registry,
         };
-        if let Some(inner) = &tel.inner {
-            inner.sink.record(&Record::Schema { version: TRACE_SCHEMA_VERSION });
-        }
-        tel
+        inner.sink.record(&Record::Schema { version: TRACE_SCHEMA_VERSION });
+        Telemetry { inner: Some(Arc::new(inner)) }
     }
 
-    /// The attached live registry, if any. Observers (snapshot writer,
-    /// dashboards) read it; publishers go through the probe methods.
+    /// The handle's metrics store, `None` on a disabled handle. Observers
+    /// (snapshot writer, dashboards) read it; publishers go through the
+    /// probe methods.
     #[must_use]
     pub fn live_registry(&self) -> Option<Arc<MetricsRegistry>> {
-        self.inner.as_ref().and_then(|i| i.live.clone())
-    }
-
-    /// True when a live registry is attached — lets hot paths skip building
-    /// gauge names that would go nowhere.
-    #[must_use]
-    pub fn has_live_registry(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.live.is_some())
+        self.inner.as_ref().map(|i| Arc::clone(&i.metrics))
     }
 
     /// Creates a handle whose probes all short-circuit. This is the true
@@ -259,67 +245,51 @@ impl Telemetry {
     /// as [`Record::Counter`] snapshots at [`Telemetry::flush`].
     pub fn count(&self, name: &str, delta: u64) {
         let Some(inner) = &self.inner else { return };
-        {
-            let mut counters = lock_or_recover(&inner.counters);
-            *counters.entry(name.to_string()).or_insert(0) += delta;
-        }
-        if let Some(live) = &inner.live {
-            live.inc(name, delta);
-        }
+        inner.metrics.inc(name, delta);
     }
 
     /// Records `value` into the log-scale histogram `name`. Histograms are
     /// emitted as [`Record::Histogram`] snapshots at [`Telemetry::flush`].
     pub fn observe(&self, name: &str, value: f64) {
         let Some(inner) = &self.inner else { return };
-        {
-            let mut hists = lock_or_recover(&inner.histograms);
-            hists.entry(name.to_string()).or_default().observe(value);
-        }
-        if let Some(live) = &inner.live {
-            live.observe(name, value);
-        }
+        inner.metrics.observe(name, value);
     }
 
-    /// Sets the live gauge `name` to `value`. Gauges are instantaneous
-    /// state (queue depth, busy workers) — they exist only in the attached
-    /// [`MetricsRegistry`] and never reach the trace, so instrumenting a
-    /// gauge cannot change any trace artifact. No-op without a registry.
+    /// Sets the gauge `name` to `value`. Gauges are instantaneous state
+    /// (queue depth, busy workers): they live only in the handle's
+    /// registry and never reach the trace, so instrumenting a gauge cannot
+    /// change any trace artifact. No-op on a disabled handle.
     pub fn gauge(&self, name: &str, value: f64) {
-        let Some(live) = self.inner.as_ref().and_then(|i| i.live.as_ref()) else { return };
-        live.gauge_set(name, value);
+        let Some(inner) = &self.inner else { return };
+        inner.metrics.gauge_set(name, value);
     }
 
-    /// Adds `delta` (may be negative) to the live gauge `name`. Live-only,
+    /// Adds `delta` (may be negative) to the gauge `name`. Registry-only,
     /// like [`Telemetry::gauge`].
     pub fn gauge_add(&self, name: &str, delta: f64) {
-        let Some(live) = self.inner.as_ref().and_then(|i| i.live.as_ref()) else { return };
-        live.gauge_add(name, delta);
+        let Some(inner) = &self.inner else { return };
+        inner.metrics.gauge_add(name, delta);
     }
 
-    /// Sets the live string label `name` (e.g. the task currently tuning).
-    /// Live-only, like [`Telemetry::gauge`].
+    /// Sets the string label `name` (e.g. the task currently tuning).
+    /// Registry-only, like [`Telemetry::gauge`].
     pub fn set_label(&self, name: &str, value: &str) {
-        let Some(live) = self.inner.as_ref().and_then(|i| i.live.as_ref()) else { return };
-        live.set_label(name, value);
+        let Some(inner) = &self.inner else { return };
+        inner.metrics.set_label(name, value);
     }
 
-    /// Emits the current counter and histogram snapshots, then flushes the
-    /// sink. Call once at the end of a run (snapshots are cumulative, so
-    /// flushing repeatedly is safe — summarizers keep the last value seen).
+    /// Emits the registry's counter and histogram snapshots in name order,
+    /// then flushes the sink. Call once at the end of a run (snapshots are
+    /// cumulative, so flushing repeatedly is safe — summarizers keep the
+    /// last value seen).
     pub fn flush(&self) {
         let Some(inner) = &self.inner else { return };
-        {
-            let counters = lock_or_recover(&inner.counters);
-            for (name, &value) in counters.iter() {
-                inner.sink.record(&Record::Counter { name: name.clone(), value });
-            }
+        let snap = inner.metrics.snapshot();
+        for (name, value) in snap.counters {
+            inner.sink.record(&Record::Counter { name, value });
         }
-        {
-            let hists = lock_or_recover(&inner.histograms);
-            for (name, hist) in hists.iter() {
-                inner.sink.record(&Record::Histogram { name: name.clone(), hist: hist.clone() });
-            }
+        for (name, hist) in snap.histograms {
+            inner.sink.record(&Record::Histogram { name, hist });
         }
         inner.sink.flush();
     }
@@ -395,40 +365,24 @@ pub fn global() -> Telemetry {
 /// Builds and installs the standard command-line pipeline: a progress
 /// [`ReporterSink`] (human-readable, or JSON lines when `json` is set,
 /// suppressed entirely by `quiet`) teed with an optional JSONL trace
-/// [`FileSink`] at `trace`.
+/// [`FileSink`] at `trace`. When `append` is set the trace file is extended
+/// instead of truncated, which is what a crash-safe resume wants — its
+/// fresh [`Record::Schema`] header marks a new process segment in the same
+/// trace.
 ///
 /// Returns the installed handle so the caller can [`Telemetry::flush`] it
-/// once the run finishes. With no reporter and no trace file the handle is
-/// [`Telemetry::disabled`], keeping the hot path at zero overhead.
-///
-/// # Errors
-///
-/// Propagates trace-file creation errors.
-pub fn install_pipeline(
-    trace: Option<&std::path::Path>,
-    quiet: bool,
-    json: bool,
-) -> std::io::Result<Telemetry> {
-    install_pipeline_live(trace, quiet, json, false, None)
-}
-
-/// [`install_pipeline`] with an explicit trace-file mode and an optional
-/// live [`MetricsRegistry`]. When `append` is set the trace file is
-/// extended instead of truncated, which is what a crash-safe resume wants
-/// — its fresh [`Record::Schema`] header marks a new process segment in
-/// the same trace. The registry is attached to the installed handle, so
-/// every instrumentation site in the process publishes live metrics
-/// without code changes; it never changes what reaches the trace file.
+/// once the run finishes, or watch its [`Telemetry::live_registry`]. With
+/// no reporter and no trace file the handle is [`Telemetry::disabled`],
+/// keeping the hot path at zero overhead.
 ///
 /// # Errors
 ///
 /// Propagates trace-file open errors.
-pub fn install_pipeline_live(
+pub fn install_pipeline(
     trace: Option<&std::path::Path>,
     quiet: bool,
     json: bool,
     append: bool,
-    live: Option<Arc<MetricsRegistry>>,
 ) -> std::io::Result<Telemetry> {
     let mut tee = TeeSink::new();
     if !quiet {
@@ -437,11 +391,7 @@ pub fn install_pipeline_live(
     if let Some(path) = trace {
         tee = tee.with(if append { FileSink::append(path)? } else { FileSink::create(path)? });
     }
-    let tel = if tee.is_empty() && live.is_none() {
-        Telemetry::disabled()
-    } else {
-        Telemetry::build(Box::new(tee), live)
-    };
+    let tel = if tee.is_empty() { Telemetry::disabled() } else { Telemetry::new(tee) };
     set_global(tel.clone());
     Ok(tel)
 }
@@ -563,44 +513,74 @@ mod tests {
     }
 
     #[test]
-    fn attached_registry_mirrors_counts_and_observes_without_changing_records() {
+    fn new_and_with_registry_handles_emit_identical_records() {
         let reg = Arc::new(MetricsRegistry::new());
         let plain_sink = VecSink::new();
-        let live_sink = VecSink::new();
+        let shared_sink = VecSink::new();
         let plain = Telemetry::new(plain_sink.clone());
-        let live = Telemetry::with_registry(live_sink.clone(), Arc::clone(&reg));
-        for tel in [&plain, &live] {
+        let shared = Telemetry::with_registry(shared_sink.clone(), Arc::clone(&reg));
+        for tel in [&plain, &shared] {
             tel.count("c", 4);
+            tel.count("b", 1);
             tel.observe("h", 10.0);
-            tel.gauge("g", 2.0);
-            tel.gauge_add("g", 0.5);
-            tel.set_label("l", "v");
+            tel.observe("a", 2.0);
             tel.flush();
         }
-        // Live metrics landed in the registry...
+        // The caller's registry is the handle's store...
         let snap = reg.snapshot();
         assert_eq!(snap.counter("c"), 4);
         assert_eq!(snap.histograms["h"].count(), 1);
-        assert!((snap.gauge("g") - 2.5).abs() < 1e-12);
-        assert_eq!(snap.labels["l"], "v");
-        // ...and the record streams are identical: gauges/labels are
-        // live-only, and mirroring adds no records.
-        let names =
+        let mut own = plain.live_registry().unwrap().snapshot();
+        own.uptime_us = snap.uptime_us;
+        own.unix_ms = snap.unix_ms;
+        assert_eq!(own, snap, "both handles' registries hold the same metrics");
+        // ...and the record streams are identical, in name order.
+        let recs =
             |s: &VecSink| -> Vec<String> { s.records().iter().map(|r| format!("{r:?}")).collect() };
-        assert_eq!(names(&plain_sink), names(&live_sink));
+        assert_eq!(recs(&plain_sink), recs(&shared_sink));
+        let names: Vec<String> =
+            plain_sink.records().iter().map(|r| r.name().to_string()).collect();
+        assert_eq!(names[1..], ["b", "c", "a", "h"]);
     }
 
     #[test]
-    fn gauge_and_label_are_noops_without_registry() {
+    fn counters_published_on_the_registry_reach_the_trace() {
+        // The snapshot writer counts `snapshot.write_errors` straight into
+        // the handle's registry; flush must carry it like any `count`.
+        let reg = Arc::new(MetricsRegistry::new());
+        let sink = VecSink::new();
+        let tel = Telemetry::with_registry(sink.clone(), Arc::clone(&reg));
+        reg.inc("snapshot.write_errors", 2);
+        reg.observe("direct.us", 5.0);
+        tel.flush();
+        let recs = sink.records();
+        assert!(recs.iter().any(
+            |r| matches!(r, Record::Counter { name, value: 2 } if name == "snapshot.write_errors")
+        ));
+        assert!(recs.iter().any(
+            |r| matches!(r, Record::Histogram { name, hist } if name == "direct.us" && hist.count() == 1)
+        ));
+    }
+
+    #[test]
+    fn gauges_and_labels_stay_in_the_registry() {
         let sink = VecSink::new();
         let tel = Telemetry::new(sink.clone());
-        tel.gauge("g", 1.0);
+        tel.gauge("g", 2.0);
+        tel.gauge_add("g", 0.5);
         tel.set_label("l", "v");
-        assert!(tel.live_registry().is_none());
+        tel.flush();
+        let snap = tel.live_registry().unwrap().snapshot();
+        assert!((snap.gauge("g") - 2.5).abs() < 1e-12);
+        assert_eq!(snap.labels["l"], "v");
+        // Only the schema header reaches the trace.
+        assert_eq!(sink.records().len(), 1);
+        assert!(matches!(sink.records()[0], Record::Schema { .. }));
         let disabled = Telemetry::disabled();
         disabled.gauge("g", 1.0);
         disabled.gauge_add("g", 1.0);
         disabled.set_label("l", "v");
+        assert!(disabled.live_registry().is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Mergeable metrics: monotonic counters live in the [`crate::Telemetry`]
-//! handle; this module provides the log-scale [`Histogram`] they aggregate
-//! alongside.
+//! Mergeable metrics: monotonic counters live in the
+//! [`crate::MetricsRegistry`] of a [`crate::Telemetry`] handle; this module
+//! provides the log-scale [`Histogram`] they aggregate alongside.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,13 +1,13 @@
-//! Live, thread-safe metrics shared between publishers (executor workers,
-//! the robust measurer, tuning loops) and observers (the snapshot writer,
-//! `aaltune top`).
+//! Thread-safe metrics shared between publishers (executor workers, the
+//! robust measurer, tuning loops) and observers (the snapshot writer,
+//! `aaltune top`, the trace).
 //!
-//! The trace pipeline in [`crate::Telemetry`] is *post-hoc*: counters and
-//! histograms only reach the sink at flush time, so nothing can watch a run
-//! while it executes. A [`MetricsRegistry`] is the live complement: every
-//! update lands in shared memory immediately, and [`MetricsRegistry::snapshot`]
-//! produces a consistent, serializable [`MetricsSnapshot`] at any moment
-//! without stopping publishers.
+//! Every enabled [`crate::Telemetry`] handle keeps its counters, histograms,
+//! gauges and labels in one [`MetricsRegistry`]. Every update lands in
+//! shared memory immediately, so [`MetricsRegistry::snapshot`] produces a
+//! consistent, serializable [`MetricsSnapshot`] at any moment without
+//! stopping publishers, and [`crate::Telemetry::flush`] writes the same
+//! counters and histograms into the trace.
 //!
 //! Publisher cost is kept near zero:
 //!
@@ -20,11 +20,11 @@
 //!   name-sharded mutexes, so two workers observing different metrics
 //!   almost never contend on the same lock.
 //!
-//! The registry is deliberately *not* part of the trace wire format: live
-//! metrics are a lossy, restart-scoped view, while the trace is the durable
-//! record. Attaching a registry to a [`crate::Telemetry`] handle must never
-//! change what the trace (or any tuning artifact) contains — that is the
-//! determinism constraint the snapshot layer is built around.
+//! Gauges and labels are deliberately *not* part of the trace wire format:
+//! they are a lossy, restart-scoped view, while the trace is the durable
+//! record. Setting a gauge or label must never change what the trace (or
+//! any tuning artifact) contains — that is the determinism constraint the
+//! snapshot layer is built around.
 
 use crate::metrics::Histogram;
 use crate::sync::{lock_or_recover, read_or_recover, write_or_recover};
@@ -179,10 +179,14 @@ impl MetricsRegistry {
         (h % HIST_SHARDS as u64) as usize
     }
 
-    /// Records `value` into the live histogram `name`.
+    /// Records `value` into the histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        let shard = &self.hist_shards[Self::shard_of(name)];
-        lock_or_recover(shard).entry(name.to_string()).or_default().observe(value);
+        let mut shard = lock_or_recover(&self.hist_shards[Self::shard_of(name)]);
+        if let Some(hist) = shard.get_mut(name) {
+            hist.observe(value);
+        } else {
+            shard.entry(name.to_string()).or_default().observe(value);
+        }
     }
 
     /// Sets the string label `name` (e.g. `task.current`).

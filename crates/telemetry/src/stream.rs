@@ -1,5 +1,5 @@
-//! Streaming observability: periodic snapshots of the live
-//! [`MetricsRegistry`].
+//! Streaming observability: periodic snapshots of a [`Telemetry`]
+//! handle's [`MetricsRegistry`].
 //!
 //! [`SnapshotWriter`] is a background thread that every interval writes
 //! `metrics.snapshot.json` and `metrics.prom` via [`crate::durable`] (a
@@ -150,17 +150,15 @@ impl std::fmt::Debug for SnapshotWriter {
 
 impl SnapshotWriter {
     /// Starts the writer: every `interval`, and whenever a
-    /// [`SnapshotRequest`] asks, it publishes snapshots into `dir` and
-    /// emits a `run.heartbeat` event on `tel`. Publish errors are counted
-    /// on the registry (`snapshot.write_errors`) rather than killing the
-    /// run — observability must never take the tuner down.
+    /// [`SnapshotRequest`] asks, it publishes `tel`'s registry into `dir`
+    /// and emits a `run.heartbeat` event on `tel`. Publish errors are
+    /// counted on the registry (`snapshot.write_errors`, which the trace's
+    /// final counters then carry) rather than killing the run —
+    /// observability must never take the tuner down. A disabled `tel` has
+    /// no registry and publishes an empty one.
     #[must_use]
-    pub fn start(
-        dir: PathBuf,
-        registry: Arc<MetricsRegistry>,
-        interval: Duration,
-        tel: Telemetry,
-    ) -> SnapshotWriter {
+    pub fn start(dir: PathBuf, interval: Duration, tel: Telemetry) -> SnapshotWriter {
+        let registry = tel.live_registry().unwrap_or_default();
         let signal = Arc::new(Signal::default());
         let writer_signal = Arc::clone(&signal);
         // aal-lint: allow(thread-spawn, reason = "observability-only snapshot thread with explicit stop+join; routing it through the executor would couple tuning to the dashboard")
@@ -246,7 +244,7 @@ impl Drop for SnapshotWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Telemetry, VecSink};
+    use crate::{NoopSink, Telemetry, VecSink};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("aaltune-stream-{tag}-{}", std::process::id()));
@@ -258,13 +256,12 @@ mod tests {
     #[test]
     fn snapshot_writer_publishes_and_heartbeats() {
         let dir = tmp_dir("writer");
-        let reg = Arc::new(MetricsRegistry::new());
-        reg.inc(TRIALS_COUNTER, 5);
-        reg.set_label(CURRENT_TASK_LABEL, "m.T1");
         let sink = VecSink::new();
         let tel = Telemetry::new(sink.clone());
-        let writer =
-            SnapshotWriter::start(dir.clone(), Arc::clone(&reg), Duration::from_millis(10), tel);
+        let reg = tel.live_registry().unwrap();
+        tel.count(TRIALS_COUNTER, 5);
+        tel.set_label(CURRENT_TASK_LABEL, "m.T1");
+        let writer = SnapshotWriter::start(dir.clone(), Duration::from_millis(10), tel);
         // Wait for at least the immediate first publish.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while !dir.join(SNAPSHOT_FILE).exists() && std::time::Instant::now() < deadline {
@@ -296,13 +293,9 @@ mod tests {
     #[test]
     fn requested_publish_does_not_wait_for_the_interval() {
         let dir = tmp_dir("request");
-        let reg = Arc::new(MetricsRegistry::new());
-        let writer = SnapshotWriter::start(
-            dir.clone(),
-            Arc::clone(&reg),
-            Duration::from_secs(60),
-            Telemetry::disabled(),
-        );
+        let tel = Telemetry::new(NoopSink);
+        let reg = tel.live_registry().unwrap();
+        let writer = SnapshotWriter::start(dir.clone(), Duration::from_secs(60), tel);
         let published = |name: &str| {
             std::fs::read_to_string(dir.join(SNAPSHOT_FILE))
                 .ok()
