@@ -9,6 +9,9 @@
 //!    functions; pick the candidate maximizing their sum).
 //! 3. Measure the winner on hardware and append it to `(X, Y)`.
 //!
+//! Steps 1 and 2 overlap: `C_t` is sampled while the Γ bootstrap fits,
+//! which do not depend on it, run (see [`crate::bs`]).
+//!
 //! Implemented as a [`crate::tuner::Tuner`] with batch size 1 so the shared
 //! measurement loop (budget, early stopping, records) drives it like any
 //! other strategy.
@@ -20,7 +23,7 @@ use gbt::{GbtParams, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use schedule::feature::{feature_len, features, features_into};
-use schedule::neighborhood::sample_feature_neighborhood;
+use schedule::neighborhood::NeighborhoodSampler;
 use schedule::{Config, ConfigSpace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -93,6 +96,8 @@ where
     last_two: (Option<f64>, Option<f64>),
     /// Consecutive steps whose relative improvement fell below η.
     stall_widenings: u32,
+    /// Samples the scope: the space's move table and reusable buffers.
+    sampler: NeighborhoodSampler<'s>,
     rng: StdRng,
     step: u64,
     capture: bool,
@@ -141,6 +146,7 @@ where
             center: None,
             last_two: (None, None),
             stall_widenings: 0,
+            sampler: NeighborhoodSampler::new(space),
             rng: StdRng::seed_from_u64(seed),
             step: 0,
             capture: false,
@@ -181,10 +187,10 @@ where
         out
     }
 
-    /// The current search scope C_t (Algorithm 4 lines 3-9), with the
-    /// features of each member as one matrix row. Consecutive sub-η steps
-    /// compound the widening: radius = min(τ^k · R, max).
-    fn scope(&mut self, center: &Config) -> (Vec<Config>, Matrix) {
+    /// The radius of the next search scope C_t (Algorithm 4 lines 3-9).
+    /// Consecutive sub-η steps compound the widening: radius = min(τ^k · R,
+    /// max).
+    fn radius(&mut self) -> f64 {
         let r_t = self.relative_improvement();
         let widen = r_t.is_some_and(|r| r < self.opts.eta);
         if widen {
@@ -208,41 +214,55 @@ where
         if widen {
             tel.count("bao.widenings", 1);
         }
-        // The sampler featurizes every member for its radius test; keep
-        // those rows instead of featurizing the scope again.
-        let mut rows = Vec::new();
-        let mut c = sample_feature_neighborhood(
-            self.space,
-            center,
-            radius,
-            self.opts.scope_size,
-            &mut self.rng,
-            &mut rows,
-        );
-        // A thin stream of global candidates rides along with the local
-        // scope: the τ^∞ limit of the widening rule. Without it, a center
-        // whose neighborhood is dense in invalid configurations (common for
-        // small-spatial layers) traps the search in a pocket the bagged
-        // models can never see out of.
-        let global = (self.opts.scope_size / 8).max(8);
-        for _ in 0..global {
-            let cfg = self.space.sample(&mut self.rng);
-            features_into(self.space, &cfg, &mut rows);
-            c.push(cfg);
-        }
-        // Unvisited members, each once, in index order (a stable sort keeps
-        // the first of any duplicates).
-        let mut keep: Vec<usize> =
-            (0..c.len()).filter(|&i| !self.visited.contains(&c[i].index)).collect();
-        keep.sort_by_key(|&i| c[i].index);
-        keep.dedup_by_key(|i| c[*i].index);
-        let x = Matrix::new(rows, c.len(), self.measured_x.cols()).select_rows(&keep);
-        let members = keep
-            .iter()
-            .map(|&i| Config { index: c[i].index, choices: std::mem::take(&mut c[i].choices) })
-            .collect();
-        (members, x)
+        radius
     }
+}
+
+/// The search scope C_t around `center` at `radius`: its unvisited
+/// members, each once and in index order, with the features of each as
+/// one matrix row.
+fn sample_scope(
+    sampler: &mut NeighborhoodSampler<'_>,
+    rng: &mut StdRng,
+    center: &Config,
+    radius: f64,
+    scope_size: usize,
+    visited: &HashSet<u64>,
+) -> (Vec<Config>, Matrix) {
+    let _span = telemetry::global().span("bao.scope");
+    let space = sampler.space();
+    // The sampler featurizes every member for its radius test; keep those
+    // rows instead of featurizing the scope again.
+    let mut rows = Vec::new();
+    let mut c = sampler.sample(center, radius, scope_size, rng, &mut rows);
+    // A thin stream of global candidates rides along with the local
+    // scope: the τ^∞ limit of the widening rule. Without it, a center
+    // whose neighborhood is dense in invalid configurations (common for
+    // small-spatial layers) traps the search in a pocket the bagged
+    // models can never see out of.
+    let global = (scope_size / 8).max(8);
+    for _ in 0..global {
+        let cfg = space.sample(rng);
+        features_into(space, &cfg, &mut rows);
+        c.push(cfg);
+    }
+    // Unvisited members, each once, in index order: sorting (index,
+    // position) pairs keeps the first of any duplicates.
+    let mut keep: Vec<(u64, usize)> = c
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| !visited.contains(&m.index))
+        .map(|(i, m)| (m.index, i))
+        .collect();
+    keep.sort_unstable();
+    keep.dedup_by_key(|&mut (index, _)| index);
+    let rows_kept: Vec<usize> = keep.iter().map(|&(_, i)| i).collect();
+    let x = Matrix::new(rows, c.len(), feature_len(space)).select_rows(&rows_kept);
+    let members = keep
+        .iter()
+        .map(|&(index, i)| Config { index, choices: std::mem::take(&mut c[i].choices) })
+        .collect();
+    (members, x)
 }
 
 impl<E, F> Tuner for BaoTuner<'_, E, F>
@@ -287,27 +307,30 @@ where
         let fit_x = self.measured_x.select_rows(&window);
         let fit_y: Vec<f64> = window.iter().map(|&i| self.measured[i].1).collect();
         let mut out = Vec::with_capacity(n);
+        let tel = telemetry::global();
         for _ in 0..n {
-            let (candidates, cand_x) = self.scope(&center);
+            let _step = tel.span("bao.step");
+            let radius = self.radius();
             self.step += 1;
-            let pick = if candidates.is_empty() {
-                None
-            } else {
-                Some(crate::bs::select_featurized(
-                    &fit_x,
-                    &fit_y,
-                    &candidates,
-                    &cand_x,
-                    self.opts.gamma,
-                    &self.make_evaluator,
-                    self.step.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ))
-            };
+            // The scope is sampled (from `rng`, the only job that draws
+            // from it) while the bootstrap fits run.
+            let (sampler, rng, visited) = (&mut self.sampler, &mut self.rng, &self.visited);
+            let scope_size = self.opts.scope_size;
+            let center = &center;
+            let sample = move || sample_scope(sampler, rng, center, radius, scope_size, visited);
+            let ((mut candidates, _), pick) = crate::bs::select_while_sampling(
+                &fit_x,
+                &fit_y,
+                self.opts.gamma,
+                &self.make_evaluator,
+                self.step.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                sample,
+            );
             // Exhausted or degenerate neighborhood: random restart keeps the
             // search alive (the space is astronomically larger than the
             // visited set, so this terminates).
             let (cfg, diag) = match pick {
-                Some((cfg, diag)) => (cfg, diag),
+                Some((best, diag)) => (candidates.swap_remove(best), diag),
                 None => {
                     let cfg = self.space.sample(&mut self.rng);
                     let diag = ProposalDiag::blind(cfg.index);
@@ -526,10 +549,66 @@ mod tests {
             rows(t.measured.iter().map(|(c, _)| c).collect())
         );
         let center = t.measured[3].0.clone();
-        let (members, x) = t.scope(&center);
+        let radius = t.radius();
+        let (members, x) =
+            sample_scope(&mut t.sampler, &mut t.rng, &center, radius, 48, &t.visited);
         assert!(!members.is_empty());
         assert_eq!(x.rows(), members.len());
         assert_eq!(x.into_data(), rows(members.iter().collect()));
+    }
+
+    /// The proposals of 24 steps on the toy space at CPU share `share`,
+    /// each with the bits of its diagnostics (mean, std, acquisition).
+    /// Every fifth value of knob `a` fails, so the fit window drops rows.
+    fn proposals_at_share<E, F>(share: usize, make: F) -> Vec<(u64, [Option<u64>; 3])>
+    where
+        E: Evaluator,
+        F: Fn() -> E + Sync,
+    {
+        executor::set_cpu_share(share);
+        let space = toy_space();
+        let init: Vec<Config> = (0..10).map(|i| space.config(i * 16 + 3).unwrap()).collect();
+        let opts = BaoOptions { scope_size: 96, ..BaoOptions::default() };
+        let mut t = BaoTuner::with_evaluator(&space, init, opts, make, 11);
+        t.set_capture(true);
+        let mut out = Vec::new();
+        for _ in 0..24 {
+            let batch = t.next_batch(t.preferred_batch());
+            let diags = t.take_diagnostics();
+            assert_eq!(diags.len(), batch.len());
+            let bits = |d: &ProposalDiag| {
+                [d.predicted_mean, d.predicted_std, d.acquisition].map(|v| v.map(f64::to_bits))
+            };
+            out.extend(batch.iter().zip(&diags).map(|(c, d)| (c.index, bits(d))));
+            let results: Vec<(Config, f64)> = batch
+                .into_iter()
+                .map(|c| {
+                    let y = if c.choices[0] % 5 == 0 { 0.0 } else { truth(&c) };
+                    (c, y)
+                })
+                .collect();
+            t.update(&results);
+        }
+        out
+    }
+
+    #[test]
+    fn proposals_and_diagnostics_are_the_same_at_any_cpu_share() {
+        let gbt = GbtParams { n_rounds: 12, ..GbtParams::default() };
+        let want = proposals_at_share(1, move || GbtEvaluator::new(gbt));
+        assert!(want.iter().any(|(_, d)| d[0].is_some()), "no model-guided step ran");
+        for share in 2..=4 {
+            assert_eq!(
+                proposals_at_share(share, move || GbtEvaluator::new(gbt)),
+                want,
+                "GBT, share {share}"
+            );
+        }
+        let ridge = || crate::evaluator::RidgeEvaluator::new(0.1);
+        let want = proposals_at_share(1, ridge);
+        for share in 2..=4 {
+            assert_eq!(proposals_at_share(share, ridge), want, "ridge, share {share}");
+        }
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! functions. Generic over the evaluation-function family via
 //! [`crate::Evaluator`].
 //!
-//! The Γ fits are independent, so they run concurrently on up to the
-//! calling thread's [`executor::cpu_share`] of the CPUs; the evaluator
-//! factory is therefore `Sync`. The pick and its diagnostics are the same bits at any CPU
-//! count: the resample indices are all drawn from the step's RNG before
-//! any fit starts, and the Γ predictions are summed in γ order after the
-//! join.
+//! The Γ fits are independent of each other and of the scope, so one step
+//! is one ordered job list on up to the calling thread's
+//! [`executor::cpu_share`] of the CPUs: job 0 samples the scope while jobs
+//! 1..=Γ fit, and each fit then scores the scope on its own thread. The
+//! evaluator factory is therefore `Sync`. The pick and its diagnostics are
+//! the same bits at any CPU count: the resample indices are all drawn from
+//! the step's RNG before any job starts, only job 0 draws from the
+//! caller's, and the Γ predictions are summed in γ order after the join.
 
 use crate::evaluator::Evaluator;
 use crate::model_quality::ProposalDiag;
@@ -20,6 +22,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use schedule::feature::{feature_len, features_into};
 use schedule::{Config, ConfigSpace};
+use std::sync::OnceLock;
+
+/// A search scope: the candidates, and their feature vectors as matrix
+/// rows (row `i` holds the features of candidate `i`).
+pub(crate) type Scope = (Vec<Config>, Matrix);
 
 /// Selects the next configuration from `candidates`.
 ///
@@ -99,7 +106,10 @@ where
     let x = feature_rows(space, measured.iter().map(|(c, _)| c));
     let ys: Vec<f64> = measured.iter().map(|&(_, y)| y).collect();
     let cand_x = feature_rows(space, candidates);
-    Some(select_featurized(&x, &ys, candidates, &cand_x, gamma, make_evaluator, seed))
+    let scope = || (candidates.to_vec(), cand_x);
+    let ((mut members, _), pick) =
+        select_while_sampling(&x, &ys, gamma, make_evaluator, seed, scope);
+    pick.map(|(best, diag)| (members.swap_remove(best), diag))
 }
 
 /// The feature vectors of `configs`, one matrix row each.
@@ -113,35 +123,105 @@ fn feature_rows<'c>(space: &ConfigSpace, configs: impl IntoIterator<Item = &'c C
     Matrix::new(data, rows, feature_len(space))
 }
 
-/// [`bootstrap_select_diag`] on rows featurized by the caller: `x`/`ys` is
-/// the measured set, row `i` of `cand_x` the features of `candidates[i]`.
-/// BAO keeps both matrices incrementally, so a proposal step featurizes
-/// nothing twice.
+/// One job of a BS step, in the order the jobs are claimed.
+enum Job<S> {
+    /// Sample the search scope: the only job that draws from the caller's
+    /// RNG.
+    Scope(S),
+    /// Fit resample γ (row indices into the measured set), then score the
+    /// scope.
+    Fit(Vec<usize>),
+}
+
+/// Publishes "no scope" if the sampler unwinds, so that the fits waiting
+/// on the cell wake up instead of hanging the join.
+struct Release<'a>(&'a OnceLock<Option<Scope>>);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        let _ = self.0.set(None);
+    }
+}
+
+/// [`bootstrap_select_diag`] on rows featurized by the caller, with the
+/// scope sampled while the Γ fits run: `x`/`ys` is the measured set, and
+/// `sample_scope` returns the candidates with their feature rows. BAO keeps
+/// both matrices incrementally, so a proposal step featurizes nothing twice.
+///
+/// The step is one ordered job list on `min(Γ + 1, cpu_share())` threads.
+/// Job 0 calls `sample_scope`. Job γ + 1 fits resample γ, waits for the
+/// scope and predicts it on its own thread, so an evaluator never crosses
+/// threads. Returns the scope, and the position of the winner in it with
+/// its diagnostics (`None` when the scope is empty).
 ///
 /// # Panics
 ///
-/// Panics if `x` is empty, `gamma == 0`, `candidates` is empty, or the
-/// shapes disagree.
-pub(crate) fn select_featurized<E, F>(
+/// Panics if `x` is empty, `gamma == 0`, or the shapes disagree;
+/// propagates a panic of `sample_scope`.
+pub(crate) fn select_while_sampling<E, F, S>(
     x: &Matrix,
     ys: &[f64],
-    candidates: &[Config],
-    cand_x: &Matrix,
     gamma: usize,
     make_evaluator: F,
     seed: u64,
-) -> (Config, ProposalDiag)
+    sample_scope: S,
+) -> (Scope, Option<(usize, ProposalDiag)>)
 where
     E: Evaluator,
     F: Fn() -> E + Sync,
+    S: FnOnce() -> Scope + Send,
 {
     assert!(x.rows() > 0, "BS needs an initial measured set");
     assert!(gamma > 0, "need at least one bootstrap resample");
     assert_eq!(x.rows(), ys.len(), "label count mismatch");
-    assert_eq!(cand_x.rows(), candidates.len(), "candidate row count mismatch");
     let n = x.rows();
     let tel = telemetry::global();
     let _span = tel.span("bs.select");
+    // Lines 2-3: Γ bootstrap resamples with |X_γ| = |X|. Every index is
+    // drawn before any job runs, and fitting never touches `rng`, so the
+    // draws are those of a one-resample-at-a-time loop.
+    let mut rng = StdRng::seed_from_u64(seed);
+    let fits = (0..gamma).map(|_| Job::Fit((0..n).map(|_| rng.gen_range(0..n)).collect()));
+    let jobs: Vec<Job<S>> = std::iter::once(Job::Scope(sample_scope)).chain(fits).collect();
+    // Line 4: the Γ evaluation functions f_γ are fitted concurrently with
+    // the scope sample, and each scores the scope once it is published.
+    // `bs.fits` names the caller's part; spans on worker threads are their
+    // own roots.
+    let scope: OnceLock<Option<Scope>> = OnceLock::new();
+    let predictions = {
+        let _fits = tel.span("bs.fits");
+        let workers = (gamma + 1).min(executor::cpu_share());
+        executor::run_ordered(jobs, workers, |j, job| match job {
+            Job::Scope(sample) => {
+                let _release = Release(&scope);
+                let _ = scope.set(Some(sample()));
+                None
+            }
+            Job::Fit(indices) => {
+                let xg = x.select_rows(&indices);
+                let yg: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
+                let mut eval = make_evaluator();
+                {
+                    let _fit = tel.span("bs.fit");
+                    eval.fit(&xg, &yg, seed.wrapping_add(j as u64 - 1));
+                }
+                // Job 0 was claimed before this one and never waits, so
+                // the scope is published (or abandoned) in bounded time.
+                let (members, cand_x) = scope.wait().as_ref()?;
+                if members.is_empty() {
+                    return None;
+                }
+                assert_eq!(cand_x.rows(), members.len(), "candidate row count mismatch");
+                let _predict = tel.span("bs.predict");
+                Some(eval.predict(cand_x))
+            }
+        })
+    };
+    // A sampler that panicked has already panicked the join above.
+    let Some((candidates, cand_x)) = scope.into_inner().flatten() else {
+        unreachable!("the scope job published its scope")
+    };
+    // Emitted once the scope's size is known (it no longer opens the step).
     tel.event("bs.start", || {
         telemetry::json!({
             "measured": n as u64,
@@ -149,36 +229,15 @@ where
             "gamma": gamma as u64,
         })
     });
-    // Lines 2-3: Γ bootstrap resamples with |X_γ| = |X|. Every index is
-    // drawn before any fit runs, and fitting never touches `rng`, so the
-    // draws are those of a one-resample-at-a-time loop.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let resamples: Vec<Vec<usize>> =
-        (0..gamma).map(|_| (0..n).map(|_| rng.gen_range(0..n)).collect()).collect();
-    // Line 4: the Γ evaluation functions f_γ are independent, so they are
-    // fitted (and score the scope) concurrently. `bs.fits` names the
-    // caller's wait; the worker threads' `bs.fit` spans are their own roots.
-    let predictions = {
-        let _fits = tel.span("bs.fits");
-        let workers = gamma.min(executor::cpu_share());
-        executor::run_ordered(resamples, workers, |g, indices| {
-            let xg = x.select_rows(&indices);
-            let yg: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
-            let mut eval = make_evaluator();
-            {
-                let _fit = tel.span("bs.fit");
-                eval.fit(&xg, &yg, seed.wrapping_add(g as u64));
-            }
-            let _predict = tel.span("bs.predict");
-            eval.predict(cand_x)
-        })
-    };
+    if candidates.is_empty() {
+        return ((candidates, cand_x), None);
+    }
     // Line 6 accumulation, in γ order whatever the fits' finishing order:
     // Σ_γ f_γ(x), plus Σ_γ f_γ(x)² so the winner's bagged mean/std fall out
     // without a second prediction pass.
     let mut scores = vec![0.0f64; candidates.len()];
     let mut sq_scores = vec![0.0f64; candidates.len()];
-    for prediction in predictions {
+    for prediction in predictions.into_iter().flatten() {
         for ((s, s2), p) in scores.iter_mut().zip(&mut sq_scores).zip(prediction) {
             *s += p;
             *s2 += p * p;
@@ -190,7 +249,7 @@ where
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
-        // aal-lint: allow(unwrap, reason = "bootstrap resampling requires the non-empty candidate set checked by the caller")
+        // aal-lint: allow(unwrap, reason = "the scope was checked non-empty above")
         .expect("candidates is non-empty");
     #[allow(clippy::cast_precision_loss)]
     let g = gamma as f64;
@@ -202,7 +261,7 @@ where
         predicted_std: Some(std),
         acquisition: Some(scores[best]),
     };
-    (candidates[best].clone(), diag)
+    ((candidates, cand_x), Some((best, diag)))
 }
 
 #[cfg(test)]
@@ -356,6 +415,14 @@ mod tests {
         (candidates[best].clone(), diag)
     }
 
+    /// The winning candidate of a [`select_while_sampling`] call.
+    fn pick(
+        ((members, _), winner): (Scope, Option<(usize, ProposalDiag)>),
+    ) -> (Config, ProposalDiag) {
+        let (best, diag) = winner.expect("the scope is non-empty");
+        (members[best].clone(), diag)
+    }
+
     /// The bits of a diagnostic's mean, std and acquisition.
     fn diag_bits(d: &ProposalDiag) -> [Option<u64>; 3] {
         [d.predicted_mean, d.predicted_std, d.acquisition].map(|v| v.map(f64::to_bits))
@@ -363,9 +430,10 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Concurrent fits pick the serial loop's candidate with the same
-        /// mean, std and acquisition bits, for any Γ, either evaluator
-        /// family, and small or duplicate-heavy measured sets.
+        /// Fits run beside the scope sample pick the serial loop's
+        /// candidate with the same mean, std and acquisition bits, for any
+        /// Γ, either evaluator family, and small or duplicate-heavy
+        /// measured sets.
         #[test]
         fn concurrent_fits_match_the_serial_loop_bit_for_bit(
             gamma in 1usize..=5,
@@ -390,22 +458,53 @@ mod tests {
             let x = feature_rows(&space, measured.iter().map(|(c, _)| c));
             let ys: Vec<f64> = measured.iter().map(|&(_, y)| y).collect();
             let cand_x = feature_rows(&space, &candidates);
+            let scope = || (candidates.clone(), cand_x.clone());
             let ((got, got_diag), (want, want_diag)) = if ridge {
                 let make = || RidgeEvaluator::new(0.1);
                 (
-                    select_featurized(&x, &ys, &candidates, &cand_x, gamma, make, seed),
+                    pick(select_while_sampling(&x, &ys, gamma, make, seed, scope)),
                     select_serial(&x, &ys, &candidates, &cand_x, gamma, make, seed),
                 )
             } else {
                 let make = GbtEvaluator::default;
                 (
-                    select_featurized(&x, &ys, &candidates, &cand_x, gamma, make, seed),
+                    pick(select_while_sampling(&x, &ys, gamma, make, seed, scope)),
                     select_serial(&x, &ys, &candidates, &cand_x, gamma, make, seed),
                 )
             };
             prop_assert_eq!(got.index, want.index);
             prop_assert_eq!(got_diag.config_index, want_diag.config_index);
             prop_assert_eq!(diag_bits(&got_diag), diag_bits(&want_diag));
+        }
+    }
+
+    #[test]
+    fn an_empty_scope_picks_nothing() {
+        let (space, truth) = toy();
+        let measured = measured_set(&space, &truth, 12);
+        let x = feature_rows(&space, measured.iter().map(|(c, _)| c));
+        let ys: Vec<f64> = measured.iter().map(|&(_, y)| y).collect();
+        let empty = || (Vec::new(), Matrix::new(Vec::new(), 0, x.cols()));
+        let ((members, _), pick) =
+            select_while_sampling(&x, &ys, 2, GbtEvaluator::default, 3, empty);
+        assert!(members.is_empty());
+        assert!(pick.is_none());
+    }
+
+    #[test]
+    fn a_panicking_scope_sampler_panics_the_step_instead_of_hanging_it() {
+        let (space, truth) = toy();
+        let measured = measured_set(&space, &truth, 12);
+        let x = feature_rows(&space, measured.iter().map(|(c, _)| c));
+        let ys: Vec<f64> = measured.iter().map(|&(_, y)| y).collect();
+        for share in 1..=3 {
+            executor::set_cpu_share(share);
+            let step = std::panic::catch_unwind(|| {
+                select_while_sampling(&x, &ys, 2, GbtEvaluator::default, 3, || -> Scope {
+                    panic!("sampler failed")
+                })
+            });
+            assert!(step.is_err(), "share {share}");
         }
     }
 

@@ -238,6 +238,12 @@ pub fn drive_loop<M: Measurer>(
     let mut cap_z_within = 0usize;
     let mut cap_z_total = 0usize;
 
+    // Per-task progress gauges for the live dashboard, named once per task
+    // and only when there is a registry to receive them.
+    let progress_gauges = tel
+        .is_enabled()
+        .then(|| (format!("task.{}.best_gflops", task.name), format!("task.{}.trials", task.name)));
+
     let mut replay: &[TrialRecord] = hooks.replay.unwrap_or(&[]);
     if !replay.is_empty() {
         tel.count("tune.resume", 1);
@@ -341,11 +347,10 @@ pub fn drive_loop<M: Measurer>(
             if live {
                 tel.observe("trial.gflops", gflops);
                 tel.count("tune.trials", 1);
-                if tel.is_enabled() {
-                    // Per-task progress gauges for the live dashboard.
-                    tel.gauge(&format!("task.{}.best_gflops", task.name), best_now);
+                if let Some((best_gauge, trials_gauge)) = &progress_gauges {
+                    tel.gauge(best_gauge, best_now);
                     #[allow(clippy::cast_precision_loss)]
-                    tel.gauge(&format!("task.{}.trials", task.name), (measured + 1) as f64);
+                    tel.gauge(trials_gauge, (measured + 1) as f64);
                 }
                 if let Some(sink) = hooks.on_trial.as_mut() {
                     sink(&record);
@@ -391,6 +396,7 @@ pub fn drive_loop<M: Measurer>(
             // Spearman rank correlation between predictions and
             // measurements, and |coverage(|z| ≤ 1) − 0.683| calibration
             // error over trials with a predictive std.
+            let _span = tel.span("capture.diagnostics");
             if cap_pred.len() >= 2 {
                 tel.gauge("model.rank_corr", gbt::metrics::spearman(&cap_pred, &cap_meas));
             }

@@ -9,6 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 
+#[cfg(test)]
+mod reference;
+
 /// Kernel used to build `K_VV`.
 ///
 /// The paper states the kernel entries are "computed as Euclidean distance".
@@ -37,26 +40,61 @@ pub enum TedKernel {
 
 fn kernel_matrix(features: &[Vec<f64>], kernel: TedKernel) -> Vec<f64> {
     let n = features.len();
-    let mut d = vec![0.0; n * n];
+    // Squared distances in the upper triangle first: the Laplacian's
+    // length scale is their mean root.
+    let mut k = vec![0.0; n * n];
     let mut sum = 0.0;
     for i in 0..n {
         for j in i + 1..n {
             let d2: f64 =
                 features[i].iter().zip(&features[j]).map(|(a, b)| (a - b) * (a - b)).sum();
-            d[i * n + j] = d2;
-            d[j * n + i] = d2;
+            k[i * n + j] = d2;
             sum += d2.sqrt();
         }
     }
     let pairs = (n * (n - 1) / 2).max(1);
     let scale = (sum / pairs as f64).max(1e-9); // self-tuning length scale
-    for v in &mut d {
-        *v = match kernel {
-            TedKernel::Euclidean => (-v.sqrt() / scale).exp(),
-            TedKernel::Rbf { sigma } => (-*v / (2.0 * sigma * sigma)).exp(),
-        };
+    let entry = |d2: f64| match kernel {
+        TedKernel::Euclidean => (-d2.sqrt() / scale).exp(),
+        TedKernel::Rbf { sigma } => (-d2 / (2.0 * sigma * sigma)).exp(),
+    };
+    // An entry depends on its pair's `d2` alone, so each unordered pair is
+    // evaluated once and mirrored.
+    let diag = entry(0.0);
+    for i in 0..n {
+        k[i * n + i] = diag;
+        for j in i + 1..n {
+            let v = entry(k[i * n + j]);
+            k[i * n + j] = v;
+            k[j * n + i] = v;
+        }
     }
-    d
+    k
+}
+
+/// Sets `norms[i]` to `‖K_i‖²` for each row `i` listed in `rows`, summed
+/// left to right as `iter().map(|x| x * x).sum()` does. Four rows go at
+/// once: their sums are independent, so they overlap in the pipeline
+/// without changing any one sum's order.
+fn row_norms(k: &[f64], n: usize, rows: &[usize], norms: &mut [f64]) {
+    let row = |i: usize| &k[i * n..(i + 1) * n];
+    let mut quads = rows.chunks_exact(4);
+    for quad in &mut quads {
+        let (a, b, c, d) = (row(quad[0]), row(quad[1]), row(quad[2]), row(quad[3]));
+        let mut s = [-0.0f64; 4];
+        for j in 0..n {
+            s[0] += a[j] * a[j];
+            s[1] += b[j] * b[j];
+            s[2] += c[j] * c[j];
+            s[3] += d[j] * d[j];
+        }
+        for (&i, s) in quad.iter().zip(s) {
+            norms[i] = s;
+        }
+    }
+    for &i in quads.remainder() {
+        norms[i] = row(i).iter().map(|x| x * x).sum();
+    }
 }
 
 /// Runs TED over `features`, returning the indices of the `m` selected
@@ -106,17 +144,21 @@ pub fn ted(features: &[Vec<f64>], mu: f64, m: usize, kernel: TedKernel) -> Vec<u
     let _span = tel.span("ted.greedy_select");
     let mut selected = Vec::with_capacity(m);
     let mut taken = vec![false; n];
+    // ‖K_v‖² per row, kept current: a row's norm is summed again right
+    // after the deflation writes the row, while it is still in cache.
+    let mut norms = vec![0.0; n];
+    row_norms(&k, n, &(0..n).collect::<Vec<_>>(), &mut norms);
+    let mut col_x = vec![0.0; n];
+    let mut written = Vec::with_capacity(ROW_BLOCK);
 
-    for _ in 0..m {
+    while selected.len() < m {
         // Line 3: x = argmax_v ||K_v||² / (k(v,v) + µ).
         let mut best: Option<(usize, f64)> = None;
         for v in 0..n {
             if taken[v] {
                 continue;
             }
-            let col = &k[v * n..(v + 1) * n];
-            let norm2: f64 = col.iter().map(|x| x * x).sum();
-            let score = norm2 / (k[v * n + v] + mu);
+            let score = norms[v] / (k[v * n + v] + mu);
             if best.is_none_or(|(_, s)| score > s) {
                 best = Some((v, score));
             }
@@ -125,22 +167,38 @@ pub fn ted(features: &[Vec<f64>], mu: f64, m: usize, kernel: TedKernel) -> Vec<u
         let (x, _) = best.expect("at least one unselected candidate");
         taken[x] = true;
         selected.push(x);
+        if selected.len() == m {
+            break; // the deflation after the last pick would never be read
+        }
 
-        // Line 5: K -= K_x K_xᵀ / (k(x,x) + µ).
+        // Line 5: K -= K_x K_xᵀ / (k(x,x) + µ), a block of rows at a time,
+        // each block's unselected rows re-normed while still in cache.
         let denom = k[x * n + x] + mu;
-        let col_x: Vec<f64> = (0..n).map(|i| k[i * n + x]).collect();
-        for i in 0..n {
-            let ci = col_x[i] / denom;
-            if ci == 0.0 {
-                continue;
+        for (i, c) in col_x.iter_mut().enumerate() {
+            *c = k[i * n + x];
+        }
+        for block in (0..n).step_by(ROW_BLOCK) {
+            written.clear();
+            for i in block..(block + ROW_BLOCK).min(n) {
+                let ci = col_x[i] / denom;
+                if ci == 0.0 {
+                    continue; // the row, and so its norm, is unchanged
+                }
+                for (kij, &cj) in k[i * n..(i + 1) * n].iter_mut().zip(&col_x) {
+                    *kij -= ci * cj;
+                }
+                if !taken[i] {
+                    written.push(i);
+                }
             }
-            for j in 0..n {
-                k[i * n + j] -= ci * col_x[j];
-            }
+            row_norms(&k, n, &written, &mut norms);
         }
     }
     selected
 }
+
+/// Rows deflated before their norms are summed: a block stays in L1.
+const ROW_BLOCK: usize = 8;
 
 /// Mean pairwise Euclidean distance of the rows `indices` of `features` —
 /// the dispersion statistic used to compare initialization strategies.
@@ -167,6 +225,7 @@ pub fn dispersion(features: &[Vec<f64>], indices: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -275,6 +334,34 @@ mod tests {
         let sel = ted(&f, 0.1, 2, TedKernel::Euclidean);
         let cluster = |i: usize| usize::from(i >= 20);
         assert_ne!(cluster(sel[0]), cluster(sel[1]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The mirrored kernel and the one-pass deflation pick the original
+        /// TED's indices in the same order, for both kernels — duplicate
+        /// points and underflowing RBF entries (whose rows the deflation
+        /// skips) included.
+        #[test]
+        fn picks_match_the_reference_in_order(
+            n in 1usize..=90,
+            dim in 1usize..=9,
+            m in 0usize..=40,
+            duplicates in 0usize..=20,
+            rbf in prop_oneof![Just(None), Just(Some(0.05)), Just(Some(3.0)), (0.5f64..20.0).prop_map(Some)],
+            mu in prop_oneof![Just(0.1), 0.01f64..2.0],
+            seed in 0u64..1_000_000,
+        ) {
+            let mut f = cloud(n, dim, seed);
+            // Copies of earlier points put zero distances into the matrix.
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD0);
+            for _ in 0..duplicates {
+                let i = rng.gen_range(0..f.len());
+                f.push(f[i].clone());
+            }
+            let kernel = rbf.map_or(TedKernel::Euclidean, |sigma| TedKernel::Rbf { sigma });
+            prop_assert_eq!(ted(&f, mu, m, kernel), reference::ted(&f, mu, m, kernel));
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the framework's building blocks: TED selection,
-//! BTED initialization, GBT fitting, bootstrap selection, simulated
-//! annealing, single measurements and the executor's per-batch hand-off —
-//! the per-iteration costs that determine how "scalable" (the paper's
-//! term) each stage is.
+//! BTED initialization, GBT fitting, BAO scope sampling, bootstrap
+//! selection, simulated annealing, single measurements and the executor's
+//! per-batch hand-off — the per-iteration costs that determine how
+//! "scalable" (the paper's term) each stage is.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -17,9 +17,11 @@ use dnn_graph::{models, task::extract_tasks};
 use executor::{Executor, ExecutorConfig};
 use gbt::{BaggedGbt, Gbt, GbtParams, Matrix};
 use gpu_sim::{GpuDevice, Measurer, SimMeasurer};
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use schedule::feature::features;
+use schedule::neighborhood::NeighborhoodSampler;
 use schedule::template::space_for_task;
 
 fn bench_components(c: &mut Criterion) {
@@ -95,6 +97,20 @@ fn bench_components(c: &mut Criterion) {
                 buf.extend(features(&space, cfg));
             }
             black_box(buf)
+        });
+    });
+
+    // One BAO scope sample at the radius cap every long run sits at (48)
+    // and the default scope size, on a reused sampler as `BaoTuner` keeps
+    // it. Each iteration starts from the same RNG state.
+    let mut sampler = NeighborhoodSampler::new(&space);
+    let center = space.sample(&mut bao_rng);
+    let mut rows = Vec::new();
+    c.bench_function("scope_sample_r48_512", |b| {
+        b.iter(|| {
+            rows.clear();
+            let mut rng = StdRng::seed_from_u64(17);
+            black_box(sampler.sample(&center, 48.0, 512, &mut rng, &mut rows))
         });
     });
 

@@ -161,11 +161,33 @@ fn install_telemetry(cli: &Cli) -> Result<telemetry::Telemetry, String> {
 /// dropped. The global handle lives in a static and is never dropped
 /// itself, so without this a command's early return would lose the final
 /// counter snapshot and the buffered tail of the trace.
-struct TelemetryGuard(telemetry::Telemetry);
+struct TelemetryGuard {
+    tel: telemetry::Telemetry,
+    /// Whether [`TelemetryGuard::flush`] already wrote the final snapshot.
+    flushed: bool,
+}
+
+impl TelemetryGuard {
+    fn new(tel: telemetry::Telemetry) -> Self {
+        TelemetryGuard { tel, flushed: false }
+    }
+
+    /// Writes the final counter and histogram snapshot into the trace now,
+    /// for a reader that needs it before the command returns. The drop then
+    /// flushes only the records written since, so the snapshot appears once.
+    fn flush(&mut self) {
+        self.tel.flush();
+        self.flushed = true;
+    }
+}
 
 impl Drop for TelemetryGuard {
     fn drop(&mut self) {
-        self.0.flush();
+        if self.flushed {
+            self.tel.flush_sink();
+        } else {
+            self.tel.flush();
+        }
         telemetry::set_global(telemetry::Telemetry::disabled());
     }
 }
@@ -441,7 +463,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
     .map_err(|e| format!("cannot create trace file: {e}"))?;
     // Declared before everything that reports into the pipeline, so it
     // drops last: every return below leaves a complete trace.
-    let _finish = TelemetryGuard(tel.clone());
+    let mut finish = TelemetryGuard::new(tel.clone());
     // Live observability: with a run dir and a non-zero interval, snapshot
     // the handle's metrics registry into the run dir periodically. The
     // snapshot thread only writes side files (metrics.snapshot.json /
@@ -544,7 +566,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
             .map_err(|e| format!("cannot write manifest: {e}"))?;
         // Flush counters into the trace before the registry reads it for
         // the health columns.
-        tel.flush();
+        finish.flush();
         if let Some(base) = &plan.registry_base {
             let entry = RunEntry::from_run_dir(dir.path())?;
             Registry::at(base)
@@ -631,7 +653,7 @@ fn deploy(cli: &Cli) -> Result<(), String> {
     }
     let m = measurer(cli)?;
     let tel = install_telemetry(cli)?;
-    let _finish = TelemetryGuard(tel.clone());
+    let _finish = TelemetryGuard::new(tel.clone());
     let r = tune_model_parallel(&model, &m, method, &opts, runs, workers);
     tel.report(|| {
         format!(
@@ -991,6 +1013,46 @@ mod tests {
         // The registry must list it.
         dispatch(&sv(&["runs", base.to_str().unwrap()])).unwrap();
         dispatch(&sv(&["runs", base.to_str().unwrap(), "--model", "squeezenet"])).unwrap();
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn a_tune_out_trace_snapshots_each_metric_once() {
+        let base = std::env::temp_dir().join(format!("aaltune-cli-flush-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        dispatch(&sv(&[
+            "tune",
+            "squeezenet",
+            "--task",
+            "0",
+            "--n-trial",
+            "24",
+            "--method",
+            "autotvm",
+            "--quiet",
+            "--snapshot-interval-ms",
+            "0",
+            "--out",
+            base.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let trace = std::fs::read_to_string(base.join("squeezenet_v1.1-autotvm-seed0/trace.jsonl"))
+            .unwrap();
+        let names = |kind: &str| -> Vec<String> {
+            trace
+                .lines()
+                .filter_map(|l| serde_json::from_str::<serde_json::Value>(l).ok())
+                .filter_map(|r| r.get(kind)?.get("name")?.as_str().map(str::to_string))
+                .collect()
+        };
+        for kind in ["Counter", "Histogram"] {
+            let all = names(kind);
+            assert!(!all.is_empty(), "no {kind} records");
+            let distinct: std::collections::BTreeSet<&String> = all.iter().collect();
+            assert_eq!(all.len(), distinct.len(), "a {kind} was snapshotted twice: {all:?}");
+        }
+        // The snapshot precedes the report written after it.
+        assert!(trace.lines().last().is_some_and(|l| l.contains("wrote run artifacts")));
         std::fs::remove_dir_all(&base).unwrap();
     }
 

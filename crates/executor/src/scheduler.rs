@@ -2,8 +2,8 @@
 //! while returning results in a deterministic order.
 //!
 //! This is the layer that tunes multiple `TuningTask`s at once: each item
-//! is claimed in index order by a bounded pool of scoped threads, and the
-//! result vector is assembled by index, so callers observe exactly the
+//! is claimed in index order by a bounded pool of scoped threads and the
+//! calling thread, and the result vector is assembled by index, so callers observe exactly the
 //! output of the serial loop regardless of completion order. Fair-share
 //! *device* allocation between the concurrent tasks happens one layer
 //! down, in [`crate::DevicePool`], keyed by the task name each measurement
@@ -51,13 +51,34 @@ pub fn set_cpu_share(cpus: usize) {
     CPU_SHARE.with(|share| share.set(Some(cpus.max(1))));
 }
 
-/// Runs `f` over every item with up to `concurrency` worker threads,
-/// returning results in item order (index `i` of the output is item `i`'s
-/// result, as if the loop had run serially).
+/// Restores the thread's [`cpu_share`] when dropped, panics included.
+struct ShareGuard(Option<usize>);
+
+impl ShareGuard {
+    /// Narrows the calling thread's share to `cpus` until the guard drops.
+    fn narrow(cpus: usize) -> Self {
+        ShareGuard(CPU_SHARE.with(|share| share.replace(Some(cpus.max(1)))))
+    }
+}
+
+impl Drop for ShareGuard {
+    fn drop(&mut self) {
+        CPU_SHARE.with(|share| share.set(self.0));
+    }
+}
+
+/// Runs `f` over every item on up to `concurrency` threads, the calling
+/// thread included, returning results in item order (index `i` of the
+/// output is item `i`'s result, as if the loop had run serially).
+///
+/// Items are claimed in index order, so an item may wait for an earlier
+/// one that never waits itself without risking deadlock.
 ///
 /// `concurrency <= 1` degrades to a plain in-thread loop — no threads are
 /// spawned, so the serial path is bit-for-bit the pre-parallel behavior.
-/// Otherwise each worker's [`cpu_share`] is the caller's split evenly.
+/// Otherwise `concurrency - 1` workers are spawned and the calling thread
+/// claims items beside them; each of them, the caller included while it
+/// runs items, gets the caller's [`cpu_share`] split evenly.
 ///
 /// # Panics
 ///
@@ -79,23 +100,24 @@ where
     let share = (cpu_share() / concurrency).max(1);
     let work = Mutex::new(items.into_iter().enumerate());
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let drain = || {
+        let _share = ShareGuard::narrow(share);
+        loop {
+            // Claim the next item in index order; drop the lock before the
+            // (long) call so claims never serialize the work.
+            let claimed = lock_or_recover(&work).next();
+            let Some((i, item)) = claimed else { break };
+            let r = f(i, item);
+            *lock_or_recover(&results[i]) = Some(r);
+        }
+    };
     // aal-lint: allow(wall-clock, reason = "scheduler wall-time metric; trial order is fixed by slot index, not by time")
     let started = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..concurrency {
-            scope.spawn(|| {
-                set_cpu_share(share);
-                loop {
-                    // Claim the next item in index order; drop the lock
-                    // before the (long) call so claims never serialize the
-                    // work.
-                    let claimed = lock_or_recover(&work).next();
-                    let Some((i, item)) = claimed else { break };
-                    let r = f(i, item);
-                    *lock_or_recover(&results[i]) = Some(r);
-                }
-            });
+        for _ in 1..concurrency {
+            scope.spawn(drain);
         }
+        drain();
     });
     tel.observe("exec.sched.wall_us", started.elapsed().as_secs_f64() * 1e6);
     results
@@ -153,6 +175,36 @@ mod tests {
                     run_ordered(vec![(); 2], 2, |_, ()| cpu_share())
                 });
                 assert_eq!(nested, vec![vec![2; 2]; 2]);
+            });
+        });
+    }
+
+    #[test]
+    fn the_calling_thread_runs_items_beside_its_workers() {
+        // Both items block until both run, so with one spawned worker the
+        // caller must take the other.
+        let both = std::sync::Barrier::new(2);
+        let ids = run_ordered(vec![(); 2], 2, |_, ()| {
+            both.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&std::thread::current().id()), "caller ran no item: {ids:?}");
+    }
+
+    #[test]
+    fn the_callers_share_is_restored_after_running_items() {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                set_cpu_share(8);
+                let shares = run_ordered(vec![(); 8], 2, |_, ()| cpu_share());
+                assert_eq!(shares, vec![4; 8]);
+                assert_eq!(cpu_share(), 8);
+                let panicked = std::panic::catch_unwind(|| {
+                    run_ordered(vec![0, 1, 2, 3], 2, |_, x: i32| assert!(x < 0, "item {x}"))
+                });
+                assert!(panicked.is_err());
+                assert_eq!(cpu_share(), 8, "a panicking item must not leak the narrowed share");
             });
         });
     }

@@ -42,16 +42,60 @@ pub fn features(space: &ConfigSpace, config: &Config) -> Vec<f64> {
 /// enough to run on every candidate of every proposal step.
 pub fn features_into(space: &ConfigSpace, config: &Config, out: &mut Vec<f64>) {
     for (&c, knob) in config.choices.iter().zip(space.knobs()) {
-        match knob {
-            Knob::Split { candidates, .. } => {
-                out.extend(candidates[c].iter().map(|&f| log2_factor(f)));
-            }
-            Knob::Choice { values, .. } => {
-                // Signed log1p keeps large step values (1500) commensurate
-                // with log2 tile factors and stays finite for any integer.
-                let x = values[c] as f64;
-                out.push(x.signum() * x.abs().ln_1p());
-            }
+        knob_features_into(knob, c, out);
+    }
+}
+
+/// Appends the features of candidate `c` of `knob`: one knob's part of
+/// [`features_into`].
+fn knob_features_into(knob: &Knob, c: usize, out: &mut Vec<f64>) {
+    match knob {
+        Knob::Split { candidates, .. } => {
+            out.extend(candidates[c].iter().map(|&f| log2_factor(f)));
+        }
+        Knob::Choice { values, .. } => {
+            // Signed log1p keeps large step values (1500) commensurate
+            // with log2 tile factors and stays finite for any integer.
+            let x = values[c] as f64;
+            out.push(x.signum() * x.abs().ln_1p());
+        }
+    }
+}
+
+/// The features of every candidate of every knob of one space, computed
+/// once: featurizing a configuration then copies one slice per knob, the
+/// same bits as [`features_into`].
+#[derive(Debug, Clone)]
+pub(crate) struct FeatureTable {
+    /// Per knob: where its candidates' features start, and how many
+    /// features each candidate has.
+    knobs: Vec<(usize, usize)>,
+    values: Vec<f64>,
+}
+
+impl FeatureTable {
+    /// Tabulates the features of every knob candidate of `space`.
+    pub(crate) fn new(space: &ConfigSpace) -> Self {
+        let mut values = Vec::new();
+        let knobs = space
+            .knobs()
+            .iter()
+            .map(|knob| {
+                let start = values.len();
+                for c in 0..knob.cardinality() {
+                    knob_features_into(knob, c, &mut values);
+                }
+                (start, (values.len() - start) / knob.cardinality())
+            })
+            .collect();
+        FeatureTable { knobs, values }
+    }
+
+    /// [`features_into`] for the configuration with these knob `choices`.
+    pub(crate) fn features_into(&self, choices: &[usize], out: &mut Vec<f64>) {
+        for (&c, &(start, width)) in choices.iter().zip(&self.knobs) {
+            let at = start + c * width;
+            out.extend_from_slice(&self.values[at..at + width]);
         }
     }
 }
@@ -160,6 +204,30 @@ mod tests {
                 }
             }
             let got = features(&s, &cfg);
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.to_bits(), w.to_bits(), "config {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_reproduces_the_features_bit_for_bit() {
+        let s = ConfigSpace::new(
+            "t",
+            vec![
+                Knob::split("a", 3 * LOG2_TABLE_LEN, 2),
+                Knob::split("b", 36, 3),
+                Knob::choice("u", vec![-7, 0, 1500]),
+            ],
+        );
+        let table = FeatureTable::new(&s);
+        let mut got = Vec::new();
+        for i in 0..s.len() {
+            let cfg = s.config(i).unwrap();
+            got.clear();
+            table.features_into(&cfg.choices, &mut got);
+            let want = features(&s, &cfg);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.to_bits(), w.to_bits(), "config {i}");

@@ -5,7 +5,7 @@
 //! widens it when the relative improvement stalls. Two distance notions are
 //! provided:
 //!
-//! * **Feature space** ([`feature_distance`], [`sample_feature_neighborhood`])
+//! * **Feature space** ([`feature_distance`], [`NeighborhoodSampler`])
 //!   — Euclidean distance between the log-scaled feature embeddings of
 //!   Definition 1 ("deployment settings … encoded as the attributes of a
 //!   feature vector"). One factor-of-2 tiling change moves a configuration
@@ -15,11 +15,15 @@
 //!   [`enumerate_neighborhood`]) — distance between per-knob candidate
 //!   indices; cheap, enumerable, used for diagnostics and tests.
 
-use crate::feature::{features, features_into, sq_distance};
-use crate::knob::{Knob, KnobValue};
+use crate::feature::{features, sq_distance, FeatureTable};
+use crate::knob::Knob;
 use crate::space::{Config, ConfigSpace};
 use rand::Rng;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+#[cfg(test)]
+mod reference;
 
 /// Euclidean distance between two configurations in choice coordinates.
 ///
@@ -148,127 +152,248 @@ pub fn feature_distance(space: &ConfigSpace, a: &Config, b: &Config) -> f64 {
     sq_distance(&features(space, a), &features(space, b)).sqrt()
 }
 
-/// One elementary schedule move applied in place to `choices`. Returns
-/// `false` if the chosen knob admits no move.
+/// How one knob moves, as laid out in a [`MoveTable`].
+#[derive(Debug, Clone, Copy)]
+enum KnobMoves {
+    /// A split knob with `outputs` slots; the moves of candidate `c` from
+    /// donor slot `from` to receiver slot `to` sit at
+    /// `base + (c * outputs + from) * outputs + to`.
+    Split { outputs: usize, base: usize },
+    /// A categorical knob with `len` values.
+    Choice { len: usize },
+}
+
+/// The outcome of every elementary schedule move in one space, computed
+/// once so that composing moves allocates and searches nothing.
 ///
-/// * Split knobs: move one prime factor between two output slots — the
-///   smallest semantically meaningful schedule change (`√2·log2(p)` apart
-///   in feature space for a factor `p`).
-/// * Choice knobs: step to an adjacent candidate.
-fn elementary_move<R: Rng + ?Sized>(
-    space: &ConfigSpace,
-    choices: &mut [usize],
-    rng: &mut R,
-) -> bool {
-    let k = rng.gen_range(0..choices.len());
-    match &space.knobs()[k] {
-        Knob::Split { candidates, num_outputs, .. } => {
-            let KnobValue::Split(mut factors) = space.knobs()[k].value(choices[k]) else {
-                unreachable!("split knob yields split value")
-            };
-            let n = *num_outputs;
-            // Pick a donor slot with a divisible factor and a receiver slot.
-            let from = rng.gen_range(0..n);
-            let to = (from + rng.gen_range(1..n)) % n;
-            let f = factors[from];
-            if f == 1 {
-                return false;
+/// * Split knobs: move the smallest prime factor of one output slot (the
+///   donor) to another (the receiver) — the smallest semantically
+///   meaningful schedule change (`√2·log2(p)` apart in feature space for a
+///   factor `p`). The table holds the resulting candidate for every
+///   (candidate, donor, receiver). A donor holding 1 admits no move: its
+///   entry is the candidate itself, and a real move always lands
+///   elsewhere, so a move happened exactly when the candidate changed.
+/// * Choice knobs: step to an adjacent candidate (no table needed).
+#[derive(Debug, Clone)]
+struct MoveTable {
+    knobs: Vec<KnobMoves>,
+    split_to: Vec<usize>,
+}
+
+/// The candidate reached from candidate `c` by moving the smallest prime
+/// factor of slot `from` to slot `to`; `c` itself if slot `from` holds 1.
+fn split_move(
+    candidates: &[Vec<usize>],
+    c: usize,
+    from: usize,
+    to: usize,
+    factors: &mut Vec<usize>,
+) -> usize {
+    let f = candidates[c][from];
+    if f == 1 || from == to {
+        return c;
+    }
+    // aal-lint: allow(unwrap, reason = "every integer greater than 1 has a prime factor")
+    let p = (2..).find(|&d| f.is_multiple_of(d)).expect("f > 1 has a prime factor");
+    factors.clear();
+    factors.extend_from_slice(&candidates[c]);
+    factors[from] /= p;
+    factors[to] *= p;
+    // Candidates are enumerated in lexicographic order, so the moved tuple
+    // is found by binary search.
+    candidates.binary_search(factors).unwrap_or(c)
+}
+
+impl MoveTable {
+    /// Tabulates the moves of every knob of `space`.
+    fn new(space: &ConfigSpace) -> Self {
+        let mut split_to = Vec::new();
+        let mut factors = Vec::new();
+        let knobs = space
+            .knobs()
+            .iter()
+            .map(|knob| match knob {
+                Knob::Split { candidates, num_outputs, .. } => {
+                    let (outputs, base) = (*num_outputs, split_to.len());
+                    for c in 0..candidates.len() {
+                        for from in 0..outputs {
+                            for to in 0..outputs {
+                                split_to.push(split_move(candidates, c, from, to, &mut factors));
+                            }
+                        }
+                    }
+                    KnobMoves::Split { outputs, base }
+                }
+                Knob::Choice { values, .. } => KnobMoves::Choice { len: values.len() },
+            })
+            .collect();
+        MoveTable { knobs, split_to }
+    }
+
+    /// One elementary schedule move applied in place to `choices`: a
+    /// uniformly drawn knob, then (split) a donor and a distinct receiver
+    /// slot or (choice) a direction. Returns `false` if the move changes
+    /// nothing.
+    fn apply<R: Rng + ?Sized>(&self, choices: &mut [usize], rng: &mut R) -> bool {
+        let k = rng.gen_range(0..choices.len());
+        match self.knobs[k] {
+            KnobMoves::Split { outputs, base } => {
+                let from = rng.gen_range(0..outputs);
+                let to = (from + rng.gen_range(1..outputs)) % outputs;
+                // Branch-free: whether a move happened is unpredictable.
+                let c = choices[k];
+                choices[k] = self.split_to[base + (c * outputs + from) * outputs + to];
+                choices[k] != c
             }
-            // Smallest prime factor keeps the move minimal.
-            // aal-lint: allow(unwrap, reason = "every integer greater than 1 has a prime factor")
-            let p = (2..).find(|d| f % d == 0).expect("f > 1 has a prime factor");
-            factors[from] /= p;
-            factors[to] *= p;
-            // Candidates are enumerated in lexicographic order, so the
-            // mutated factor tuple is found by binary search.
-            let Ok(pos) = candidates.binary_search(&factors) else {
-                return false;
-            };
-            choices[k] = pos;
-            true
-        }
-        Knob::Choice { values, .. } => {
-            if values.len() < 2 {
-                return false;
+            KnobMoves::Choice { len } => {
+                if len < 2 {
+                    return false;
+                }
+                let c = choices[k];
+                choices[k] = if c == 0 {
+                    1
+                } else if c == len - 1 || rng.gen_bool(0.5) {
+                    c - 1
+                } else {
+                    c + 1
+                };
+                true
             }
-            let c = choices[k];
-            let next = if c == 0 {
-                1
-            } else if c == values.len() - 1 || rng.gen_bool(0.5) {
-                c - 1
-            } else {
-                c + 1
-            };
-            choices[k] = next;
-            true
         }
     }
 }
 
-/// Samples up to `n` distinct configurations within feature-space `radius`
-/// of `center` (excluding `center`), by composing elementary schedule moves
+/// BAO's search-scope generator: samples configurations within a
+/// feature-space radius of a center by composing elementary schedule moves
 /// and rejecting compositions that leave the radius.
 ///
-/// This is the search-scope generator BAO uses: it yields *semantically*
-/// local schedules (nearby tilings, one-step unroll changes) rather than
-/// nearby candidate indices. The feature vector of every returned
-/// configuration is appended to `rows` (row-major, in return order): the
-/// radius test computes them anyway, so a caller that scores the scope
-/// need not featurize it again.
-pub fn sample_feature_neighborhood<R: Rng + ?Sized>(
-    space: &ConfigSpace,
-    center: &Config,
-    radius: f64,
-    n: usize,
-    rng: &mut R,
-    rows: &mut Vec<f64>,
-) -> Vec<Config> {
-    let center_feat = features(space, center);
-    let r2 = radius * radius;
-    // Each factor-of-2 move displaces about sqrt(2); allow some slack so
-    // move chains can cancel.
-    let max_moves = ((radius / std::f64::consts::SQRT_2).ceil() as usize + 1).max(2);
-    let mut seen: HashSet<u64> = HashSet::with_capacity(n);
-    let mut out = Vec::with_capacity(n);
-    // Small radii induce small neighborhoods; a modest attempt cap keeps
-    // the per-step cost bounded (BS works fine on a partial scope).
-    let max_attempts = n.saturating_mul(8).max(1024);
-    for _ in 0..max_attempts {
-        if out.len() >= n {
-            break;
+/// It yields *semantically* local schedules (nearby tilings, one-step
+/// unroll changes) rather than nearby candidate indices. It owns tables of
+/// the space's moves and of its knob candidates' features, and the buffers
+/// one call needs, so an attempt allocates nothing unless its candidate
+/// joins the scope.
+#[derive(Debug, Clone)]
+pub struct NeighborhoodSampler<'s> {
+    space: &'s ConfigSpace,
+    moves: MoveTable,
+    features: FeatureTable,
+    /// The knob choices being composed; cloned only when accepted.
+    choices: Vec<usize>,
+    center_feat: Vec<f64>,
+    seen: IndexSet,
+}
+
+/// A set of configuration indices, hashed with a multiply and a fold: the
+/// sampler's `seen` set is probed on every attempt and never iterated, so
+/// neither SipHash's cost nor its flooding resistance buys anything there.
+type IndexSet = HashSet<u64, BuildHasherDefault<IndexHasher>>;
+
+#[derive(Debug, Default, Clone, Copy)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
-        let mut choices = center.choices.clone();
-        let moves = rng.gen_range(1..=max_moves);
-        let mut moved = false;
-        for _ in 0..moves {
-            moved |= elementary_move(space, &mut choices, rng);
-        }
-        if !moved || choices == center.choices {
-            continue;
-        }
-        let index = space.index_of(&choices);
-        if seen.contains(&index) {
-            continue;
-        }
-        let cand = Config { index, choices };
-        // Featurize straight into `rows`; a rejected candidate's row is
-        // dropped again.
-        let start = rows.len();
-        features_into(space, &cand, rows);
-        if sq_distance(&center_feat, &rows[start..]) > r2 {
-            rows.truncate(start);
-            continue;
-        }
-        seen.insert(index);
-        out.push(cand);
     }
-    out
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // Fold the high bits down: a table's bucket is the low bits.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+impl<'s> NeighborhoodSampler<'s> {
+    /// A sampler over `space`, tabulating its moves.
+    #[must_use]
+    pub fn new(space: &'s ConfigSpace) -> Self {
+        NeighborhoodSampler {
+            space,
+            moves: MoveTable::new(space),
+            features: FeatureTable::new(space),
+            choices: Vec::with_capacity(space.knobs().len()),
+            center_feat: Vec::new(),
+            seen: IndexSet::default(),
+        }
+    }
+
+    /// The space this sampler draws from.
+    #[must_use]
+    pub fn space(&self) -> &'s ConfigSpace {
+        self.space
+    }
+
+    /// Samples up to `n` distinct configurations within feature-space
+    /// `radius` of `center` (excluding `center`).
+    ///
+    /// The feature vector of every returned configuration is appended to
+    /// `rows` (row-major, in return order): the radius test computes them
+    /// anyway, so a caller that scores the scope need not featurize it
+    /// again.
+    pub fn sample<R: Rng + ?Sized>(
+        &mut self,
+        center: &Config,
+        radius: f64,
+        n: usize,
+        rng: &mut R,
+        rows: &mut Vec<f64>,
+    ) -> Vec<Config> {
+        let space = self.space;
+        self.center_feat.clear();
+        self.features.features_into(&center.choices, &mut self.center_feat);
+        let r2 = radius * radius;
+        // Each factor-of-2 move displaces about sqrt(2); allow some slack so
+        // move chains can cancel.
+        let max_moves = ((radius / std::f64::consts::SQRT_2).ceil() as usize + 1).max(2);
+        self.seen.clear();
+        let mut out = Vec::with_capacity(n);
+        // Small radii induce small neighborhoods; a modest attempt cap keeps
+        // the per-step cost bounded (BS works fine on a partial scope).
+        let max_attempts = n.saturating_mul(8).max(1024);
+        for _ in 0..max_attempts {
+            if out.len() >= n {
+                break;
+            }
+            let choices = &mut self.choices;
+            choices.clone_from(&center.choices);
+            let moves = rng.gen_range(1..=max_moves);
+            let mut moved = false;
+            for _ in 0..moves {
+                moved |= self.moves.apply(choices, rng);
+            }
+            if !moved || *choices == center.choices {
+                continue;
+            }
+            let index = space.index_of(choices);
+            if self.seen.contains(&index) {
+                continue;
+            }
+            // Featurize straight into `rows`; a rejected candidate's row is
+            // dropped again.
+            let start = rows.len();
+            self.features.features_into(choices, rows);
+            if sq_distance(&self.center_feat, &rows[start..]) > r2 {
+                rows.truncate(start);
+                continue;
+            }
+            self.seen.insert(index);
+            out.push(Config { index, choices: choices.clone() });
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::knob::Knob;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -335,7 +460,8 @@ mod tests {
         let s = space();
         let center = s.config(s.len() / 3).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let hood = sample_feature_neighborhood(&s, &center, 3.0, 200, &mut rng, &mut Vec::new());
+        let hood =
+            NeighborhoodSampler::new(&s).sample(&center, 3.0, 200, &mut rng, &mut Vec::new());
         assert!(!hood.is_empty());
         for cfg in &hood {
             let d = feature_distance(&s, &center, cfg);
@@ -350,7 +476,7 @@ mod tests {
         let center = s.config(s.len() / 3).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let mut rows = vec![-1.0]; // appended to, never cleared
-        let hood = sample_feature_neighborhood(&s, &center, 3.0, 50, &mut rng, &mut rows);
+        let hood = NeighborhoodSampler::new(&s).sample(&center, 3.0, 50, &mut rng, &mut rows);
         let want: Vec<f64> =
             std::iter::once(-1.0).chain(hood.iter().flat_map(|cfg| features(&s, cfg))).collect();
         assert_eq!(rows, want);
@@ -364,7 +490,8 @@ mod tests {
         let s = space();
         let center = s.config(s.len() / 2).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        for cfg in sample_feature_neighborhood(&s, &center, 1.5, 100, &mut rng, &mut Vec::new()) {
+        let mut sampler = NeighborhoodSampler::new(&s);
+        for cfg in sampler.sample(&center, 1.5, 100, &mut rng, &mut Vec::new()) {
             let split_diffs = cfg
                 .choices
                 .iter()
@@ -377,16 +504,68 @@ mod tests {
     }
 
     #[test]
-    fn elementary_move_preserves_split_products() {
+    fn tabulated_moves_preserve_split_products() {
         let s = space();
+        let table = MoveTable::new(&s);
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let center = s.config(s.len() / 2).unwrap();
         for _ in 0..100 {
             let mut choices = center.choices.clone();
-            if elementary_move(&s, &mut choices, &mut rng) {
+            if table.apply(&mut choices, &mut rng) {
                 // Decoding must succeed: product invariant held.
                 let idx = s.index_of(&choices);
                 assert!(s.config(idx).is_ok());
+            }
+        }
+    }
+
+    /// A mobilenet task's space, or (`task == 19`) a small space with a
+    /// three-way split and one- and many-valued choice knobs.
+    fn sampler_space(task: usize) -> ConfigSpace {
+        if task == 19 {
+            return ConfigSpace::new(
+                "mixed",
+                vec![
+                    Knob::split("a", 720, 3),
+                    Knob::choice("one", vec![7]),
+                    Knob::split("b", 64, 2),
+                    Knob::choice("c", vec![0, 1, 2, 3, 4]),
+                ],
+            );
+        }
+        let model = dnn_graph::models::mobilenet_v1(1);
+        crate::template::space_for_task(&dnn_graph::task::extract_tasks(&model)[task])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The table-driven sampler returns the original sampler's members
+        /// and feature rows bit for bit and leaves the RNG at the same
+        /// draw, over consecutive calls that reuse its buffers.
+        #[test]
+        fn sampler_matches_the_reference_bit_for_bit(
+            task in 0usize..=19,
+            radius in prop_oneof![Just(3.0), Just(48.0), 0.5f64..60.0],
+            n in prop_oneof![Just(512usize), 1usize..64],
+            seed in 0u64..u64::MAX,
+            calls in 1usize..=3,
+        ) {
+            let s = sampler_space(task);
+            let mut sampler = NeighborhoodSampler::new(&s);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            for call in 0..calls {
+                let center = s.sample(&mut rng);
+                prop_assert_eq!(center.index, s.sample(&mut ref_rng).index);
+                let (mut rows, mut ref_rows) = (vec![-1.0], vec![-1.0]);
+                let got = sampler.sample(&center, radius, n, &mut rng, &mut rows);
+                let want = reference::sample_feature_neighborhood(
+                    &s, &center, radius, n, &mut ref_rng, &mut ref_rows,
+                );
+                prop_assert_eq!(&got, &want, "members differ at call {}", call);
+                let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&rows), bits(&ref_rows), "rows differ at call {}", call);
+                prop_assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>(), "RNG drifted at call {}", call);
             }
         }
     }
