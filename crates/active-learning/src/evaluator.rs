@@ -37,6 +37,11 @@ impl GbtEvaluator {
     pub fn new(params: GbtParams) -> Self {
         GbtEvaluator { params, model: None }
     }
+
+    /// The fitted model, once [`Evaluator::fit`] has run.
+    pub(crate) fn model(&self) -> Option<&Gbt> {
+        self.model.as_ref()
+    }
 }
 
 impl Evaluator for GbtEvaluator {

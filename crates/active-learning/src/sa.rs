@@ -30,9 +30,11 @@ impl Default for SaOptions {
     }
 }
 
-/// Mutates one random knob of `cfg` to a different candidate.
-fn mutate(space: &ConfigSpace, cfg: &Config, rng: &mut StdRng) -> Config {
-    let mut choices = cfg.choices.clone();
+/// Writes into `out` a copy of `cfg` with one random knob moved to a
+/// different candidate. `out`'s choice buffer is reused.
+fn mutate(space: &ConfigSpace, cfg: &Config, rng: &mut StdRng, out: &mut Config) {
+    let choices = &mut out.choices;
+    choices.clone_from(&cfg.choices);
     // Find a knob with more than one candidate (spaces of interest always
     // have one, but stay total).
     for _ in 0..16 {
@@ -48,8 +50,7 @@ fn mutate(space: &ConfigSpace, cfg: &Config, rng: &mut StdRng) -> Config {
         choices[k] = c;
         break;
     }
-    let index = space.index_of(&choices);
-    Config { index, choices }
+    out.index = space.index_of(choices);
 }
 
 #[derive(PartialEq)]
@@ -178,10 +179,15 @@ where
     let _span = tel.span("sa.search");
     let mut accepted = 0u64;
     let mut rejected = 0u64;
+    // One proposal per walker, rewritten in place every iteration; an
+    // accepted proposal swaps places with its walker's point.
+    let mut proposals = points.clone();
     for iter in 0..opts.n_iter {
         let t = opts.temp_start
             + (opts.temp_end - opts.temp_start) * (iter as f64 / opts.n_iter.max(1) as f64);
-        let proposals: Vec<Config> = points.iter().map(|p| mutate(space, p, &mut rng)).collect();
+        for (p, out) in points.iter().zip(&mut proposals) {
+            mutate(space, p, &mut rng, out);
+        }
         let new_scores = score(&proposals);
         for i in 0..points.len() {
             offer(&mut heap, &mut in_heap, &mut configs_by_index, &proposals[i], new_scores[i]);
@@ -189,7 +195,7 @@ where
                 || (t > 0.0 && rng.gen::<f64>() < ((new_scores[i] - scores[i]) / t).exp());
             if accept {
                 accepted += 1;
-                points[i] = proposals[i].clone();
+                std::mem::swap(&mut points[i], &mut proposals[i]);
                 scores[i] = new_scores[i];
             } else {
                 rejected += 1;
@@ -292,8 +298,10 @@ mod tests {
         let space = toy_space();
         let mut rng = StdRng::seed_from_u64(4);
         let base = space.config(100).unwrap();
+        let mut m = space.config(7).unwrap();
         for _ in 0..50 {
-            let m = mutate(&space, &base, &mut rng);
+            mutate(&space, &base, &mut rng, &mut m);
+            assert_eq!(m.index, space.index_of(&m.choices));
             let diffs = base.choices.iter().zip(&m.choices).filter(|(a, b)| a != b).count();
             assert_eq!(diffs, 1);
         }

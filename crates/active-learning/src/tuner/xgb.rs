@@ -9,12 +9,11 @@ use crate::evaluator::{Evaluator, GbtEvaluator};
 use crate::model_quality::ProposalDiag;
 use crate::sa::{simulated_annealing_scored, SaOptions};
 use crate::tuner::Tuner;
-use gbt::{GbtParams, Matrix};
+use gbt::{GbtParams, KnobLayout, LeafTables, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use schedule::feature::{feature_len, features, features_into};
+use schedule::feature::{feature_len, FeatureTable};
 use schedule::{Config, ConfigSpace};
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 /// AutoTVM's model-based tuner.
@@ -39,9 +38,13 @@ pub struct XgbTuner<'s> {
     /// Normalization constant of the last fit — plan scores times this are
     /// GFLOPS predictions.
     y_max: f64,
-    /// Flat feature buffer reused by the batched SA scoring closure across
-    /// calls and across rounds.
-    feat_buf: RefCell<Vec<f64>>,
+    /// Every knob candidate's features: the training rows and the layout
+    /// the cost model compiles against.
+    features: FeatureTable,
+    layout: KnobLayout,
+    /// The last fitted cost model, compiled for SA to score proposals
+    /// from their knob choices; its buffers are reused across refits.
+    tables: LeafTables,
     capture: bool,
     diags: Vec<ProposalDiag>,
 }
@@ -60,6 +63,8 @@ impl<'s> XgbTuner<'s> {
         epsilon: f64,
         seed: u64,
     ) -> Self {
+        let features = FeatureTable::new(space);
+        let layout = KnobLayout::new(features.knobs());
         XgbTuner {
             space,
             gbt,
@@ -74,7 +79,9 @@ impl<'s> XgbTuner<'s> {
             rng: StdRng::seed_from_u64(seed),
             refits: 0,
             y_max: 1.0,
-            feat_buf: RefCell::new(Vec::new()),
+            features,
+            layout,
+            tables: LeafTables::default(),
             capture: false,
             diags: Vec::new(),
         }
@@ -120,10 +127,13 @@ impl<'s> XgbTuner<'s> {
         // kept out of future plans by `visited`/quarantine, not by
         // poisoned labels. Scores normalize by the best observed value so
         // SA temperatures stay comparable across tasks.
-        let rows: Vec<Vec<f64>> = valid.iter().map(|(c, _)| features(self.space, c)).collect();
+        let mut rows = Vec::new();
+        for (c, _) in &valid {
+            self.features.features_into(&c.choices, &mut rows);
+        }
         let y_max = valid.iter().map(|&&(_, y)| y).fold(f64::NEG_INFINITY, f64::max).max(1e-9);
         let ys: Vec<f64> = valid.iter().map(|&&(_, y)| y / y_max).collect();
-        let x = Matrix::from_rows(&rows);
+        let x = Matrix::new(rows, valid.len(), feature_len(self.space));
         let mut model = GbtEvaluator::new(self.gbt);
         {
             let _fit = tel.span("xgb.fit");
@@ -132,26 +142,19 @@ impl<'s> XgbTuner<'s> {
         self.y_max = y_max;
         tel.event(
             "xgb.refit",
-            || telemetry::json!({ "refit": self.refits, "rows": rows.len() as u64 }),
+            || telemetry::json!({ "refit": self.refits, "rows": valid.len() as u64 }),
         );
+        if let Some(fitted) = model.model() {
+            let _tables = tel.span("gbt.tables");
+            self.tables.compile(fitted, &self.layout);
+        }
 
-        let space = self.space;
-        let n_feat = feature_len(space);
-        let feat_buf = &self.feat_buf;
+        // SA scores each proposal from its knob choices through the
+        // compiled tables, bit for bit the fitted model's prediction.
+        let tables = &self.tables;
         let score = |cands: &[Config]| -> Vec<f64> {
-            // One batched matrix predict per SA step instead of a model
-            // call (and a fresh feature Vec) per candidate. The flat
-            // buffer round-trips through the matrix so no allocation
-            // survives steady state.
-            let mut buf = feat_buf.borrow_mut();
-            buf.clear();
-            for c in cands {
-                features_into(space, c, &mut buf);
-            }
-            let x = Matrix::new(std::mem::take(&mut *buf), cands.len(), n_feat);
-            let preds = model.predict(&x);
-            *buf = x.into_data();
-            preds
+            let _span = tel.span("gbt.predict");
+            tables.predict(cands.iter().map(|c| c.choices.as_slice()))
         };
         self.plan = simulated_annealing_scored(
             self.space,
@@ -245,7 +248,10 @@ impl Tuner for XgbTuner<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schedule::Knob;
+    use gbt::Gbt;
+    use gpu_sim::{GpuDevice, Measurer, SimMeasurer};
+    use schedule::feature::features;
+    use schedule::{space_for_task, Knob};
 
     fn toy_space() -> ConfigSpace {
         ConfigSpace::new("toy", vec![Knob::split("a", 4096, 2), Knob::split("b", 4096, 2)])
@@ -423,5 +429,35 @@ mod tests {
             best_model > 95.0,
             "model must still converge near the peak under 10% faults, got {best_model}"
         );
+    }
+
+    #[test]
+    fn leaf_tables_score_every_mobilenet_space_bit_for_bit() {
+        // The tuner's own cost model on each mobilenet_v1 space, fit on
+        // simulated GFLOPS and compiled through the space's feature table:
+        // the tables score fresh configurations as the model predicts
+        // their features, and stay within 128 KiB.
+        let measurer = SimMeasurer::new(GpuDevice::gtx_1080_ti());
+        let params = crate::TuneOptions::default().gbt;
+        let tasks = dnn_graph::task::extract_tasks(&dnn_graph::models::mobilenet_v1(1));
+        for task in &tasks {
+            let space = space_for_task(task);
+            let mut rng = StdRng::seed_from_u64(3);
+            let train = space.sample_distinct(&mut rng, 256);
+            let rows: Vec<Vec<f64>> = train.iter().map(|c| features(&space, c)).collect();
+            let ys: Vec<f64> =
+                train.iter().map(|c| measurer.measure(task, &space, c).gflops).collect();
+            let model = Gbt::fit(&params, &Matrix::from_rows(&rows), &ys, 0);
+            let mut tables = LeafTables::default();
+            tables.compile(&model, &KnobLayout::new(FeatureTable::new(&space).knobs()));
+            assert!(tables.size_bytes() <= 128 << 10, "{}: {} B", task.name, tables.size_bytes());
+
+            let probes = space.sample_distinct(&mut rng, 512);
+            let rows: Vec<Vec<f64>> = probes.iter().map(|c| features(&space, c)).collect();
+            let want = model.predict(&Matrix::from_rows(&rows));
+            let got = tables.predict(probes.iter().map(|c| c.choices.as_slice()));
+            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{}", task.name);
+        }
     }
 }

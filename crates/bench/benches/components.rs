@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the framework's building blocks: TED selection,
-//! BTED initialization, GBT fitting, BAO scope sampling, bootstrap
-//! selection, simulated annealing, single measurements and the executor's
+//! BTED initialization, GBT fitting, SA scoring and the leaf-table
+//! compile, BAO scope sampling, bootstrap selection, simulated annealing,
+//! single measurements and the executor's
 //! per-batch hand-off — the per-iteration costs that determine how
 //! "scalable" (the paper's term) each stage is.
 
@@ -15,12 +16,12 @@ use active_learning::ted::{ted, TedKernel};
 use active_learning::TuneOptions;
 use dnn_graph::{models, task::extract_tasks};
 use executor::{Executor, ExecutorConfig};
-use gbt::{BaggedGbt, Gbt, GbtParams, Matrix};
+use gbt::{BaggedGbt, Gbt, GbtParams, KnobLayout, LeafTables, Matrix};
 use gpu_sim::{GpuDevice, Measurer, SimMeasurer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use schedule::feature::features;
+use schedule::feature::{features, features_into, FeatureTable};
 use schedule::neighborhood::NeighborhoodSampler;
 use schedule::template::space_for_task;
 
@@ -63,6 +64,41 @@ fn bench_components(c: &mut Criterion) {
     c.bench_function("gbt_predict_rows_512x22", |b| {
         b.iter(|| {
             black_box((0..x.rows()).map(|i| model.predict_row(x.row(i))).collect::<Vec<_>>())
+        });
+    });
+
+    // One SA step's scoring with that 60-tree model: 64 proposals scored
+    // from their knob choices through the compiled leaf tables, against
+    // featurizing them and predicting the feature matrix. Then the
+    // compile itself, which AutoTVM runs once per refit.
+    let layout = KnobLayout::new(FeatureTable::new(&space).knobs());
+    let mut tables = LeafTables::default();
+    tables.compile(&model, &layout);
+    let proposals = space.sample_distinct(&mut rng, 64);
+    c.bench_with_input(BenchmarkId::new("sa_score_64_gbt", "tables"), &proposals, |b, p| {
+        b.iter(|| black_box(tables.predict(p.iter().map(|cfg| cfg.choices.as_slice()))));
+    });
+    let mut buf = Vec::new();
+    c.bench_with_input(
+        BenchmarkId::new("sa_score_64_gbt", "featurize_predict"),
+        &proposals,
+        |b, p| {
+            b.iter(|| {
+                buf.clear();
+                for cfg in p {
+                    features_into(&space, cfg, &mut buf);
+                }
+                let x = Matrix::new(std::mem::take(&mut buf), p.len(), x.cols());
+                let scores = model.predict(&x);
+                buf = x.into_data();
+                black_box(scores)
+            });
+        },
+    );
+    c.bench_function("gbt_tables_compile_60", |b| {
+        b.iter(|| {
+            tables.compile(&model, &layout);
+            black_box(tables.size_bytes())
         });
     });
 

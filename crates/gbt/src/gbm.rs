@@ -58,9 +58,9 @@ impl GbtParams {
 /// A fitted gradient-boosted model for squared-error regression.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Gbt {
-    base_score: f64,
-    eta: f64,
-    trees: Vec<RegressionTree>,
+    pub(crate) base_score: f64,
+    pub(crate) eta: f64,
+    pub(crate) trees: Vec<RegressionTree>,
     num_features: usize,
 }
 

@@ -11,6 +11,9 @@
 //!   stopping on a validation slice;
 //! * [`BaggedGbt`] — Γ bootstrap-resampled models whose *sum* is the
 //!   acquisition score, the exact object Algorithm 3 (BS) maximizes;
+//! * [`LeafTables`] — a fitted [`Gbt`] compiled into per-knob leaf masks,
+//!   scoring configurations from their knob choices bit for bit as
+//!   [`Gbt::predict`] scores their features;
 //! * [`metrics`] — RMSE, R², Spearman rank correlation.
 //!
 //! # Example
@@ -33,9 +36,11 @@ pub mod bagging;
 pub mod data;
 pub mod gbm;
 pub mod metrics;
+pub mod tables;
 pub mod tree;
 
 pub use bagging::BaggedGbt;
 pub use data::Matrix;
 pub use gbm::{Gbt, GbtParams};
+pub use tables::{KnobLayout, LeafTables};
 pub use tree::RegressionTree;

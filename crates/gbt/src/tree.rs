@@ -59,14 +59,14 @@ pub(crate) const BLOCK: usize = 8;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegressionTree {
     /// Levels of internal slots; `0` for a single-leaf tree.
-    depth: u32,
+    pub(crate) depth: u32,
     /// Split feature per internal slot (`0` below a leaf, where both
     /// sides carry the same weight).
-    features: Vec<u32>,
+    pub(crate) features: Vec<u32>,
     /// Split threshold per internal slot.
-    thresholds: Vec<f64>,
+    pub(crate) thresholds: Vec<f64>,
     /// The `2^depth` bottom-level leaf weights.
-    leaves: Vec<f64>,
+    pub(crate) leaves: Vec<f64>,
     /// Feature of every real split in preorder (padding excluded).
     split_features: Vec<u32>,
 }
@@ -418,6 +418,16 @@ impl RegressionTree {
         for (a, &slot) in acc.iter_mut().zip(slots.iter()) {
             *a += self.leaves[slot - self.features.len()];
         }
+    }
+
+    /// The bottom slots below internal `slot`, as a range `lo..hi`: its
+    /// left child's subtree covers the first half, its right child's the
+    /// second.
+    pub(crate) fn bottom_range(&self, slot: usize) -> (usize, usize) {
+        let level = (slot + 1).ilog2();
+        let span = 1usize << (self.depth - level);
+        let first = (slot + 1 - (1usize << level)) * span;
+        (first, first + span)
     }
 
     /// The child of internal `slot` that `row` goes to: left iff

@@ -65,8 +65,11 @@ fn knob_features_into(knob: &Knob, c: usize, out: &mut Vec<f64>) {
 /// The features of every candidate of every knob of one space, computed
 /// once: featurizing a configuration then copies one slice per knob, the
 /// same bits as [`features_into`].
+///
+/// It is also the source of each knob's candidate features for code that
+/// reasons per knob, such as compiling a cost model into per-knob tables.
 #[derive(Debug, Clone)]
-pub(crate) struct FeatureTable {
+pub struct FeatureTable {
     /// Per knob: where its candidates' features start, and how many
     /// features each candidate has.
     knobs: Vec<(usize, usize)>,
@@ -75,7 +78,8 @@ pub(crate) struct FeatureTable {
 
 impl FeatureTable {
     /// Tabulates the features of every knob candidate of `space`.
-    pub(crate) fn new(space: &ConfigSpace) -> Self {
+    #[must_use]
+    pub fn new(space: &ConfigSpace) -> Self {
         let mut values = Vec::new();
         let knobs = space
             .knobs()
@@ -92,11 +96,18 @@ impl FeatureTable {
     }
 
     /// [`features_into`] for the configuration with these knob `choices`.
-    pub(crate) fn features_into(&self, choices: &[usize], out: &mut Vec<f64>) {
+    pub fn features_into(&self, choices: &[usize], out: &mut Vec<f64>) {
         for (&c, &(start, width)) in choices.iter().zip(&self.knobs) {
             let at = start + c * width;
             out.extend_from_slice(&self.values[at..at + width]);
         }
+    }
+
+    /// Knob by knob, in feature order: its feature count per candidate,
+    /// and its candidates' features, candidate by candidate.
+    pub fn knobs(&self) -> impl Iterator<Item = (usize, &[f64])> {
+        let ends = self.knobs.iter().skip(1).map(|&(start, _)| start).chain([self.values.len()]);
+        self.knobs.iter().zip(ends).map(|(&(start, width), end)| (width, &self.values[start..end]))
     }
 }
 
@@ -232,6 +243,16 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.to_bits(), w.to_bits(), "config {i}");
             }
+        }
+        let knobs: Vec<(usize, usize)> =
+            table.knobs().map(|(width, values)| (width, values.len() / width)).collect();
+        assert_eq!(knobs.len(), s.num_knobs());
+        for ((width, card), knob) in knobs.iter().zip(s.knobs()) {
+            assert_eq!(*card, knob.cardinality());
+            assert_eq!(
+                *width,
+                if let Knob::Split { num_outputs, .. } = knob { *num_outputs } else { 1 }
+            );
         }
     }
 
