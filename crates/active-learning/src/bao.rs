@@ -168,8 +168,8 @@ where
     /// `fit_window` plus the 32 best-ever (so the models never forget where
     /// the good region is). Failed trials (0 GFLOPS) are excluded — fitting
     /// on them teaches the bagged models a crater around every fault and
-    /// repels the scope from the true optimum; quarantine/`visited` already
-    /// keep known-bad configurations out of future scopes. When *every*
+    /// repels the scope from the true optimum; `visited` already keeps
+    /// known-bad configurations out of future scopes. When *every*
     /// measurement failed the raw set is used so bootstrap selection still
     /// has something to resample.
     fn fit_window(&self) -> Vec<usize> {
@@ -367,12 +367,6 @@ where
         } else {
             self.pending_init.len()
         }
-    }
-
-    fn exclude(&mut self, indices: &[u64]) {
-        // `visited` filters the BAO scope, so quarantined configurations
-        // drop out of every future neighborhood.
-        self.visited.extend(indices.iter().copied());
     }
 
     fn set_capture(&mut self, enabled: bool) {

@@ -216,15 +216,11 @@ pub struct Checkpoint {
     pub in_flight: Option<String>,
     /// Trials logged so far for the in-flight task.
     pub trials_logged: Option<u64>,
-    /// Crash-quarantined configurations, from a recent enough binary.
-    /// The migration drops them: replaying the logs rebuilds exclusion.
-    pub quarantine: Option<gpu_sim::Quarantine>,
 }
 
 /// One line of a run's progress journal, `progress.jsonl`. It is
 /// advisory: resume rests on the trial logs, whose replay rebuilds the
-/// loop state, quarantine exclusions included; the journal adds which
-/// tasks finished.
+/// loop state; the journal adds which tasks finished.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProgressEntry {
     /// `{"Quarantine":[task,config_index]}`: written by earlier binaries,
@@ -936,21 +932,42 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// `checkpoint.json` as binaries that kept a crash quarantine wrote it.
+    const OLD_CHECKPOINT: &str = r#"{
+  "schema_version": 1,
+  "completed_tasks": [
+    "m.T0"
+  ],
+  "in_flight": "m.T1",
+  "trials_logged": 17,
+  "quarantine": {
+    "sets": {
+      "m.T0": [
+        3
+      ],
+      "m.T1": [
+        42
+      ]
+    }
+  }
+}"#;
+
     #[test]
     fn checkpoint_round_trips_and_is_optional() {
         let root = std::env::temp_dir().join(format!("aaltune-ckpt-{}", std::process::id()));
         let dir = RunDir::create(&root).unwrap();
         assert!(dir.read_checkpoint().unwrap().is_none());
-        let mut quarantine = gpu_sim::Quarantine::new();
-        quarantine.insert("m.T1", 42);
         let ckpt = Checkpoint {
             schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
             completed_tasks: vec!["m.T0".into()],
             in_flight: Some("m.T1".into()),
             trials_logged: Some(17),
-            quarantine: Some(quarantine),
         };
         dir.write_checkpoint(&ckpt).unwrap();
+        assert_eq!(dir.read_checkpoint().unwrap().unwrap(), ckpt);
+        // A checkpoint as older binaries wrote it, with a `quarantine`
+        // object, reads the same: the key is ignored.
+        std::fs::write(dir.checkpoint_path(), OLD_CHECKPOINT).unwrap();
         assert_eq!(dir.read_checkpoint().unwrap().unwrap(), ckpt);
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -964,7 +981,6 @@ mod tests {
             completed_tasks: vec!["m.T0".into(), "m.T1".into()],
             in_flight: Some("m.T2".into()),
             trials_logged: Some(9),
-            quarantine: None,
         };
         dir.write_checkpoint(&ckpt).unwrap();
 
@@ -1035,17 +1051,7 @@ mod tests {
     #[test]
     fn checkpoint_era_run_dir_is_migrated_once() {
         let (root, dir) = progress_dir("migrate");
-        let mut quarantine = gpu_sim::Quarantine::new();
-        quarantine.insert("m.T0", 3);
-        quarantine.insert("m.T1", 42);
-        let ckpt = Checkpoint {
-            schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
-            completed_tasks: vec!["m.T0".into()],
-            in_flight: Some("m.T1".into()),
-            trials_logged: Some(17),
-            quarantine: Some(quarantine),
-        };
-        dir.write_checkpoint(&ckpt).unwrap();
+        std::fs::write(dir.checkpoint_path(), OLD_CHECKPOINT).unwrap();
         assert_eq!(dir.recover_progress().unwrap().unwrap(), ["m.T0"]);
         assert!(!dir.checkpoint_path().exists(), "the checkpoint is migrated away");
         let journal = std::fs::read_to_string(dir.progress_path()).unwrap();

@@ -10,9 +10,8 @@
 //!   run's;
 //! * **progress journal** — `progress.jsonl` holds one synced `Complete`
 //!   line per finished task, never a line per trial. Resume reads back
-//!   the tasks it lists. The measurer's quarantine is not journaled: a
-//!   resumed task's replay marks every logged config visited, so
-//!   exclusion is rebuilt from the log alone;
+//!   the tasks it lists. A resumed task's replay marks every logged
+//!   config visited, so no config is measured twice across a resume;
 //! * **database** — the warm seed pinned before the first trial and
 //!   replayed on resume, the [`DbPolicy::Serve`] verifying measurement,
 //!   and the top-k upsert, which lands before the `Complete` line;
@@ -237,9 +236,12 @@ impl<M: Measurer + Sync> Session<'_, M> {
         }
         let seed = self.db_seed(task)?;
         if let Some(seed) = seed.as_ref().filter(|s| s.mode == "serve") {
-            if let Some(log) = self.serve_cached(task, seed, st)? {
-                return Ok(log);
-            }
+            return match self.serve_cached(task, seed, st)? {
+                Some(log) => Ok(log),
+                // The serve seed is the cached best alone, and its
+                // verification has just measured it, so the retune is cold.
+                None => self.tune(task, None, st),
+            };
         }
         self.tune(task, seed.map(|s| s.configs), st)
     }
@@ -301,7 +303,7 @@ impl<M: Measurer + Sync> Session<'_, M> {
     /// Serve policy on an exact hit: one verifying measurement of the
     /// cached best replaces the whole tuning loop. `None` when the
     /// verification fails (the config no longer launches); the task then
-    /// tunes normally, warm-started from the same seed.
+    /// tunes cold, so the loop does not start by measuring it again.
     fn serve_cached(
         &self,
         task: &TuningTask,
@@ -312,8 +314,9 @@ impl<M: Measurer + Sync> Session<'_, M> {
         let space = space_for_task(task);
         let res = &self.measurer.measure_batch(task, &space, std::slice::from_ref(cfg))[0];
         if res.gflops <= 0.0 {
-            self.tel
-                .report(|| format!("{}: cached best failed verification — retuning", task.name));
+            self.tel.report(|| {
+                format!("{}: cached best failed verification — retuning cold", task.name)
+            });
             return Ok(None);
         }
         let rec = TrialRecord {

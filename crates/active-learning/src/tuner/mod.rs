@@ -34,11 +34,10 @@ pub trait Tuner {
         64
     }
 
-    /// Marks configuration indices as off-limits for future proposals —
-    /// the measurement layer's crash quarantine feeds known-bad configs
-    /// here so they are never re-proposed. Strategies without an
-    /// exclusion mechanism may ignore it (they will just re-measure a
-    /// zero-GFLOPS penalty).
+    /// Marks configuration indices as off-limits for future proposals; no
+    /// strategy in the workspace acts on it, and no caller remains.
+    /// ROADMAP item 2, which deletes perfbench's `layers.rs` (the last
+    /// override), deletes this method too.
     fn exclude(&mut self, _indices: &[u64]) {}
 
     /// Enables (or disables) model-introspection capture. When enabled, the

@@ -124,9 +124,9 @@ impl<'s> XgbTuner<'s> {
         // GFLOPS, and regressing on those zeros drags the surrogate down
         // around every fault — at a 10% fault rate the model starts
         // steering *away* from the optimum. Known-bad configurations are
-        // kept out of future plans by `visited`/quarantine, not by
-        // poisoned labels. Scores normalize by the best observed value so
-        // SA temperatures stay comparable across tasks.
+        // kept out of future plans by `visited`, not by poisoned labels.
+        // Scores normalize by the best observed value so SA temperatures
+        // stay comparable across tasks.
         let mut rows = Vec::new();
         for (c, _) in &valid {
             self.features.features_into(&c.choices, &mut rows);
@@ -228,12 +228,6 @@ impl Tuner for XgbTuner<'_> {
             self.measured.push((c.clone(), *y));
         }
         self.dirty += results.len();
-    }
-
-    fn exclude(&mut self, indices: &[u64]) {
-        // `visited` doubles as the SA proposer's exclusion set, so
-        // quarantined configurations are never planned again.
-        self.visited.extend(indices.iter().copied());
     }
 
     fn set_capture(&mut self, enabled: bool) {

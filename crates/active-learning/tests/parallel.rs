@@ -2,30 +2,23 @@
 //! reproduce the serial measurement path byte-for-byte.
 //!
 //! This is the contract that makes `tune --workers N` safe to use for
-//! paper-figure runs: for a fixed seed, the trial JSONL, the best GFLOPS,
-//! and the quarantine state are identical at every worker count — with and
-//! without fault injection.
+//! paper-figure runs: for a fixed seed, the trial JSONL and the best
+//! GFLOPS are identical at every worker count — with and without fault
+//! injection.
 
 use active_learning::{tune_task, Method, TuneOptions};
 use dnn_graph::models;
 use dnn_graph::task::extract_tasks;
 use executor::{Executor, ExecutorConfig};
 use gpu_sim::{
-    FaultConfig, FaultInjectingMeasurer, GpuDevice, Quarantine, RetryPolicy, RobustMeasurer,
-    SimMeasurer,
+    FaultConfig, FaultInjectingMeasurer, GpuDevice, RetryPolicy, RobustMeasurer, SimMeasurer,
 };
 use proptest::prelude::*;
 
 /// One tuning run through the full production measurer stack
 /// (`Executor<RobustMeasurer<FaultInjectingMeasurer<SimMeasurer>>>`),
-/// returning the trial log as JSONL bytes plus the best GFLOPS and the
-/// final quarantine.
-fn tune_with_workers(
-    workers: usize,
-    seed: u64,
-    fault_rate: f64,
-    method: Method,
-) -> (String, f64, Quarantine) {
+/// returning the trial log as JSONL bytes plus the best GFLOPS.
+fn tune_with_workers(workers: usize, seed: u64, fault_rate: f64, method: Method) -> (String, f64) {
     let task = extract_tasks(&models::squeezenet_v1_1(1)).remove(0);
     let sim = SimMeasurer::new(GpuDevice::gtx_1080_ti());
     let faulty = FaultInjectingMeasurer::new(sim, FaultConfig { rate: fault_rate, seed: 7 });
@@ -39,7 +32,7 @@ fn tune_with_workers(
         .iter()
         .map(|rec| serde_json::to_string(rec).expect("trial record serializes") + "\n")
         .collect();
-    (jsonl, r.best_gflops, exec.inner().quarantine_snapshot())
+    (jsonl, r.best_gflops)
 }
 
 proptest! {
@@ -51,16 +44,15 @@ proptest! {
         seed in 0u64..1_000_000,
         fault_rate in prop_oneof![Just(0.0), Just(0.1)],
     ) {
-        let (base_log, base_best, base_q) = tune_with_workers(1, seed, fault_rate, Method::Bted);
+        let (base_log, base_best) = tune_with_workers(1, seed, fault_rate, Method::Bted);
         prop_assert!(!base_log.is_empty());
         for workers in [2usize, 8] {
-            let (log, best, q) = tune_with_workers(workers, seed, fault_rate, Method::Bted);
+            let (log, best) = tune_with_workers(workers, seed, fault_rate, Method::Bted);
             prop_assert_eq!(
                 &log, &base_log,
                 "trial JSONL diverged at workers={} seed={} fault={}", workers, seed, fault_rate
             );
             prop_assert_eq!(best, base_best);
-            prop_assert_eq!(&q, &base_q);
         }
     }
 }
@@ -69,14 +61,13 @@ proptest! {
 fn faulty_bao_run_is_identical_across_worker_counts() {
     // BAO exercises a different proposal path (bootstrap ensemble +
     // neighborhood search); check it survives parallel measurement too,
-    // under a 10% fault rate so retries and quarantine are in play.
-    let (base_log, base_best, base_q) = tune_with_workers(1, 42, 0.1, Method::BtedBao);
+    // under a 10% fault rate so retries and persistent failures are in play.
+    let (base_log, base_best) = tune_with_workers(1, 42, 0.1, Method::BtedBao);
     assert!(!base_log.is_empty());
     for workers in [2usize, 8] {
-        let (log, best, q) = tune_with_workers(workers, 42, 0.1, Method::BtedBao);
+        let (log, best) = tune_with_workers(workers, 42, 0.1, Method::BtedBao);
         assert_eq!(log, base_log, "workers={workers}");
         assert_eq!(best, base_best);
-        assert_eq!(q, base_q);
     }
 }
 

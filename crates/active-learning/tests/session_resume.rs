@@ -9,18 +9,19 @@
 //! must then be byte-identical to the twin's.
 //!
 //! The measurer is the production stack with fault injection, so
-//! configs get quarantined mid-run. The quarantine stays in memory: after
-//! every live trial the journal on disk is checked to hold only
-//! `Complete` lines, each once.
+//! configs fail persistently mid-run. After every live trial the journal
+//! on disk is checked to hold only `Complete` lines, each once.
 //!
 //! More crash images are resumed: one after a power loss in which the
 //! journal outlived the unsynced log tail and holds a `Quarantine` line
-//! for a config the log lost, one between a task's capture part and its
+//! (as older binaries wrote one per persistently failing config) for a
+//! config the log lost, one between a task's capture part and its
 //! `Complete` line, one between the last task's capture part and the
 //! final capture file, and two in the formats of older binaries: a
 //! journal with complete and torn `Quarantine` lines, and a
 //! `checkpoint.json` holding every task's quarantine set beside a
-//! capture that is one file rewritten per task.
+//! capture that is one file rewritten per task. Those lines and sets
+//! name the configs the twin's logs show failing persistently.
 
 use active_learning::{
     read_capture, read_model_quality, write_model_quality, Checkpoint, DbPolicy, Method,
@@ -31,9 +32,10 @@ use dnn_graph::models;
 use dnn_graph::task::{extract_tasks, TuningTask};
 use executor::{Executor, ExecutorConfig};
 use gpu_sim::{
-    FaultConfig, FaultInjectingMeasurer, GpuDevice, Quarantine, RetryPolicy, RobustMeasurer,
+    FaultConfig, FaultInjectingMeasurer, GpuDevice, Measurer, RetryPolicy, RobustMeasurer,
     SimMeasurer,
 };
+use schedule::template::space_for_task;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -107,7 +109,7 @@ enum Kill {
     /// Right after the `at`-th live trial, by a power loss that kept a
     /// journal line written after the log's unsynced tail: a
     /// `Quarantine` line (as an earlier binary wrote them) for a config
-    /// the twin quarantined later in an in-flight task.
+    /// that failed persistently later in an in-flight task of the twin.
     JournalOutlivesLog,
     /// Between the first task's capture part and its `Complete` line
     /// (one task at a time).
@@ -182,10 +184,6 @@ fn check_journal(dir: &RunDir, inherited: usize) -> Vec<ProgressEntry> {
     entries
 }
 
-/// What a session run returns: its logs and the measurer's final
-/// quarantine.
-type Outcome = (Vec<TuningLog>, Quarantine);
-
 /// Tunes `tasks()` into `run`, resuming from its progress journal when
 /// `resume`. After every live trial, the journal on disk is checked.
 fn session(
@@ -196,7 +194,7 @@ fn session(
     seed: u64,
     resume: bool,
     hooks: &CrashAt,
-) -> Outcome {
+) -> Vec<TuningLog> {
     let dir = RunDir::create(run).unwrap();
     let completed = if resume {
         dir.recover_progress().unwrap().expect("progress journal")
@@ -223,7 +221,7 @@ fn session(
     .run(&tasks())
     .expect("session runs");
     check_journal(&dir, inherited);
-    (logs, m.inner().quarantine_snapshot())
+    logs
 }
 
 /// The capture records of each of `tasks()` that has a part in `dir`,
@@ -244,9 +242,9 @@ fn parts_in_task_order(dir: &RunDir) -> Vec<ModelPredRecord> {
 enum Format {
     /// As this binary leaves it.
     Current,
-    /// As the binary before this one left it: the journal also holds a
-    /// `Quarantine` line for each logged trial of a quarantined config,
-    /// and ends in a torn one.
+    /// As an earlier binary left it: the journal also holds a
+    /// `Quarantine` line for each logged trial of a persistently failing
+    /// config, and ends in a torn one.
     QuarantineLines,
     /// As an older binary left it: `checkpoint.json` and no journal;
     /// the checkpoint holds every task's quarantine set, and the capture
@@ -254,13 +252,34 @@ enum Format {
     Checkpoint,
 }
 
-/// The twin's quarantined configs that the logs of the crash image in
-/// `dir` hold, as `Quarantine` lines in log order, and the first one
-/// those logs lost: a config the resume measures again.
+/// The configs of the twin's failed trials that fail persistently again
+/// when measured on a fresh stack: what an older binary quarantined. A
+/// task measures each config once, so the fresh stack sees the same
+/// attempt sequence the twin did.
+fn persistent_failures(twin_logs: &[TuningLog]) -> BTreeSet<(String, u64)> {
+    let m = stack(1);
+    let mut out = BTreeSet::new();
+    for task in tasks() {
+        let space = space_for_task(&task);
+        let log = twin_logs.iter().find(|log| log.task_name == task.name).unwrap();
+        for rec in log.records.iter().filter(|rec| rec.gflops == 0.0) {
+            let config = space.config(rec.config_index).unwrap();
+            let again = m.measure(&task, &space, &config);
+            if again.error_kind().is_some_and(|kind| !kind.is_transient()) {
+                out.insert((task.name.clone(), rec.config_index));
+            }
+        }
+    }
+    out
+}
+
+/// The twin's persistently failing configs that the logs of the crash
+/// image in `dir` hold, as `Quarantine` lines in log order, and the
+/// first one those logs lost: a config the resume measures again.
 fn quarantine_lines(
     dir: &RunDir,
     twin_logs: &[TuningLog],
-    twin_quarantine: &Quarantine,
+    failing: &BTreeSet<(String, u64)>,
 ) -> (Vec<ProgressEntry>, Option<ProgressEntry>) {
     let (mut logged, mut lost) = (Vec::new(), None);
     for twin_log in twin_logs {
@@ -268,7 +287,7 @@ fn quarantine_lines(
         let kept = std::fs::read(dir.log_path(task))
             .map_or(0, |b| TuningLog::recover_jsonl(&b).unwrap().log.records.len());
         for (i, rec) in twin_log.records.iter().enumerate() {
-            if twin_quarantine.contains(task, rec.config_index) {
+            if failing.contains(&(task.clone(), rec.config_index)) {
                 let line = ProgressEntry::Quarantine(task.clone(), rec.config_index);
                 if i < kept {
                     logged.push(line);
@@ -305,9 +324,9 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
     let consult = with_db.then_some(DbPolicy::Warm);
 
     let twin = base.join("twin");
-    let (twin_logs, twin_quarantine) =
-        session(&twin, db_of(&twin_db).as_deref(), consult, workers, 5, false, &never);
-    assert!(!twin_quarantine.is_empty(), "fault injection must quarantine configs");
+    let twin_logs = session(&twin, db_of(&twin_db).as_deref(), consult, workers, 5, false, &never);
+    let failing = persistent_failures(&twin_logs);
+    assert!(!failing.is_empty(), "fault injection must fail configs persistently");
     assert!(!twin.join(MODEL_QUALITY_PARTS_DIR).exists(), "the run's end removes the parts");
     let twin_dir = RunDir::create(&twin).unwrap();
     let done = twin_dir.read_progress().unwrap().expect("progress journal");
@@ -316,8 +335,7 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
 
     let cut = base.join("cut");
     let crash = CrashAt::new(at, kill, &cut, db_of(&cut_db));
-    let (cut_logs, _) =
-        session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, false, &crash);
+    let cut_logs = session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, false, &crash);
     assert_eq!(cut_logs, twin_logs, "the cut run is itself a twin before the crash");
     let (run_image, db_image) = crash.image.into_inner().unwrap().expect("crash image taken");
 
@@ -357,9 +375,9 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
     let cut_dir = RunDir::create(&cut).unwrap();
     let completed = cut_dir.recover_progress().unwrap().expect("progress journal");
     assert!(completed.len() < tasks().len(), "the crash image is mid-run");
-    let (logged, lost) = quarantine_lines(&cut_dir, &twin_logs, &twin_quarantine);
+    let (logged, lost) = quarantine_lines(&cut_dir, &twin_logs, &failing);
     let line = |entry: &ProgressEntry| serde_json::to_string(entry).unwrap() + "\n";
-    let lost = || line(lost.as_ref().expect("the twin quarantined a config the image lost"));
+    let lost = || line(lost.as_ref().expect("the image lost a persistently failing config"));
     let journal = std::fs::read_to_string(cut_dir.progress_path()).unwrap();
     if kill == Kill::JournalOutlivesLog {
         // The unsynced journal line reached the disk; the unsynced log
@@ -376,22 +394,24 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
         }
         Format::Checkpoint => {
             // Turn the journal into a checkpoint holding the quarantine
-            // of every logged trial, and fold the parts into one capture
-            // file.
-            let mut q = Quarantine::new();
+            // of every logged trial, in the `{"sets":{task:[index…]}}`
+            // shape older binaries wrote, and fold the parts into one
+            // capture file.
+            let mut sets: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
             for entry in &logged {
                 if let ProgressEntry::Quarantine(task, i) = entry {
-                    q.insert(task, *i);
+                    sets.entry(task.clone()).or_default().insert(*i);
                 }
             }
-            cut_dir
-                .write_checkpoint(&Checkpoint {
-                    schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
-                    completed_tasks: completed.clone(),
-                    quarantine: Some(q),
-                    ..Checkpoint::default()
-                })
-                .unwrap();
+            let mut old = serde_json::to_value(&Checkpoint {
+                schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
+                completed_tasks: completed.clone(),
+                ..Checkpoint::default()
+            });
+            let serde_json::Value::Object(fields) = &mut old else { unreachable!() };
+            fields.insert("quarantine".into(), serde_json::json!({ "sets": sets }));
+            let body = serde_json::to_string_pretty(&old).unwrap();
+            std::fs::write(cut_dir.checkpoint_path(), body).unwrap();
             std::fs::remove_file(cut_dir.progress_path()).unwrap();
             write_model_quality(&cut_dir.model_quality_path(), &parts_in_task_order(&cut_dir))
                 .unwrap();
@@ -401,7 +421,7 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
     assert_eq!(cut_dir.recover_progress().unwrap(), Some(completed), "the same tasks read back");
     assert!(!cut_dir.checkpoint_path().exists(), "a checkpoint is migrated once");
     let resumed_hooks = CrashAt::never();
-    let (resumed, _) =
+    let resumed =
         session(&cut, db_of(&cut_db).as_deref(), consult, workers, 5, true, &resumed_hooks);
     assert_eq!(resumed, twin_logs);
     // Resume continues where the logs end: only the lost trials are
@@ -439,7 +459,7 @@ fn resume_is_byte_identical_with_warm_db_two_tasks_in_flight() {
 }
 
 /// A power loss keeps what the disk happened to write: here a journal
-/// line naming a quarantined config whose trial line was lost. The
+/// line naming a persistently failing config whose trial line was lost. The
 /// resume must measure that config again, as the twin did.
 #[test]
 fn resume_after_a_power_loss_that_kept_a_quarantine_line_is_byte_identical() {
@@ -470,7 +490,7 @@ fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&base);
     let never = CrashAt::never();
     let twin = base.join("twin");
-    let (twin_logs, _) = session(&twin, None, None, 1, 5, false, &never);
+    let twin_logs = session(&twin, None, None, 1, 5, false, &never);
     let twin_files = image(&twin);
     let capture = PathBuf::from(MODEL_QUALITY_FILE);
     let twin_records = read_model_quality(&twin.join(MODEL_QUALITY_FILE)).unwrap();
@@ -495,7 +515,7 @@ fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
 
     let completed = cut_dir.recover_progress().unwrap().expect("progress journal");
     assert_eq!(completed.len(), tasks().len());
-    let (resumed, _) = session(&cut, None, None, 1, 5, true, &never);
+    let resumed = session(&cut, None, None, 1, 5, true, &never);
     assert_eq!(resumed, twin_logs);
     let cut_files = image(&cut);
     assert!(twin_files[&capture] == cut_files[&capture], "model capture differs after resume");

@@ -69,9 +69,10 @@ tracing: --trace writes a JSONL telemetry trace (`aaltune trace` summarizes
          trace, and registers the run in DIR/index.jsonl
 faults:  --fault-rate injects deterministic measurement faults (seeded by
          --fault-seed); transient faults are retried up to --max-retries,
-         persistent crashers are quarantined, and a task aborts once more
-         than --max-fail-rate of its trials fail. Runs with --out are
-         crash-safe: kill the process and continue with `tune --resume`
+         persistent crashers fail on their one attempt (zero GFLOPS, no
+         retry), and a task aborts once more than --max-fail-rate of its
+         trials fail. Runs with --out are crash-safe: kill the process
+         and continue with `tune --resume`
 parallel: --workers runs measurements on N worker threads over M simulated
          device slots (--devices, default N) with --batch-size proposals per
          round; results are re-sequenced by submission index, so trial logs
@@ -434,14 +435,12 @@ fn tune(cli: &Cli) -> Result<(), String> {
     }
 
     // The full measurement stack, always assembled the same way: fault
-    // injection (transparent at rate 0) under the retry/timeout/quarantine
-    // policy, fanned out over the executor's worker pool (a transparent
-    // pass-through at --workers 1). A resumed run's quarantine starts
-    // empty: replaying the logs keeps known-crashing configs excluded.
+    // injection (transparent at rate 0) under the retry/timeout policy,
+    // fanned out over the executor's worker pool (a transparent
+    // pass-through at --workers 1).
     let policy = RetryPolicy {
         max_retries: plan.opts.max_retries_or_default(),
         trial_timeout_ms: plan.opts.trial_timeout_ms.unwrap_or(0.0),
-        ..RetryPolicy::default()
     };
     let device = device_by_name(&plan.device_name)?;
     let robust = RobustMeasurer::new(

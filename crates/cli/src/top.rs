@@ -221,14 +221,14 @@ fn render(
         let _ = writeln!(out, "devices  {busy:.0}/{} busy  [{map}]", devices.len());
     }
 
-    // Measurement health: fault/retry/quarantine rates.
+    // Measurement health: fault/retry/persistent-failure rates.
     let attempts = snap.counter("measure.attempts");
     let failed = snap.counter("measure.failed");
     let fail_pct = if attempts > 0 { 100.0 * failed as f64 / attempts as f64 } else { 0.0 };
     let _ = writeln!(
         out,
         "health   attempts {attempts}  ok {}  failed {failed} ({fail_pct:.1}%)  \
-         retries {}  quarantined {}  faults {}",
+         retries {}  persistent {}  faults {}",
         snap.counter("measure.ok"),
         snap.counter("measure.retry"),
         snap.counter("measure.quarantine"),

@@ -190,7 +190,7 @@ struct Pipeline {
 /// a [`DevicePool`], results come back re-sequenced by submission index.
 ///
 /// Wrap the full measurement stack once and share the executor by
-/// reference; per-measure policy (fault injection, retry, quarantine)
+/// reference; per-measure policy (fault injection, retry, timeout)
 /// stays inside the wrapped stack, which worker threads drive through a
 /// shared `Arc`. At one worker there are no worker threads: each batch
 /// runs to completion on the thread that submits it.
@@ -263,7 +263,7 @@ impl<M: Measurer + Send + Sync + 'static> Executor<M> {
         Executor { measurer, devices, lease_tag, pipeline, config }
     }
 
-    /// The wrapped measurer (e.g. for quarantine snapshots).
+    /// The wrapped measurer.
     #[must_use]
     pub fn inner(&self) -> &M {
         &self.measurer
@@ -375,10 +375,6 @@ impl<M: Measurer + Send + Sync + 'static> Measurer for Executor<M> {
 
     fn repeats(&self) -> usize {
         self.measurer.repeats()
-    }
-
-    fn quarantined(&self, task: &TuningTask) -> Vec<u64> {
-        self.measurer.quarantined(task)
     }
 }
 
@@ -654,7 +650,7 @@ mod tests {
     fn faulty() -> RobustMeasurer<FaultInjectingMeasurer<SimMeasurer>> {
         let sim = SimMeasurer::new(GpuDevice::gtx_1080_ti());
         let faults = FaultInjectingMeasurer::new(sim, FaultConfig { rate: 0.1, seed: 3 });
-        RobustMeasurer::new(faults, RetryPolicy { backoff_base_ms: 0, ..RetryPolicy::default() })
+        RobustMeasurer::new(faults, RetryPolicy::default())
     }
 
     #[test]
@@ -662,17 +658,14 @@ mod tests {
         let (task, space) = setup();
         let inline = Executor::new(faulty(), ExecutorConfig::for_workers(1));
         let pooled = Executor::new(faulty(), ExecutorConfig::for_workers(4));
+        let mut persistent = false;
         for seed in [11, 12] {
             let configs = sample(&space, 48, seed);
-            assert_eq!(
-                inline.measure_batch(&task, &space, &configs),
-                pooled.measure_batch(&task, &space, &configs),
-                "batch {seed}"
-            );
+            let results = inline.measure_batch(&task, &space, &configs);
+            persistent |= results.iter().any(|r| r.error_kind().is_some_and(|k| !k.is_transient()));
+            assert_eq!(results, pooled.measure_batch(&task, &space, &configs), "batch {seed}");
         }
-        let quarantine = inline.inner().quarantine_snapshot();
-        assert!(!quarantine.is_empty(), "10% faults over 96 configs quarantine something");
-        assert_eq!(quarantine, pooled.inner().quarantine_snapshot());
+        assert!(persistent, "expected a persistent failure at a 10% fault rate");
     }
 
     /// Records the thread each measurement ran on.

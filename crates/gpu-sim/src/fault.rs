@@ -13,7 +13,7 @@
 //! * **persistent** — the draw depends only on `(task, config, seed)`, so
 //!   the same configuration fails the same way on every attempt. These
 //!   model compile errors and genuinely crashing kernels; retry never
-//!   helps and the robust layer quarantines them.
+//!   helps and the robust layer reports them after one attempt.
 //! * **transient** — the draw additionally mixes in the per-configuration
 //!   attempt number, so a bounded retry can clear them. These model
 //!   timeouts and one-off RPC flakes.
@@ -158,10 +158,6 @@ impl<M: Measurer> Measurer for FaultInjectingMeasurer<M> {
 
     fn repeats(&self) -> usize {
         self.inner.repeats()
-    }
-
-    fn quarantined(&self, task: &TuningTask) -> Vec<u64> {
-        self.inner.quarantined(task)
     }
 }
 

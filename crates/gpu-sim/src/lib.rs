@@ -19,8 +19,8 @@
 //! * [`fault`] — deterministic seeded fault injection
 //!   ([`fault::FaultInjectingMeasurer`]) for chaos testing;
 //! * [`robust`] — the hardening policy layer
-//!   ([`robust::RobustMeasurer`]): timeout budgets, bounded retry with
-//!   backoff, and a crashing-config quarantine;
+//!   ([`robust::RobustMeasurer`]): timeout budgets and bounded retry
+//!   with backoff;
 //! * [`model_exec`] — end-to-end model latency: composes tuned kernels and
 //!   un-tuned auxiliary operators, sampling the 600-run latency
 //!   distribution the paper reports in Table I.
@@ -47,4 +47,4 @@ pub use fault::{FaultConfig, FaultInjectingMeasurer};
 pub use measure::{MeasureError, MeasureErrorKind, MeasureResult, Measurer, SimMeasurer};
 pub use model_exec::{measure_model, ModelDeployment, ModelLatency};
 pub use perf::{Bottleneck, KernelPerf};
-pub use robust::{Quarantine, RetryPolicy, RobustMeasurer};
+pub use robust::{RetryPolicy, RobustMeasurer};

@@ -18,8 +18,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// The split that matters operationally is [`is_transient`]: transient
 /// faults (timeouts, RPC flakes) may succeed on retry, persistent faults
-/// (compile errors, launch crashes, lost devices) never will and the
-/// configuration should be quarantined instead.
+/// (compile errors, launch crashes, lost devices) never will, so they
+/// are reported after one attempt.
 ///
 /// [`is_transient`]: MeasureErrorKind::is_transient
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -169,9 +169,10 @@ pub trait Measurer {
         3
     }
 
-    /// Configuration indices this measurer has quarantined for `task`
-    /// (known to crash persistently). Tuners exclude these from future
-    /// proposals. Plain measurers quarantine nothing.
+    /// Configuration indices this measurer holds back for `task`; no
+    /// measurer in the workspace holds any, and no caller remains.
+    /// ROADMAP item 2, which deletes perfbench's `layers.rs` (the last
+    /// override), deletes this method too.
     fn quarantined(&self, _task: &TuningTask) -> Vec<u64> {
         Vec::new()
     }

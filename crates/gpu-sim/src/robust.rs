@@ -1,4 +1,4 @@
-//! Measurement hardening: timeout budgets, bounded retry, quarantine.
+//! Measurement hardening: timeout budgets and bounded retry.
 //!
 //! [`RobustMeasurer`] wraps any [`Measurer`] with the policy layer a real
 //! tuning fleet needs around flaky hardware:
@@ -9,18 +9,15 @@
 //! * **bounded retry** — transient faults are retried up to
 //!   `max_retries` times with exponential backoff (the backoff is
 //!   *recorded* in telemetry, not slept — the simulator has no wall-clock
-//!   to wait out);
-//! * **quarantine** — configurations that fail persistently are added to
-//!   a per-task quarantine set, surfaced through
-//!   [`Measurer::quarantined`] so tuners (the SA proposer's exclusion
-//!   set, BAO's scope filter) never re-propose a known-crashing config.
-//!   The set lives in memory for the process that found it; it is never
-//!   persisted, because every quarantined config was measured, and a
-//!   resumed run's log replay puts every measured config back into the
-//!   tuner's visited set;
+//!   to wait out). Persistent faults return after one attempt;
 //! * **graceful degradation** — failures still come back as zero-GFLOPS
 //!   penalty results (AutoTVM semantics), so cost models learn the
 //!   validity cliff instead of the loop falling over.
+//!
+//! The measurer keeps no memory of failed configurations. The tuners
+//! propose from outside their own visited sets, so in practice a task
+//! measures each configuration once, and a resumed task's log replay
+//! marks every logged configuration visited.
 //!
 //! Everything here is deterministic: retry outcomes depend only on the
 //! wrapped measurer's (seeded) behavior, never on timing.
@@ -29,9 +26,14 @@ use crate::measure::{MeasureError, MeasureErrorKind, MeasureResult, Measurer};
 use dnn_graph::task::TuningTask;
 use schedule::{Config, ConfigSpace};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
-use telemetry::sync::lock_or_recover;
+
+/// Base of the exponential backoff recorded per retry, milliseconds.
+const BACKOFF_BASE_MS: u64 = 50;
+
+/// Backoff recorded before retry number `attempt` (1-based), ms.
+fn backoff_ms(attempt: u32) -> u64 {
+    BACKOFF_BASE_MS.saturating_mul(1u64 << attempt.min(16))
+}
 
 /// Retry/timeout policy for [`RobustMeasurer`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -41,94 +43,25 @@ pub struct RetryPolicy {
     /// Per-trial device-time budget in milliseconds; `0` disables the
     /// timeout.
     pub trial_timeout_ms: f64,
-    /// Base of the exponential backoff recorded per retry, milliseconds.
-    pub backoff_base_ms: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { max_retries: 2, trial_timeout_ms: 0.0, backoff_base_ms: 50 }
+        RetryPolicy { max_retries: 2, trial_timeout_ms: 0.0 }
     }
 }
 
-impl RetryPolicy {
-    /// Backoff recorded before retry number `attempt` (1-based), ms.
-    #[must_use]
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        self.backoff_base_ms.saturating_mul(1u64 << attempt.min(16))
-    }
-}
-
-/// Per-task sets of configuration indices known to crash persistently.
-///
-/// Keys are task names. The set is process memory only: a resumed run
-/// starts empty and rebuilds its exclusions by replaying the trial logs.
-/// It serializes only as a field of the checkpoint older binaries wrote.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Quarantine {
-    sets: BTreeMap<String, BTreeSet<u64>>,
-}
-
-impl Quarantine {
-    /// An empty quarantine.
-    #[must_use]
-    pub fn new() -> Self {
-        Quarantine::default()
-    }
-
-    /// Marks `index` of `task` as known-crashing. Returns true if it was
-    /// newly added.
-    pub fn insert(&mut self, task: &str, index: u64) -> bool {
-        self.sets.entry(task.to_string()).or_default().insert(index)
-    }
-
-    /// True if `index` of `task` is quarantined.
-    #[must_use]
-    pub fn contains(&self, task: &str, index: u64) -> bool {
-        self.sets.get(task).is_some_and(|s| s.contains(&index))
-    }
-
-    /// Quarantined indices for `task`, sorted.
-    #[must_use]
-    pub fn indices_for(&self, task: &str) -> Vec<u64> {
-        self.sets.get(task).map(|s| s.iter().copied().collect()).unwrap_or_default()
-    }
-
-    /// Total quarantined configurations across all tasks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sets.values().map(BTreeSet::len).sum()
-    }
-
-    /// True if nothing is quarantined.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sets.values().all(BTreeSet::is_empty)
-    }
-}
-
-/// A [`Measurer`] wrapper applying [`RetryPolicy`] and [`Quarantine`].
-///
-/// The quarantine lives behind a `Mutex`, so the worker threads of a
-/// pooled executor driving one `RobustMeasurer` share one set: a
-/// configuration that crashed on worker 1 is never retried on worker 2.
+/// A [`Measurer`] wrapper applying a [`RetryPolicy`].
 #[derive(Debug)]
 pub struct RobustMeasurer<M> {
     inner: M,
     policy: RetryPolicy,
-    quarantine: Mutex<Quarantine>,
 }
 
 impl<M: Measurer> RobustMeasurer<M> {
-    /// Wraps `inner` with `policy` and an empty quarantine.
+    /// Wraps `inner` with `policy`.
     pub fn new(inner: M, policy: RetryPolicy) -> Self {
-        RobustMeasurer { inner, policy, quarantine: Mutex::new(Quarantine::new()) }
-    }
-
-    /// Snapshot of the current quarantine.
-    #[must_use]
-    pub fn quarantine_snapshot(&self) -> Quarantine {
-        lock_or_recover(&self.quarantine).clone()
+        RobustMeasurer { inner, policy }
     }
 
     /// The wrapped measurer.
@@ -159,15 +92,6 @@ impl<M: Measurer> RobustMeasurer<M> {
 impl<M: Measurer> Measurer for RobustMeasurer<M> {
     fn measure(&self, task: &TuningTask, space: &ConfigSpace, config: &Config) -> MeasureResult {
         let tel = telemetry::global();
-        if lock_or_recover(&self.quarantine).contains(&task.name, config.index) {
-            // Should not normally be proposed (tuners consult the set),
-            // but short-circuit rather than crash again if it is.
-            tel.count("measure.quarantine_hit", 1);
-            return MeasureResult::failed(MeasureError::new(
-                MeasureErrorKind::LaunchCrash,
-                "configuration is quarantined",
-            ));
-        }
         let mut attempt: u32 = 0;
         loop {
             tel.count("measure.attempts", 1);
@@ -180,7 +104,7 @@ impl<M: Measurer> Measurer for RobustMeasurer<M> {
             };
             if error.is_transient() && attempt < self.policy.max_retries {
                 attempt += 1;
-                let backoff_ms = self.policy.backoff_ms(attempt);
+                let backoff_ms = backoff_ms(attempt);
                 tel.count("measure.retry", 1);
                 tel.observe("measure.retry.backoff_ms", backoff_ms as f64);
                 let kind = error.kind;
@@ -196,13 +120,9 @@ impl<M: Measurer> Measurer for RobustMeasurer<M> {
                 continue;
             }
             if !error.is_transient() {
-                // Persistent failure: quarantine so it is never
-                // re-proposed, but still return the zero-GFLOPS penalty
-                // so cost models learn the cliff.
-                let newly = lock_or_recover(&self.quarantine).insert(&task.name, config.index);
-                if newly {
-                    tel.count("measure.quarantine", 1);
-                }
+                // Persistent failure: retrying never helps. The counter
+                // keeps its historical name, `measure.quarantine`.
+                tel.count("measure.quarantine", 1);
             }
             tel.count("measure.failed", 1);
             return result;
@@ -211,14 +131,6 @@ impl<M: Measurer> Measurer for RobustMeasurer<M> {
 
     fn repeats(&self) -> usize {
         self.inner.repeats()
-    }
-
-    fn quarantined(&self, task: &TuningTask) -> Vec<u64> {
-        let mut indices = lock_or_recover(&self.quarantine).indices_for(&task.name);
-        indices.extend(self.inner.quarantined(task));
-        indices.sort_unstable();
-        indices.dedup();
-        indices
     }
 }
 
@@ -265,25 +177,46 @@ mod tests {
         assert!(recovered, "expected a retry to clear at least one transient fault");
     }
 
+    /// Counts the attempts the wrapped measurer sees.
+    struct Counting<M> {
+        inner: M,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<M: Measurer> Measurer for Counting<M> {
+        fn measure(
+            &self,
+            task: &TuningTask,
+            space: &ConfigSpace,
+            config: &Config,
+        ) -> MeasureResult {
+            self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.measure(task, space, config)
+        }
+    }
+
     #[test]
-    fn persistent_failures_are_quarantined_and_short_circuited() {
+    fn persistent_failures_return_after_one_attempt() {
         let (task, space) = setup();
-        let robust = RobustMeasurer::new(faulty(0.5), RetryPolicy::default());
+        let robust = RobustMeasurer::new(
+            Counting { inner: faulty(0.5), calls: 0.into() },
+            RetryPolicy::default(),
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let mut quarantined_cfg = None;
+        let mut persistent = false;
         for _ in 0..200 {
             let cfg = space.sample(&mut rng);
+            let before = robust.inner().calls.load(std::sync::atomic::Ordering::SeqCst);
             let r = robust.measure(&task, &space, &cfg);
+            let attempts = robust.inner().calls.load(std::sync::atomic::Ordering::SeqCst) - before;
             if r.error_kind().is_some_and(|k| !k.is_transient()) {
-                quarantined_cfg = Some(cfg);
+                assert_eq!(attempts, 1, "a persistent failure is never retried");
+                assert_eq!(r.gflops, 0.0);
+                persistent = true;
                 break;
             }
         }
-        let cfg = quarantined_cfg.expect("expected a persistent failure at 50% fault rate");
-        assert!(robust.quarantined(&task).contains(&cfg.index));
-        let again = robust.measure(&task, &space, &cfg);
-        assert_eq!(again.error_kind(), Some(MeasureErrorKind::LaunchCrash));
-        assert_eq!(again.gflops, 0.0);
+        assert!(persistent, "expected a persistent failure at 50% fault rate");
     }
 
     #[test]
@@ -299,36 +232,14 @@ mod tests {
             }
         };
         // A budget below the observed latency must convert the trial.
-        let tight = RetryPolicy {
-            trial_timeout_ms: base.latency_s * 1e3 / 2.0,
-            max_retries: 0,
-            ..RetryPolicy::default()
-        };
+        let tight = RetryPolicy { trial_timeout_ms: base.latency_s * 1e3 / 2.0, max_retries: 0 };
         let robust = RobustMeasurer::new(SimMeasurer::new(GpuDevice::gtx_1080_ti()), tight);
         let r = robust.measure(&task, &space, &cfg);
         assert_eq!(r.error_kind(), Some(MeasureErrorKind::Timeout));
         assert!(r.error.unwrap().is_transient());
-        // Timeouts are transient: they must NOT be quarantined.
-        assert!(robust.quarantined(&task).is_empty());
         // A generous budget leaves the result untouched.
         let loose = RetryPolicy { trial_timeout_ms: 1e9, ..RetryPolicy::default() };
         let robust = RobustMeasurer::new(SimMeasurer::new(GpuDevice::gtx_1080_ti()), loose);
         assert_eq!(robust.measure(&task, &space, &cfg), base);
-    }
-
-    #[test]
-    fn quarantine_snapshot_round_trips() {
-        let mut q = Quarantine::new();
-        assert!(q.is_empty());
-        assert!(q.insert("t1", 5));
-        assert!(!q.insert("t1", 5), "second insert is a no-op");
-        q.insert("t2", 9);
-        assert_eq!(q.len(), 2);
-        assert!(q.contains("t1", 5));
-        assert!(!q.contains("t1", 6));
-        let json = serde_json::to_string(&q).unwrap();
-        let back: Quarantine = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, q);
-        assert_eq!(back.indices_for("t1"), vec![5]);
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! * the measurer is a plain [`SimMeasurer`] leasing from the server's
 //!   shared [`DevicePool`] under the tenant tag, with no retry or
-//!   quarantine policy;
+//!   timeout policy;
 //! * a job tunes one task at a time and **cold**: it upserts but never
 //!   consults the database, so its trial stream is a pure function of
 //!   the spec, independent of what other tenants upserted meanwhile —

@@ -100,9 +100,9 @@ pub const REPORT_EVENT: &str = "report";
 /// process segment whose counter/histogram snapshots sum/merge with the
 /// previous segment's finals.
 ///
-/// The per-trial `trial`, `model.pred` and `measure.quarantine` events
-/// were later dropped without a bump: the trial logs and the model
-/// capture hold the same facts, and no reader depends on them.
+/// Later, without a bump: the per-trial `trial`, `model.pred` and
+/// `measure.quarantine` events were dropped (logs and capture hold them),
+/// and the `measure.quarantine` counter came to count persistent failures.
 pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 struct Inner {

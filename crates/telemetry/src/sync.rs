@@ -8,8 +8,8 @@
 //! Why recovery is sound here, uniformly:
 //!
 //! * Guarded state is either monotone (counters, histograms, append-only
-//!   record vectors) or re-derivable (quarantine sets, progress journals,
-//!   device free-lists), so a write interrupted by a panic leaves data that
+//!   record vectors) or re-derivable (fault attempt counters, progress
+//!   journals, device free-lists), so a write interrupted by a panic leaves data that
 //!   is stale at worst, never load-bearing-corrupt.
 //! * Durability never depends on in-memory state surviving a panic: the
 //!   crash-safety discipline (append-before-apply, `durable::replace`)

@@ -75,7 +75,7 @@ pub struct RunEntry {
     pub faults: Option<u64>,
     /// Transient-fault retries performed, from the trace.
     pub retries: Option<u64>,
-    /// Configurations quarantined as persistently crashing, from the trace.
+    /// Persistent measurement failures (`measure.quarantine`), from the trace.
     pub quarantined: Option<u64>,
     /// Whether the run directory was continued by `tune --resume`.
     pub resumed: Option<bool>,
@@ -352,7 +352,7 @@ impl RegistryIndex {
             "db"
         );
         for e in entries {
-            // "f3 r1 q2 R" = 3 faults, 1 retry, 2 quarantined, resumed;
+            // "f3 r1 q2 R" = 3 faults, 1 retry, 2 persistent failures, resumed;
             // "-" for pre-health (v1) entries with no trace data.
             let health = match (e.faults, e.retries, e.quarantined) {
                 (None, None, None) => "-".to_string(),

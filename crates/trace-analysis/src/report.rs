@@ -386,8 +386,8 @@ fn model_quality_section(body: &mut String, run: &LoadedRun) {
     let _ = write!(body, "</div></section>");
 }
 
-/// The fault-pipeline panel: how many trials failed, were retried, or got
-/// quarantined. Counters come from the trace, summed across process
+/// The fault-pipeline panel: how many trials failed, were retried, or
+/// failed persistently. Counters come from the trace, summed across process
 /// segments, so a resumed run shows whole-run totals.
 fn health_section(body: &mut String, run: &LoadedRun, summary: &TraceSummary) {
     let c = |name: &str| summary.counters.get(name).copied().unwrap_or(0);
@@ -399,8 +399,7 @@ fn health_section(body: &mut String, run: &LoadedRun, summary: &TraceSummary) {
     kv("invalid configs", c("measure.invalid").to_string());
     kv("injected faults", c("measure.fault").to_string());
     kv("retries", c("measure.retry").to_string());
-    kv("quarantined", c("measure.quarantine").to_string());
-    kv("quarantine hits", c("measure.quarantine_hit").to_string());
+    kv("persistent failures", c("measure.quarantine").to_string());
     kv("resumes", c("tune.resume").to_string());
     kv("aborted tasks", c("tune.aborted").to_string());
     kv(
