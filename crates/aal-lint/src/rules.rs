@@ -99,8 +99,8 @@ pub static RULES: &[Rule] = &[
         name: "thread-spawn",
         category: "concurrency",
         desc: "spawns a thread outside the executor crate",
-        instead: "run work through executor's pipeline/scheduler so \
-                  ordering and shutdown stay centralized",
+        instead: "run work through executor::run_ordered so ordering \
+                  and shutdown stay centralized",
         patterns: &[
             &[M::Id("thread"), M::P(":"), M::P(":"), M::Id("spawn"), M::P("(")],
             &[

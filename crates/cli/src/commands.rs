@@ -436,8 +436,8 @@ fn tune(cli: &Cli) -> Result<(), String> {
 
     // The full measurement stack, always assembled the same way: fault
     // injection (transparent at rate 0) under the retry/timeout policy,
-    // fanned out over the executor's worker pool (a transparent
-    // pass-through at --workers 1).
+    // each batch fanned out by the executor over up to --workers threads
+    // (a plain loop on this thread at --workers 1).
     let policy = RetryPolicy {
         max_retries: plan.opts.max_retries_or_default(),
         trial_timeout_ms: plan.opts.trial_timeout_ms.unwrap_or(0.0),
@@ -476,9 +476,6 @@ fn tune(cli: &Cli) -> Result<(), String> {
             tel.clone(),
         )
     });
-    // Built after the pipeline is installed: each worker thread takes the
-    // global telemetry handle when it starts, and one started earlier
-    // would count into the disabled default.
     let m = Executor::new(
         robust,
         ExecutorConfig::for_workers(plan.workers)

@@ -205,21 +205,15 @@ fn render(
     }
     let _ = writeln!(out, "   up {}", fmt_secs(uptime_s));
 
-    // Executor: queue depth, busy workers, device occupancy.
-    let _ = writeln!(
-        out,
-        "executor queues build {:.0} run {:.0}   workers build {:.0} run {:.0} busy",
-        snap.gauge("exec.queue.build.depth.now"),
-        snap.gauge("exec.queue.run.depth.now"),
-        snap.gauge("exec.workers.build.busy.now"),
-        snap.gauge("exec.workers.run.busy.now"),
-    );
+    // Executor: threads measuring, device occupancy.
+    let _ = write!(out, "executor {:.0} measuring", snap.gauge("exec.workers.busy.now"));
     let devices = device_occupancy(snap);
     if !devices.is_empty() {
         let busy = snap.gauge("exec.devices.busy.now");
         let map: String = devices.iter().map(|&b| if b { '#' } else { '.' }).collect();
-        let _ = writeln!(out, "devices  {busy:.0}/{} busy  [{map}]", devices.len());
+        let _ = write!(out, "   devices {busy:.0}/{} busy  [{map}]", devices.len());
     }
+    let _ = writeln!(out);
 
     // Measurement health: fault/retry/persistent-failure rates.
     let attempts = snap.counter("measure.attempts");
@@ -290,10 +284,7 @@ mod tests {
         reg.inc("measure.failed", 10);
         reg.inc("measure.retry", 6);
         reg.set_label(telemetry::stream::CURRENT_TASK_LABEL, "sq.T2");
-        reg.gauge_set("exec.queue.build.depth.now", 3.0);
-        reg.gauge_set("exec.queue.run.depth.now", 1.0);
-        reg.gauge_set("exec.workers.build.busy.now", 2.0);
-        reg.gauge_set("exec.workers.run.busy.now", 4.0);
+        reg.gauge_set("exec.workers.busy.now", 4.0);
         reg.gauge_set("exec.devices.busy.now", 2.0);
         reg.gauge_set("exec.device.0.busy.now", 1.0);
         reg.gauge_set("exec.device.1.busy.now", 0.0);
@@ -336,9 +327,7 @@ mod tests {
         assert!(frame.contains("ETA <=8s"), "{frame}");
         assert!(frame.contains("tasks 1/2 done"), "{frame}");
         assert!(frame.contains("tuning sq.T2"), "{frame}");
-        assert!(frame.contains("queues build 3 run 1"), "{frame}");
-        assert!(frame.contains("workers build 2 run 4 busy"), "{frame}");
-        assert!(frame.contains("devices  2/3 busy  [#.#]"), "{frame}");
+        assert!(frame.contains("executor 4 measuring   devices 2/3 busy  [#.#]"), "{frame}");
         assert!(frame.contains("failed 10 (7.7%)"), "{frame}");
         assert!(frame.contains("retries 6"), "{frame}");
         assert!(frame.contains("sq.T1"), "{frame}");

@@ -1,7 +1,8 @@
 //! [`DevicePool`]: N simulated device slots with fair-share allocation.
 //!
-//! Runner workers acquire a device lease before measuring, exactly like
-//! AutoTVM runners attaching to boards on an RPC tracker. The pool adds
+//! The executor acquires a device lease before measuring a valid
+//! configuration, exactly like AutoTVM runners attaching to boards on an
+//! RPC tracker. The pool adds
 //! two behaviors on top of plain slot handout:
 //!
 //! * **fair share across tasks** — leases are tagged (by task name); when
@@ -16,7 +17,7 @@
 //!   pool sits idle: a serving deployment uses it as the per-tenant device
 //!   quota, so one tenant's burst cannot occupy another tenant's share.
 //! * **occupancy emulation** — an optional real-time hold keeps the
-//!   device (and its runner) busy for a configurable duration per lease,
+//!   device (and its measuring thread) busy for a configurable duration per lease,
 //!   standing in for the device-side round-trip a simulator otherwise
 //!   lacks. Results are unaffected; only wall-clock occupancy is modeled.
 //!
@@ -30,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use telemetry::sync::lock_or_recover;
 
-/// A pool of simulated device slots shared by runner workers.
+/// A pool of simulated device slots shared by measuring threads.
 #[derive(Debug)]
 pub struct DevicePool {
     state: Mutex<PoolState>,

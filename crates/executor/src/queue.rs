@@ -1,12 +1,13 @@
 //! A bounded multi-producer/multi-consumer queue built on
-//! `Mutex` + `Condvar` (the workspace is std-only).
+//! `Mutex` + `Condvar` (the workspace is std-only). Its user is serve's
+//! connection queue, between the accept loop and the HTTP workers.
 //!
-//! Two properties matter to the executor:
+//! Two properties matter:
 //!
 //! * **backpressure** — [`BoundedQueue::push`] *blocks* once the queue
-//!   holds `capacity` items, so a fast producer (the tuning loop
-//!   submitting a batch) can never run ahead of stalled runners by more
-//!   than a bounded amount of memory;
+//!   holds `capacity` items, so a fast producer (the accept loop) can
+//!   never run ahead of stalled consumers by more than a bounded amount
+//!   of memory;
 //! * **close-to-drain shutdown** — [`BoundedQueue::close`] wakes every
 //!   blocked producer and consumer, after which consumers keep draining
 //!   the remaining items and only then observe `None`. Nothing already

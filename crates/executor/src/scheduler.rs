@@ -1,18 +1,18 @@
-//! Task-level scheduling: run many independent work items concurrently
-//! while returning results in a deterministic order.
+//! The workspace's one fan-out: run many independent work items
+//! concurrently while returning results in a deterministic order.
 //!
-//! This is the layer that tunes multiple `TuningTask`s at once: each item
-//! is claimed in index order by a bounded pool of scoped threads and the
-//! calling thread, and the result vector is assembled by index, so callers observe exactly the
-//! output of the serial loop regardless of completion order. Fair-share
-//! *device* allocation between the concurrent tasks happens one layer
-//! down, in [`crate::DevicePool`], keyed by the task name each measurement
-//! batch carries.
+//! It tunes several `TuningTask`s at once, measures each batch of an
+//! [`crate::Executor`], and runs BS's bootstrap fits and BTED's batches:
+//! each item is claimed in index order by a bounded pool of scoped
+//! threads and the calling thread, and the result vector is assembled by
+//! index, so callers observe exactly the output of the serial loop
+//! regardless of completion order. Fair-share *device* allocation between
+//! concurrent tasks happens in [`crate::DevicePool`], keyed by the task
+//! name each measurement batch carries.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::Instant;
 use telemetry::sync::lock_or_recover;
 
 /// The CPUs this process may run on, read once per process.
@@ -94,9 +94,6 @@ where
     if concurrency <= 1 {
         return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
-    let tel = telemetry::global();
-    #[allow(clippy::cast_precision_loss)]
-    tel.observe("exec.sched.concurrency", concurrency as f64);
     let share = (cpu_share() / concurrency).max(1);
     let work = Mutex::new(items.into_iter().enumerate());
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -111,15 +108,12 @@ where
             *lock_or_recover(&results[i]) = Some(r);
         }
     };
-    // aal-lint: allow(wall-clock, reason = "scheduler wall-time metric; trial order is fixed by slot index, not by time")
-    let started = Instant::now();
     std::thread::scope(|scope| {
         for _ in 1..concurrency {
             scope.spawn(drain);
         }
         drain();
     });
-    tel.observe("exec.sched.wall_us", started.elapsed().as_secs_f64() * 1e6);
     results
         .into_iter()
         .map(|slot| {

@@ -3,7 +3,7 @@
 //!
 //! The exposition format is the 0.0.4 text format: `# TYPE` comments,
 //! `name{labels} value` samples, names matching `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-//! Internal metric names are dotted (`exec.queue.build.depth.now`); export
+//! Internal metric names are dotted (`exec.workers.busy.now`); export
 //! sanitizes them by mapping every non-conforming byte to `_` and prefixing
 //! [`METRIC_PREFIX`], so `measure.retry` becomes `aaltune_measure_retry`.
 //!

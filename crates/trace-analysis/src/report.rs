@@ -422,8 +422,8 @@ fn health_section(body: &mut String, run: &LoadedRun, summary: &TraceSummary) {
     let _ = write!(body, "</section>");
 }
 
-/// Pool health of the parallel measurement executor: worker utilization,
-/// batch latency, queue depth, and per-device occupancy. Omitted entirely
+/// Pool health of the parallel measurement executor: jobs, batch
+/// latency, and per-device occupancy. Omitted entirely
 /// for runs that never went through the executor (no `exec.*` counters).
 fn executor_section(body: &mut String, run: &LoadedRun, summary: &TraceSummary) {
     let c = |name: &str| summary.counters.get(name).copied().unwrap_or(0);
@@ -445,25 +445,6 @@ fn executor_section(body: &mut String, run: &LoadedRun, summary: &TraceSummary) 
     kv("jobs measured", c("exec.jobs.total").to_string());
     kv("batches", c("exec.batch.submitted").to_string());
     kv("invalid builds", c("exec.build.invalid").to_string());
-    // A one-worker executor measures on the caller's thread: it has no
-    // worker threads, so it never records idle time.
-    let inline = !["exec.worker.build.idle_us", "exec.worker.run.idle_us"]
-        .iter()
-        .any(|name| summary.counters.contains_key(*name));
-    let util = |busy: u64, idle: u64| {
-        let total = busy + idle;
-        if inline {
-            "inline (1 worker)".to_string()
-        } else if total == 0 {
-            "n/a".to_string()
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            let pct = 100.0 * busy as f64 / total as f64;
-            format!("{pct:.0}%")
-        }
-    };
-    kv("builder busy", util(c("exec.worker.build.busy_us"), c("exec.worker.build.idle_us")));
-    kv("runner busy", util(c("exec.worker.run.busy_us"), c("exec.worker.run.idle_us")));
     kv("device acquires", c("exec.device.acquires").to_string());
     let _ = write!(body, "</div>");
     let hist_line = |name: &str, label: &str| {
@@ -479,8 +460,6 @@ fn executor_section(body: &mut String, run: &LoadedRun, summary: &TraceSummary) 
     for line in [
         hist_line("exec.batch.wall_us", "batch wall µs"),
         hist_line("exec.batch.size", "batch size"),
-        hist_line("exec.queue.build.depth", "build-queue depth"),
-        hist_line("exec.queue.run.depth", "run-queue depth"),
         hist_line("exec.device.busy_us", "device hold µs"),
     ]
     .into_iter()
@@ -1007,14 +986,12 @@ mod tests {
         let html = render_report(&run, None, None);
         assert!(!html.contains("Executor utilization"));
 
-        // With exec.* counters the panel reports utilization and devices.
+        // With exec.* counters the panel reports jobs, batches and devices.
         let mut trace = trace_with_spans();
         for (name, value) in [
             ("exec.jobs.total", 48),
             ("exec.batch.submitted", 6),
             ("exec.build.invalid", 2),
-            ("exec.worker.run.busy_us", 900),
-            ("exec.worker.run.idle_us", 100),
             ("exec.device.acquires", 48),
             ("exec.device.0.acquires", 30),
             ("exec.device.0.busy_us", 700),
@@ -1033,30 +1010,10 @@ mod tests {
         let html = render_report(&run, None, None);
         assert!(html.contains("Executor utilization"));
         assert!(html.contains("8 × 2"), "manifest workers/devices shown: {html}");
-        assert!(html.contains("runner busy"));
-        assert!(html.contains("90%"), "busy 900 of 1000 µs rounds to 90%");
+        assert!(html.contains("jobs measured</div><div class=\"v\">48<"), "{html}");
         assert!(html.contains("batch wall µs"));
         assert!(html.contains("device 0") && html.contains("device 1"));
-        assert!(!html.contains("inline (1 worker)"));
-
-        // A one-worker executor records busy time but no idle time.
-        let mut trace = trace_with_spans();
-        for (name, value) in [
-            ("exec.jobs.total", 48),
-            ("exec.batch.submitted", 48),
-            ("exec.worker.build.busy_us", 300),
-            ("exec.worker.run.busy_us", 900),
-        ] {
-            trace.push(Record::Counter { name: name.into(), value });
-        }
-        run.trace = Some(TraceSummary::from_records(&trace));
-        run.manifest.workers = Some(1);
-        run.manifest.devices = Some(1);
-        let html = render_report(&run, None, None);
-        for line in ["builder busy", "runner busy"] {
-            let row = format!("{line}</div><div class=\"v\">inline (1 worker)</div>");
-            assert!(html.contains(&row), "{line} reads inline: {html}");
-        }
+        assert!(!html.contains("busy</div>"), "no per-stage busy rows: {html}");
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! `report.html` beside it are what `aaltune trace` and `aaltune report
 //! --html` printed for it when the trace was still read record-by-record
 //! into memory; the streaming fold must reproduce them byte for byte.
+//! Since then the report's executor panel has dropped its builder/runner
+//! busy rows and queue-depth lines (the executor no longer has stages or
+//! queues), though the trace still holds those metrics.
 
 use std::path::PathBuf;
 use telemetry::TraceSummary;

@@ -22,7 +22,6 @@ use crate::spec::{DbRecord, TaskSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
@@ -485,15 +484,12 @@ impl TuningDb {
 
         if repair {
             if !corrupt_raw.is_empty() {
-                let mut q = OpenOptions::new()
-                    .append(true)
-                    .create(true)
-                    .open(root.join(QUARANTINE_FILE))?;
+                let mut q = durable::open_append(&root.join(QUARANTINE_FILE))?;
                 for line in &corrupt_raw {
-                    q.write_all(line)?;
-                    q.write_all(b"\n")?;
+                    q.append_line(line)?;
                 }
-                q.sync_all()?;
+                // The segments holding these lines are deleted below.
+                q.sync_data()?;
                 report.quarantined = corrupt_raw.len() as u64;
             }
             let index = Index {
@@ -639,6 +635,32 @@ mod tests {
         let report = TuningDb::fsck(&root, false, &LockOptions::try_once()).unwrap();
         assert_eq!(report.corrupt_lines, 0, "repair left no corrupt survivors");
         assert!(report.healthy());
+    }
+
+    /// Writes two records to a fresh segment and flips a byte in the
+    /// first one's line, returning that damaged line.
+    fn corrupt_a_new_line(root: &Path, out_channels: usize) -> Vec<u8> {
+        {
+            let mut db = TuningDb::open(root, &LockOptions::try_once()).unwrap();
+            db.upsert(record(out_channels, 50.0)).unwrap();
+            db.upsert(record(out_channels + 1, 75.0)).unwrap();
+        }
+        let (_, seg) = list_segments(root).unwrap().pop().unwrap();
+        let mut data = std::fs::read(&seg).unwrap();
+        data[20] ^= 0xFF;
+        std::fs::write(&seg, &data).unwrap();
+        data.split(|&b| b == b'\n').next().unwrap().to_vec()
+    }
+
+    #[test]
+    fn a_second_repair_appends_after_the_first_ones_quarantine() {
+        let root = tmp("requarantine");
+        let first = corrupt_a_new_line(&root, 32);
+        assert_eq!(TuningDb::fsck(&root, true, &LockOptions::try_once()).unwrap().quarantined, 1);
+        let second = corrupt_a_new_line(&root, 96);
+        assert_eq!(TuningDb::fsck(&root, true, &LockOptions::try_once()).unwrap().quarantined, 1);
+        let expect = [first, b"\n".to_vec(), second, b"\n".to_vec()].concat();
+        assert_eq!(std::fs::read(root.join(QUARANTINE_FILE)).unwrap(), expect);
     }
 
     #[test]
