@@ -32,7 +32,7 @@ pub const MODEL_QUALITY_PARTS_DIR: &str = "model_quality.d";
 /// What the surrogate believed about one proposed configuration at the
 /// moment it was proposed.
 ///
-/// Every field except the index is optional: random/grid proposals (and
+/// Every field except the index is optional: random proposals (and
 /// the ε-greedy exploration fraction) carry no model opinion, and a
 /// single-model surrogate (the AutoTVM XGB arm) has a mean but no
 /// uncertainty.

@@ -5,13 +5,9 @@
 //! [`crate::task_tuning::tune_task`] owns the budget, early stopping and
 //! record keeping, so strategies stay pure.
 
-mod ga;
-mod grid;
 mod random;
 mod xgb;
 
-pub use ga::{GaOptions, GaTuner};
-pub use grid::GridTuner;
 pub use random::RandomTuner;
 pub use xgb::XgbTuner;
 

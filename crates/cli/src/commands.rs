@@ -110,8 +110,8 @@ serving: `serve` runs a long-lived tuning server: POST /jobs queues tuning
          server and restart it on the same --root, and the queue resumes
          with byte-identical trial logs. `top ROOT` watches a live server;
          `client` is the matching command-line client (--root reads the
-         published address from ROOT/serve.addr; submit --wait polls the
-         job to completion and prints its result)";
+         published address from ROOT/serve.addr; submit --wait follows the
+         job's event stream to its end and prints its result)";
 
 /// Parses and runs one invocation, returning the process exit code
 /// (0 = success, [`EXIT_REGRESSED`] = gated regression).
@@ -396,7 +396,9 @@ impl TunePlan {
             seed: self.opts.seed,
             options: self.opts,
             schema_version: Some(MANIFEST_SCHEMA_VERSION),
-            git_describe: trace_analysis::git_describe(Path::new(".")),
+            // The start manifest leaves it out: `git describe` is a
+            // subprocess, and the completion rewrite fills it in.
+            git_describe: wall_time_s.and_then(|_| trace_analysis::git_describe(Path::new("."))),
             wall_time_s,
             device: Some(self.device_name.clone()),
             fault: (!self.fault.is_off()).then_some(self.fault),
@@ -840,28 +842,17 @@ fn client_cmd(cli: &Cli) -> Result<u8, String> {
             if !cli.flag_present("wait") {
                 return Ok(0);
             }
-            let id = resp["id"].as_str().ok_or("server response has no job id")?.to_string();
-            loop {
-                let (_, status) =
-                    serve::client::request(&addr, "GET", &format!("/jobs/{id}"), None)?;
-                match status["state"].as_str() {
-                    Some("done") => {
-                        let (_, result) = serve::client::request(
-                            &addr,
-                            "GET",
-                            &format!("/jobs/{id}/result"),
-                            None,
-                        )?;
-                        println!("{result}");
-                        return Ok(0);
-                    }
-                    Some("failed") => {
-                        println!("{status}");
-                        return Ok(1);
-                    }
-                    _ => std::thread::sleep(Duration::from_millis(200)),
-                }
-            }
+            let id = resp["id"].as_str().ok_or("server response has no job id")?;
+            let last = serve::client::follow_job(&addr, id, serve::client::READ_TIMEOUT, |_| {})
+                .map_err(|e| format!("following {id}: {e}"))?;
+            let (path, code) = if last["event"].as_str() == Some("job.done") {
+                (format!("/jobs/{id}/result"), 0)
+            } else {
+                (format!("/jobs/{id}"), 1)
+            };
+            let (_, body) = serve::client::request(&addr, "GET", &path, None)?;
+            println!("{body}");
+            Ok(code)
         }
         "status" => {
             let (code, resp) =
@@ -876,9 +867,8 @@ fn client_cmd(cli: &Cli) -> Result<u8, String> {
             Ok(u8::from(code != 200))
         }
         "events" => {
-            serve::client::stream_events(&addr, &format!("/jobs/{}/events", job_id()?), |v| {
+            serve::client::follow_job(&addr, job_id()?, serve::client::READ_TIMEOUT, |v| {
                 println!("{v}");
-                true
             })?;
             Ok(0)
         }
@@ -1009,6 +999,33 @@ mod tests {
         // The registry must list it.
         dispatch(&sv(&["runs", base.to_str().unwrap()])).unwrap();
         dispatch(&sv(&["runs", base.to_str().unwrap(), "--model", "squeezenet"])).unwrap();
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn only_the_completed_manifest_runs_git_describe() {
+        let base = std::env::temp_dir().join(format!("aaltune-cli-git-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let args = sv(&[
+            "tune",
+            "squeezenet",
+            "--task",
+            "0",
+            "--n-trial",
+            "16",
+            "--method",
+            "random",
+            "--quiet",
+            "--out",
+            base.to_str().unwrap(),
+        ]);
+        let plan = TunePlan::fresh(&Cli::parse(&args).unwrap()).unwrap();
+        assert_eq!(plan.manifest(Vec::new(), None).git_describe, None, "start manifest");
+        dispatch(&args).unwrap();
+        let dir = RunDir::open(base.join("squeezenet_v1.1-random-seed0")).unwrap();
+        let done = dir.read_manifest().unwrap();
+        assert!(done.wall_time_s.is_some());
+        assert_eq!(done.git_describe, trace_analysis::git_describe(Path::new(".")));
         std::fs::remove_dir_all(&base).unwrap();
     }
 

@@ -12,14 +12,19 @@
 //! their in-flight job and then exit; queued jobs stay journaled and
 //! are re-enqueued by the next start. A kill -9 skips the protocol
 //! entirely and relies on the same journal + log replay.
+//!
+//! Each job's progress events live here too, in a seq-stamped ring of
+//! its last [`EVENT_RING`] events: the one source `/jobs/:id/events`
+//! reads, through [`Admission::events_after`].
 
 use crate::job::{JobSpec, JobState};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
 use telemetry::sync::lock_or_recover;
 
-/// Per-job telemetry events kept for replay to late `/events` readers.
+/// Per-job progress events kept for `/events` followers.
 const EVENT_RING: usize = 512;
 
 /// Why a submission was refused.
@@ -65,14 +70,29 @@ struct JobRecord {
     spec: JobSpec,
     state: JobState,
     error: Option<String>,
-    /// Recent progress events (with terminal event), for `/events`
-    /// replay; seq-stamped so a streamer can dedup against live ones.
+    /// Recent progress events (ending with the terminal event once the
+    /// job is done), seq-stamped so a follower resumes where it left off.
     events: VecDeque<Value>,
     next_event_seq: u64,
+    /// Notified on every stamp; this job's `/events` followers wait on
+    /// it, so a stamp wakes no follower of another job.
+    stamped: Arc<Condvar>,
 }
 
 impl JobRecord {
-    /// Stamps `job`/`seq` into `fields` and appends it to the ring.
+    fn new(spec: JobSpec, state: JobState, error: Option<String>) -> JobRecord {
+        JobRecord {
+            spec,
+            state,
+            error,
+            events: VecDeque::new(),
+            next_event_seq: 0,
+            stamped: Arc::default(),
+        }
+    }
+
+    /// Stamps `job`/`seq` into `fields`, appends it to the ring, and
+    /// wakes the job's followers.
     fn stamp(&mut self, id: &str, mut fields: Value) -> Value {
         let seq = self.next_event_seq;
         self.next_event_seq += 1;
@@ -84,6 +104,7 @@ impl JobRecord {
             self.events.pop_front();
         }
         self.events.push_back(fields.clone());
+        self.stamped.notify_all();
         fields
     }
 }
@@ -144,16 +165,7 @@ impl Admission {
         st.next_id += 1;
         let id = format!("j{}", st.next_id);
         persist(&id, &spec).map_err(SubmitError::Persist)?;
-        st.jobs.insert(
-            id.clone(),
-            JobRecord {
-                spec,
-                state: JobState::Queued,
-                error: None,
-                events: VecDeque::new(),
-                next_event_seq: 0,
-            },
-        );
+        st.jobs.insert(id.clone(), JobRecord::new(spec, JobState::Queued, None));
         st.queue.push(id.clone());
         drop(st);
         self.work.notify_one();
@@ -167,10 +179,7 @@ impl Admission {
         let mut st = lock_or_recover(&self.state);
         let seq: u64 = id.strip_prefix('j').and_then(|s| s.parse().ok()).unwrap_or(0);
         st.next_id = st.next_id.max(seq);
-        st.jobs.insert(
-            id.to_string(),
-            JobRecord { spec, state, error, events: VecDeque::new(), next_event_seq: 0 },
-        );
+        st.jobs.insert(id.to_string(), JobRecord::new(spec, state, error));
         if state == JobState::Queued {
             st.queue.push(id.to_string());
         }
@@ -200,13 +209,11 @@ impl Admission {
     }
 
     /// Marks a running job terminal, releases its tenant slot, and
-    /// appends `event` (its `job.done`/`job.failed` event) to the replay
-    /// ring in the same critical section. Returns the stamped event for
-    /// the live bus, which the caller publishes only after this returns.
-    /// So a status read issued after the terminal event says `done` or
-    /// `failed`, and an `/events` reader finds the event either in its
-    /// ring snapshot or live on the bus, never in both and never in
-    /// neither.
+    /// appends `event` (its `job.done`/`job.failed` event) to the ring in
+    /// the same critical section, waking the job's followers. So a status
+    /// read issued after the terminal event says `done` or `failed`, and
+    /// no event is stamped for the job after this one. Returns the
+    /// stamped event (for the trace).
     pub fn complete(&self, id: &str, outcome: Result<(), String>, event: Value) -> Option<Value> {
         let mut st = lock_or_recover(&self.state);
         let job = st.jobs.get_mut(id)?;
@@ -227,8 +234,8 @@ impl Admission {
         Some(stamped)
     }
 
-    /// Appends a seq-stamped progress event to the job's replay ring,
-    /// returning the stamped payload (for the live bus).
+    /// Appends a seq-stamped progress event to the job's ring and wakes
+    /// its followers, returning the stamped payload (for the trace).
     pub fn push_event(&self, id: &str, fields: Value) -> Option<Value> {
         let mut st = lock_or_recover(&self.state);
         Some(st.jobs.get_mut(id)?.stamp(id, fields))
@@ -251,13 +258,33 @@ impl Admission {
         Some((body, job.state))
     }
 
-    /// Snapshot for `/jobs/:id/events` replay: the ring plus the job's
-    /// current state (terminal ⇒ the ring already holds the last event).
+    /// The job's ring entries with `seq >= next`, plus its state. While
+    /// there are none and the job is not terminal, waits up to `timeout`
+    /// for a stamp. A follower that fell more than [`EVENT_RING`] events
+    /// behind gets the oldest retained ones. A terminal state means the
+    /// entries end with the terminal event, or, for a job restored
+    /// terminal from the journal, that the ring is empty.
     #[must_use]
-    pub fn events_snapshot(&self, id: &str) -> Option<(Vec<Value>, JobState)> {
+    pub fn events_after(
+        &self,
+        id: &str,
+        next: u64,
+        timeout: Duration,
+    ) -> Option<(Vec<Value>, JobState)> {
         let st = lock_or_recover(&self.state);
+        let stamped = Arc::clone(&st.jobs.get(id)?.stamped);
+        let (st, _) = stamped
+            .wait_timeout_while(st, timeout, |st| {
+                st.jobs.get(id).is_some_and(|j| {
+                    j.next_event_seq <= next
+                        && matches!(j.state, JobState::Queued | JobState::Running)
+                })
+            })
+            .unwrap_or_else(PoisonError::into_inner);
         let job = st.jobs.get(id)?;
-        Some((job.events.iter().cloned().collect(), job.state))
+        let oldest = job.next_event_seq - job.events.len() as u64;
+        let skip = usize::try_from(next.saturating_sub(oldest)).unwrap_or(usize::MAX);
+        Some((job.events.iter().skip(skip).cloned().collect(), job.state))
     }
 
     /// Queued jobs right now (all tenants).
@@ -377,6 +404,10 @@ mod tests {
         ));
     }
 
+    /// A wait no passing test reaches: a call that returns sooner either
+    /// found its events at once or was woken by a stamp.
+    const LONG: Duration = Duration::from_secs(30);
+
     #[test]
     fn event_ring_is_bounded_and_seq_stamped() {
         let adm = Admission::new(4);
@@ -386,9 +417,14 @@ mod tests {
             assert_eq!(stamped["seq"].as_u64().unwrap(), i as u64);
             assert_eq!(stamped["job"].as_str().unwrap(), id);
         }
-        let (ring, _) = adm.events_snapshot(&id).unwrap();
+        let (ring, _) = adm.events_after(&id, 0, Duration::ZERO).unwrap();
         assert_eq!(ring.len(), EVENT_RING);
         assert_eq!(ring[0]["seq"].as_u64().unwrap(), 5, "oldest entries evicted");
+        let (tail, _) = adm.events_after(&id, EVENT_RING as u64, Duration::ZERO).unwrap();
+        let seqs: Vec<u64> = tail.iter().filter_map(|v| v["seq"].as_u64()).collect();
+        assert_eq!(seqs, (EVENT_RING as u64..EVENT_RING as u64 + 5).collect::<Vec<_>>());
+        assert!(adm.events_after(&id, 10_000, Duration::ZERO).unwrap().0.is_empty());
+        assert!(adm.events_after("j99", 0, Duration::ZERO).is_none(), "unknown job");
     }
 
     #[test]
@@ -399,13 +435,72 @@ mod tests {
         adm.push_event(&id, json!({"event": "job.trial"})).unwrap();
         let stamped = adm.complete(&id, Ok(()), json!({"event": "job.done"})).unwrap();
         assert_eq!(stamped["seq"].as_u64(), Some(1));
-        // By the time the caller can publish the event, the job is done
-        // and the ring already holds it exactly once.
-        let (ring, state) = adm.events_snapshot(&id).unwrap();
+        // By the time anyone can see the event, the job is done and the
+        // ring holds it exactly once, last.
+        let (ring, state) = adm.events_after(&id, 0, Duration::ZERO).unwrap();
         assert_eq!(state, JobState::Done);
         assert_eq!(adm.status(&id).unwrap().0["state"].as_str(), Some("done"));
         assert_eq!(ring.iter().filter(|v| v["event"].as_str() == Some("job.done")).count(), 1);
         assert_eq!(ring.last(), Some(&stamped));
         assert!(adm.complete("j99", Ok(()), json!({})).is_none(), "unknown job");
+    }
+
+    #[test]
+    fn a_waiting_follower_wakes_on_each_stamp_and_ends_on_the_terminal_event() {
+        let adm = std::sync::Arc::new(Admission::new(4));
+        let id = adm.submit(spec("a", 0), ok_persist).unwrap();
+        adm.next_job().unwrap();
+        adm.push_event(&id, json!({"event": "job.start"})).unwrap();
+        // The sleep before each stamp lets the waiter block first; if it
+        // has not, it finds the event at once, which the test accepts too.
+        let follow = |next: u64| {
+            let (adm, id) = (std::sync::Arc::clone(&adm), id.clone());
+            std::thread::spawn(move || {
+                let started = std::time::Instant::now();
+                let got = adm.events_after(&id, next, LONG).unwrap();
+                assert!(started.elapsed() < LONG, "woken by the stamp, not the timeout");
+                got
+            })
+        };
+        let waiter = follow(1);
+        std::thread::sleep(Duration::from_millis(20));
+        adm.push_event(&id, json!({"event": "job.trial"})).unwrap();
+        let (got, state) = waiter.join().unwrap();
+        assert_eq!(state, JobState::Running);
+        assert_eq!(got.len(), 1, "only what lies past the follower's seq: {got:?}");
+        assert_eq!(
+            (got[0]["seq"].as_u64(), got[0]["event"].as_str()),
+            (Some(1), Some("job.trial"))
+        );
+
+        let waiter = follow(2);
+        std::thread::sleep(Duration::from_millis(20));
+        let done = adm.complete(&id, Ok(()), json!({"event": "job.done"})).unwrap();
+        let (got, state) = waiter.join().unwrap();
+        assert_eq!(state, JobState::Done);
+        assert_eq!(got, vec![done.clone()]);
+        // Past the terminal event a follower does not wait: it has it all.
+        let (all, _) = adm.events_after(&id, 0, LONG).unwrap();
+        assert_eq!(all.last(), Some(&done));
+        assert!(adm.events_after(&id, 3, LONG).unwrap().0.is_empty());
+    }
+
+    #[test]
+    fn a_follower_past_the_ring_resumes_at_the_oldest_retained_event() {
+        let adm = Admission::new(4);
+        let id = adm.submit(spec("a", 0), ok_persist).unwrap();
+        adm.next_job().unwrap();
+        let trials = EVENT_RING as u64 + 40;
+        for trial in 0..trials {
+            adm.push_event(&id, json!({"event": "job.trial", "trial": trial})).unwrap();
+        }
+        adm.complete(&id, Ok(()), json!({"event": "job.done"})).unwrap();
+        // The follower last saw seq 2, far behind the ring.
+        let (got, state) = adm.events_after(&id, 3, LONG).unwrap();
+        assert_eq!(state, JobState::Done);
+        assert_eq!(got.len(), EVENT_RING);
+        let seqs: Vec<u64> = got.iter().filter_map(|v| v["seq"].as_u64()).collect();
+        assert_eq!(seqs, (trials + 1 - EVENT_RING as u64..=trials).collect::<Vec<_>>());
+        assert_eq!(got.last().and_then(|v| v["event"].as_str()), Some("job.done"));
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! Mirrors the server's hand-rolled subset: fixed `Content-Length`
 //! responses (with keep-alive reuse via [`ClientConn`]) and chunked
-//! event streams (line-by-line callback).
+//! event streams (line-by-line callback), followed whole
+//! ([`stream_events`]) or one short request at a time ([`follow_job`]).
 
 use serde_json::Value;
 use std::io::{Read, Write};
@@ -12,6 +13,9 @@ use std::time::Duration;
 
 /// One response: status code + parsed JSON body.
 pub type Response = (u16, Value);
+
+/// How long a read may wait for the server before the request fails.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// A reusable keep-alive connection (the loadgen hot path: no TCP
 /// handshake per lookup).
@@ -22,17 +26,20 @@ pub struct ClientConn {
 }
 
 impl ClientConn {
-    /// Connects with Nagle disabled and a generous read timeout.
+    /// Connects with Nagle disabled and a generous read timeout
+    /// ([`READ_TIMEOUT`]).
     ///
     /// # Errors
     ///
     /// Returns a diagnostic when the connection cannot be established.
     pub fn connect(addr: &str) -> Result<ClientConn, String> {
+        ClientConn::connect_with(addr, READ_TIMEOUT)
+    }
+
+    fn connect_with(addr: &str, read_timeout: Duration) -> Result<ClientConn, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         stream.set_nodelay(true).map_err(|e| format!("nodelay: {e}"))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .map_err(|e| format!("read timeout: {e}"))?;
+        stream.set_read_timeout(Some(read_timeout)).map_err(|e| format!("read timeout: {e}"))?;
         Ok(ClientConn { stream, buf: Vec::new() })
     }
 
@@ -47,17 +54,12 @@ impl ClientConn {
         path: &str,
         body: Option<&Value>,
     ) -> Result<Response, String> {
-        let payload = body.map(Value::to_string).unwrap_or_default();
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: aaltune\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-            payload.len()
-        );
-        self.stream
-            .write_all(head.as_bytes())
-            .and_then(|()| self.stream.write_all(payload.as_bytes()))
-            .and_then(|()| self.stream.flush())
-            .map_err(|e| format!("send: {e}"))?;
-        let (status, body_bytes) = self.read_response()?;
+        self.send(method, path, body)?;
+        let (status, content_length, chunked) = self.read_head()?;
+        if chunked {
+            return Err("unexpected chunked response (use stream_events)".to_string());
+        }
+        let body_bytes = self.take(content_length)?;
         let body = if body_bytes.is_empty() {
             Value::Null
         } else {
@@ -69,15 +71,23 @@ impl ClientConn {
         Ok((status, body))
     }
 
-    fn read_response(&mut self) -> Result<(u16, Vec<u8>), String> {
-        let head_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            self.fill()?;
-        };
-        let head = String::from_utf8_lossy(&self.buf[..head_end]).into_owned();
-        let body_start = head_end + 4;
+    fn send(&mut self, method: &str, path: &str, body: Option<&Value>) -> Result<(), String> {
+        let payload = body.map(Value::to_string).unwrap_or_default();
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: aaltune\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+            payload.len()
+        );
+        self.stream
+            .write_all(head.as_bytes())
+            .and_then(|()| self.stream.write_all(payload.as_bytes()))
+            .and_then(|()| self.stream.flush())
+            .map_err(|e| format!("send: {e}"))
+    }
+
+    /// Reads a response head: `(status, content length, chunked)`.
+    fn read_head(&mut self) -> Result<(u16, usize, bool), String> {
+        let head_end = self.find(b"\r\n\r\n")?;
+        let head = String::from_utf8_lossy(&self.take(head_end + 4)?).into_owned();
         let mut lines = head.split("\r\n");
         let status: u16 = lines
             .next()
@@ -98,15 +108,25 @@ impl ClientConn {
                 }
             }
         }
-        if chunked {
-            return Err("unexpected chunked response (use stream_events)".to_string());
-        }
-        while self.buf.len() < body_start + content_length {
+        Ok((status, content_length, chunked))
+    }
+
+    /// The offset of `pat` in the buffer, reading until it arrives.
+    fn find(&mut self, pat: &[u8]) -> Result<usize, String> {
+        loop {
+            if let Some(pos) = self.buf.windows(pat.len()).position(|w| w == pat) {
+                return Ok(pos);
+            }
             self.fill()?;
         }
-        let body = self.buf[body_start..body_start + content_length].to_vec();
-        self.buf.drain(..body_start + content_length);
-        Ok((status, body))
+    }
+
+    /// Removes and returns the next `n` bytes, reading until they arrive.
+    fn take(&mut self, n: usize) -> Result<Vec<u8>, String> {
+        while self.buf.len() < n {
+            self.fill()?;
+        }
+        Ok(self.buf.drain(..n).collect())
     }
 
     fn fill(&mut self) -> Result<(), String> {
@@ -146,46 +166,68 @@ pub fn request(
 pub fn stream_events(
     addr: &str,
     path: &str,
+    on_line: impl FnMut(&Value) -> bool,
+) -> Result<(), String> {
+    stream_on(ClientConn::connect(addr)?, path, on_line)
+}
+
+/// Follows job `id`'s events, in `seq` order, to its terminal event
+/// (`job.done` or `job.failed`), which it returns. Each request,
+/// `GET /jobs/:id/events?after=N`, carries the `seq` past the last event
+/// seen and ends once the server has sent what is new, or within its idle
+/// poll when nothing is. So a job that queues or runs for longer than
+/// `read_timeout` is still followed, and the follower never holds one of
+/// the server's HTTP workers for longer than a pass.
+///
+/// # Errors
+///
+/// Returns a diagnostic on connection or protocol failure, which
+/// includes a server that shuts down before the job ends.
+pub fn follow_job(
+    addr: &str,
+    id: &str,
+    read_timeout: Duration,
+    mut on_event: impl FnMut(&Value),
+) -> Result<Value, String> {
+    let mut next = 0;
+    loop {
+        let mut terminal = None;
+        let conn = ClientConn::connect_with(addr, read_timeout)?;
+        stream_on(conn, &format!("/jobs/{id}/events?after={next}"), |v| {
+            on_event(v);
+            next = v["seq"].as_u64().map_or(next, |s| s + 1);
+            if matches!(v["event"].as_str(), Some("job.done" | "job.failed")) {
+                terminal = Some(v.clone());
+            }
+            terminal.is_none()
+        })?;
+        if let Some(v) = terminal {
+            return Ok(v);
+        }
+    }
+}
+
+fn stream_on(
+    mut conn: ClientConn,
+    path: &str,
     mut on_line: impl FnMut(&Value) -> bool,
 ) -> Result<(), String> {
-    let mut conn = ClientConn::connect(addr)?;
-    let head = format!("GET {path} HTTP/1.1\r\nHost: aaltune\r\n\r\n");
-    conn.stream
-        .write_all(head.as_bytes())
-        .and_then(|()| conn.stream.flush())
-        .map_err(|e| format!("send: {e}"))?;
-    // Read the response head; require chunked.
-    let head_end = loop {
-        if let Some(pos) = conn.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        conn.fill()?;
-    };
-    let head = String::from_utf8_lossy(&conn.buf[..head_end]).into_owned();
-    conn.buf.drain(..head_end + 4);
-    if !head.to_ascii_lowercase().contains("transfer-encoding: chunked") {
-        return Err(format!("not a chunked stream: {}", head.lines().next().unwrap_or("")));
+    conn.send("GET", path, None)?;
+    let (status, _, chunked) = conn.read_head()?;
+    if !chunked {
+        return Err(format!("not a chunked stream (status {status})"));
     }
     let mut carry = String::new();
     loop {
-        // Chunk size line.
-        let line_end = loop {
-            if let Some(pos) = conn.buf.windows(2).position(|w| w == b"\r\n") {
-                break pos;
-            }
-            conn.fill()?;
-        };
-        let size = usize::from_str_radix(String::from_utf8_lossy(&conn.buf[..line_end]).trim(), 16)
+        let line_end = conn.find(b"\r\n")?;
+        let size_line = conn.take(line_end + 2)?;
+        let size = usize::from_str_radix(String::from_utf8_lossy(&size_line).trim(), 16)
             .map_err(|_| "bad chunk size".to_string())?;
-        conn.buf.drain(..line_end + 2);
         if size == 0 {
             return Ok(()); // terminal chunk (trailing CRLF may or may not arrive)
         }
-        while conn.buf.len() < size + 2 {
-            conn.fill()?;
-        }
-        carry.push_str(&String::from_utf8_lossy(&conn.buf[..size]));
-        conn.buf.drain(..size + 2);
+        let chunk = conn.take(size + 2)?;
+        carry.push_str(&String::from_utf8_lossy(&chunk[..size]));
         while let Some(nl) = carry.find('\n') {
             let line: String = carry.drain(..=nl).collect();
             let line = line.trim();

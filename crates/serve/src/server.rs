@@ -38,9 +38,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::durable::{self, Appender};
 use telemetry::sync::{lock_or_recover, read_or_recover, write_or_recover};
-use telemetry::{
-    FileSink, Record, ReporterSink, SnapshotRequest, SnapshotWriter, TeeSink, Telemetry,
-};
+use telemetry::{FileSink, ReporterSink, SnapshotRequest, SnapshotWriter, TeeSink, Telemetry};
 use tuning_db::{LockOptions, ReadHandle, TaskSpec, TuningDb};
 
 /// Configuration for [`Server::start`].
@@ -116,7 +114,6 @@ struct Shared {
     pool: Arc<DevicePool>,
     db: Mutex<TuningDb>,
     read: ReadHandle,
-    bus: telemetry::EventBus,
     tel: Telemetry,
     shutdown: Arc<AtomicBool>,
     /// Publishes the metrics snapshot at once when something a dashboard
@@ -192,15 +189,10 @@ impl Server {
         std::fs::create_dir_all(cfg.root.join("jobs"))
             .map_err(|e| format!("cannot create serve root: {e}"))?;
 
-        // The bus instance inside the tee is what subscribers must attach
-        // to, so build it first and clone it into the tee.
-        let bus = telemetry::EventBus::default();
-        let tee = TeeSink::new()
-            .with(
-                FileSink::append(cfg.root.join("trace.jsonl"))
-                    .map_err(|e| format!("cannot open trace log: {e}"))?,
-            )
-            .with(bus.clone());
+        let tee = TeeSink::new().with(
+            FileSink::append(cfg.root.join("trace.jsonl"))
+                .map_err(|e| format!("cannot open trace log: {e}"))?,
+        );
         let tee = if cfg.quiet { tee } else { tee.with(ReporterSink::human()) };
         let tel = Telemetry::new(tee);
         telemetry::set_global(tel.clone());
@@ -238,7 +230,6 @@ impl Server {
             pool,
             db: Mutex::new(db),
             read,
-            bus,
             tel,
             shutdown: Arc::new(AtomicBool::new(false)),
             snapshot_now: snapshots.request(),
@@ -435,7 +426,15 @@ fn handle(shared: &Arc<Shared>, conn: &mut Conn, req: &Request) -> std::io::Resu
             match rest.split('/').collect::<Vec<_>>().as_slice() {
                 [id] => job_status(shared, conn, id).map(|()| true),
                 [id, "result"] => job_result(shared, conn, id).map(|()| true),
-                [id, "events"] => job_events(shared, conn, id),
+                [id, "events"] => match req.query.get("after").map(|s| s.parse()).transpose() {
+                    Ok(after) => job_events(shared, conn, id, after),
+                    Err(_) => conn
+                        .respond_json(
+                            400,
+                            &json!({ "error": "query parameter `after` must be an integer" }),
+                        )
+                        .map(|()| true),
+                },
                 _ => conn.respond_json(404, &json!({ "error": "not found" })).map(|()| true),
             }
         }
@@ -585,64 +584,45 @@ fn job_result(shared: &Arc<Shared>, conn: &mut Conn, id: &str) -> std::io::Resul
     }
 }
 
-/// Streams a job's progress events as chunked JSONL: first the replay
-/// ring, then live bus events, until a terminal event or client
-/// disconnect. Always closes the connection afterwards.
-fn job_events(shared: &Arc<Shared>, conn: &mut Conn, id: &str) -> std::io::Result<bool> {
-    // Subscribe before snapshotting the ring so nothing falls between;
-    // overlap is deduped by seq.
-    let sub = shared.bus.subscribe();
-    let Some((ring, state)) = shared.admission.events_snapshot(id) else {
+/// Streams a job's progress events from its admission ring as chunked
+/// JSONL: each pass writes what lies past the last `seq` written, and the
+/// stream ends after the terminal line (or at client disconnect or server
+/// shutdown). With `?after=N` it is one pass from `seq` N instead: the
+/// events past it, or what arrives within [`IDLE_POLL`], so a follower
+/// that reconnects from its last `seq` never holds an HTTP worker for
+/// longer. Always closes the connection afterwards.
+fn job_events(
+    shared: &Arc<Shared>,
+    conn: &mut Conn,
+    id: &str,
+    after: Option<u64>,
+) -> std::io::Result<bool> {
+    if shared.admission.status(id).is_none() {
         return conn.respond_json(404, &json!({ "error": "unknown job" })).map(|()| true);
-    };
+    }
     conn.start_chunked(200, "application/jsonl")?;
-    let mut last_seq: i64 = -1;
-    let mut terminal = false;
-    for v in &ring {
-        conn.write_chunk(format!("{v}\n").as_bytes())?;
-        if let Some(s) = v["seq"].as_u64() {
-            last_seq = cast_seq(s);
+    let mut next = after.unwrap_or(0);
+    while let Some((events, state)) = shared.admission.events_after(id, next, IDLE_POLL) {
+        for v in &events {
+            conn.write_chunk(format!("{v}\n").as_bytes())?;
+            next = v["seq"].as_u64().map_or(next, |s| s + 1);
         }
-        terminal = terminal || is_terminal(v);
-    }
-    // A job restored terminal from the journal has an empty ring: no
-    // terminal event will ever arrive on the bus, so synthesize one and
-    // finish instead of polling until server shutdown.
-    if !terminal && matches!(state, JobState::Done | JobState::Failed) {
-        let name = if state == JobState::Done { "job.done" } else { "job.failed" };
-        let line = json!({ "event": name, "job": id, "replayed": true });
-        conn.write_chunk(format!("{line}\n").as_bytes())?;
-        terminal = true;
-    }
-    while !terminal && !shared.shutdown.load(Ordering::Acquire) {
-        match sub.recv_timeout(IDLE_POLL) {
-            telemetry::BusRecv::Event(Record::Event { fields, .. }) => {
-                if fields["job"].as_str() != Some(id) {
-                    continue;
-                }
-                let seq = fields["seq"].as_u64().map_or(-1, cast_seq);
-                if seq <= last_seq {
-                    continue;
-                }
-                conn.write_chunk(format!("{fields}\n").as_bytes())?;
-                last_seq = seq;
-                terminal = is_terminal(&fields);
+        if matches!(state, JobState::Done | JobState::Failed) {
+            // A job restored terminal from the journal has an empty ring,
+            // so its terminal line is synthesized.
+            if events.is_empty() {
+                let name = if state == JobState::Done { "job.done" } else { "job.failed" };
+                let line = json!({ "event": name, "job": id, "replayed": true });
+                conn.write_chunk(format!("{line}\n").as_bytes())?;
             }
-            telemetry::BusRecv::Event(_) | telemetry::BusRecv::Timeout => {}
-            telemetry::BusRecv::Closed => break,
+            break;
+        }
+        if after.is_some() || shared.shutdown.load(Ordering::Acquire) {
+            break;
         }
     }
     conn.finish_chunked()?;
     Ok(false)
-}
-
-fn is_terminal(fields: &Value) -> bool {
-    matches!(fields["event"].as_str(), Some("job.done" | "job.failed"))
-}
-
-#[allow(clippy::cast_possible_wrap)]
-fn cast_seq(s: u64) -> i64 {
-    s.min(i64::MAX as u64) as i64
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -698,8 +678,9 @@ fn job_worker(shared: &Arc<Shared>) {
                 eprintln!("serve: journal append failed for {id}: {e}");
             }
         }
-        // Complete before publishing: a client that reads the job's status
-        // right after the terminal event must see it terminal.
+        // The terminal state and the terminal event land together: a
+        // client that reads the job's status right after the terminal
+        // event sees it terminal.
         let (name, fields) = match &outcome {
             Ok(_) => ("job.done", json!({})),
             Err(e) => ("job.failed", json!({ "error": e.clone() })),
@@ -720,8 +701,8 @@ fn named(name: &str, mut fields: Value) -> Value {
     fields
 }
 
-/// Records an event in the job's replay ring (stamped with `event`,
-/// `job`, and `seq`) and publishes it to the live bus + trace.
+/// Records an event in the job's ring (stamped with `event`, `job`, and
+/// `seq`), which `/jobs/:id/events` streams, and copies it to the trace.
 fn emit_event(shared: &Shared, id: &str, name: &str, fields: Value) {
     if let Some(stamped) = shared.admission.push_event(id, named(name, fields)) {
         shared.tel.event(name, || stamped);

@@ -371,3 +371,114 @@ fn finished_jobs_and_first_reads_reach_the_snapshot_without_waiting_the_interval
     server.wait();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A follower that stops reading stalls the server's writes to it. While
+/// it is stalled, its job runs to the end and another tenant's `bted+bao`
+/// job emits more than a thousand events. Once the follower reads again,
+/// it must still get its own job's events, in order, up to `job.done`,
+/// and the stream must end.
+#[test]
+fn a_stalled_follower_still_gets_its_jobs_terminal_event() {
+    use std::io::{Read, Write};
+
+    let root = temp_root("stalled-follower");
+    let server = Server::start(config(&root)).expect("server starts");
+    let addr = server.addr().to_string();
+    // Enough trial lines (~140 bytes each) to fill the socket buffers
+    // between the server and a reader that does not read.
+    let followed = submit(&addr, &spec("alpha", 3, 40_000));
+    let other_trials = 1_100;
+    let other = submit(
+        &addr,
+        &json!({
+            "tenant": "beta",
+            "model": "squeezenet",
+            "task": 0u64,
+            "method": "bted+bao",
+            "n_trial": other_trials,
+            "seed": 1u64,
+        }),
+    );
+    let mut follower = std::net::TcpStream::connect(&addr).expect("connect");
+    write!(follower, "GET /jobs/{followed}/events HTTP/1.1\r\nHost: aaltune\r\n\r\n")
+        .expect("request");
+    wait_done(&addr, &followed);
+    wait_done(&addr, &other);
+
+    follower.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut body = Vec::new();
+    follower.read_to_end(&mut body).expect("the stream ends once the terminal line is sent");
+    let body = String::from_utf8(body).expect("UTF-8 stream");
+    assert!(body.ends_with("0\r\n\r\n"), "chunked stream terminated");
+    // Each chunk is one JSON line; chunk-size lines never start with `{`.
+    let events: Vec<Value> = body
+        .lines()
+        .filter(|l| l.starts_with('{'))
+        .map(|l| serde_json::from_str(l).expect("JSON event line"))
+        .collect();
+    assert!(events.iter().all(|v| v["job"].as_str() == Some(followed.as_str())), "one job");
+    let seqs: Vec<u64> = events.iter().filter_map(|v| v["seq"].as_u64()).collect();
+    assert_eq!(seqs.len(), events.len(), "every line is seq-stamped");
+    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "events arrive in seq order");
+    assert_eq!(events.last().and_then(|v| v["event"].as_str()), Some("job.done"));
+    assert_eq!(seqs.last(), Some(&40_001), "the terminal line is the job's last event");
+
+    server.shutdown();
+    server.wait();
+    let trace = std::fs::read_to_string(root.join("trace.jsonl")).expect("trace");
+    let other_events = trace.matches(&format!("\"job\":\"{other}\"")).count();
+    assert!(other_events > 1_024, "the other job emitted {other_events} events");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Followers of queued jobs, one per HTTP worker, each with a read
+/// timeout shorter than its job's wait in the queue: `/healthz` still
+/// answers at once while they follow, and each still gets its job's
+/// `job.done`.
+#[test]
+fn followers_of_queued_jobs_outlast_their_read_timeout_and_hold_no_http_worker() {
+    let root = temp_root("queued-followers");
+    let cfg =
+        ServeConfig { job_workers: 1, device_hold: Duration::from_millis(20), ..config(&root) };
+    let server = Server::start(cfg.clone()).expect("server starts");
+    let addr = server.addr().to_string();
+    let read_timeout = Duration::from_secs(1);
+    // Its valid configs hold one of two devices 20 ms each: about 3 s
+    // ahead of the followed jobs.
+    let blocker = submit(&addr, &spec("beta", 1, 1_200));
+    let started = Instant::now();
+    let followers: Vec<_> = (0..cfg.http_workers as u64)
+        .map(|seed| {
+            let (addr, id) = (addr.clone(), submit(&addr, &spec("alpha", seed, 8)));
+            std::thread::spawn(move || {
+                let mut first = None;
+                let last = client::follow_job(&addr, &id, read_timeout, |_| {
+                    first.get_or_insert_with(Instant::now);
+                })
+                .expect("a queued job is followed past the read timeout");
+                (last, first)
+            })
+        })
+        .collect();
+
+    std::thread::sleep(read_timeout / 2);
+    let asked = Instant::now();
+    let (code, _) = client::request(&addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!(code, 200);
+    assert!(asked.elapsed() < read_timeout, "/healthz waited {:?}", asked.elapsed());
+    let (_, status) = client::request(&addr, "GET", &format!("/jobs/{blocker}"), None).unwrap();
+    assert_eq!(status["state"].as_str(), Some("running"), "the followed jobs are still queued");
+    let (code, _) = client::request(&addr, "GET", &format!("/jobs/{blocker}/events?after=x"), None)
+        .expect("bad cursor");
+    assert_eq!(code, 400, "a cursor that is not a seq");
+
+    for follower in followers {
+        let (last, first) = follower.join().expect("follower thread");
+        assert_eq!(last["event"].as_str(), Some("job.done"));
+        let queued_for = first.expect("job.start arrived") - started;
+        assert!(queued_for > read_timeout, "queued for only {queued_for:?}");
+    }
+    server.shutdown();
+    server.wait();
+    let _ = std::fs::remove_dir_all(&root);
+}

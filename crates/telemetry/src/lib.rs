@@ -20,7 +20,8 @@
 //!
 //! Everything flows into a [`Sink`]: [`FileSink`] writes JSONL trace
 //! artifacts, [`VecSink`] captures records for tests, [`ReporterSink`]
-//! renders progress for humans, and [`TeeSink`] composes them.
+//! renders progress for humans, [`NoopSink`] discards, and [`TeeSink`]
+//! composes them.
 //!
 //! # Handles and the global registry
 //!
@@ -48,7 +49,6 @@
 //! # set_global(Telemetry::disabled());
 //! ```
 
-pub mod bus;
 pub mod durable;
 pub mod events;
 pub mod export;
@@ -60,7 +60,6 @@ pub mod stream;
 pub mod summary;
 pub mod sync;
 
-pub use bus::{BusRecv, EventBus, EventSub};
 pub use events::{HeartbeatEvent, RadiusEvent, SaDoneEvent};
 pub use export::{parse_prometheus, to_prometheus};
 pub use metrics::Histogram;
