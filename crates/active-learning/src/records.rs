@@ -394,6 +394,12 @@ impl RunDir {
         Ok(RunDir { root })
     }
 
+    /// The run directory at `root`, unchecked: for readers that only
+    /// follow paths inside it.
+    pub(crate) fn at(root: impl Into<PathBuf>) -> Self {
+        RunDir { root: root.into() }
+    }
+
     /// Opens an existing run directory for reading. Creates nothing, so a
     /// mistyped path is reported, never materialized.
     ///
@@ -486,6 +492,16 @@ impl RunDir {
     #[must_use]
     pub fn log_path(&self, task_name: &str) -> PathBuf {
         self.root.join("logs").join(task_file(task_name))
+    }
+
+    /// Reads the log of `task_name` back.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O failures, a missing file included, or a malformed log.
+    pub fn read_log(&self, task_name: &str) -> Result<TuningLog, ReadLogError> {
+        let f = std::fs::File::open(self.log_path(task_name))?;
+        TuningLog::read_jsonl(std::io::BufReader::new(f))
     }
 
     /// Writes one task's log as `logs/<task>.jsonl` through

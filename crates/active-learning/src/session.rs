@@ -23,7 +23,7 @@
 //! I/O (manifest, registries, snapshots, result files) stays with them.
 
 use crate::model_quality::{
-    read_capture, record_line, write_capture_file, ModelPredRecord, MODEL_QUALITY_FILE,
+    read_capture_of, write_capture_file, CaptureLines, ModelPredRecord, MODEL_QUALITY_FILE,
 };
 use crate::options::TuneOptions;
 use crate::records::{LogWriter, ProgressJournal, RunDir, TrialRecord, TuningLog, WarmSeed};
@@ -124,11 +124,13 @@ struct RunState {
     journal: Option<Mutex<ProgressJournal>>,
     /// Task names in run order (the capture file's record order).
     order: Vec<String>,
-    /// On resume, the capture lines per task of the capture the
-    /// interrupted run left. A task with a part on disk is taken from
-    /// the part; this covers a capture written whole, by a run that
-    /// ended or by an older binary.
-    resumed_capture: BTreeMap<String, String>,
+    /// On resume, the capture lines of each task completed before it,
+    /// read from the capture the interrupted run left and re-rendered in
+    /// the current schema: that capture may be one file (written by a
+    /// run that ended, or by an older binary) or parts in an older
+    /// schema. The tasks tuned after the resume are taken from their
+    /// parts.
+    resumed_capture: BTreeMap<String, CaptureLines>,
 }
 
 impl RunState {
@@ -138,13 +140,13 @@ impl RunState {
         let _span = tel.span("session.capture");
         write_capture_file(&dir.model_quality_path(), |f| {
             for name in &self.order {
+                if let Some(lines) = self.resumed_capture.get(name) {
+                    f.write_all(lines.as_str().as_bytes())?;
+                    continue;
+                }
                 match std::fs::read(dir.model_quality_part_path(name)) {
                     Ok(part) => f.write_all(&part)?,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                        if let Some(lines) = self.resumed_capture.get(name) {
-                            f.write_all(lines.as_bytes())?;
-                        }
-                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                     Err(e) => return Err(e),
                 }
             }
@@ -176,12 +178,12 @@ impl<M: Measurer + Sync> Session<'_, M> {
     ///
     /// The first failure in task order.
     pub fn run(&self, tasks: &[TuningTask]) -> Result<Vec<TuningLog>, String> {
-        let mut resumed_capture: BTreeMap<String, String> = BTreeMap::new();
+        let mut resumed_capture: BTreeMap<String, CaptureLines> = BTreeMap::new();
         if let Some(dir) = self.capture_dir() {
             if self.resume {
-                for rec in read_capture(dir)?.unwrap_or_default() {
-                    let lines = resumed_capture.entry(rec.task.clone()).or_default();
-                    lines.push_str(&record_line(&rec));
+                let done = |task: &str| self.completed.iter().any(|t| t == task);
+                for rec in read_capture_of(dir, &done)?.unwrap_or_default() {
+                    resumed_capture.entry(rec.task.clone()).or_default().push(&rec);
                 }
             } else {
                 // A fresh run over an old run directory: the old capture
@@ -250,10 +252,9 @@ impl<M: Measurer + Sync> Session<'_, M> {
     /// Its database upsert was durable before its `Complete` line, so the
     /// store is not consulted again.
     fn read_back(&self, dir: &RunDir, task: &TuningTask) -> Result<TuningLog, String> {
-        let f = std::fs::File::open(dir.log_path(&task.name))
-            .map_err(|e| format!("cannot reopen log of {}: {e}", task.name))?;
-        let log = TuningLog::read_jsonl(std::io::BufReader::new(f))
-            .map_err(|e| format!("bad log for completed task {}: {e}", task.name))?;
+        let log = dir
+            .read_log(&task.name)
+            .map_err(|e| format!("cannot read the log of completed task {}: {e}", task.name))?;
         self.tel.report(|| {
             format!(
                 "{:<18} already complete ({} trials) — skipped",
@@ -371,8 +372,8 @@ impl<M: Measurer + Sync> Session<'_, M> {
         };
         // The loop recomputes diagnostics for replayed trials too, so a
         // resumed task rebuilds its full capture record set.
-        let mut lines = String::new();
-        let mut on_model = |rec: &ModelPredRecord| lines.push_str(&record_line(rec));
+        let mut lines = CaptureLines::default();
+        let mut on_model = |rec: &ModelPredRecord| lines.push(rec);
         let r = tune_task_with(
             task,
             self.measurer,
@@ -399,7 +400,7 @@ impl<M: Measurer + Sync> Session<'_, M> {
         // journal lists as complete is never re-tuned, so its records
         // could not be recomputed.
         if let Some(dir) = self.capture_dir() {
-            self.write_part(dir, task, &lines)?;
+            self.write_part(dir, task, lines.as_str())?;
         }
         self.complete(task, &r.log, st)?;
         self.tel.report(|| {

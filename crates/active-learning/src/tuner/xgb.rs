@@ -150,10 +150,13 @@ impl<'s> XgbTuner<'s> {
         }
 
         // SA scores each proposal from its knob choices through the
-        // compiled tables, bit for bit the fitted model's prediction.
+        // compiled tables, bit for bit the fitted model's prediction. The
+        // replan's scoring calls are traced as one folded span per parent.
+        let predicts = tel.fold();
+        let _folding = predicts.enter();
         let tables = &self.tables;
         let score = |cands: &[Config]| -> Vec<f64> {
-            let _span = tel.span("gbt.predict");
+            let _span = tel.call_span("gbt.predict");
             tables.predict(cands.iter().map(|c| c.choices.as_slice()))
         };
         self.plan = simulated_annealing_scored(

@@ -17,16 +17,17 @@
 //! (as older binaries wrote one per persistently failing config) for a
 //! config the log lost, one between a task's capture part and its
 //! `Complete` line, one between the last task's capture part and the
-//! final capture file, and two in the formats of older binaries: a
-//! journal with complete and torn `Quarantine` lines, and a
+//! final capture file, and three in the formats of older binaries: a
+//! journal with complete and torn `Quarantine` lines, a
 //! `checkpoint.json` holding every task's quarantine set beside a
-//! capture that is one file rewritten per task. Those lines and sets
-//! name the configs the twin's logs show failing persistently.
+//! capture that is one schema-1 file rewritten per task, and capture
+//! parts in schema 1 (every record whole on its line). Those lines and
+//! sets name the configs the twin's logs show failing persistently.
 
 use active_learning::{
-    read_capture, read_model_quality, write_model_quality, Checkpoint, DbPolicy, Method,
-    ModelPredRecord, ProgressEntry, RunDir, Session, SessionDb, TuneOptions, TuningLog,
-    CHECKPOINT_SCHEMA_VERSION, MODEL_QUALITY_FILE, MODEL_QUALITY_PARTS_DIR,
+    read_capture, read_model_quality, Checkpoint, DbPolicy, Method, ModelPredRecord, ProgressEntry,
+    RunDir, Session, SessionDb, TuneOptions, TuningLog, CHECKPOINT_SCHEMA_VERSION,
+    MODEL_QUALITY_FILE, MODEL_QUALITY_PARTS_DIR,
 };
 use dnn_graph::models;
 use dnn_graph::task::{extract_tasks, TuningTask};
@@ -224,17 +225,27 @@ fn session(
     logs
 }
 
-/// The capture records of each of `tasks()` that has a part in `dir`,
-/// in task order.
-fn parts_in_task_order(dir: &RunDir) -> Vec<ModelPredRecord> {
-    let mut out = Vec::new();
+/// `records` as schema-1 capture lines, every record whole on its line,
+/// the way binaries before capture schema 2 wrote parts and files.
+fn schema_one_lines(records: &[ModelPredRecord]) -> String {
+    records.iter().map(|r| serde_json::to_string(r).unwrap() + "\n").collect()
+}
+
+/// Rewrites every capture part in `dir` in schema 1, returning how many
+/// there were.
+fn parts_to_schema_one(dir: &RunDir) -> usize {
+    let records = read_capture(dir).unwrap().expect("capture parts");
+    let mut parts = 0;
     for task in tasks() {
-        let Ok(body) = std::fs::read_to_string(dir.model_quality_part_path(&task.name)) else {
-            continue;
-        };
-        out.extend(body.lines().map(|l| serde_json::from_str::<ModelPredRecord>(l).unwrap()));
+        let path = dir.model_quality_part_path(&task.name);
+        if path.exists() {
+            let mine: Vec<ModelPredRecord> =
+                records.iter().filter(|r| r.task == task.name).cloned().collect();
+            std::fs::write(path, schema_one_lines(&mine)).unwrap();
+            parts += 1;
+        }
     }
-    out
+    parts
 }
 
 /// How the crash image is laid out before the resume.
@@ -248,8 +259,11 @@ enum Format {
     QuarantineLines,
     /// As an older binary left it: `checkpoint.json` and no journal;
     /// the checkpoint holds every task's quarantine set, and the capture
-    /// is one file holding the completed tasks, with no parts.
+    /// is one schema-1 file holding the completed tasks, with no parts.
     Checkpoint,
+    /// As the binary before capture schema 2 left it: the completed
+    /// tasks' capture parts hold schema-1 lines.
+    SchemaOneParts,
 }
 
 /// The configs of the twin's failed trials that fail persistently again
@@ -386,6 +400,9 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
     }
     match format {
         Format::Current => {}
+        Format::SchemaOneParts => {
+            assert!(parts_to_schema_one(&cut_dir) > 0, "the image holds a completed task's part");
+        }
         Format::QuarantineLines => {
             let torn = lost();
             let lines: String = logged.iter().map(line).collect();
@@ -413,8 +430,10 @@ fn resume_matches_twin(with_db: bool, workers: usize, at: usize, kill: Kill, for
             let body = serde_json::to_string_pretty(&old).unwrap();
             std::fs::write(cut_dir.checkpoint_path(), body).unwrap();
             std::fs::remove_file(cut_dir.progress_path()).unwrap();
-            write_model_quality(&cut_dir.model_quality_path(), &parts_in_task_order(&cut_dir))
-                .unwrap();
+            let captured = read_capture(&cut_dir).unwrap().expect("capture parts");
+            let header = r#"{"kind":"model_quality","schema_version":1}"#.to_string() + "\n";
+            let body = header + &schema_one_lines(&captured);
+            std::fs::write(cut_dir.model_quality_path(), body).unwrap();
             std::fs::remove_dir_all(cut_dir.model_quality_parts_dir()).unwrap();
         }
     }
@@ -472,6 +491,11 @@ fn resume_of_an_older_binarys_crash_image_is_byte_identical() {
 }
 
 #[test]
+fn resume_from_schema_one_capture_parts_is_byte_identical() {
+    resume_matches_twin(false, 1, 60, Kill::AfterTrial, Format::SchemaOneParts);
+}
+
+#[test]
 fn resume_after_a_torn_quarantine_line_is_byte_identical() {
     resume_matches_twin(false, 1, 10, Kill::AfterTrial, Format::QuarantineLines);
 }
@@ -483,10 +507,15 @@ fn resume_between_a_capture_part_and_its_complete_line_is_byte_identical() {
 
 /// A kill after every task's part is durable but before the final
 /// capture file is written: the run is explainable from the parts, and
-/// its resume writes the twin's capture bytes.
-#[test]
-fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
-    let base = std::env::temp_dir().join(format!("aaltune-session-{}-parts", std::process::id()));
+/// its resume writes the twin's capture bytes. The parts are the
+/// twin's capture split by task, in its own schema or, as the binary
+/// before capture schema 2 wrote them, in schema 1.
+fn resume_from_every_part(schema_one: bool) {
+    let base = std::env::temp_dir().join(format!(
+        "aaltune-session-{}-parts-{}",
+        std::process::id(),
+        u8::from(schema_one)
+    ));
     let _ = std::fs::remove_dir_all(&base);
     let never = CrashAt::never();
     let twin = base.join("twin");
@@ -495,19 +524,32 @@ fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
     let capture = PathBuf::from(MODEL_QUALITY_FILE);
     let twin_records = read_model_quality(&twin.join(MODEL_QUALITY_FILE)).unwrap();
 
-    // Split the capture into one part per task, as the run wrote them.
     let cut = base.join("cut");
     let mut crashed = twin_files.clone();
     crashed.remove(&capture);
     restore(&cut, &crashed);
     let cut_dir = RunDir::create(&cut).unwrap();
     std::fs::create_dir_all(cut_dir.model_quality_parts_dir()).unwrap();
+    // Each round marker names its task; the lines up to the next task's
+    // first marker are that task's part.
+    let mut parts: BTreeMap<String, String> = BTreeMap::new();
+    let mut task = String::new();
+    let text = String::from_utf8(twin_files[&capture].clone()).unwrap();
+    for line in text.lines().skip(1) {
+        let v: serde_json::Value = serde_json::from_str(line).unwrap();
+        if let Some(name) = v.get("task").and_then(serde_json::Value::as_str) {
+            task = name.to_string();
+        }
+        parts.entry(task.clone()).or_default().push_str(&(line.to_string() + "\n"));
+    }
     for task in tasks() {
-        let lines: String = twin_records
-            .iter()
-            .filter(|r| r.task == task.name)
-            .map(|r| serde_json::to_string(r).unwrap() + "\n")
-            .collect();
+        let lines = if schema_one {
+            let mine: Vec<ModelPredRecord> =
+                twin_records.iter().filter(|r| r.task == task.name).cloned().collect();
+            schema_one_lines(&mine)
+        } else {
+            parts[&task.name].clone()
+        };
         assert!(!lines.is_empty(), "every task captured records");
         std::fs::write(cut_dir.model_quality_part_path(&task.name), lines).unwrap();
     }
@@ -521,4 +563,14 @@ fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
     assert!(twin_files[&capture] == cut_files[&capture], "model capture differs after resume");
     assert!(!cut.join(MODEL_QUALITY_PARTS_DIR).exists(), "the resume removes the parts");
     let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn resume_between_the_last_part_and_the_capture_file_is_byte_identical() {
+    resume_from_every_part(false);
+}
+
+#[test]
+fn resume_from_every_part_in_schema_one_is_byte_identical() {
+    resume_from_every_part(true);
 }

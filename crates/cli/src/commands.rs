@@ -127,10 +127,7 @@ pub fn dispatch(args: &[String]) -> Result<u8, String> {
     match cli.positional.first().map(String::as_str) {
         Some("tasks") => tasks(&cli).map(|()| 0),
         Some("dot") => dot(&cli).map(|()| 0),
-        Some("devices") => {
-            devices();
-            Ok(0)
-        }
+        Some("devices") => devices().map(|()| 0),
         Some("tune") => tune(&cli).map(|()| 0),
         Some("db") => db_cmd(&cli),
         Some("top") => crate::top::top(&cli).map(|()| 0),
@@ -227,10 +224,10 @@ fn measurer(cli: &Cli) -> Result<SimMeasurer, String> {
 fn tasks(cli: &Cli) -> Result<(), String> {
     let model = model_arg(cli)?;
     let tasks = extract_tasks(&model);
-    println!("{}: {} tuning tasks", model.name, tasks.len());
+    outln!("{}: {} tuning tasks", model.name, tasks.len())?;
     for t in &tasks {
         let space = space_for_task(t);
-        println!("  {:<18} {:>14} configs   {}", t.name, space.len(), t.workload);
+        outln!("  {:<18} {:>14} configs   {}", t.name, space.len(), t.workload)?;
     }
     Ok(())
 }
@@ -240,27 +237,28 @@ fn dot(cli: &Cli) -> Result<(), String> {
     let fused: bool = cli.flag("fused", false)?;
     if fused {
         let groups = dnn_graph::fusion::fuse(&model);
-        print!("{}", dnn_graph::dot::to_dot_fused(&model, &groups));
+        out!("{}", dnn_graph::dot::to_dot_fused(&model, &groups))?;
     } else {
-        print!("{}", dnn_graph::dot::to_dot(&model));
+        out!("{}", dnn_graph::dot::to_dot(&model))?;
     }
     Ok(())
 }
 
-fn devices() {
+fn devices() -> Result<(), String> {
     for d in [
         gpu_sim::GpuDevice::gtx_1080_ti(),
         gpu_sim::GpuDevice::tesla_v100(),
         gpu_sim::GpuDevice::jetson_tx2(),
     ] {
-        println!(
+        outln!(
             "{:<14} {:>3} SMs  {:>6.1} GB/s  {:>5.1} TFLOPS",
             d.name,
             d.num_sms,
             d.dram_bw_gbps,
             d.peak_flops() / 1e12
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// The tuning database a run is attached to.
@@ -598,31 +596,31 @@ fn db_cmd(cli: &Cli) -> Result<u8, String> {
             let store = TuningDb::open(&root, &LockOptions::default())
                 .map_err(|e| format!("cannot open {}: {e}", root.display()))?;
             let s = store.stats();
-            println!("tasks:         {}", s.tasks);
-            println!("configs:       {}", s.configs);
-            println!("segments:      {}", s.segments);
-            println!("covered seq:   {}", s.covered_seq);
-            println!("corrupt lines: {}", s.corrupt_lines);
-            println!("best:          {:.1} GFLOPS", s.best_gflops);
+            outln!("tasks:         {}", s.tasks)?;
+            outln!("configs:       {}", s.configs)?;
+            outln!("segments:      {}", s.segments)?;
+            outln!("covered seq:   {}", s.covered_seq)?;
+            outln!("corrupt lines: {}", s.corrupt_lines)?;
+            outln!("best:          {:.1} GFLOPS", s.best_gflops)?;
             Ok(0)
         }
         "fsck" => {
             let repair = cli.flag_present("repair");
             let report = TuningDb::fsck(&root, repair, &LockOptions::default())
                 .map_err(|e| format!("cannot fsck {}: {e}", root.display()))?;
-            println!("segments:      {}", report.segments);
-            println!("records:       {}", report.records);
-            println!("corrupt lines: {}", report.corrupt_lines);
-            println!("torn tails:    {}", report.torn_tails);
-            println!("index damaged: {}", report.index_damaged);
+            outln!("segments:      {}", report.segments)?;
+            outln!("records:       {}", report.records)?;
+            outln!("corrupt lines: {}", report.corrupt_lines)?;
+            outln!("torn tails:    {}", report.torn_tails)?;
+            outln!("index damaged: {}", report.index_damaged)?;
             if repair {
-                println!("quarantined:   {}", report.quarantined);
+                outln!("quarantined:   {}", report.quarantined)?;
             }
             if report.healthy() {
-                println!("status:        healthy");
+                outln!("status:        healthy")?;
                 Ok(0)
             } else {
-                println!("status:        UNHEALTHY (run fsck --repair to quarantine and rebuild)");
+                outln!("status:        UNHEALTHY (run fsck --repair to quarantine and rebuild)")?;
                 Ok(1)
             }
         }
@@ -632,7 +630,7 @@ fn db_cmd(cli: &Cli) -> Result<u8, String> {
             for rec in store.records() {
                 let line =
                     serde_json::to_string(&rec).map_err(|e| format!("serialize failed: {e}"))?;
-                println!("{line}");
+                outln!("{line}")?;
             }
             Ok(0)
         }
@@ -673,7 +671,7 @@ fn trace(cli: &Cli) -> Result<(), String> {
     let f = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let summary = telemetry::TraceSummary::from_reader(std::io::BufReader::new(f))
         .map_err(|e| format!("cannot read {path}: {e}"))?;
-    print!("{}", summary.render());
+    out!("{}", summary.render())?;
     Ok(())
 }
 
@@ -684,9 +682,9 @@ fn runs(cli: &Cli) -> Result<(), String> {
     let filtered =
         idx.filtered(cli.flag_str("model"), cli.flag_str("method"), cli.flag_str("kind"));
     if filtered.is_empty() {
-        println!("no matching runs in {}", reg.index_path().display());
+        outln!("no matching runs in {}", reg.index_path().display())?;
     } else {
-        print!("{}", idx.render(&filtered));
+        out!("{}", idx.render(&filtered))?;
     }
     Ok(())
 }
@@ -705,7 +703,7 @@ fn compare(cli: &Cli) -> Result<u8, String> {
     let base = cli.positional.get(1).ok_or("missing <BASE_RUN> directory")?;
     let cand = cli.positional.get(2).ok_or("missing <CAND_RUN> directory")?;
     let cmp = compare_run_dirs(Path::new(base), Path::new(cand), compare_options(cli)?)?;
-    print!("{}", cmp.render());
+    out!("{}", cmp.render())?;
     if cli.flag_present("fail-on-regress") && cmp.has_regressions() {
         let model = cmp.model_quality.iter().filter(|m| m.regressed).count();
         eprintln!(
@@ -739,7 +737,7 @@ fn report(cli: &Cli) -> Result<(), String> {
         cli.flag_str("html").map_or_else(|| Path::new(run_path).join("report.html"), PathBuf::from);
     durable::replace(&out, |w| w.write_all(html.as_bytes()))
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
+    outln!("wrote {}", out.display())?;
     Ok(())
 }
 
@@ -755,7 +753,7 @@ fn explain(cli: &Cli) -> Result<(), String> {
             path.display()
         ));
     };
-    print!("{}", trace_analysis::render_explain(&trace_analysis::analyze(&records)));
+    out!("{}", trace_analysis::render_explain(&trace_analysis::analyze(&records)))?;
     Ok(())
 }
 
@@ -835,7 +833,7 @@ fn client_cmd(cli: &Cli) -> Result<u8, String> {
                 obj.insert("task".into(), serde_json::Value::from(task));
             }
             let (code, resp) = serve::client::request(&addr, "POST", "/jobs", Some(&body))?;
-            println!("{resp}");
+            outln!("{resp}")?;
             if code != 202 {
                 return Ok(1);
             }
@@ -843,32 +841,33 @@ fn client_cmd(cli: &Cli) -> Result<u8, String> {
                 return Ok(0);
             }
             let id = resp["id"].as_str().ok_or("server response has no job id")?;
-            let last = serve::client::follow_job(&addr, id, serve::client::READ_TIMEOUT, |_| {})
-                .map_err(|e| format!("following {id}: {e}"))?;
+            let last =
+                serve::client::follow_job(&addr, id, serve::client::READ_TIMEOUT, |_| Ok(()))
+                    .map_err(|e| format!("following {id}: {e}"))?;
             let (path, code) = if last["event"].as_str() == Some("job.done") {
                 (format!("/jobs/{id}/result"), 0)
             } else {
                 (format!("/jobs/{id}"), 1)
             };
             let (_, body) = serve::client::request(&addr, "GET", &path, None)?;
-            println!("{body}");
+            outln!("{body}")?;
             Ok(code)
         }
         "status" => {
             let (code, resp) =
                 serve::client::request(&addr, "GET", &format!("/jobs/{}", job_id()?), None)?;
-            println!("{resp}");
+            outln!("{resp}")?;
             Ok(u8::from(code != 200))
         }
         "result" => {
             let (code, resp) =
                 serve::client::request(&addr, "GET", &format!("/jobs/{}/result", job_id()?), None)?;
-            println!("{resp}");
+            outln!("{resp}")?;
             Ok(u8::from(code != 200))
         }
         "events" => {
             serve::client::follow_job(&addr, job_id()?, serve::client::READ_TIMEOUT, |v| {
-                println!("{v}");
+                outln!("{v}")
             })?;
             Ok(0)
         }
@@ -882,12 +881,12 @@ fn client_cmd(cli: &Cli) -> Result<u8, String> {
                 &format!("/best?model={model}&task={task}&device={device}"),
                 None,
             )?;
-            println!("{resp}");
+            outln!("{resp}")?;
             Ok(u8::from(code != 200))
         }
         "shutdown" => {
             let (code, resp) = serve::client::request(&addr, "POST", "/shutdown", None)?;
-            println!("{resp}");
+            outln!("{resp}")?;
             Ok(u8::from(code != 202))
         }
         other => Err(format!(

@@ -28,6 +28,8 @@
 //! surrogate's per-proposal predictions into `model_quality.jsonl`
 //! (`--no-capture-model` to opt out); `explain` scores them round by round.
 
+#[macro_use]
+mod out;
 mod commands;
 mod opts;
 mod top;
@@ -38,6 +40,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&args) {
         Ok(code) => ExitCode::from(code),
+        // The reader of stdout stopped early (`| head`): not a failure.
+        Err(_) if out::closed() => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -47,13 +47,11 @@ pub fn top(cli: &Cli) -> Result<(), String> {
     loop {
         let frame = frame(dir);
         if once {
-            print!("{frame}");
+            out!("{frame}")?;
             return Ok(());
         }
         // Full repaint: clear screen + cursor home, then the frame.
-        print!("\x1b[2J\x1b[H{frame}");
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
+        out!("\x1b[2J\x1b[H{frame}")?;
         if read_manifest(dir).is_some_and(|m| m.wall_time_s.is_some()) {
             // The run finished and the frame above reflects its final
             // snapshot (the writer publishes once more before the manifest
@@ -90,7 +88,7 @@ fn check(dir: &Path) -> Result<(), String> {
     if samples.is_empty() {
         return Err(format!("{}: no samples", prom_path.display()));
     }
-    println!(
+    outln!(
         "{}: snapshot v{} ok ({} counters, {} gauges, {} histograms); \
          prometheus ok ({} samples)",
         dir.display(),
@@ -99,7 +97,7 @@ fn check(dir: &Path) -> Result<(), String> {
         snap.gauges.len(),
         snap.histograms.len(),
         samples.len()
-    );
+    )?;
     Ok(())
 }
 

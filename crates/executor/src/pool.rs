@@ -174,9 +174,14 @@ impl<M: Measurer + Sync> Measurer for Executor<M> {
         // aal-lint: allow(wall-clock, reason = "batch wall-time metric; results are ordered by index, never by time")
         let submitted = Instant::now();
         let tag = self.lease_tag.as_deref().unwrap_or(&task.name);
+        // The batch's `measure` calls are traced as one folded span per
+        // thread's parent instead of a span each.
+        let measures = tel.fold();
         let results = run_ordered(configs.iter().collect(), self.workers, |_, config| {
+            let _folding = measures.enter();
             self.measure_one(&tel, tag, task, space, config)
         });
+        drop(measures);
         tel.observe("exec.batch.wall_us", submitted.elapsed().as_secs_f64() * 1e6);
         results
     }

@@ -237,7 +237,9 @@ impl SimMeasurer {
 impl Measurer for SimMeasurer {
     fn measure(&self, task: &TuningTask, space: &ConfigSpace, config: &Config) -> MeasureResult {
         let tel = telemetry::global();
-        let _span = tel.span("measure");
+        // Folded into the enclosing batch's record when the caller (the
+        // executor) has entered a fold.
+        let _span = tel.call_span("measure");
         // aal-lint: allow(wall-clock, reason = "host-side wall-time metric around the simulated kernel; observability only")
         let wall = std::time::Instant::now();
         let result = match self.true_perf(task, space, config) {

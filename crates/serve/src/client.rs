@@ -182,25 +182,33 @@ pub fn stream_events(
 /// # Errors
 ///
 /// Returns a diagnostic on connection or protocol failure, which
-/// includes a server that shuts down before the job ends.
+/// includes a server that shuts down before the job ends, or the first
+/// error `on_event` returns, which ends the follow.
 pub fn follow_job(
     addr: &str,
     id: &str,
     read_timeout: Duration,
-    mut on_event: impl FnMut(&Value),
+    mut on_event: impl FnMut(&Value) -> Result<(), String>,
 ) -> Result<Value, String> {
     let mut next = 0;
     loop {
         let mut terminal = None;
+        let mut failed = None;
         let conn = ClientConn::connect_with(addr, read_timeout)?;
         stream_on(conn, &format!("/jobs/{id}/events?after={next}"), |v| {
-            on_event(v);
+            if let Err(e) = on_event(v) {
+                failed = Some(e);
+                return false;
+            }
             next = v["seq"].as_u64().map_or(next, |s| s + 1);
             if matches!(v["event"].as_str(), Some("job.done" | "job.failed")) {
                 terminal = Some(v.clone());
             }
             terminal.is_none()
         })?;
+        if let Some(e) = failed {
+            return Err(e);
+        }
         if let Some(v) = terminal {
             return Ok(v);
         }

@@ -454,6 +454,7 @@ fn followers_of_queued_jobs_outlast_their_read_timeout_and_hold_no_http_worker()
                 let mut first = None;
                 let last = client::follow_job(&addr, &id, read_timeout, |_| {
                     first.get_or_insert_with(Instant::now);
+                    Ok(())
                 })
                 .expect("a queued job is followed past the read timeout");
                 (last, first)

@@ -7,7 +7,11 @@
 //!
 //! * **Spans** — named regions of wall time with parent links, so the trace
 //!   reconstructs the per-phase breakdown (init-set selection, surrogate
-//!   fits, measurement batches).
+//!   fits, measurement batches). A hot call site (one model prediction,
+//!   one simulated measurement) opens a [`Telemetry::call_span`] instead:
+//!   inside an entered [`Fold`] its calls are timed but not written, and
+//!   the fold writes each parent's calls as one span pair whose
+//!   `calls` field counts them.
 //! * **Events** — point-in-time facts with typed JSON payloads (one per
 //!   task start, one per BAO radius adaptation, …). Per-trial facts live
 //!   in the trial logs and the model capture, not in the trace.
@@ -75,7 +79,7 @@ pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Name of the progress-report event rendered by [`ReporterSink`].
@@ -114,12 +118,58 @@ struct Inner {
     metrics: Arc<MetricsRegistry>,
 }
 
-thread_local! {
-    /// Innermost-last stack of `(handle identity, span id)` for the current
-    /// thread. Handle identity (the `Arc` pointer) keys the stack so two
-    /// live handles on one thread cannot adopt each other's spans.
-    static SPAN_STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
+/// Per-thread span state.
+struct ThreadSpans {
+    /// Innermost-last stack of this thread's open spans. Handle identity
+    /// (the `Arc` pointer) keys the stack so two live handles on one
+    /// thread cannot adopt each other's spans.
+    stack: Vec<Frame>,
+    /// Folds entered on this thread, innermost last.
+    entered: Vec<Arc<FoldInner>>,
 }
+
+/// One open span on a thread's stack.
+struct Frame {
+    handle: usize,
+    id: u64,
+    /// Folded calls made with this span as their parent and not written
+    /// yet: the span writes them before its own end.
+    folded: Vec<FoldedCalls>,
+}
+
+/// One fold's calls of one name under one parent, not yet written.
+struct FoldedCalls {
+    fold: u64,
+    name: &'static str,
+    calls: u64,
+    dur_us: u64,
+    /// Start of the first call, µs since telemetry start.
+    first_us: u64,
+}
+
+/// Adds one call to the matching entry of `folded`, or starts one.
+fn add_call(folded: &mut Vec<FoldedCalls>, fold: u64, name: &'static str, dur_us: u64, at_us: u64) {
+    match folded.iter_mut().find(|c| c.fold == fold && c.name == name) {
+        Some(c) => {
+            c.calls += 1;
+            c.dur_us += dur_us;
+        }
+        None => folded.push(FoldedCalls { fold, name, calls: 1, dur_us, first_us: at_us }),
+    }
+}
+
+thread_local! {
+    static THREAD: RefCell<ThreadSpans> =
+        const { RefCell::new(ThreadSpans { stack: Vec::new(), entered: Vec::new() }) };
+}
+
+/// Innermost open span of handle `me` on this thread.
+fn innermost(me: usize) -> Option<u64> {
+    THREAD.with(|t| t.borrow().stack.iter().rev().find(|f| f.handle == me).map(|f| f.id))
+}
+
+/// Source of fold ids, unique per process.
+static NEXT_FOLD: AtomicU64 = AtomicU64::new(1);
 
 /// A handle for emitting telemetry. Cloning is cheap (one `Arc` clone); a
 /// [`Telemetry::disabled`] handle makes every probe a no-op that
@@ -195,10 +245,10 @@ impl Telemetry {
         let Some(inner) = &self.inner else { return SpanGuard { live: None } };
         let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
         let me = Self::identity(inner);
-        let parent = SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let parent = s.iter().rev().find(|&&(h, _)| h == me).map(|&(_, id)| id);
-            s.push((me, id));
+        let parent = THREAD.with(|t| {
+            let stack = &mut t.borrow_mut().stack;
+            let parent = stack.iter().rev().find(|f| f.handle == me).map(|f| f.id);
+            stack.push(Frame { handle: me, id, folded: Vec::new() });
             parent
         });
         inner.sink.record(&Record::SpanStart {
@@ -208,13 +258,78 @@ impl Telemetry {
             t_us: Self::now_us(inner),
         });
         SpanGuard {
-            live: Some(LiveSpan {
+            live: Some(Live::Span(LiveSpan {
                 inner: Arc::clone(inner),
                 id,
                 name: name.to_string(),
                 opened: Instant::now(),
+            })),
+        }
+    }
+
+    /// Opens a span for one call of a hot call site. Inside a [`Fold`] of
+    /// this handle entered on this thread, the call is timed but nothing
+    /// is written: the fold writes it, with the other calls of `name`
+    /// that had the same parent, as one span whose `dur_us` is their
+    /// summed time. Outside any fold it is an ordinary [`Telemetry::span`].
+    ///
+    /// Each call keeps the parent an ordinary span would have had, so the
+    /// per-phase breakdown reads the same either way.
+    pub fn call_span(&self, name: &'static str) -> SpanGuard {
+        let Some(inner) = &self.inner else { return SpanGuard { live: None } };
+        let me = Self::identity(inner);
+        let fold = THREAD.with(|t| {
+            t.borrow().entered.iter().rev().find(|f| Self::identity(&f.tel) == me).cloned()
+        });
+        match fold {
+            Some(fold) => SpanGuard {
+                live: Some(Live::Call(LiveCall { fold, name, opened: Instant::now() })),
+            },
+            None => self.span(name),
+        }
+    }
+
+    /// Opens a fold: a batch (one measured batch, one model replan) whose
+    /// [`Telemetry::call_span`] calls are written once per batch instead
+    /// of once per call. Calls fold into it on the threads that
+    /// [`Fold::enter`] it; each name's calls under one parent become one
+    /// [`Record::SpanStart`]/[`Record::SpanEnd`] pair, with `calls`
+    /// counting them and `dur_us` their summed durations (each in whole
+    /// µs, as its own span would have read).
+    ///
+    /// A pair is written when its parent span closes or the fold drops,
+    /// whichever comes first, so it always lands inside its parent. Calls
+    /// with no parent (on a worker thread) are written when the fold
+    /// drops. Drop the fold before the spans that enclose it.
+    #[must_use]
+    pub fn fold(&self) -> Fold {
+        Fold {
+            inner: self.inner.as_ref().map(|tel| {
+                Arc::new(FoldInner {
+                    tel: Arc::clone(tel),
+                    id: NEXT_FOLD.fetch_add(1, Ordering::Relaxed),
+                    roots: Mutex::new(Vec::new()),
+                })
             }),
         }
+    }
+
+    /// Writes `folded` as one span pair under `parent`.
+    fn write_folded(inner: &Inner, parent: Option<u64>, folded: &FoldedCalls) {
+        let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
+        inner.sink.record(&Record::SpanStart {
+            id,
+            parent,
+            name: folded.name.to_string(),
+            t_us: folded.first_us,
+        });
+        inner.sink.record(&Record::SpanEnd {
+            id,
+            name: folded.name.to_string(),
+            t_us: Self::now_us(inner),
+            dur_us: folded.dur_us,
+            calls: (folded.calls != 1).then_some(folded.calls),
+        });
     }
 
     /// Emits an event named `name`. `fields` is only invoked when the
@@ -223,9 +338,7 @@ impl Telemetry {
     /// recorded as the event's span.
     pub fn event(&self, name: &str, fields: impl FnOnce() -> Value) {
         let Some(inner) = &self.inner else { return };
-        let me = Self::identity(inner);
-        let span = SPAN_STACK
-            .with(|s| s.borrow().iter().rev().find(|&&(h, _)| h == me).map(|&(_, id)| id));
+        let span = innermost(Self::identity(inner));
         inner.sink.record(&Record::Event {
             name: name.to_string(),
             span,
@@ -310,38 +423,151 @@ struct LiveSpan {
     opened: Instant,
 }
 
+/// One call timed into a fold.
+struct LiveCall {
+    fold: Arc<FoldInner>,
+    name: &'static str,
+    opened: Instant,
+}
+
+enum Live {
+    Span(LiveSpan),
+    Call(LiveCall),
+}
+
 /// Closes its span on drop. Hold it for the lifetime of the region:
 /// `let _span = tel.span("bted");`
 pub struct SpanGuard {
-    live: Option<LiveSpan>,
+    live: Option<Live>,
 }
 
 impl SpanGuard {
-    /// Span id, for correlating events in tests. `None` on disabled handles.
+    /// Span id, for correlating events in tests. `None` on disabled
+    /// handles and for a call folded into a [`Fold`].
     #[must_use]
     pub fn id(&self) -> Option<u64> {
-        self.live.as_ref().map(|l| l.id)
+        match &self.live {
+            Some(Live::Span(l)) => Some(l.id),
+            _ => None,
+        }
     }
+}
+
+fn whole_us(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(live) = self.live.take() else { return };
-        let me = Telemetry::identity(&live.inner);
-        SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            // Guards are usually dropped innermost-first, but a guard moved
-            // across scopes may not be on top: remove by id, not by pop.
-            if let Some(pos) = s.iter().rposition(|&e| e == (me, live.id)) {
-                s.remove(pos);
+        match self.live.take() {
+            None => {}
+            Some(Live::Span(live)) => {
+                let me = Telemetry::identity(&live.inner);
+                let folded = THREAD.with(|t| {
+                    let stack = &mut t.borrow_mut().stack;
+                    // Guards are usually dropped innermost-first, but a
+                    // guard moved across scopes may not be on top: remove
+                    // by id, not by pop.
+                    let pos = stack.iter().rposition(|f| f.handle == me && f.id == live.id);
+                    pos.map(|pos| stack.remove(pos).folded).unwrap_or_default()
+                });
+                let dur_us = whole_us(live.opened.elapsed());
+                for calls in &folded {
+                    Telemetry::write_folded(&live.inner, Some(live.id), calls);
+                }
+                live.inner.sink.record(&Record::SpanEnd {
+                    id: live.id,
+                    name: live.name,
+                    t_us: Telemetry::now_us(&live.inner),
+                    dur_us,
+                    calls: None,
+                });
+            }
+            Some(Live::Call(call)) => {
+                let dur_us = whole_us(call.opened.elapsed());
+                let fold = &call.fold;
+                let at_us = whole_us(call.opened.saturating_duration_since(fold.tel.start));
+                let me = Telemetry::identity(&fold.tel);
+                let parented = THREAD.with(|t| {
+                    let stack = &mut t.borrow_mut().stack;
+                    let frame = stack.iter_mut().rev().find(|f| f.handle == me);
+                    frame.map(|f| add_call(&mut f.folded, fold.id, call.name, dur_us, at_us))
+                });
+                if parented.is_none() {
+                    add_call(&mut lock_or_recover(&fold.roots), fold.id, call.name, dur_us, at_us);
+                }
+            }
+        }
+    }
+}
+
+struct FoldInner {
+    tel: Arc<Inner>,
+    id: u64,
+    /// Calls made with no open span of the handle on their thread.
+    roots: Mutex<Vec<FoldedCalls>>,
+}
+
+/// A batch of hot calls written as one span pair per name and parent;
+/// see [`Telemetry::fold`]. Share it by reference with the threads that
+/// run the batch, and have each [`Fold::enter`] it.
+pub struct Fold {
+    inner: Option<Arc<FoldInner>>,
+}
+
+impl Fold {
+    /// Makes this fold the one this thread's [`Telemetry::call_span`]
+    /// calls fold into, until the returned guard drops.
+    #[must_use]
+    pub fn enter(&self) -> FoldEntry<'_> {
+        if let Some(inner) = &self.inner {
+            THREAD.with(|t| t.borrow_mut().entered.push(Arc::clone(inner)));
+        }
+        FoldEntry { fold: self }
+    }
+}
+
+impl Drop for Fold {
+    fn drop(&mut self) {
+        let Some(fold) = self.inner.take() else { return };
+        let me = Telemetry::identity(&fold.tel);
+        // This thread's calls whose parent is still open; calls whose
+        // parent closed were written then.
+        let mut parented = Vec::new();
+        THREAD.with(|t| {
+            for frame in t.borrow_mut().stack.iter_mut().filter(|f| f.handle == me) {
+                let mut i = 0;
+                while i < frame.folded.len() {
+                    if frame.folded[i].fold == fold.id {
+                        parented.push((frame.id, frame.folded.remove(i)));
+                    } else {
+                        i += 1;
+                    }
+                }
             }
         });
-        let dur_us = u64::try_from(live.opened.elapsed().as_micros()).unwrap_or(u64::MAX);
-        live.inner.sink.record(&Record::SpanEnd {
-            id: live.id,
-            name: live.name,
-            t_us: Telemetry::now_us(&live.inner),
-            dur_us,
+        for (parent, calls) in &parented {
+            Telemetry::write_folded(&fold.tel, Some(*parent), calls);
+        }
+        for calls in lock_or_recover(&fold.roots).iter() {
+            Telemetry::write_folded(&fold.tel, None, calls);
+        }
+    }
+}
+
+/// Keeps a [`Fold`] entered on this thread; see [`Fold::enter`].
+pub struct FoldEntry<'a> {
+    fold: &'a Fold,
+}
+
+impl Drop for FoldEntry<'_> {
+    fn drop(&mut self) {
+        let Some(inner) = &self.fold.inner else { return };
+        THREAD.with(|t| {
+            let entered = &mut t.borrow_mut().entered;
+            if let Some(pos) = entered.iter().rposition(|f| Arc::ptr_eq(f, inner)) {
+                entered.remove(pos);
+            }
         });
     }
 }
@@ -416,7 +642,126 @@ mod tests {
         tel.report(|| unreachable!("report built on disabled handle"));
         tel.count("c", 1);
         tel.observe("h", 1.0);
+        let fold = tel.fold();
+        let _in = fold.enter();
+        let call = tel.call_span("hot");
+        assert_eq!(call.id(), None);
         tel.flush();
+    }
+
+    /// `(parent, calls)` of every `name` span pair, in write order, with
+    /// each pair's start and end record positions.
+    fn pairs(recs: &[Record], name: &str) -> Vec<(Option<u64>, Option<u64>, usize, usize)> {
+        let mut out = Vec::new();
+        for (i, r) in recs.iter().enumerate() {
+            if let Record::SpanStart { id, parent, name: n, .. } = r {
+                if n == name {
+                    let (j, calls) = recs
+                        .iter()
+                        .enumerate()
+                        .find_map(|(j, e)| match e {
+                            Record::SpanEnd { id: eid, calls, .. } if eid == id => {
+                                Some((j, *calls))
+                            }
+                            _ => None,
+                        })
+                        .unwrap();
+                    out.push((*parent, calls, i, j));
+                }
+            }
+        }
+        out
+    }
+
+    fn span_id(recs: &[Record], name: &str) -> u64 {
+        recs.iter()
+            .find_map(|r| match r {
+                Record::SpanStart { id, name: n, .. } if n == name => Some(*id),
+                _ => None,
+            })
+            .unwrap()
+    }
+
+    fn end_at(recs: &[Record], name: &str) -> usize {
+        recs.iter().position(|r| matches!(r, Record::SpanEnd { name: n, .. } if n == name)).unwrap()
+    }
+
+    #[test]
+    fn a_fold_writes_one_pair_per_parent_and_counts_its_calls() {
+        let sink = VecSink::new();
+        let tel = Telemetry::new(sink.clone());
+        {
+            let _batch = tel.span("batch");
+            let fold = tel.fold();
+            {
+                let _in = fold.enter();
+                for _ in 0..5 {
+                    let _call = tel.call_span("hot");
+                }
+                // A worker thread's calls have no parent, as their spans
+                // would have had.
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let _in = fold.enter();
+                        for _ in 0..3 {
+                            let _call = tel.call_span("hot");
+                        }
+                    });
+                });
+                assert!(sink.records().iter().all(|r| r.name() != "hot"), "nothing yet");
+            }
+            drop(fold);
+            // Outside the fold a call is an ordinary span again.
+            let _late = tel.call_span("hot");
+        }
+        let recs = sink.records();
+        let batch = span_id(&recs, "batch");
+        let hot = pairs(&recs, "hot");
+        assert_eq!(hot.len(), 3, "{hot:?}");
+        assert_eq!((hot[0].0, hot[0].1), (Some(batch), Some(5)));
+        assert_eq!((hot[1].0, hot[1].1), (None, Some(3)));
+        assert_eq!((hot[2].0, hot[2].1), (Some(batch), None), "the late call stands alone");
+        assert!(hot
+            .iter()
+            .all(|&(_, _, start, end)| end == start + 1 && end < end_at(&recs, "batch")));
+        let summary = TraceSummary::from_records(&recs);
+        assert_eq!(summary.spans["hot"].count, 9);
+        assert_eq!(summary.unclosed_spans, 0);
+    }
+
+    #[test]
+    fn a_parent_closing_before_the_fold_writes_its_calls_first() {
+        // The replan shape: the fold spans the replan, one call lands in
+        // the replan itself and the rest inside a search span that closes
+        // before the fold does.
+        let sink = VecSink::new();
+        let tel = Telemetry::new(sink.clone());
+        {
+            let _replan = tel.span("replan");
+            let fold = tel.fold();
+            let _in = fold.enter();
+            drop(tel.call_span("hot"));
+            {
+                let _search = tel.span("search");
+                for _ in 0..4 {
+                    let _call = tel.call_span("hot");
+                }
+            }
+        }
+        let recs = sink.records();
+        let hot = pairs(&recs, "hot");
+        assert_eq!(hot.len(), 2, "{hot:?}");
+        let (search, replan) = (span_id(&recs, "search"), span_id(&recs, "replan"));
+        assert_eq!((hot[0].0, hot[0].1), (Some(search), Some(4)));
+        assert!(hot[0].3 < end_at(&recs, "search"), "written inside its parent");
+        assert_eq!((hot[1].0, hot[1].1), (Some(replan), None), "one call: no count");
+        assert!(hot[1].3 < end_at(&recs, "replan"));
+        let summary = TraceSummary::from_records(&recs);
+        assert_eq!(summary.spans["hot"].count, 5);
+        let replan_node = &summary.flame.children[0];
+        let names: Vec<&str> = replan_node.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["search", "hot"]);
+        assert_eq!(replan_node.children[0].children[0].count, 4);
     }
 
     #[test]

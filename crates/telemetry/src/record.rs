@@ -1,7 +1,7 @@
 //! The wire format: one [`Record`] per JSONL line.
 
 use crate::metrics::Histogram;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Map, Serialize};
 use serde_json::Value;
 
 /// One telemetry record. Traces are streams of these, serialized as JSON
@@ -10,7 +10,7 @@ use serde_json::Value;
 /// Timestamps (`t_us`) are microseconds since the owning
 /// [`crate::Telemetry`] handle was created, so traces are comparable across
 /// processes without wall-clock coupling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub enum Record {
     /// Trace header: the wire-format version the rest of the stream uses.
     ///
@@ -41,8 +41,14 @@ pub enum Record {
         name: String,
         /// End time, µs since telemetry start.
         t_us: u64,
-        /// Wall-time duration of the span in µs.
+        /// Wall-time duration of the span in µs; for a folded span, the
+        /// summed durations of its calls.
         dur_us: u64,
+        /// How many calls a folded span stands for (see
+        /// [`crate::Telemetry::fold`]). Absent (`None`) means one: the
+        /// field is left out of the line, and lines written before it
+        /// existed read as one call.
+        calls: Option<u64>,
     },
     /// A point-in-time event with a typed payload.
     Event {
@@ -69,6 +75,57 @@ pub enum Record {
         /// The aggregated distribution.
         hist: Histogram,
     },
+}
+
+/// The derive's externally tagged shape, except that a
+/// [`Record::SpanEnd`] without a call count leaves `calls` out, so a
+/// plain span's line is as short as it was before folded spans existed.
+impl Serialize for Record {
+    fn serialize(&self) -> Value {
+        let (variant, fields): (&str, Vec<(&str, Value)>) = match self {
+            Record::Schema { version } => ("Schema", vec![("version", version.serialize())]),
+            Record::SpanStart { id, parent, name, t_us } => (
+                "SpanStart",
+                vec![
+                    ("id", id.serialize()),
+                    ("parent", parent.serialize()),
+                    ("name", name.serialize()),
+                    ("t_us", t_us.serialize()),
+                ],
+            ),
+            Record::SpanEnd { id, name, t_us, dur_us, calls } => {
+                let mut f = vec![
+                    ("id", id.serialize()),
+                    ("name", name.serialize()),
+                    ("t_us", t_us.serialize()),
+                    ("dur_us", dur_us.serialize()),
+                ];
+                if let Some(calls) = calls {
+                    f.push(("calls", calls.serialize()));
+                }
+                ("SpanEnd", f)
+            }
+            Record::Event { name, span, t_us, fields } => (
+                "Event",
+                vec![
+                    ("name", name.serialize()),
+                    ("span", span.serialize()),
+                    ("t_us", t_us.serialize()),
+                    ("fields", fields.clone()),
+                ],
+            ),
+            Record::Counter { name, value } => {
+                ("Counter", vec![("name", name.serialize()), ("value", value.serialize())])
+            }
+            Record::Histogram { name, hist } => {
+                ("Histogram", vec![("name", name.serialize()), ("hist", hist.serialize())])
+            }
+        };
+        let fields: Map = fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        let mut m = Map::new();
+        m.insert(variant.to_string(), Value::Object(fields));
+        Value::Object(m)
+    }
 }
 
 impl Record {
@@ -106,7 +163,8 @@ mod tests {
                 t_us: 15,
                 fields: json!({"trial": 3u64, "gflops": 120.5}),
             },
-            Record::SpanEnd { id: 2, name: "b".into(), t_us: 30, dur_us: 18 },
+            Record::SpanEnd { id: 2, name: "b".into(), t_us: 30, dur_us: 18, calls: None },
+            Record::SpanEnd { id: 3, name: "c".into(), t_us: 40, dur_us: 9, calls: Some(121) },
             Record::Counter { name: "sa.accepted".into(), value: 42 },
             Record::Histogram { name: "measure.us".into(), hist: h },
         ];
@@ -115,5 +173,16 @@ mod tests {
             let back: Record = serde_json::from_str(&line).unwrap();
             assert_eq!(r, back, "line was: {line}");
         }
+    }
+
+    #[test]
+    fn a_span_end_without_calls_keeps_the_old_line() {
+        let plain = Record::SpanEnd { id: 2, name: "b".into(), t_us: 30, dur_us: 18, calls: None };
+        let line = serde_json::to_string(&plain).unwrap();
+        assert_eq!(line, r#"{"SpanEnd":{"id":2,"name":"b","t_us":30,"dur_us":18}}"#);
+        let folded =
+            Record::SpanEnd { id: 2, name: "b".into(), t_us: 30, dur_us: 18, calls: Some(4) };
+        let line = serde_json::to_string(&folded).unwrap();
+        assert_eq!(line, r#"{"SpanEnd":{"id":2,"name":"b","t_us":30,"dur_us":18,"calls":4}}"#);
     }
 }

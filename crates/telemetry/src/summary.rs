@@ -50,7 +50,8 @@ pub struct TraceSummary {
 /// Timing for every span sharing one name.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SpanStats {
-    /// Number of completed spans with this name.
+    /// Number of completed spans with this name, a folded span counting
+    /// as the calls it stands for.
     pub count: u64,
     /// Summed wall time, µs.
     pub total_us: u64,
@@ -67,7 +68,8 @@ pub struct FlameNode {
     pub name: String,
     /// Summed wall time of all spans merged into this node, µs.
     pub total_us: u64,
-    /// How many spans merged into this node.
+    /// How many spans merged into this node (a folded span counts its
+    /// calls).
     pub count: u64,
     /// Child phases, in the order their first span ended.
     pub children: Vec<FlameNode>,
@@ -147,7 +149,9 @@ impl Fold {
             Record::SpanStart { id, parent, name, .. } => {
                 self.open.insert(id, (name, parent));
             }
-            Record::SpanEnd { id, name, dur_us, .. } => {
+            Record::SpanEnd { id, name, dur_us, calls, .. } => {
+                // A folded span stands for `calls` calls of its name.
+                let calls = calls.unwrap_or(1);
                 let (name, parent) = self.open.remove(&id).unwrap_or((name, None));
                 let children = self.child_time.remove(&id).unwrap_or(0);
                 if let Some(p) = parent {
@@ -163,9 +167,9 @@ impl Fold {
                 }
                 let node = path.iter().rev().fold(&mut self.out.flame, |n, seg| n.child_mut(seg));
                 node.total_us += dur_us;
-                node.count += 1;
+                node.count += calls;
                 let stats = self.out.spans.entry(name).or_default();
-                stats.count += 1;
+                stats.count += calls;
                 stats.total_us += dur_us;
                 stats.self_us += dur_us.saturating_sub(children);
             }
@@ -387,7 +391,7 @@ mod tests {
     fn span(id: u64, parent: Option<u64>, name: &str, t0: u64, dur: u64) -> [Record; 2] {
         [
             Record::SpanStart { id, parent, name: name.into(), t_us: t0 },
-            Record::SpanEnd { id, name: name.into(), t_us: t0 + dur, dur_us: dur },
+            Record::SpanEnd { id, name: name.into(), t_us: t0 + dur, dur_us: dur, calls: None },
         ]
     }
 
@@ -401,6 +405,24 @@ mod tests {
         assert_eq!(s.spans["parent"].self_us, 40);
         assert_eq!(s.spans["child"].self_us, 60);
         assert_eq!(s.unclosed_spans, 0);
+    }
+
+    #[test]
+    fn a_folded_span_counts_its_calls() {
+        // A parent (100µs) holding one folded record of 40 calls (30µs)
+        // reads like 40 child spans summing to 30µs; a line without
+        // `calls` (written before folding existed) counts once.
+        let [p0, p1] = span(1, None, "sa.search", 0, 100);
+        let [c0, c1] = span(2, Some(1), "gbt.predict", 10, 30);
+        let Record::SpanEnd { id, name, t_us, dur_us, .. } = c1 else { unreachable!() };
+        let folded = Record::SpanEnd { id, name, t_us, dur_us, calls: Some(40) };
+        let [d0, d1] = span(3, Some(1), "gbt.predict", 60, 5);
+        let s = TraceSummary::from_records(&[p0, c0, folded, d0, d1, p1]);
+        let predict = s.spans["gbt.predict"];
+        assert_eq!((predict.count, predict.total_us, predict.self_us), (41, 35, 35));
+        assert_eq!(s.spans["sa.search"].self_us, 65);
+        let node = &s.flame.children[0].children[0];
+        assert_eq!((node.name.as_str(), node.count, node.total_us), ("gbt.predict", 41, 35));
     }
 
     #[test]

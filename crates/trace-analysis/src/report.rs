@@ -843,7 +843,7 @@ mod tests {
         vec![
             Record::SpanStart { id: 1, parent: None, name: "tune_task".into(), t_us: 0 },
             Record::SpanStart { id: 2, parent: Some(1), name: "measure".into(), t_us: 5 },
-            Record::SpanEnd { id: 2, name: "measure".into(), t_us: 80, dur_us: 75 },
+            Record::SpanEnd { id: 2, name: "measure".into(), t_us: 80, dur_us: 75, calls: None },
             Record::Event {
                 name: "bao.radius".into(),
                 span: Some(1),
@@ -859,7 +859,13 @@ mod tests {
                 t_us: 95,
                 fields: serde_json::json!({"accepted": 3u64, "rejected": 1u64}),
             },
-            Record::SpanEnd { id: 1, name: "tune_task".into(), t_us: 100, dur_us: 100 },
+            Record::SpanEnd {
+                id: 1,
+                name: "tune_task".into(),
+                t_us: 100,
+                dur_us: 100,
+                calls: None,
+            },
         ]
     }
 
