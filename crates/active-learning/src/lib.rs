@@ -20,7 +20,9 @@
 //! tunes whole models and reports the end-to-end latency statistics of
 //! Table I. [`session::Session`] is the crash-safe run engine behind both
 //! `aaltune tune` and serve jobs: durable logs, a progress journal,
-//! replay resume, and the tuning-database seed and upsert.
+//! replay resume, and the tuning-database seed and upsert. Both assemble
+//! what a session runs from one [`run::Run`]: the manifest, its tasks and
+//! the measurement stack.
 //!
 //! # Example
 //!
@@ -46,6 +48,7 @@ pub mod model_tuning;
 pub mod names;
 pub mod options;
 pub mod records;
+pub mod run;
 pub mod sa;
 pub mod session;
 pub mod task_tuning;
@@ -67,5 +70,6 @@ pub use records::{
     RunManifest, TrialRecord, TuningLog, WarmSeed, CHECKPOINT_SCHEMA_VERSION,
     MANIFEST_SCHEMA_VERSION,
 };
+pub use run::{Run, RunMeasurer};
 pub use session::{DbPolicy, Session, SessionDb};
 pub use task_tuning::{tune_task, tune_task_with, Method, TaskTuneResult, TuneHooks};

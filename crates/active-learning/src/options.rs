@@ -106,7 +106,16 @@ impl TuneOptions {
         self.capture_model.unwrap_or(false)
     }
 
-    /// A reduced-budget preset for unit tests and smoke benches.
+    /// The paper's settings for a budget of `n_trial` trials per task:
+    /// early stopping at 400, or at the budget when that is smaller.
+    #[must_use]
+    pub fn paper(n_trial: usize, seed: u64) -> Self {
+        TuneOptions { n_trial, early_stopping: 400.min(n_trial), seed, ..TuneOptions::default() }
+    }
+
+    /// A reduced-budget preset for tests and the criterion smoke benches.
+    /// Nothing the command line or the server runs tunes with it: both
+    /// start from [`TuneOptions::paper`].
     #[must_use]
     pub fn smoke() -> Self {
         TuneOptions {

@@ -10,10 +10,11 @@
 //!     [--trace FILE] [--quiet] [--json]
 //! ```
 
+use active_learning::TuneOptions;
 use bench::args::Args;
 use bench::experiments::{run_ablation_gamma, run_ablation_init, run_ablation_scope};
+use bench::init_telemetry;
 use bench::report::write_json;
-use bench::{init_telemetry, scaled_options};
 use std::path::PathBuf;
 
 fn main() {
@@ -37,7 +38,7 @@ fn main() {
              workers={workers}"
         )
     });
-    let opts = scaled_options(n_trial, seed);
+    let opts = TuneOptions::paper(n_trial, seed);
 
     let gamma = run_ablation_gamma(&[1, 2, 4, 8], &opts, &tasks, trials);
     println!("-- BAO bootstrap resamples (paper: gamma=2) --");

@@ -7,10 +7,11 @@
 //!     [--trace FILE] [--quiet] [--json]
 //! ```
 
+use active_learning::TuneOptions;
 use bench::args::Args;
 use bench::experiments::run_fig5;
+use bench::init_telemetry;
 use bench::report::{render_fig5, write_json};
-use bench::{init_telemetry, scaled_options};
 use std::path::PathBuf;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     let workers: usize = args.get("workers", 1);
     bench::experiments::set_workers(workers);
     tel.report(|| format!("fig5: n_trial={n_trial} trials={trials} seed={seed} workers={workers}"));
-    let mut opts = scaled_options(n_trial, seed);
+    let mut opts = TuneOptions::paper(n_trial, seed);
     opts.batch_size = args.get("batch-size", opts.batch_size);
     let data = run_fig5(&opts, trials);
     print!("{}", render_fig5(&data));

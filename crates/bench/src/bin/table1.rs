@@ -9,11 +9,12 @@
 //!
 //! `--models fast` restricts to the two cheapest models for a quick pass.
 
+use active_learning::TuneOptions;
 use bench::args::Args;
 use bench::experiments::run_table1_models;
+use bench::init_telemetry;
 use bench::registry::register_table1;
 use bench::report::{render_table1, write_json};
-use bench::{init_telemetry, scaled_options};
 use dnn_graph::models;
 use std::path::PathBuf;
 
@@ -43,7 +44,7 @@ fn main() {
              models={which} workers={workers}"
         )
     });
-    let mut opts = scaled_options(n_trial, seed);
+    let mut opts = TuneOptions::paper(n_trial, seed);
     opts.batch_size = args.get("batch-size", opts.batch_size);
     let data = run_table1_models(&graphs, &opts, trials, runs);
     print!("{}", render_table1(&data));

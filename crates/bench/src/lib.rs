@@ -36,14 +36,3 @@ pub fn init_telemetry(args: &args::Args) -> telemetry::Telemetry {
     )
     .expect("create trace file")
 }
-
-/// Scales a [`active_learning::TuneOptions`] budget for quick runs.
-#[must_use]
-pub fn scaled_options(n_trial: usize, seed: u64) -> active_learning::TuneOptions {
-    active_learning::TuneOptions {
-        n_trial,
-        early_stopping: 400.min(n_trial),
-        seed,
-        ..active_learning::TuneOptions::default()
-    }
-}

@@ -3,12 +3,12 @@
 use crate::opts::Cli;
 use active_learning::{
     device_by_name, method_by_name, model_by_name, read_capture, tune_model_parallel, DbPolicy,
-    DbProvenance, Method, RunDir, RunManifest, Session, SessionDb, TuneOptions,
-    MANIFEST_SCHEMA_VERSION, MODEL_QUALITY_FILE,
+    DbProvenance, Run, RunDir, Session, SessionDb, TuneOptions, MANIFEST_SCHEMA_VERSION,
+    MODEL_QUALITY_FILE,
 };
 use dnn_graph::task::extract_tasks;
 use executor::{Executor, ExecutorConfig};
-use gpu_sim::{FaultConfig, FaultInjectingMeasurer, RetryPolicy, RobustMeasurer, SimMeasurer};
+use gpu_sim::{FaultConfig, SimMeasurer};
 use schedule::template::space_for_task;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -202,17 +202,14 @@ fn opt_flag<T: std::str::FromStr>(cli: &Cli, name: &str) -> Result<Option<T>, St
         .transpose()
 }
 
-fn options(cli: &Cli) -> Result<TuneOptions, String> {
-    let n_trial: usize = cli.flag("n-trial", 512)?;
+/// `base` with the option flags the command line names applied.
+fn options(cli: &Cli, base: TuneOptions) -> Result<TuneOptions, String> {
     Ok(TuneOptions {
-        n_trial,
-        early_stopping: 400.min(n_trial),
-        seed: cli.flag("seed", 0)?,
-        batch_size: cli.flag("batch-size", TuneOptions::default().batch_size)?,
+        batch_size: cli.flag("batch-size", base.batch_size)?,
         max_retries: opt_flag(cli, "max-retries")?,
         trial_timeout_ms: opt_flag(cli, "trial-timeout-ms")?,
         fail_rate_cap: opt_flag(cli, "max-fail-rate")?,
-        ..TuneOptions::default()
+        ..base
     })
 }
 
@@ -261,153 +258,89 @@ fn devices() -> Result<(), String> {
     Ok(())
 }
 
-/// The tuning database a run is attached to.
-struct DbSettings {
-    path: PathBuf,
-    policy: DbPolicy,
-}
-
-/// Everything `tune` needs to run, resolved either from the command line
-/// (fresh run) or from a run directory's manifest (`--resume`).
+/// Everything `tune` needs to run: the run its manifest describes, fresh
+/// from the command line or read back from a run directory (`--resume`).
 struct TunePlan {
-    model: dnn_graph::Graph,
-    method: Method,
-    opts: TuneOptions,
-    fault: FaultConfig,
-    device_name: String,
+    run: Run,
     run_dir: Option<RunDir>,
     /// Where the run registry lives (the parent of the run directory).
     registry_base: Option<PathBuf>,
     resume: bool,
     /// Tasks `progress.jsonl` lists as complete (none when fresh).
     completed: Vec<String>,
-    /// Exact task set pinned by the original manifest on resume.
-    task_names: Option<Vec<String>>,
-    /// Measurement worker threads (free to change on resume: worker count
-    /// never changes results, only wall time).
-    workers: usize,
-    /// Simulated device slots in the executor pool.
-    devices: usize,
-    /// Tuning database attachment, if any. On resume this comes from the
-    /// manifest's provenance, so the continued run consults the same store
-    /// under the same policy.
-    db: Option<DbSettings>,
 }
 
 impl TunePlan {
+    /// The shared fresh run, with what the command line's flags name set
+    /// on its manifest.
     fn fresh(cli: &Cli) -> Result<TunePlan, String> {
-        let model = model_arg(cli)?;
-        let method = method_by_name(cli.flag_str("method").unwrap_or("bted+bao"))?;
-        // Capture is on by default for `tune`: it is pure (trial logs stay
-        // byte-identical) and it is what `explain` and the report's model
-        // panel feed on. The manifest pins the choice, so resume inherits it.
-        let opts = TuneOptions {
-            capture_model: Some(!cli.flag_present("no-capture-model")),
-            ..options(cli)?
-        };
+        let mut run = Run::fresh(
+            cli.positional.get(1).ok_or("missing <model> argument")?,
+            cli.flag_str("method").unwrap_or("bted+bao"),
+            opt_flag(cli, "task")?,
+            cli.flag("n-trial", 512)?,
+            cli.flag("seed", 0)?,
+        )?;
+        let m = &mut run.manifest;
+        m.options = options(cli, m.options)?;
+        if cli.flag_present("no-capture-model") {
+            m.options.capture_model = Some(false);
+        }
+        if let Some(device) = cli.flag_str("device") {
+            m.device = Some(device.to_string());
+        }
         let fault =
             FaultConfig { rate: cli.flag("fault-rate", 0.0)?, seed: cli.flag("fault-seed", 0)? };
         if !(0.0..=1.0).contains(&fault.rate) {
             return Err(format!("--fault-rate {} out of range [0, 1]", fault.rate));
         }
-        let run_dir = cli
-            .flag_str("out")
-            .map(|base| {
-                let name = format!("{}-{method}-seed{}", model.name, opts.seed);
-                RunDir::create(Path::new(base).join(name))
-                    .map_err(|e| format!("cannot create run directory: {e}"))
-            })
-            .transpose()?;
-        let db = match cli.flag_str("db") {
-            Some(p) => Some(DbSettings {
-                path: PathBuf::from(p),
-                policy: DbPolicy::parse(cli.flag_str("db-policy").unwrap_or("serve"))?,
+        m.fault = (!fault.is_off()).then_some(fault);
+        m.db = match cli.flag_str("db") {
+            Some(path) => Some(DbProvenance {
+                path: path.to_string(),
+                policy: DbPolicy::parse(cli.flag_str("db-policy").unwrap_or("serve"))?
+                    .label()
+                    .to_string(),
             }),
             None if cli.flag_str("db-policy").is_some() => {
                 return Err("--db-policy requires --db".to_string())
             }
             None => None,
         };
+        let run_dir = cli
+            .flag_str("out")
+            .map(|base| {
+                let name = format!("{}-{}-seed{}", m.model, run.method, m.seed);
+                RunDir::create(Path::new(base).join(name))
+                    .map_err(|e| format!("cannot create run directory: {e}"))
+            })
+            .transpose()?;
         Ok(TunePlan {
-            model,
-            method,
-            opts,
-            fault,
-            device_name: cli.flag_str("device").unwrap_or("gtx1080ti").to_string(),
+            run,
             run_dir,
             registry_base: cli.flag_str("out").map(PathBuf::from),
             resume: false,
             completed: Vec::new(),
-            task_names: None,
-            workers: 1,
-            devices: 1,
-            db,
         })
     }
 
-    /// Rebuilds the plan of a killed run from its manifest: model, method,
-    /// options, device, and fault stream all come from the directory, so
-    /// the continued run is the same experiment.
+    /// The plan of a killed run: model, method, options, device, fault
+    /// stream and database all come from its manifest, so the continued
+    /// run is the same experiment.
     fn resume(path: &Path) -> Result<TunePlan, String> {
         let dir = RunDir::open(path).map_err(|e| format!("cannot resume: {e}"))?;
-        let manifest =
-            dir.read_manifest().map_err(|e| format!("cannot resume {}: {e}", path.display()))?;
-        if let Some(w) = manifest.schema_warning() {
-            return Err(format!("cannot resume {}: {w}", path.display()));
-        }
+        let run = Run::open(&dir).map_err(|e| format!("cannot resume {}: {e}", path.display()))?;
         let completed = dir
             .recover_progress()
             .map_err(|e| format!("bad progress journal in {}: {e}", path.display()))?
             .unwrap_or_default();
-        let db = manifest
-            .db
-            .as_ref()
-            .map(|p| {
-                Ok::<_, String>(DbSettings {
-                    path: PathBuf::from(&p.path),
-                    policy: DbPolicy::parse(&p.policy)?,
-                })
-            })
-            .transpose()?;
         Ok(TunePlan {
-            model: model_by_name(&manifest.model)?,
-            method: method_by_name(&manifest.method)?,
-            opts: manifest.options,
-            fault: manifest.fault.unwrap_or_else(FaultConfig::off),
-            device_name: manifest.device.clone().unwrap_or_else(|| "gtx1080ti".to_string()),
+            run,
             registry_base: path.parent().map(Path::to_path_buf),
             run_dir: Some(dir),
             resume: true,
             completed,
-            task_names: Some(manifest.tasks),
-            workers: manifest.workers.unwrap_or(1),
-            devices: manifest.devices.unwrap_or(1),
-            db,
         })
-    }
-
-    fn manifest(&self, task_names: Vec<String>, wall_time_s: Option<f64>) -> RunManifest {
-        RunManifest {
-            model: self.model.name.clone(),
-            method: self.method.to_string(),
-            tasks: task_names,
-            seed: self.opts.seed,
-            options: self.opts,
-            schema_version: Some(MANIFEST_SCHEMA_VERSION),
-            // The start manifest leaves it out: `git describe` is a
-            // subprocess, and the completion rewrite fills it in.
-            git_describe: wall_time_s.and_then(|_| trace_analysis::git_describe(Path::new("."))),
-            wall_time_s,
-            device: Some(self.device_name.clone()),
-            fault: (!self.fault.is_off()).then_some(self.fault),
-            resumed: self.resume.then_some(true),
-            workers: Some(self.workers),
-            devices: Some(self.devices),
-            db: self.db.as_ref().map(|d| DbProvenance {
-                path: d.path.display().to_string(),
-                policy: d.policy.label().to_string(),
-            }),
-        }
     }
 }
 
@@ -418,35 +351,33 @@ fn tune(cli: &Cli) -> Result<(), String> {
         Some(p) => TunePlan::resume(Path::new(p))?,
         None => TunePlan::fresh(cli)?,
     };
-    if let Some(w) = opt_flag::<usize>(cli, "workers")? {
-        plan.workers = w;
-    }
-    if let Some(d) = opt_flag::<usize>(cli, "devices")? {
-        plan.devices = d;
-    } else if !plan.resume {
-        plan.devices = plan.devices.max(plan.workers);
-    }
-    if plan.workers == 0 || plan.devices == 0 {
+    // Worker and device counts never change results, only wall time, so
+    // they are free to change on resume.
+    let manifest = &mut plan.run.manifest;
+    let workers = opt_flag(cli, "workers")?.or(manifest.workers).unwrap_or(1);
+    let devices = match opt_flag(cli, "devices")? {
+        Some(d) => d,
+        None if plan.resume => manifest.devices.unwrap_or(1),
+        None => workers.max(1),
+    };
+    if workers == 0 || devices == 0 {
         return Err("--workers and --devices must be at least 1".to_string());
     }
+    (manifest.workers, manifest.devices) = (Some(workers), Some(devices));
     let device_ms: f64 = cli.flag("device-ms", 0.0)?;
     if device_ms < 0.0 {
         return Err(format!("--device-ms {device_ms} must be non-negative"));
     }
-
-    // The full measurement stack, always assembled the same way: fault
-    // injection (transparent at rate 0) under the retry/timeout policy,
-    // each batch fanned out by the executor over up to --workers threads
-    // (a plain loop on this thread at --workers 1).
-    let policy = RetryPolicy {
-        max_retries: plan.opts.max_retries_or_default(),
-        trial_timeout_ms: plan.opts.trial_timeout_ms.unwrap_or(0.0),
-    };
-    let device = device_by_name(&plan.device_name)?;
-    let robust = RobustMeasurer::new(
-        FaultInjectingMeasurer::new(SimMeasurer::new(device), plan.fault),
-        policy,
+    // The manifest's measurement stack, each batch fanned out by the
+    // executor over up to --workers threads (a plain loop on this thread
+    // at --workers 1).
+    let m = Executor::new(
+        plan.run.measurer()?,
+        ExecutorConfig::for_workers(workers)
+            .with_devices(devices)
+            .with_device_hold(Duration::from_secs_f64(device_ms / 1000.0)),
     );
+
     // A resumed process appends to the existing trace; its fresh schema
     // header marks the segment boundary for counter summing.
     let trace: Option<PathBuf> = cli
@@ -476,30 +407,12 @@ fn tune(cli: &Cli) -> Result<(), String> {
             tel.clone(),
         )
     });
-    let m = Executor::new(
-        robust,
-        ExecutorConfig::for_workers(plan.workers)
-            .with_devices(plan.devices)
-            .with_device_hold(Duration::from_secs_f64(device_ms / 1000.0)),
-    );
-
-    let mut tasks = extract_tasks(&plan.model);
-    if let Some(names) = &plan.task_names {
-        tasks.retain(|t| names.contains(&t.name));
-    } else if let Some(s) = cli.flag_str("task") {
-        let i: usize = s.parse().map_err(|_| format!("invalid --task index `{s}`"))?;
-        if i >= tasks.len() {
-            return Err(format!("--task {i} out of range (model has {})", tasks.len()));
-        }
-        tasks = vec![tasks.swap_remove(i)];
-    }
-    let task_names: Vec<String> = tasks.iter().map(|t| t.name.clone()).collect();
 
     // Crash-safety contract: the manifest exists from the first moment a
     // trial can be lost, so a killed run is always resumable.
     if let Some(dir) = &plan.run_dir {
         if !plan.resume {
-            dir.write_manifest(&plan.manifest(task_names.clone(), None))
+            dir.write_manifest(&plan.run.manifest)
                 .map_err(|e| format!("cannot write manifest: {e}"))?;
         }
         // Register the run up front (no wall time yet), so `aaltune runs`
@@ -517,28 +430,30 @@ fn tune(cli: &Cli) -> Result<(), String> {
     // The tuning database opens after the telemetry pipeline so its
     // lock-takeover counter and task gauge land in this run's trace. The
     // advisory writer lock is held for the whole run; a concurrent live
-    // writer makes this open back off and fail cleanly.
+    // writer makes this open back off and fail cleanly. On resume the
+    // manifest's provenance names it, so the continued run consults the
+    // same store under the same policy.
     let db = plan
+        .run
+        .manifest
         .db
         .as_ref()
-        .map(|s| {
-            TuningDb::open(&s.path, &LockOptions::default())
-                .map(Mutex::new)
-                .map_err(|e| format!("cannot open tuning database {}: {e}", s.path.display()))
+        .map(|p| {
+            let store = TuningDb::open(Path::new(&p.path), &LockOptions::default())
+                .map_err(|e| format!("cannot open tuning database {}: {e}", p.path))?;
+            Ok::<_, String>((Mutex::new(store), DbPolicy::parse(&p.policy)?))
         })
         .transpose()?;
     let session = Session {
         measurer: &m,
-        method: plan.method,
-        opts: plan.opts,
-        device: &plan.device_name,
+        method: plan.run.method,
+        opts: plan.run.manifest.options,
+        device: plan.run.device(),
         dir: plan.run_dir.as_ref(),
         resume: plan.resume,
         completed: plan.completed.clone(),
-        task_workers: plan.workers,
-        db: db
-            .as_ref()
-            .map(|store| SessionDb { store, consult: plan.db.as_ref().map(|s| s.policy) }),
+        task_workers: workers,
+        db: db.as_ref().map(|(store, policy)| SessionDb { store, consult: Some(*policy) }),
         tel: &tel,
         on_trial: &|_, _| {},
         // An aborted task is reported but keeps its truncated log.
@@ -547,7 +462,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
             Ok(())
         },
     };
-    let logs = session.run(&tasks)?;
+    let logs = session.run(&plan.run.tasks)?;
 
     if let Some(dir) = &plan.run_dir {
         // Stop the snapshot thread first: its final publish lands before
@@ -556,10 +471,17 @@ fn tune(cli: &Cli) -> Result<(), String> {
         if let Some(writer) = snapshot_writer.take() {
             writer.finish();
         }
-        // Rewrite the manifest with the final wall time (and the resumed
-        // marker) now that the run is complete.
-        dir.write_manifest(&plan.manifest(task_names, Some(started.elapsed().as_secs_f64())))
-            .map_err(|e| format!("cannot write manifest: {e}"))?;
+        // Rewrite the manifest, in this binary's format, with the final
+        // wall time, the resumed marker and `git describe` (a subprocess
+        // the start manifest goes without) now that the run is complete.
+        let manifest = &mut plan.run.manifest;
+        manifest.schema_version = Some(MANIFEST_SCHEMA_VERSION);
+        manifest.wall_time_s = Some(started.elapsed().as_secs_f64());
+        manifest.git_describe = trace_analysis::git_describe(Path::new("."));
+        if plan.resume {
+            manifest.resumed = Some(true);
+        }
+        dir.write_manifest(manifest).map_err(|e| format!("cannot write manifest: {e}"))?;
         // Flush counters into the trace before the registry reads it for
         // the health columns.
         finish.flush();
@@ -641,7 +563,7 @@ fn db_cmd(cli: &Cli) -> Result<u8, String> {
 fn deploy(cli: &Cli) -> Result<(), String> {
     let model = model_arg(cli)?;
     let method = method_by_name(cli.flag_str("method").unwrap_or("bted+bao"))?;
-    let opts = options(cli)?;
+    let opts = options(cli, TuneOptions::paper(cli.flag("n-trial", 512)?, cli.flag("seed", 0)?))?;
     let runs: usize = cli.flag("runs", 600)?;
     let workers: usize = cli.flag("workers", 1)?;
     if workers == 0 {
@@ -1019,7 +941,7 @@ mod tests {
             base.to_str().unwrap(),
         ]);
         let plan = TunePlan::fresh(&Cli::parse(&args).unwrap()).unwrap();
-        assert_eq!(plan.manifest(Vec::new(), None).git_describe, None, "start manifest");
+        assert_eq!(plan.run.manifest.git_describe, None, "start manifest");
         dispatch(&args).unwrap();
         let dir = RunDir::open(base.join("squeezenet_v1.1-random-seed0")).unwrap();
         let done = dir.read_manifest().unwrap();

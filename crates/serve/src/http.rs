@@ -252,7 +252,7 @@ impl Conn {
     /// Propagates write failures.
     pub fn start_chunked(&mut self, status: u16, content_type: &str) -> std::io::Result<()> {
         let head = format!(
-            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
+            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n",
             status_text(status)
         );
         self.stream.write_all(head.as_bytes())?;

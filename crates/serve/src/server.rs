@@ -590,7 +590,8 @@ fn job_result(shared: &Arc<Shared>, conn: &mut Conn, id: &str) -> std::io::Resul
 /// shutdown). With `?after=N` it is one pass from `seq` N instead: the
 /// events past it, or what arrives within [`IDLE_POLL`], so a follower
 /// that reconnects from its last `seq` never holds an HTTP worker for
-/// longer. Always closes the connection afterwards.
+/// longer. The terminal chunk ends the response, so the connection stays
+/// open for the next request, as after any other response.
 fn job_events(
     shared: &Arc<Shared>,
     conn: &mut Conn,
@@ -622,7 +623,7 @@ fn job_events(
         }
     }
     conn.finish_chunked()?;
-    Ok(false)
+    Ok(true)
 }
 
 #[allow(clippy::cast_precision_loss)]

@@ -372,43 +372,67 @@ fn finished_jobs_and_first_reads_reach_the_snapshot_without_waiting_the_interval
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A follower that stops reading stalls the server's writes to it. While
-/// it is stalled, its job runs to the end and another tenant's `bted+bao`
-/// job emits more than a thousand events. Once the follower reads again,
-/// it must still get its own job's events, in order, up to `job.done`,
-/// and the stream must end.
+/// A follower that stops reading stalls the server's writes to it. On one
+/// connection it asks for the event streams of three whole-model jobs
+/// that run one after another, about 6 MB of events in all: more than
+/// the socket buffers between them hold, so the server's writes block
+/// while a followed job runs on, far past its 512-event ring, to its end.
+/// Once the follower reads again, it must still get each job's events,
+/// in order, up to the `job.done` whose `seq` follows the job's last
+/// trial, and each stream must end.
 #[test]
 fn a_stalled_follower_still_gets_its_jobs_terminal_event() {
     use std::io::{Read, Write};
 
     let root = temp_root("stalled-follower");
-    let server = Server::start(config(&root)).expect("server starts");
+    let server =
+        Server::start(ServeConfig { job_workers: 1, ..config(&root) }).expect("server starts");
     let addr = server.addr().to_string();
-    // Enough trial lines (~140 bytes each) to fill the socket buffers
-    // between the server and a reader that does not read.
-    let followed = submit(&addr, &spec("alpha", 3, 40_000));
-    let other_trials = 1_100;
-    let other = submit(
-        &addr,
-        &json!({
-            "tenant": "beta",
-            "model": "squeezenet",
-            "task": 0u64,
-            "method": "bted+bao",
-            "n_trial": other_trials,
-            "seed": 1u64,
-        }),
-    );
+    // About 15,000 trials each, of ~140 bytes of event line.
+    let jobs: Vec<String> = (3..6u64)
+        .map(|seed| {
+            submit(
+                &addr,
+                &json!({
+                    "tenant": "alpha",
+                    "model": "mobilenet_v1",
+                    "method": "random",
+                    "n_trial": 40_000u64,
+                    "seed": seed,
+                }),
+            )
+        })
+        .collect();
+    // The requests are pipelined, and the write half is closed so the
+    // server drops the connection after the last stream.
     let mut follower = std::net::TcpStream::connect(&addr).expect("connect");
-    write!(follower, "GET /jobs/{followed}/events HTTP/1.1\r\nHost: aaltune\r\n\r\n")
-        .expect("request");
-    wait_done(&addr, &followed);
-    wait_done(&addr, &other);
+    for id in &jobs {
+        write!(follower, "GET /jobs/{id}/events HTTP/1.1\r\nHost: aaltune\r\n\r\n")
+            .expect("request");
+    }
+    follower.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let terminal_seqs: Vec<u64> = jobs
+        .iter()
+        .map(|id| {
+            wait_done(&addr, id);
+            let (code, result) =
+                client::request(&addr, "GET", &format!("/jobs/{id}/result"), None).unwrap();
+            assert_eq!(code, 200, "{result}");
+            let trials: u64 = result["tasks"]
+                .as_array()
+                .expect("per-task summaries")
+                .iter()
+                .map(|t| t["trials"].as_u64().expect("trial count"))
+                .sum();
+            trials + 1
+        })
+        .collect();
 
     follower.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     let mut body = Vec::new();
-    follower.read_to_end(&mut body).expect("the stream ends once the terminal line is sent");
+    follower.read_to_end(&mut body).expect("the streams end once the terminal lines are sent");
     let body = String::from_utf8(body).expect("UTF-8 stream");
+    assert_eq!(body.matches("HTTP/1.1 200").count(), jobs.len(), "one response per request");
     assert!(body.ends_with("0\r\n\r\n"), "chunked stream terminated");
     // Each chunk is one JSON line; chunk-size lines never start with `{`.
     let events: Vec<Value> = body
@@ -416,18 +440,21 @@ fn a_stalled_follower_still_gets_its_jobs_terminal_event() {
         .filter(|l| l.starts_with('{'))
         .map(|l| serde_json::from_str(l).expect("JSON event line"))
         .collect();
-    assert!(events.iter().all(|v| v["job"].as_str() == Some(followed.as_str())), "one job");
-    let seqs: Vec<u64> = events.iter().filter_map(|v| v["seq"].as_u64()).collect();
-    assert_eq!(seqs.len(), events.len(), "every line is seq-stamped");
-    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "events arrive in seq order");
-    assert_eq!(events.last().and_then(|v| v["event"].as_str()), Some("job.done"));
-    assert_eq!(seqs.last(), Some(&40_001), "the terminal line is the job's last event");
+    let mut rest = events.as_slice();
+    for (id, terminal_seq) in jobs.iter().zip(terminal_seqs) {
+        let n = rest.iter().take_while(|v| v["job"].as_str() == Some(id.as_str())).count();
+        let (stream, tail) = rest.split_at(n);
+        rest = tail;
+        let seqs: Vec<u64> = stream.iter().filter_map(|v| v["seq"].as_u64()).collect();
+        assert_eq!(seqs.len(), stream.len(), "every line of {id} is seq-stamped");
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{id}'s events arrive in seq order");
+        assert_eq!(stream.last().and_then(|v| v["event"].as_str()), Some("job.done"));
+        assert_eq!(seqs.last(), Some(&terminal_seq), "{id}'s terminal line is its last event");
+    }
+    assert!(rest.is_empty(), "each stream carries its own job's events only");
 
     server.shutdown();
     server.wait();
-    let trace = std::fs::read_to_string(root.join("trace.jsonl")).expect("trace");
-    let other_events = trace.matches(&format!("\"job\":\"{other}\"")).count();
-    assert!(other_events > 1_024, "the other job emitted {other_events} events");
     let _ = std::fs::remove_dir_all(&root);
 }
 

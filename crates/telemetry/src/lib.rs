@@ -80,7 +80,7 @@ pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Name of the progress-report event rendered by [`ReporterSink`].
 ///
@@ -142,19 +142,27 @@ struct FoldedCalls {
     fold: u64,
     name: &'static str,
     calls: u64,
-    dur_us: u64,
+    /// Summed call time, kept exact: a hot call is often sub-µs, so it
+    /// is rounded to whole µs once, when the pair is written.
+    dur: Duration,
     /// Start of the first call, µs since telemetry start.
     first_us: u64,
 }
 
 /// Adds one call to the matching entry of `folded`, or starts one.
-fn add_call(folded: &mut Vec<FoldedCalls>, fold: u64, name: &'static str, dur_us: u64, at_us: u64) {
+fn add_call(
+    folded: &mut Vec<FoldedCalls>,
+    fold: u64,
+    name: &'static str,
+    dur: Duration,
+    at_us: u64,
+) {
     match folded.iter_mut().find(|c| c.fold == fold && c.name == name) {
         Some(c) => {
             c.calls += 1;
-            c.dur_us += dur_us;
+            c.dur += dur;
         }
-        None => folded.push(FoldedCalls { fold, name, calls: 1, dur_us, first_us: at_us }),
+        None => folded.push(FoldedCalls { fold, name, calls: 1, dur, first_us: at_us }),
     }
 }
 
@@ -327,7 +335,7 @@ impl Telemetry {
             id,
             name: folded.name.to_string(),
             t_us: Self::now_us(inner),
-            dur_us: folded.dur_us,
+            dur_us: whole_us(folded.dur),
             calls: (folded.calls != 1).then_some(folded.calls),
         });
     }
@@ -453,7 +461,7 @@ impl SpanGuard {
     }
 }
 
-fn whole_us(d: std::time::Duration) -> u64 {
+fn whole_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -484,17 +492,17 @@ impl Drop for SpanGuard {
                 });
             }
             Some(Live::Call(call)) => {
-                let dur_us = whole_us(call.opened.elapsed());
+                let dur = call.opened.elapsed();
                 let fold = &call.fold;
                 let at_us = whole_us(call.opened.saturating_duration_since(fold.tel.start));
                 let me = Telemetry::identity(&fold.tel);
                 let parented = THREAD.with(|t| {
                     let stack = &mut t.borrow_mut().stack;
                     let frame = stack.iter_mut().rev().find(|f| f.handle == me);
-                    frame.map(|f| add_call(&mut f.folded, fold.id, call.name, dur_us, at_us))
+                    frame.map(|f| add_call(&mut f.folded, fold.id, call.name, dur, at_us))
                 });
                 if parented.is_none() {
-                    add_call(&mut lock_or_recover(&fold.roots), fold.id, call.name, dur_us, at_us);
+                    add_call(&mut lock_or_recover(&fold.roots), fold.id, call.name, dur, at_us);
                 }
             }
         }
@@ -762,6 +770,46 @@ mod tests {
         let names: Vec<&str> = replan_node.children.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["search", "hot"]);
         assert_eq!(replan_node.children[0].children[0].count, 4);
+    }
+
+    #[test]
+    fn folded_sub_microsecond_calls_sum_to_their_time() {
+        let sink = VecSink::new();
+        let tel = Telemetry::new(sink.clone());
+        let mut summed = Duration::ZERO;
+        {
+            let _batch = tel.span("batch");
+            let fold = tel.fold();
+            let _in = fold.enter();
+            for _ in 0..1_000 {
+                // Timed from outside, so `summed` also holds the fold's
+                // own bookkeeping: an upper bound on the calls' time.
+                let outer = Instant::now();
+                let call = tel.call_span("hot");
+                let spin = Instant::now();
+                while spin.elapsed() < Duration::from_nanos(400) {}
+                drop(call);
+                summed += outer.elapsed();
+            }
+        }
+        let dur_us = sink
+            .records()
+            .iter()
+            .find_map(|r| match r {
+                Record::SpanEnd { name, dur_us, calls: Some(1_000), .. } if name == "hot" => {
+                    Some(*dur_us)
+                }
+                _ => None,
+            })
+            .expect("one pair holds all 1,000 calls");
+        let summed_us = summed.as_secs_f64() * 1e6;
+        assert!(dur_us > 0, "sub-µs calls must not round to 0 one by one");
+        #[allow(clippy::cast_precision_loss)]
+        let written = dur_us as f64;
+        assert!(
+            written <= summed_us && 2.0 * written >= summed_us,
+            "{written} µs written for calls that took at most {summed_us:.1} µs"
+        );
     }
 
     #[test]

@@ -33,12 +33,7 @@ use aaltune::gpu_sim::{GpuDevice, SimMeasurer};
 fn assert_log_matches(method: Method, n_trial: usize, want: &[u8]) {
     let task = extract_tasks(&models::mobilenet_v1(1)).remove(0);
     let measurer = SimMeasurer::new(GpuDevice::gtx_1080_ti());
-    let opts = TuneOptions {
-        n_trial,
-        early_stopping: 400.min(n_trial),
-        seed: 0,
-        ..TuneOptions::default()
-    };
+    let opts = TuneOptions::paper(n_trial, 0);
     let result = tune_task(&task, &measurer, method, &opts);
     let mut got = Vec::new();
     result.log.write_jsonl(&mut got).expect("writing to a Vec cannot fail");
