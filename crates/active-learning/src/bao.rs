@@ -24,9 +24,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use schedule::feature::{feature_len, features, features_into};
 use schedule::neighborhood::NeighborhoodSampler;
-use schedule::{Config, ConfigSpace};
+use schedule::{Config, ConfigSpace, IndexSet};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Parameters of Algorithm 4, defaulting to the paper's settings
 /// `(η = 0.05, Γ = 2, τ = 1.5, R = 3)`.
@@ -87,7 +86,7 @@ where
     /// The features of `measured`, one row each: a configuration is
     /// featurized once, when its measurement arrives.
     measured_x: Matrix,
-    visited: HashSet<u64>,
+    visited: IndexSet,
     /// x*_{t-1}: the incumbent — the best configuration found so far (the
     /// paper defines y*_t as "the optimal performance values found in step
     /// t", so the scope centers on the running optimum).
@@ -142,7 +141,7 @@ where
             pending_init: init,
             measured: Vec::new(),
             measured_x: Matrix::new(Vec::new(), 0, feature_len(space)),
-            visited: HashSet::new(),
+            visited: IndexSet::default(),
             center: None,
             last_two: (None, None),
             stall_widenings: 0,
@@ -227,7 +226,7 @@ fn sample_scope(
     center: &Config,
     radius: f64,
     scope_size: usize,
-    visited: &HashSet<u64>,
+    visited: &IndexSet,
 ) -> (Vec<Config>, Matrix) {
     let _span = telemetry::global().span("bao.scope");
     let space = sampler.space();
@@ -452,7 +451,7 @@ mod tests {
             2,
         );
         let all = drive(&mut t, 30);
-        let mut seen = HashSet::new();
+        let mut seen = IndexSet::default();
         for (c, _) in &all {
             assert!(seen.insert(c.index), "revisited config {}", c.index);
         }

@@ -11,7 +11,7 @@ use crate::ted::{ted, TedKernel};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use schedule::feature::features;
-use schedule::{Config, ConfigSpace};
+use schedule::{Config, ConfigSpace, IndexSet};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of Algorithm 2, defaulting to the paper's experimental
@@ -99,7 +99,7 @@ pub fn bted(space: &ConfigSpace, opts: &BtedOptions, seed: u64) -> Vec<Config> {
 
     // Line 5: the union may contain duplicates across batches.
     let raw_union = union.len();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = IndexSet::default();
     let union: Vec<Config> = union.into_iter().filter(|c| seen.insert(c.index)).collect();
     tel.event(
         "bted.union",

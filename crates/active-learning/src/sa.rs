@@ -7,9 +7,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use schedule::{Config, ConfigSpace};
+use schedule::{Config, ConfigSpace, IndexMap, IndexSet};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Annealing parameters (AutoTVM defaults, scaled to this harness).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -86,8 +86,7 @@ impl Ord for HeapItem {
 ///
 /// ```
 /// use active_learning::sa::{simulated_annealing, SaOptions};
-/// use schedule::{ConfigSpace, Knob};
-/// use std::collections::BTreeSet;
+/// use schedule::{ConfigSpace, IndexSet, Knob};
 ///
 /// let space = ConfigSpace::new("demo", vec![Knob::split("t", 256, 2)]);
 /// // Prefer balanced splits: maximize min(outer, inner).
@@ -99,7 +98,7 @@ impl Ord for HeapItem {
 ///     }).collect(),
 ///     &SaOptions::default(),
 ///     1,
-///     &BTreeSet::new(),
+///     &IndexSet::default(),
 ///     42,
 /// );
 /// let best = space.values(&plan[0])[0].as_split().unwrap().to_vec();
@@ -110,7 +109,7 @@ pub fn simulated_annealing<S>(
     score: S,
     opts: &SaOptions,
     plan_size: usize,
-    exclude: &BTreeSet<u64>,
+    exclude: &IndexSet,
     seed: u64,
 ) -> Vec<Config>
 where
@@ -132,7 +131,7 @@ pub fn simulated_annealing_scored<S>(
     score: S,
     opts: &SaOptions,
     plan_size: usize,
-    exclude: &BTreeSet<u64>,
+    exclude: &IndexSet,
     seed: u64,
 ) -> Vec<(Config, f64)>
 where
@@ -142,37 +141,32 @@ where
     let mut points: Vec<Config> = (0..opts.parallel_size).map(|_| space.sample(&mut rng)).collect();
     let mut scores = score(&points);
 
-    // Top-k tracker over every point SA visits.
-    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-    let mut in_heap: BTreeSet<u64> = BTreeSet::new();
-    let mut configs_by_index: BTreeMap<u64, Config> = BTreeMap::new();
-    let offer = |heap: &mut BinaryHeap<HeapItem>,
-                 in_heap: &mut BTreeSet<u64>,
-                 configs_by_index: &mut BTreeMap<u64, Config>,
-                 cfg: &Config,
-                 s: f64| {
-        if exclude.contains(&cfg.index) || in_heap.contains(&cfg.index) {
-            return;
-        }
-        if heap.len() < plan_size {
-            in_heap.insert(cfg.index);
-            configs_by_index.insert(cfg.index, cfg.clone());
-            heap.push(HeapItem { score: s, index: cfg.index });
-        } else if let Some(worst) = heap.peek() {
-            if s > worst.score {
-                // aal-lint: allow(unwrap, reason = "guarded by the heap length check above")
-                let removed = heap.pop().expect("heap non-empty");
-                in_heap.remove(&removed.index);
-                configs_by_index.remove(&removed.index);
-                in_heap.insert(cfg.index);
-                configs_by_index.insert(cfg.index, cfg.clone());
-                heap.push(HeapItem { score: s, index: cfg.index });
+    // Top-k tracker over every point SA visits; `in_heap` holds the
+    // configuration of every index on the heap.
+    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::with_capacity(plan_size + 1);
+    let mut in_heap: IndexMap<Config> =
+        IndexMap::with_capacity_and_hasher(plan_size + 1, Default::default());
+    let offer =
+        |heap: &mut BinaryHeap<HeapItem>, in_heap: &mut IndexMap<Config>, cfg: &Config, s: f64| {
+            if exclude.contains(&cfg.index) || in_heap.contains_key(&cfg.index) {
+                return;
             }
-        }
-    };
+            if heap.len() < plan_size {
+                in_heap.insert(cfg.index, cfg.clone());
+                heap.push(HeapItem { score: s, index: cfg.index });
+            } else if let Some(worst) = heap.peek() {
+                if s > worst.score {
+                    // aal-lint: allow(unwrap, reason = "guarded by the heap length check above")
+                    let removed = heap.pop().expect("heap non-empty");
+                    in_heap.remove(&removed.index);
+                    in_heap.insert(cfg.index, cfg.clone());
+                    heap.push(HeapItem { score: s, index: cfg.index });
+                }
+            }
+        };
 
     for (p, &s) in points.iter().zip(&scores) {
-        offer(&mut heap, &mut in_heap, &mut configs_by_index, p, s);
+        offer(&mut heap, &mut in_heap, p, s);
     }
 
     let tel = telemetry::global();
@@ -190,7 +184,7 @@ where
         }
         let new_scores = score(&proposals);
         for i in 0..points.len() {
-            offer(&mut heap, &mut in_heap, &mut configs_by_index, &proposals[i], new_scores[i]);
+            offer(&mut heap, &mut in_heap, &proposals[i], new_scores[i]);
             let accept = new_scores[i] > scores[i]
                 || (t > 0.0 && rng.gen::<f64>() < ((new_scores[i] - scores[i]) / t).exp());
             if accept {
@@ -216,8 +210,8 @@ where
     let mut plan: Vec<HeapItem> = heap.into_vec();
     plan.sort_by(|a, b| b.score.total_cmp(&a.score));
     plan.into_iter()
-        // aal-lint: allow(unwrap, reason = "offer() inserts into configs_by_index for every index it pushes on the heap")
-        .map(|item| (configs_by_index.remove(&item.index).expect("config tracked"), item.score))
+        // aal-lint: allow(unwrap, reason = "offer() inserts into in_heap for every index it pushes on the heap")
+        .map(|item| (in_heap.remove(&item.index).expect("config tracked"), item.score))
         .collect()
 }
 
@@ -250,7 +244,7 @@ mod tests {
             peaked_score,
             &SaOptions::default(),
             8,
-            &BTreeSet::new(),
+            &IndexSet::default(),
             1,
         );
         assert!(!plan.is_empty());
@@ -268,10 +262,10 @@ mod tests {
             peaked_score,
             &SaOptions::default(),
             16,
-            &BTreeSet::new(),
+            &IndexSet::default(),
             2,
         );
-        let mut seen = BTreeSet::new();
+        let mut seen = IndexSet::default();
         for c in &plan {
             assert!(seen.insert(c.index), "duplicate plan entry");
         }
@@ -287,7 +281,7 @@ mod tests {
         // Exclude the exact peak.
         let peak_choices = vec![7usize, 3usize];
         let peak_index = space.index_of(&peak_choices);
-        let mut exclude = BTreeSet::new();
+        let mut exclude = IndexSet::default();
         exclude.insert(peak_index);
         let plan = simulated_annealing(&space, peaked_score, &SaOptions::default(), 8, &exclude, 3);
         assert!(plan.iter().all(|c| c.index != peak_index));
@@ -315,7 +309,7 @@ mod tests {
             peaked_score,
             &SaOptions::default(),
             8,
-            &BTreeSet::new(),
+            &IndexSet::default(),
             6,
         );
         let scored = simulated_annealing_scored(
@@ -323,7 +317,7 @@ mod tests {
             peaked_score,
             &SaOptions::default(),
             8,
-            &BTreeSet::new(),
+            &IndexSet::default(),
             6,
         );
         assert_eq!(
@@ -345,7 +339,7 @@ mod tests {
             peaked_score,
             &SaOptions::default(),
             8,
-            &BTreeSet::new(),
+            &IndexSet::default(),
             9,
         )
         .iter()
@@ -356,7 +350,7 @@ mod tests {
             peaked_score,
             &SaOptions::default(),
             8,
-            &BTreeSet::new(),
+            &IndexSet::default(),
             9,
         )
         .iter()

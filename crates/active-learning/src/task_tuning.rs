@@ -9,7 +9,7 @@ use crate::tuner::{RandomTuner, Tuner, XgbTuner};
 use dnn_graph::task::TuningTask;
 use gpu_sim::Measurer;
 use schedule::template::space_for_task;
-use schedule::{Config, ConfigSpace};
+use schedule::{Config, ConfigSpace, IndexSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -166,7 +166,7 @@ pub fn tune_task_with<M: Measurer>(
         // `init` is a pending stack (tuners pop from the end), so build the
         // merged set in measured order — warm first, then the method's own
         // picks in the order they would have been measured — and reverse.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IndexSet::default();
         let mut merged = Vec::with_capacity(opts.init_points.max(1));
         for cfg in warm.iter().chain(init.iter().rev()) {
             if merged.len() >= opts.init_points.max(1) {

@@ -3,13 +3,12 @@
 use crate::tuner::Tuner;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use schedule::{Config, ConfigSpace};
-use std::collections::HashSet;
+use schedule::{Config, ConfigSpace, IndexSet};
 
 /// Samples unvisited configurations uniformly at random.
 pub struct RandomTuner<'s> {
     space: &'s ConfigSpace,
-    visited: HashSet<u64>,
+    visited: IndexSet,
     rng: StdRng,
 }
 
@@ -17,7 +16,7 @@ impl<'s> RandomTuner<'s> {
     /// Creates a random tuner over `space`.
     #[must_use]
     pub fn new(space: &'s ConfigSpace, seed: u64) -> Self {
-        RandomTuner { space, visited: HashSet::new(), rng: StdRng::seed_from_u64(seed) }
+        RandomTuner { space, visited: IndexSet::default(), rng: StdRng::seed_from_u64(seed) }
     }
 }
 

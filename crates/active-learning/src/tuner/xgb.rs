@@ -13,8 +13,7 @@ use gbt::{GbtParams, KnobLayout, LeafTables, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use schedule::feature::{feature_len, FeatureTable};
-use schedule::{Config, ConfigSpace};
-use std::collections::BTreeSet;
+use schedule::{Config, ConfigSpace, IndexSet};
 
 /// AutoTVM's model-based tuner.
 pub struct XgbTuner<'s> {
@@ -30,7 +29,7 @@ pub struct XgbTuner<'s> {
     /// not-enough-signal random plan).
     plan: Vec<(Config, Option<f64>)>,
     measured: Vec<(Config, f64)>,
-    visited: BTreeSet<u64>,
+    visited: IndexSet,
     /// Measurements accumulated since the last model refit.
     dirty: usize,
     rng: StdRng,
@@ -74,7 +73,7 @@ impl<'s> XgbTuner<'s> {
             pending_init: init,
             plan: Vec::new(),
             measured: Vec::new(),
-            visited: BTreeSet::new(),
+            visited: IndexSet::default(),
             dirty: 0,
             rng: StdRng::seed_from_u64(seed),
             refits: 0,
@@ -319,7 +318,7 @@ mod tests {
         let space = toy_space();
         let (g, s) = small_params();
         let mut t = XgbTuner::with_random_init(&space, 8, g, s, 8, 0.2, 2);
-        let mut seen = BTreeSet::new();
+        let mut seen = IndexSet::default();
         for _ in 0..5 {
             let batch = t.next_batch(8);
             let results: Vec<(Config, f64)> = batch

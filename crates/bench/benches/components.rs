@@ -19,7 +19,7 @@ use executor::{Executor, ExecutorConfig};
 use gbt::{BaggedGbt, Gbt, GbtParams, KnobLayout, LeafTables, Matrix};
 use gpu_sim::{GpuDevice, Measurer, SimMeasurer};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use schedule::feature::{features, features_into, FeatureTable};
 use schedule::neighborhood::NeighborhoodSampler;
@@ -123,6 +123,41 @@ fn bench_components(c: &mut Criterion) {
         });
     }
 
+    // The two fits the tuning loops run most, each on its own RNG. One
+    // member of a BAO bag: a bootstrap resample of a ~200-row fit window
+    // on a depthwise space (18 features) at `bao_gbt`. One AutoTVM refit:
+    // ~212 valid rows of the first space (22 features) at `gbt`, labels
+    // normalized by their best as `XgbTuner` fits them.
+    let mut fit_rng = ChaCha8Rng::seed_from_u64(19);
+    let tasks = extract_tasks(&models::mobilenet_v1(1));
+    let valid_rows = |task: usize, n: usize, rng: &mut ChaCha8Rng| {
+        let space = space_for_task(&tasks[task]);
+        let (mut rows, mut ys) = (Vec::new(), Vec::new());
+        while rows.len() < n {
+            let cfg = space.sample(rng);
+            let y = measurer.measure(&tasks[task], &space, &cfg).gflops;
+            if y > 0.0 {
+                rows.push(features(&space, &cfg));
+                ys.push(y);
+            }
+        }
+        (Matrix::from_rows(&rows), ys)
+    };
+    let (window, window_ys) = valid_rows(1, 200, &mut fit_rng);
+    let resample: Vec<usize> = (0..200).map(|_| fit_rng.gen_range(0..200)).collect();
+    let bao_x = window.select_rows(&resample);
+    let bao_ys: Vec<f64> = resample.iter().map(|&i| window_ys[i]).collect();
+    c.bench_function("gbt_fit_bao_window", |b| {
+        b.iter(|| black_box(Gbt::fit(&bao_gbt, &bao_x, &bao_ys, 3)));
+    });
+    let (refit_x, refit_ys) = valid_rows(0, 212, &mut fit_rng);
+    let y_max = refit_ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let refit_ys: Vec<f64> = refit_ys.iter().map(|y| y / y_max).collect();
+    let autotvm_gbt = TuneOptions::default().gbt;
+    c.bench_function("gbt_fit_autotvm_refit", |b| {
+        b.iter(|| black_box(Gbt::fit(&autotvm_gbt, &refit_x, &refit_ys, 4)));
+    });
+
     // Featurizing one BAO step's worth of configurations (a 512-member
     // scope) on the first mobilenet_v1 space.
     let scope_cfgs = space.sample_distinct(&mut bao_rng, 512);
@@ -172,7 +207,7 @@ fn bench_components(c: &mut Criterion) {
                 |cands| cands.iter().map(|cfg| cfg.index as f64).collect(),
                 &SaOptions::default(),
                 64,
-                &std::collections::BTreeSet::new(),
+                &schedule::IndexSet::default(),
                 11,
             );
             black_box(plan.len())

@@ -73,8 +73,9 @@ faults:  --fault-rate injects deterministic measurement faults (seeded by
          retry), and a task aborts once more than --max-fail-rate of its
          trials fail. Runs with --out are crash-safe: kill the process
          and continue with `tune --resume`
-parallel: --workers runs measurements on N worker threads over M simulated
-         device slots (--devices, default N) with --batch-size proposals per
+parallel: --workers runs measurements on up to N threads (no more than the
+         CPUs in use unless --device-ms is set) over M simulated device
+         slots (--devices, default N) with --batch-size proposals per
          round; results are re-sequenced by submission index, so trial logs
          are byte-identical to --workers 1 for the same seed. --device-ms
          emulates per-measurement device occupancy (real time per lease)

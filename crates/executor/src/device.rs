@@ -91,6 +91,13 @@ impl DevicePool {
         self.devices
     }
 
+    /// The real time each lease occupies its device for (zero without
+    /// occupancy emulation).
+    #[must_use]
+    pub fn hold(&self) -> Duration {
+        self.hold
+    }
+
     /// Devices currently free (diagnostic).
     #[must_use]
     pub fn free_now(&self) -> usize {

@@ -13,13 +13,21 @@
 //! one thread — trial logs are byte-identical to the serial path for any
 //! worker count.
 //!
-//! At one worker `run_ordered` is a plain loop on the caller's thread:
+//! A batch fans out to at most `workers` threads, and, unless the device
+//! pool holds each lease for real time, to at most the caller's
+//! [`cpu_share`]: without a hold a measurement is CPU-bound work like a
+//! bootstrap fit, so tasks tuned side by side on as many CPUs measure in
+//! their own threads instead of starting and joining a helper per batch.
+//! A hold (`--device-ms`, serve) is time spent waiting on a device, which
+//! overlaps across `workers` threads whatever the CPU count.
+//!
+//! At one thread `run_ordered` is a plain loop on the caller's thread:
 //! no thread is started. A panic in the wrapped measurer fails the whole
 //! batch: `run_ordered` raises it in the caller once every thread has
 //! stopped.
 
 use crate::device::DevicePool;
-use crate::scheduler::run_ordered;
+use crate::scheduler::{cpu_share, run_ordered};
 use dnn_graph::task::TuningTask;
 use gpu_sim::{MeasureResult, Measurer};
 use schedule::kernel::lower;
@@ -30,9 +38,10 @@ use std::time::{Duration, Instant};
 /// Sizing for [`Executor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Threads each batch is measured on, the caller's included (the
-    /// `--workers` knob). At one worker (or zero) each batch is measured
-    /// in submission order on the caller's thread.
+    /// Threads each batch is measured on at most, the caller's included
+    /// (the `--workers` knob); without a device hold also at most the
+    /// caller's [`cpu_share`]. At one worker (or zero) each batch is
+    /// measured in submission order on the caller's thread.
     pub workers: usize,
     /// Simulated devices in the [`DevicePool`] (the `--devices` knob).
     pub devices: usize,
@@ -71,8 +80,8 @@ impl Default for ExecutorConfig {
 }
 
 /// A pooled [`Measurer`]: each batch fans out over up to `workers`
-/// threads and a [`DevicePool`], and its results come back in submission
-/// order.
+/// threads (and, without a device hold, the caller's [`cpu_share`]) and a
+/// [`DevicePool`], and its results come back in submission order.
 ///
 /// Wrap the full measurement stack once and share the executor by
 /// reference; per-measure policy (fault injection, retry, timeout) stays
@@ -174,10 +183,17 @@ impl<M: Measurer + Sync> Measurer for Executor<M> {
         // aal-lint: allow(wall-clock, reason = "batch wall-time metric; results are ordered by index, never by time")
         let submitted = Instant::now();
         let tag = self.lease_tag.as_deref().unwrap_or(&task.name);
+        // Without a device hold a measurement only keeps a CPU busy, so
+        // more threads than the caller's CPUs would only take turns.
+        let threads = if self.devices.hold().is_zero() {
+            self.workers.min(cpu_share())
+        } else {
+            self.workers
+        };
         // The batch's `measure` calls are traced as one folded span per
         // thread's parent instead of a span each.
         let measures = tel.fold();
-        let results = run_ordered(configs.iter().collect(), self.workers, |_, config| {
+        let results = run_ordered(configs.iter().collect(), threads, |_, config| {
             let _folding = measures.enter();
             self.measure_one(&tel, tag, task, space, config)
         });
@@ -194,6 +210,7 @@ impl<M: Measurer + Sync> Measurer for Executor<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::set_cpu_share;
     use dnn_graph::{models, task::extract_tasks};
     use gpu_sim::{
         FaultConfig, FaultInjectingMeasurer, GpuDevice, RetryPolicy, RobustMeasurer, SimMeasurer,
@@ -351,8 +368,63 @@ mod tests {
             },
             ExecutorConfig::for_workers(2),
         );
-        // Serial measuring would wait at the barrier forever.
-        let results = within_deadline(move || paired.measure_batch(&task, &space, &configs));
+        // Serial measuring would wait at the barrier forever. Two CPUs
+        // let a batch without a device hold fan out to both workers,
+        // whatever the machine running the test has.
+        let results = within_deadline(move || {
+            set_cpu_share(2);
+            paired.measure_batch(&task, &space, &configs)
+        });
+        assert_eq!(results, Some(expect));
+    }
+
+    #[test]
+    fn without_a_hold_a_batch_stays_within_the_callers_cpu_share() {
+        let (task, space) = setup();
+        let configs = sample(&space, 16, 13);
+        let expect = serial(&task, &space, &configs);
+        let recorded = within_deadline(move || {
+            set_cpu_share(1);
+            let exec = Executor::new(
+                ThreadRecorder {
+                    inner: SimMeasurer::new(GpuDevice::gtx_1080_ti()),
+                    threads: Mutex::default(),
+                },
+                ExecutorConfig::for_workers(4),
+            );
+            let results = exec.measure_batch(&task, &space, &configs);
+            let me = std::thread::current().id();
+            let threads = lock_or_recover(&exec.inner().threads).clone();
+            (results, threads.len(), threads.iter().all(|&t| t == me))
+        });
+        assert_eq!(recorded, Some((expect, 16, true)), "one CPU: every measurement in-thread");
+    }
+
+    #[test]
+    fn with_a_hold_two_measurements_stay_in_flight_on_one_cpu() {
+        let (task, space) = setup();
+        // Only valid configurations lease a device, and so hold it; the
+        // measurer pairs them, so take an even count.
+        let mut configs: Vec<Config> = sample(&space, 64, 13)
+            .into_iter()
+            .filter(|c| lower(&task, &space, c).is_ok())
+            .collect();
+        configs.truncate(configs.len() / 2 * 2);
+        assert!(configs.len() >= 4, "sample has valid configs");
+        let expect = serial(&task, &space, &configs);
+        let paired = Executor::new(
+            PairedMeasurer {
+                inner: SimMeasurer::new(GpuDevice::gtx_1080_ti()),
+                both: Barrier::new(2),
+            },
+            ExecutorConfig::for_workers(2).with_device_hold(Duration::from_millis(1)),
+        );
+        // A device hold is waiting, not computing, so the batch still
+        // fans out to both workers on one CPU.
+        let results = within_deadline(move || {
+            set_cpu_share(1);
+            paired.measure_batch(&task, &space, &configs)
+        });
         assert_eq!(results, Some(expect));
     }
 

@@ -140,8 +140,20 @@ struct Grower<'a> {
     grad: &'a [f64],
     hess: &'a [f64],
     features: &'a [usize],
+    /// Every hessian is exactly 1.0: a node's hessian sum is its row
+    /// count, so the scans never read `hess`.
+    unit_hess: bool,
     ws: &'a mut Workspace,
     nodes: Vec<Node>,
+}
+
+/// Whether a node's presorted column range holds a single value. Its
+/// entries are in [`f64::total_cmp`] order, under which only equal bits
+/// compare equal, so the ends agree only when every entry does. Such a
+/// column opens no split boundary in the node or in any descendant, whose
+/// rows are a subset: neither the scan nor the partition touches it.
+fn is_constant(entries: &[Entry]) -> bool {
+    entries.first().map(|e| e.value.to_bits()) == entries.last().map(|e| e.value.to_bits())
 }
 
 impl Grower<'_> {
@@ -154,9 +166,17 @@ impl Grower<'_> {
     fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
         let mut g = 0.0;
         let mut h = 0.0;
-        for &r in &self.ws.rows[lo..hi] {
-            g += self.grad[r as usize];
-            h += self.hess[r as usize];
+        if self.unit_hess {
+            // Adding n ones from zero is exactly n (below 2^53).
+            for &r in &self.ws.rows[lo..hi] {
+                g += self.grad[r as usize];
+            }
+            h = (hi - lo) as f64;
+        } else {
+            for &r in &self.ws.rows[lo..hi] {
+                g += self.grad[r as usize];
+                h += self.hess[r as usize];
+            }
         }
 
         let split = if depth >= self.params.max_depth || hi - lo < 2 {
@@ -187,38 +207,72 @@ impl Grower<'_> {
     /// Exact greedy split search over the node's presorted range: one
     /// linear scan per candidate feature, features tried in `columns`
     /// order, a later candidate winning only on a strictly larger gain.
+    /// A column constant over the node opens no boundary and is skipped.
     fn best_split(&self, lo: usize, hi: usize, g_total: f64, h_total: f64) -> Option<Split> {
-        let params = self.params;
-        let score = |g: f64, h: f64| g * g / (h + params.lambda);
-        let parent = score(g_total, h_total);
         let mut best: Option<Split> = None;
         // A split must gain more than zero, and more than the best so far.
         let mut best_gain = 0.0;
         for (column, entries) in self.ws.columns.iter().enumerate() {
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            // The previous value; NaN compares false, so the first row
-            // opens no boundary.
-            let mut prev = f64::NAN;
-            for e in &entries[lo..hi] {
-                let v = e.value;
-                if v > prev {
-                    let hr = h_total - hl;
-                    if hl >= params.min_child_weight && hr >= params.min_child_weight {
-                        let gain =
-                            0.5 * (score(gl, hl) + score(g_total - gl, hr) - parent) - params.gamma;
-                        if gain > best_gain {
-                            best_gain = gain;
-                            best = Some(Split { column, threshold: 0.5 * (prev + v) });
-                        }
-                    }
-                }
-                gl += self.grad[e.row as usize];
-                hl += self.hess[e.row as usize];
-                prev = v;
+            let entries = &entries[lo..hi];
+            if is_constant(entries) {
+                continue;
+            }
+            let found = if self.unit_hess {
+                self.scan::<true>(entries, g_total, h_total, &mut best_gain)
+            } else {
+                self.scan::<false>(entries, g_total, h_total, &mut best_gain)
+            };
+            if let Some(threshold) = found {
+                best = Some(Split { column, threshold });
             }
         }
         best
+    }
+
+    /// Scans one column's node range for a boundary whose gain beats
+    /// `best_gain`, raising it; returns the last such boundary's
+    /// threshold. With `UNIT` every hessian is 1.0, so the left hessian
+    /// sum is the count of rows already passed, bit for bit the sum.
+    #[inline]
+    fn scan<const UNIT: bool>(
+        &self,
+        entries: &[Entry],
+        g_total: f64,
+        h_total: f64,
+        best_gain: &mut f64,
+    ) -> Option<f64> {
+        let params = self.params;
+        let score = |g: f64, h: f64| g * g / (h + params.lambda);
+        let parent = score(g_total, h_total);
+        let mut found = None;
+        let mut gl = 0.0;
+        let mut hl = 0.0;
+        // The previous value; NaN compares false, so the first row
+        // opens no boundary.
+        let mut prev = f64::NAN;
+        for (k, e) in entries.iter().enumerate() {
+            let v = e.value;
+            if v > prev {
+                if UNIT {
+                    hl = k as f64;
+                }
+                let hr = h_total - hl;
+                if hl >= params.min_child_weight && hr >= params.min_child_weight {
+                    let gain =
+                        0.5 * (score(gl, hl) + score(g_total - gl, hr) - parent) - params.gamma;
+                    if gain > *best_gain {
+                        *best_gain = gain;
+                        found = Some(0.5 * (prev + v));
+                    }
+                }
+            }
+            gl += self.grad[e.row as usize];
+            if !UNIT {
+                hl += self.hess[e.row as usize];
+            }
+            prev = v;
+        }
+        found
     }
 
     /// Stably partitions the node's range into its left then right child
@@ -236,7 +290,13 @@ impl Grower<'_> {
             });
         if columns_too {
             for col in &mut ws.columns {
-                stable_partition(&mut col[lo..hi], &mut ws.scratch, |e| go_left[e.row as usize]);
+                // A constant column is never read again below this node
+                // but for its ends, which any sub-range keeps equal.
+                if !is_constant(&col[lo..hi]) {
+                    stable_partition(&mut col[lo..hi], &mut ws.scratch, |e| {
+                        go_left[e.row as usize]
+                    });
+                }
             }
         }
         mid
@@ -338,7 +398,9 @@ impl RegressionTree {
         ws.scratch.resize(n, Entry { value: 0.0, row: 0 });
         ws.scratch_rows.resize(n, 0);
         ws.row_weight.resize(n, 0.0);
-        let mut grower = Grower { params, grad, hess, features: columns, ws, nodes: Vec::new() };
+        let unit_hess = hess.iter().all(|&h| h == 1.0);
+        let mut grower =
+            Grower { params, grad, hess, features: columns, unit_hess, ws, nodes: Vec::new() };
         grower.grow(0, n, 0);
         RegressionTree::compile(&grower.nodes)
     }

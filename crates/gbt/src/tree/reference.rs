@@ -47,6 +47,20 @@ fn fit_nodes(
     nodes
 }
 
+/// A fitted tree with every float as its bits, so that `==` on it is
+/// bit-for-bit equality: NaN thresholds compare equal to themselves, and
+/// `-0.0` differs from `0.0`.
+pub(crate) fn bits(tree: &RegressionTree) -> (u32, Vec<u32>, Vec<u64>, Vec<u64>, Vec<u32>) {
+    let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (
+        tree.depth,
+        tree.features.clone(),
+        to_bits(&tree.thresholds),
+        to_bits(&tree.leaves),
+        tree.split_features.clone(),
+    )
+}
+
 /// Predicts one row by walking the node arena, one node kind at a time.
 fn walk(nodes: &[Node], row: &[f64]) -> f64 {
     let mut id = 0;
@@ -183,8 +197,23 @@ pub(crate) mod strategy {
     /// Values drawn from a small pool, so columns carry ties, signed zeros
     /// and (by chance) constant columns. `1.0` and the next float up have
     /// a midpoint that rounds onto `1.0`, so a split there sends every row
-    /// right and leaves an empty left child.
-    const POOL: [f64; 9] = [-2.0, -0.0, 0.0, 0.5, 1.0, 1.0 + f64::EPSILON, 3.0, 7.25, 1e6];
+    /// right and leaves an empty left child. NaN sorts last and opens no
+    /// boundary, and a boundary between `-inf` and `inf` has a NaN
+    /// threshold, which also sends every row right.
+    const POOL: [f64; 12] = [
+        f64::NEG_INFINITY,
+        -2.0,
+        -0.0,
+        0.0,
+        0.5,
+        1.0,
+        1.0 + f64::EPSILON,
+        3.0,
+        7.25,
+        1e6,
+        f64::INFINITY,
+        f64::NAN,
+    ];
 
     /// A bootstrap-style matrix: `base` distinct-ish rows of `d` features
     /// (`d` may be 0), then `n` rows drawn from them with replacement. One
@@ -235,12 +264,17 @@ pub(crate) mod strategy {
         out
     }
 
-    /// Squared-loss-like gradients for `n` rows and hessians that are 1,
-    /// 0 (a row left out by `subsample`) or an arbitrary positive weight.
+    /// Squared-loss-like gradients for `n` rows, and hessians that are
+    /// either all 1 (a fit without `subsample`, the fitter's unit-hessian
+    /// path) or each 1, 0 (a row left out by `subsample`) or an arbitrary
+    /// positive weight.
     pub(crate) fn stats(n: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
         (
             proptest::collection::vec(-100.0f64..100.0, n..=n),
-            proptest::collection::vec(prop_oneof![Just(1.0), Just(0.0), 0.01f64..3.0], n..=n),
+            prop_oneof![
+                Just(vec![1.0; n]),
+                proptest::collection::vec(prop_oneof![Just(1.0), Just(0.0), 0.01f64..3.0], n..=n),
+            ],
         )
     }
 
@@ -296,7 +330,7 @@ mod tests {
             let order = FeatureOrder::new(&x);
             let mut ws = Workspace::default();
             let got = RegressionTree::fit_rows(&params, &grad, &hess, &columns, &order, &mut ws);
-            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(super::bits(&got), super::bits(&want));
             for i in 0..x.rows() {
                 prop_assert_eq!(
                     ws.row_weight[i].to_bits(),
@@ -306,8 +340,9 @@ mod tests {
             }
             let presorted =
                 RegressionTree::fit_presorted(&params, &x, &grad, &hess, &columns, &order);
-            prop_assert_eq!(&presorted, &want);
-            prop_assert_eq!(&RegressionTree::fit(&params, &x, &grad, &hess, &columns), &want);
+            prop_assert_eq!(super::bits(&presorted), super::bits(&want));
+            let fit = RegressionTree::fit(&params, &x, &grad, &hess, &columns);
+            prop_assert_eq!(super::bits(&fit), super::bits(&want));
         }
 
         #[test]

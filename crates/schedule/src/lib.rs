@@ -28,6 +28,7 @@
 pub mod error;
 pub mod factorization;
 pub mod feature;
+pub mod index;
 pub mod kernel;
 pub mod knob;
 pub mod neighborhood;
@@ -35,6 +36,7 @@ pub mod space;
 pub mod template;
 
 pub use error::ScheduleError;
+pub use index::{IndexMap, IndexSet};
 pub use kernel::KernelSpec;
 pub use knob::{Knob, KnobValue};
 pub use space::{Config, ConfigSpace};

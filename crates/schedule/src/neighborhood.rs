@@ -16,11 +16,10 @@
 //!   indices; cheap, enumerable, used for diagnostics and tests.
 
 use crate::feature::{features, sq_distance, FeatureTable};
+use crate::index::IndexSet;
 use crate::knob::Knob;
 use crate::space::{Config, ConfigSpace};
 use rand::Rng;
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
 
 #[cfg(test)]
 mod reference;
@@ -106,7 +105,7 @@ pub fn sample_neighborhood<R: Rng + ?Sized>(
     let r2 = radius * radius;
     let reach = radius.floor() as i64;
     let dims: Vec<i64> = space.knobs().iter().map(|k| k.cardinality() as i64).collect();
-    let mut seen: HashSet<u64> = HashSet::with_capacity(n);
+    let mut seen = IndexSet::with_capacity_and_hasher(n, Default::default());
     let mut out = Vec::with_capacity(n);
     // Rejection sampling from the bounding box; the acceptance rate of an
     // L2 ball in <=8 dims is >1%, so the attempt cap is generous.
@@ -283,31 +282,6 @@ pub struct NeighborhoodSampler<'s> {
     seen: IndexSet,
 }
 
-/// A set of configuration indices, hashed with a multiply and a fold: the
-/// sampler's `seen` set is probed on every attempt and never iterated, so
-/// neither SipHash's cost nor its flooding resistance buys anything there.
-type IndexSet = HashSet<u64, BuildHasherDefault<IndexHasher>>;
-
-#[derive(Debug, Default, Clone, Copy)]
-struct IndexHasher(u64);
-
-impl Hasher for IndexHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        // Fold the high bits down: a table's bucket is the low bits.
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
 impl<'s> NeighborhoodSampler<'s> {
     /// A sampler over `space`, tabulating its moves.
     #[must_use]
@@ -396,6 +370,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::HashSet;
 
     fn space() -> ConfigSpace {
         ConfigSpace::new(

@@ -1,6 +1,7 @@
 //! The configuration space of one tuning task.
 
 use crate::error::ScheduleError;
+use crate::index::IndexSet;
 use crate::knob::{Knob, KnobValue};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -175,7 +176,7 @@ impl ConfigSpace {
                 .map(|i| self.config(i).expect("exhaustive enumeration"))
                 .collect();
         }
-        let mut seen = std::collections::HashSet::with_capacity(n);
+        let mut seen = IndexSet::with_capacity_and_hasher(n, Default::default());
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
             let idx = rng.gen_range(0..self.len);
