@@ -482,7 +482,7 @@ impl RunDir {
     pub fn write_manifest(&self, manifest: &RunManifest) -> std::io::Result<()> {
         // aal-lint: allow(unwrap, reason = "RunManifest is a plain data struct; serialization cannot fail")
         let body = serde_json::to_string_pretty(manifest).expect("manifest serializes");
-        // The registry and `aaltune top` read the manifest of live runs,
+        // `aaltune runs` and `aaltune top` read the manifest of live runs,
         // so a torn write must never be visible.
         durable::replace(&self.manifest_path(), |w| w.write_all(body.as_bytes()))
     }

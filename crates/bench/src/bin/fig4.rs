@@ -9,13 +9,10 @@ use bench::args::Args;
 use bench::experiments::run_fig4;
 use bench::init_telemetry;
 use bench::plot::ascii_chart;
-use bench::registry::register_fig4;
 use bench::report::{render_fig4, write_json};
 use std::path::PathBuf;
 
 fn main() {
-    // aal-lint: allow(wall-clock, reason = "experiment runtime recorded in figure metadata; not a tuning input")
-    let started = std::time::Instant::now();
     let args = Args::from_env();
     let tel = init_telemetry(&args);
     let n_trial: usize = args.get("n-trial", 1024);
@@ -39,7 +36,6 @@ fn main() {
         print!("{}", ascii_chart(&series, 72, 14));
     }
     write_json(&out, "fig4.json", &data).expect("write results");
-    register_fig4(&out, &data, seed, started.elapsed().as_secs_f64()).expect("update run registry");
-    tel.report(|| format!("wrote {} (registered in index.jsonl)", out.join("fig4.json").display()));
+    tel.report(|| format!("wrote {}", out.join("fig4.json").display()));
     tel.flush();
 }

@@ -13,14 +13,11 @@ use active_learning::TuneOptions;
 use bench::args::Args;
 use bench::experiments::run_table1_models;
 use bench::init_telemetry;
-use bench::registry::register_table1;
 use bench::report::{render_table1, write_json};
 use dnn_graph::models;
 use std::path::PathBuf;
 
 fn main() {
-    // aal-lint: allow(wall-clock, reason = "experiment runtime recorded in table metadata; not a tuning input")
-    let started = std::time::Instant::now();
     let args = Args::from_env();
     let tel = init_telemetry(&args);
     let n_trial: usize = args.get("n-trial", 768);
@@ -49,10 +46,6 @@ fn main() {
     let data = run_table1_models(&graphs, &opts, trials, runs);
     print!("{}", render_table1(&data));
     write_json(&out, "table1.json", &data).expect("write results");
-    register_table1(&out, &data, n_trial, seed, started.elapsed().as_secs_f64())
-        .expect("update run registry");
-    tel.report(|| {
-        format!("wrote {} (registered in index.jsonl)", out.join("table1.json").display())
-    });
+    tel.report(|| format!("wrote {}", out.join("table1.json").display()));
     tel.flush();
 }

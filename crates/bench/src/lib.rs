@@ -16,7 +16,6 @@
 pub mod args;
 pub mod experiments;
 pub mod plot;
-pub mod registry;
 pub mod report;
 
 /// Installs the global telemetry pipeline for an experiment binary from its

@@ -16,8 +16,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 use telemetry::durable;
 use trace_analysis::{
-    compare_logs, compare_run_dirs, render_report, CompareOptions, LoadedRun, Registry, RunEntry,
-    Verdict,
+    compare_logs, compare_run_dirs, render_report, CompareOptions, LoadedRun, RunListing, Verdict,
 };
 use tuning_db::{LockOptions, TuningDb};
 
@@ -48,7 +47,7 @@ usage:
                           [--workers N] [--device D] [--trace FILE]
                           [--quiet] [--json]
   aaltune trace   <trace.jsonl>
-  aaltune runs    [DIR] [--model M] [--method M] [--kind K]
+  aaltune runs    [DIR] [--model M] [--method M]
   aaltune compare <BASE_RUN> <CAND_RUN> [--alpha A] [--resamples N]
                           [--min-effect PCT] [--boot-seed S] [--fail-on-regress]
   aaltune report  <RUN> [BASELINE] [--html FILE] [--alpha A] [--resamples N]
@@ -66,7 +65,7 @@ methods: random autotvm bted bted+bao (default)
 devices: gtx1080ti (default) v100 jetson
 tracing: --trace writes a JSONL telemetry trace (`aaltune trace` summarizes
          it); --out creates a per-run results dir with manifest, logs, and
-         trace, and registers the run in DIR/index.jsonl
+         trace under DIR
 faults:  --fault-rate injects deterministic measurement faults (seeded by
          --fault-seed); transient faults are retried up to --max-retries,
          persistent crashers fail on their one attempt (zero GFLOPS, no
@@ -79,7 +78,8 @@ parallel: --workers runs measurements on up to N threads (no more than the
          round; results are re-sequenced by submission index, so trial logs
          are byte-identical to --workers 1 for the same seed. --device-ms
          emulates per-measurement device occupancy (real time per lease)
-analysis: `runs` lists the registry (DIR defaults to ./runs); `compare`
+analysis: `runs` lists the run directories under DIR (default ./runs,
+         served jobs under SERVE_ROOT/jobs) without modifying them; `compare`
          bootstraps per-task deltas between two run dirs and exits 2 on a
          gated regression; `report` writes a self-contained HTML report
 live:    a run with --out publishes metrics.snapshot.json and metrics.prom
@@ -160,33 +160,11 @@ fn install_telemetry(cli: &Cli) -> Result<telemetry::Telemetry, String> {
 /// dropped. The global handle lives in a static and is never dropped
 /// itself, so without this a command's early return would lose the final
 /// counter snapshot and the buffered tail of the trace.
-struct TelemetryGuard {
-    tel: telemetry::Telemetry,
-    /// Whether [`TelemetryGuard::flush`] already wrote the final snapshot.
-    flushed: bool,
-}
-
-impl TelemetryGuard {
-    fn new(tel: telemetry::Telemetry) -> Self {
-        TelemetryGuard { tel, flushed: false }
-    }
-
-    /// Writes the final counter and histogram snapshot into the trace now,
-    /// for a reader that needs it before the command returns. The drop then
-    /// flushes only the records written since, so the snapshot appears once.
-    fn flush(&mut self) {
-        self.tel.flush();
-        self.flushed = true;
-    }
-}
+struct TelemetryGuard(telemetry::Telemetry);
 
 impl Drop for TelemetryGuard {
     fn drop(&mut self) {
-        if self.flushed {
-            self.tel.flush_sink();
-        } else {
-            self.tel.flush();
-        }
+        self.0.flush();
         telemetry::set_global(telemetry::Telemetry::disabled());
     }
 }
@@ -264,8 +242,6 @@ fn devices() -> Result<(), String> {
 struct TunePlan {
     run: Run,
     run_dir: Option<RunDir>,
-    /// Where the run registry lives (the parent of the run directory).
-    registry_base: Option<PathBuf>,
     resume: bool,
     /// Tasks `progress.jsonl` lists as complete (none when fresh).
     completed: Vec<String>,
@@ -316,13 +292,7 @@ impl TunePlan {
                     .map_err(|e| format!("cannot create run directory: {e}"))
             })
             .transpose()?;
-        Ok(TunePlan {
-            run,
-            run_dir,
-            registry_base: cli.flag_str("out").map(PathBuf::from),
-            resume: false,
-            completed: Vec::new(),
-        })
+        Ok(TunePlan { run, run_dir, resume: false, completed: Vec::new() })
     }
 
     /// The plan of a killed run: model, method, options, device, fault
@@ -335,18 +305,12 @@ impl TunePlan {
             .recover_progress()
             .map_err(|e| format!("bad progress journal in {}: {e}", path.display()))?
             .unwrap_or_default();
-        Ok(TunePlan {
-            run,
-            registry_base: path.parent().map(Path::to_path_buf),
-            run_dir: Some(dir),
-            resume: true,
-            completed,
-        })
+        Ok(TunePlan { run, run_dir: Some(dir), resume: true, completed })
     }
 }
 
 fn tune(cli: &Cli) -> Result<(), String> {
-    // aal-lint: allow(wall-clock, reason = "elapsed time reported to the user and run registry; not a tuning input")
+    // aal-lint: allow(wall-clock, reason = "elapsed time recorded in the run manifest; not a tuning input")
     let started = std::time::Instant::now();
     let mut plan = match cli.flag_str("resume") {
         Some(p) => TunePlan::resume(Path::new(p))?,
@@ -394,7 +358,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
     .map_err(|e| format!("cannot create trace file: {e}"))?;
     // Declared before everything that reports into the pipeline, so it
     // drops last: every return below leaves a complete trace.
-    let mut finish = TelemetryGuard::new(tel.clone());
+    let _finish = TelemetryGuard(tel.clone());
     // Live observability: with a run dir and a non-zero interval, snapshot
     // the handle's metrics registry into the run dir periodically. The
     // snapshot thread only writes side files (metrics.snapshot.json /
@@ -411,21 +375,9 @@ fn tune(cli: &Cli) -> Result<(), String> {
 
     // Crash-safety contract: the manifest exists from the first moment a
     // trial can be lost, so a killed run is always resumable.
-    if let Some(dir) = &plan.run_dir {
-        if !plan.resume {
-            dir.write_manifest(&plan.run.manifest)
-                .map_err(|e| format!("cannot write manifest: {e}"))?;
-        }
-        // Register the run up front (no wall time yet), so `aaltune runs`
-        // lists it as live/stale while it executes; the completion append
-        // below shadows this entry (the registry keeps the last per id).
-        // Best-effort: a killed run's logs can be torn mid-line until the
-        // resume repairs them, and observability must never block tuning.
-        if let Some(base) = &plan.registry_base {
-            if let Ok(entry) = RunEntry::from_run_dir(dir.path()) {
-                let _ = Registry::at(base).append(&entry);
-            }
-        }
+    if let Some(dir) = plan.run_dir.as_ref().filter(|_| !plan.resume) {
+        dir.write_manifest(&plan.run.manifest)
+            .map_err(|e| format!("cannot write manifest: {e}"))?;
     }
 
     // The tuning database opens after the telemetry pipeline so its
@@ -483,15 +435,6 @@ fn tune(cli: &Cli) -> Result<(), String> {
             manifest.resumed = Some(true);
         }
         dir.write_manifest(manifest).map_err(|e| format!("cannot write manifest: {e}"))?;
-        // Flush counters into the trace before the registry reads it for
-        // the health columns.
-        finish.flush();
-        if let Some(base) = &plan.registry_base {
-            let entry = RunEntry::from_run_dir(dir.path())?;
-            Registry::at(base)
-                .append(&entry)
-                .map_err(|e| format!("cannot update run registry: {e}"))?;
-        }
         tel.report(|| format!("wrote run artifacts to {}", dir.path().display()));
     }
     if let Some(path) = cli.flag_str("log") {
@@ -572,7 +515,7 @@ fn deploy(cli: &Cli) -> Result<(), String> {
     }
     let m = measurer(cli)?;
     let tel = install_telemetry(cli)?;
-    let _finish = TelemetryGuard::new(tel.clone());
+    let _finish = TelemetryGuard(tel.clone());
     let r = tune_model_parallel(&model, &m, method, &opts, runs, workers);
     tel.report(|| {
         format!(
@@ -600,14 +543,13 @@ fn trace(cli: &Cli) -> Result<(), String> {
 
 fn runs(cli: &Cli) -> Result<(), String> {
     let root = cli.positional.get(1).map_or("runs", String::as_str);
-    let reg = Registry::at(root);
-    let idx = reg.load().map_err(|e| format!("cannot read {}: {e}", reg.index_path().display()))?;
-    let filtered =
-        idx.filtered(cli.flag_str("model"), cli.flag_str("method"), cli.flag_str("kind"));
-    if filtered.is_empty() {
-        outln!("no matching runs in {}", reg.index_path().display())?;
+    let listing =
+        RunListing::scan(Path::new(root)).map_err(|e| format!("cannot read {root}: {e}"))?;
+    let filtered = listing.filtered(cli.flag_str("model"), cli.flag_str("method"));
+    if filtered.is_empty() && listing.skipped.is_empty() {
+        outln!("no matching runs in {root}")?;
     } else {
-        out!("{}", idx.render(&filtered))?;
+        out!("{}", listing.render(&filtered))?;
     }
     Ok(())
 }
@@ -913,14 +855,18 @@ mod tests {
         let run = base.join("squeezenet_v1.1-autotvm-seed0");
         assert!(run.join("manifest.json").is_file());
         assert!(run.join("trace.jsonl").is_file());
-        assert!(base.join("index.jsonl").is_file(), "tune --out must register the run");
+        assert!(!base.join("index.jsonl").exists(), "the run directory is the run's one record");
         let logs: Vec<_> = std::fs::read_dir(run.join("logs")).unwrap().collect();
         assert_eq!(logs.len(), 1);
         // The recorded trace must summarize via the `trace` subcommand.
         dispatch(&sv(&["trace", run.join("trace.jsonl").to_str().unwrap()])).unwrap();
-        // The registry must list it.
+        // `runs` must list it, read from its directory.
         dispatch(&sv(&["runs", base.to_str().unwrap()])).unwrap();
         dispatch(&sv(&["runs", base.to_str().unwrap(), "--model", "squeezenet"])).unwrap();
+        let listing = RunListing::scan(&base).unwrap();
+        let ids: Vec<&str> = listing.entries.iter().map(|e| e.run_id.as_str()).collect();
+        assert_eq!(ids, ["squeezenet_v1.1-autotvm-seed0"]);
+        assert!(listing.entries[0].wall_time_s.is_some() && listing.skipped.is_empty());
         std::fs::remove_dir_all(&base).unwrap();
     }
 
@@ -986,8 +932,10 @@ mod tests {
             let distinct: std::collections::BTreeSet<&String> = all.iter().collect();
             assert_eq!(all.len(), distinct.len(), "a {kind} was snapshotted twice: {all:?}");
         }
-        // The snapshot precedes the report written after it.
-        assert!(trace.lines().last().is_some_and(|l| l.contains("wrote run artifacts")));
+        // The guard writes the one snapshot as the command ends, after
+        // its last report.
+        let line = |prefix: &str| trace.lines().position(|l| l.contains(prefix)).unwrap();
+        assert!(line("wrote run artifacts") < line("{\"Counter\":"), "{trace}");
         std::fs::remove_dir_all(&base).unwrap();
     }
 
@@ -1111,12 +1059,11 @@ mod tests {
         // Both `top` probe modes accept the finished run.
         dispatch(&sv(&["top", run.to_str().unwrap(), "--once"])).unwrap();
         dispatch(&sv(&["top", run.to_str().unwrap(), "--check"])).unwrap();
-        // The registry was appended at start and at completion; the load
-        // dedupes to one (done) entry.
-        let idx = Registry::at(&base).load().unwrap();
-        assert_eq!(idx.entries.len(), 1);
-        assert!(idx.entries[0].wall_time_s.is_some());
-        assert!(idx.entries[0].last_heartbeat_unix_ms.is_some());
+        // `runs` reads the run as done, with its last heartbeat.
+        let listing = RunListing::scan(&base).unwrap();
+        assert_eq!(listing.entries.len(), 1);
+        assert!(listing.entries[0].wall_time_s.is_some());
+        assert!(listing.entries[0].last_heartbeat_unix_ms.is_some());
         // --check rejects a corrupted snapshot.
         std::fs::write(run.join(telemetry::SNAPSHOT_FILE), "not json").unwrap();
         let e = dispatch(&sv(&["top", run.to_str().unwrap(), "--check"])).unwrap_err();

@@ -10,7 +10,7 @@
 //!                         [--device NAME] [--trace FILE] [--quiet] [--json]
 //! aaltune explain RUN_DIR
 //! aaltune trace   <trace.jsonl>
-//! aaltune runs    [DIR] [--model M] [--method M] [--kind K]
+//! aaltune runs    [DIR] [--model M] [--method M]
 //! aaltune compare <BASE_RUN> <CAND_RUN> [--fail-on-regress] [--alpha A]
 //!                         [--resamples N] [--min-effect PCT] [--boot-seed S]
 //! aaltune report  <RUN> [BASELINE] [--html FILE]
@@ -21,8 +21,8 @@
 //! `--trace` records a JSONL telemetry trace of the whole tuning loop;
 //! `aaltune trace` prints its per-phase time breakdown, counters, and
 //! histogram quantiles. `--out` collects manifest + logs + trace in a
-//! per-run directory and registers it in `DIR/index.jsonl`; `runs` lists
-//! that registry, `compare` bootstraps per-task GFLOPS deltas between two
+//! per-run directory under `DIR`; `runs DIR` lists the run directories
+//! there, read without modifying them, `compare` bootstraps per-task GFLOPS deltas between two
 //! run directories (exit code 2 on a gated regression), and `report`
 //! renders a self-contained HTML tuning report. `tune` also captures the
 //! surrogate's per-proposal predictions into `model_quality.jsonl`

@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn open_append_leaves_new_and_clean_files_alone() {
         let dir = tmp_dir("clean");
-        let path = dir.join("index.jsonl");
+        let path = dir.join("lines.jsonl");
         open_append(&path).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"");
         // A long clean line is kept, and appended after.

@@ -413,15 +413,6 @@ impl Telemetry {
         }
         inner.sink.flush();
     }
-
-    /// Flushes the sink's buffered records without writing metric
-    /// snapshots: for a handle whose final snapshots [`Telemetry::flush`]
-    /// has already written.
-    pub fn flush_sink(&self) {
-        if let Some(inner) = &self.inner {
-            inner.sink.flush();
-        }
-    }
 }
 
 struct LiveSpan {

@@ -36,7 +36,7 @@ use std::time::Instant;
 
 /// Version of the `metrics.snapshot.json` schema written by
 /// [`MetricsSnapshot`]. Bump when a field changes incompatibly; consumers
-/// (`aaltune top`, the run registry) warn on versions newer than they know.
+/// (`aaltune top`) warn on versions newer than they know.
 pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
 
 /// Number of independent histogram shards. Shard choice is by name hash,
@@ -246,7 +246,7 @@ pub fn unix_ms_now() -> u64 {
 
 /// A serializable point-in-time view of a [`MetricsRegistry`], written to
 /// `metrics.snapshot.json` in the run directory and consumed by
-/// `aaltune top` and the run registry.
+/// `aaltune top` and `aaltune runs`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// [`SNAPSHOT_SCHEMA_VERSION`] at write time.

@@ -1,7 +1,7 @@
 //! Turning a JSONL trace back into numbers: per-phase time breakdown,
 //! the aggregated span tree, counter and histogram tables, and the BAO /
 //! SA adaptation series. One fold fills all of them in a single streaming
-//! pass, so `aaltune trace`, `aaltune report` and the run registry read
+//! pass, so `aaltune trace`, `aaltune report` and `aaltune runs` read
 //! the same numbers.
 
 use crate::events::{HeartbeatEvent, RadiusEvent, SaDoneEvent};

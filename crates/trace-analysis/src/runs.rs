@@ -1,61 +1,34 @@
-//! The run registry: an append-only `index.jsonl` over run directories.
+//! Listing run directories: `aaltune runs DIR` reads each run under DIR.
 //!
-//! Every producer of tuning results — `aaltune tune --out`, the `fig4` /
-//! `table1` experiment binaries — appends one [`RunEntry`] per run, so ad-hoc
-//! runs and paper experiments live in one queryable index. Entries carry the
-//! manifest facts (model, arm, seed, budget, git-describe, wall time) plus
-//! the headline metrics extracted from the run's logs, which makes listing
-//! and filtering possible without re-reading every run directory.
-//!
-//! The index is *append-only*: re-running a configuration appends a fresh
-//! entry, and [`Registry::load`] keeps the last entry per run id, so the
-//! index doubles as a history while reads see current state.
+//! A run's record is its directory: manifest, trial logs, trace and
+//! metrics snapshot. [`RunListing::scan`] builds one [`RunEntry`] per
+//! direct subdirectory that is a run, so ad-hoc `tune --out` runs and
+//! served jobs (`ROOT/jobs/ID`) list alike, and a moved or deleted run
+//! simply stops listing. Reading changes nothing: a live or killed run's
+//! torn log tail is skipped, never truncated.
 
 use crate::stats::mean;
+use active_learning::records::ReadLogError;
 use active_learning::{RunDir, TuningLog};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
-
-/// Version of the registry entry format. Readers warn on newer entries
-/// instead of silently misreading them; entries with no version read as 1.
-///
-/// v2 added the measurement-health fields (`faults`, `retries`,
-/// `quarantined`, `resumed`), all optional so v1 entries still parse.
-///
-/// v3 added the liveness fields (`last_heartbeat_unix_ms`, `trials_done`),
-/// read from the run's `metrics.snapshot.json` / `run.heartbeat` events, so
-/// `aaltune runs` can tell a live run from a stale/crashed one. Also
-/// optional; older entries simply render no status.
-///
-/// v4 added the tuning-database provenance (`db_path`, `db_policy`, from
-/// the manifest) and consumption counters (`db_hits`, `db_warm_starts`,
-/// from the trace), so `aaltune runs` shows which results were served or
-/// seeded from a store. All optional; database-less runs leave them unset.
-pub const REGISTRY_SCHEMA_VERSION: u32 = 4;
 
 /// A run whose last heartbeat is older than this, and which never recorded
 /// a wall time, renders as `stale` — its process is presumed crashed or
 /// wedged. Heartbeats default to 1 Hz, so 30 s is ~30 missed beats.
 pub const STALE_AFTER_MS: u64 = 30_000;
 
-/// One run in the registry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One run, as read from its directory.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunEntry {
-    /// Entry format version ([`REGISTRY_SCHEMA_VERSION`] at write time).
-    pub schema_version: Option<u32>,
-    /// Registry key. Later entries with the same id shadow earlier ones.
+    /// The run directory's name.
     pub run_id: String,
-    /// Run directory (relative to the registry root when possible); `None`
-    /// for experiment entries that only produced aggregate JSON.
-    pub path: Option<String>,
-    /// Producer: `"tune"`, `"fig4"`, `"table1"`, ...
-    pub kind: String,
+    /// The run directory.
+    pub path: PathBuf,
     /// Model name.
     pub model: String,
-    /// Method / experiment arm label.
+    /// Method label.
     pub method: String,
     /// Master seed.
     pub seed: u64,
@@ -63,20 +36,16 @@ pub struct RunEntry {
     pub n_trial: u64,
     /// `git describe --always --dirty` at run time, when available.
     pub git_describe: Option<String>,
-    /// Wall-clock duration of the run in seconds.
+    /// Wall-clock duration of the run in seconds; `None` until it finishes.
     pub wall_time_s: Option<f64>,
-    /// Final best GFLOPS per task.
+    /// Best GFLOPS per task, over each log's committed trials.
     pub task_best_gflops: BTreeMap<String, f64>,
-    /// End-to-end mean latency (ms), for runs that deployed a model.
-    pub latency_mean_ms: Option<f64>,
-    /// End-to-end latency variance, for runs that deployed a model.
-    pub latency_variance: Option<f64>,
     /// Measurement faults observed (injected or real), from the trace.
     pub faults: Option<u64>,
     /// Transient-fault retries performed, from the trace.
     pub retries: Option<u64>,
     /// Persistent measurement failures (`measure.quarantine`), from the trace.
-    pub quarantined: Option<u64>,
+    pub persistent_failures: Option<u64>,
     /// Whether the run directory was continued by `tune --resume`.
     pub resumed: Option<bool>,
     /// Wall-clock ms (Unix epoch) of the run's last observed heartbeat —
@@ -94,8 +63,8 @@ pub struct RunEntry {
     pub db_warm_starts: Option<u64>,
 }
 
-/// Liveness classification of a registry entry, derived from its recorded
-/// wall time and last heartbeat. See [`RunEntry::status_at`].
+/// Liveness of a run, derived from its recorded wall time and last
+/// heartbeat. See [`RunEntry::status_at`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunStatus {
     /// The run recorded a final wall time: it finished.
@@ -105,8 +74,8 @@ pub enum RunStatus {
     /// The run never finished and heartbeats stopped this many ms ago:
     /// presumed crashed or wedged.
     Stale(u64),
-    /// No wall time and no heartbeat data (pre-v3 entry or snapshotting
-    /// disabled): liveness is unknown.
+    /// No wall time and no heartbeat data (snapshotting disabled and no
+    /// trace): liveness is unknown.
     Unknown,
 }
 
@@ -122,12 +91,6 @@ impl std::fmt::Display for RunStatus {
 }
 
 impl RunEntry {
-    /// The declared format version, defaulting pre-versioning entries to 1.
-    #[must_use]
-    pub fn schema_version(&self) -> u32 {
-        self.schema_version.unwrap_or(1)
-    }
-
     /// Mean of the per-task best GFLOPS (0.0 with no tasks).
     #[must_use]
     pub fn mean_best_gflops(&self) -> f64 {
@@ -156,9 +119,11 @@ impl RunEntry {
         }
     }
 
-    /// Builds an entry from a `tune --out` run directory: manifest facts
-    /// plus per-task best GFLOPS from the logs. `run_id` is the directory
-    /// name.
+    /// Reads the entry of the run directory at `path`: manifest facts, the
+    /// per-task best GFLOPS of each log's committed trials, and health and
+    /// liveness from the trace and metrics snapshot. `run_id` is the
+    /// directory name. Writes nothing: a log's torn tail is skipped, and a
+    /// log without a header yet holds no trial.
     ///
     /// # Errors
     ///
@@ -167,8 +132,22 @@ impl RunEntry {
         let dir = RunDir::open(path)?;
         let manifest =
             dir.read_manifest().map_err(|e| format!("bad manifest in {}: {e}", path.display()))?;
-        let logs: Vec<TuningLog> =
-            dir.read_logs().map_err(|e| format!("bad logs in {}: {e}", path.display()))?;
+        let bad_logs = |e: &dyn std::fmt::Display| format!("bad logs in {}: {e}", path.display());
+        let mut task_best_gflops = BTreeMap::new();
+        for file in std::fs::read_dir(path.join("logs")).map_err(|e| bad_logs(&e))? {
+            let file = file.map_err(|e| bad_logs(&e))?.path();
+            if file.extension().is_none_or(|e| e != "jsonl") {
+                continue;
+            }
+            let bytes = std::fs::read(&file).map_err(|e| bad_logs(&e))?;
+            match TuningLog::recover_jsonl(&bytes) {
+                Ok(r) => {
+                    task_best_gflops.insert(r.log.task_name.clone(), r.log.best_gflops());
+                }
+                Err(ReadLogError::Empty) => {}
+                Err(e) => return Err(bad_logs(&e)),
+            }
+        }
         // Health counters and the last heartbeat come from the trace when
         // the run wrote one; trace-less (or unreadable-trace) runs leave
         // them unset.
@@ -191,134 +170,70 @@ impl RunEntry {
             (None, None) => (None, None),
         };
         Ok(RunEntry {
-            schema_version: Some(REGISTRY_SCHEMA_VERSION),
             run_id: dir.run_id(),
-            path: Some(path.display().to_string()),
-            kind: "tune".to_string(),
-            model: manifest.model.clone(),
-            method: manifest.method.clone(),
+            path: path.to_path_buf(),
+            model: manifest.model,
+            method: manifest.method,
             seed: manifest.seed,
             n_trial: manifest.options.n_trial as u64,
-            git_describe: manifest.git_describe.clone(),
+            git_describe: manifest.git_describe,
             wall_time_s: manifest.wall_time_s,
-            task_best_gflops: logs.iter().map(|l| (l.task_name.clone(), l.best_gflops())).collect(),
-            latency_mean_ms: None,
-            latency_variance: None,
+            task_best_gflops,
             faults: counter("measure.fault"),
             retries: counter("measure.retry"),
-            quarantined: counter("measure.quarantine"),
+            persistent_failures: counter("measure.quarantine"),
             resumed: manifest.resumed,
             last_heartbeat_unix_ms,
             trials_done,
             db_path: manifest.db.as_ref().map(|d| d.path.clone()),
-            db_policy: manifest.db.as_ref().map(|d| d.policy.clone()),
+            db_policy: manifest.db.map(|d| d.policy),
             db_hits: counter("db.hit"),
             db_warm_starts: counter("db.warm_start"),
         })
     }
 }
 
-/// Handle on one registry index file.
-#[derive(Debug, Clone)]
-pub struct Registry {
-    index: PathBuf,
-}
-
-/// Result of reading an index: current entries plus hygiene counters.
+/// The runs directly under one directory.
 #[derive(Debug, Default)]
-pub struct RegistryIndex {
-    /// Last entry per run id, in first-seen order.
+pub struct RunListing {
+    /// One entry per run subdirectory, in name order.
     pub entries: Vec<RunEntry>,
-    /// Lines that failed to parse (corrupt or truncated appends).
-    pub malformed_lines: u64,
-    /// Entries declaring a schema version newer than supported.
-    pub newer_schema_entries: u64,
+    /// Why each run subdirectory that could not be read was skipped.
+    pub skipped: Vec<String>,
 }
 
-impl Registry {
-    /// The registry rooted at `root`: its index is `<root>/index.jsonl`.
-    #[must_use]
-    pub fn at(root: impl Into<PathBuf>) -> Registry {
-        Registry { index: root.into().join("index.jsonl") }
-    }
-
-    /// Path of the index file.
-    #[must_use]
-    pub fn index_path(&self) -> &Path {
-        &self.index
-    }
-
-    /// Appends one entry (creating the root directory and index on first
-    /// use) after dropping a torn final line ([`telemetry::durable`]).
+impl RunListing {
+    /// Reads every direct subdirectory of `root` that holds a manifest, in
+    /// name order. A subdirectory without one is not a run and is ignored;
+    /// a run that cannot be read is skipped, with its reason kept in
+    /// [`RunListing::skipped`].
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and write failures.
-    pub fn append(&self, entry: &RunEntry) -> std::io::Result<()> {
-        if let Some(parent) = self.index.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        // aal-lint: allow(unwrap, reason = "RunEntry is a plain data struct; serialization cannot fail")
-        let line = serde_json::to_string(entry).expect("entry serializes");
-        telemetry::durable::open_append(&self.index)?.append_line(line.as_bytes())
-    }
-
-    /// Reads the index. Corrupt lines are counted, not fatal; duplicate run
-    /// ids keep the last (newest) entry. A missing index reads as empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures other than the index not existing.
-    pub fn load(&self) -> std::io::Result<RegistryIndex> {
-        let f = match std::fs::File::open(&self.index) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(RegistryIndex::default())
-            }
-            Err(e) => return Err(e),
-        };
-        let mut out = RegistryIndex::default();
-        let mut by_id: BTreeMap<String, usize> = BTreeMap::new();
-        for line in std::io::BufReader::new(f).lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<RunEntry>(&line) {
-                Ok(e) => {
-                    if e.schema_version() > REGISTRY_SCHEMA_VERSION {
-                        out.newer_schema_entries += 1;
-                    }
-                    match by_id.get(&e.run_id) {
-                        Some(&i) => out.entries[i] = e,
-                        None => {
-                            by_id.insert(e.run_id.clone(), out.entries.len());
-                            out.entries.push(e);
-                        }
-                    }
-                }
-                Err(_) => out.malformed_lines += 1,
+    /// Propagates failures to list `root` itself.
+    pub fn scan(root: &Path) -> std::io::Result<RunListing> {
+        let mut dirs: Vec<PathBuf> = std::fs::read_dir(root)?
+            .map(|e| e.map(|e| e.path()))
+            .collect::<std::io::Result<_>>()?;
+        dirs.sort();
+        let mut out = RunListing::default();
+        for dir in dirs.iter().filter(|d| RunDir::open(d).is_ok()) {
+            match RunEntry::from_run_dir(dir) {
+                Ok(entry) => out.entries.push(entry),
+                Err(e) => out.skipped.push(e),
             }
         }
         Ok(out)
     }
-}
 
-impl RegistryIndex {
-    /// Entries whose model/method/kind match the given filters (substring
+    /// Entries whose model/method match the given filters (substring
     /// match on model so `--model mobilenet` finds `mobilenet_v1`).
     #[must_use]
-    pub fn filtered(
-        &self,
-        model: Option<&str>,
-        method: Option<&str>,
-        kind: Option<&str>,
-    ) -> Vec<&RunEntry> {
+    pub fn filtered(&self, model: Option<&str>, method: Option<&str>) -> Vec<&RunEntry> {
         self.entries
             .iter()
             .filter(|e| model.is_none_or(|m| e.model.contains(m)))
             .filter(|e| method.is_none_or(|m| e.method == m))
-            .filter(|e| kind.is_none_or(|k| e.kind == k))
             .collect()
     }
 
@@ -329,23 +244,21 @@ impl RegistryIndex {
         self.render_at(entries, telemetry::registry::unix_ms_now())
     }
 
-    /// [`RegistryIndex::render`] with an explicit "now" (Unix epoch ms), so
+    /// [`RunListing::render`] with an explicit "now" (Unix epoch ms), so
     /// liveness classification is testable.
     #[must_use]
     pub fn render_at(&self, entries: &[&RunEntry], now_ms: u64) -> String {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "{:<40} {:<7} {:<16} {:<9} {:>5} {:>7} {:>6} {:>10} {:>12} {:>10} {:>14} {:>12} {:>10}",
+            "{:<40} {:<16} {:<9} {:>5} {:>7} {:>6} {:>10} {:>10} {:>14} {:>12} {:>10}",
             "run",
-            "kind",
             "model",
             "method",
             "seed",
             "n-trial",
             "tasks",
             "GFLOPS",
-            "latency(ms)",
             "wall(s)",
             "health",
             "status",
@@ -353,8 +266,8 @@ impl RegistryIndex {
         );
         for e in entries {
             // "f3 r1 q2 R" = 3 faults, 1 retry, 2 persistent failures, resumed;
-            // "-" for pre-health (v1) entries with no trace data.
-            let health = match (e.faults, e.retries, e.quarantined) {
+            // "-" for a run with no trace.
+            let health = match (e.faults, e.retries, e.persistent_failures) {
                 (None, None, None) => "-".to_string(),
                 (f, r, q) => format!(
                     "f{} r{} q{}{}",
@@ -376,32 +289,22 @@ impl RegistryIndex {
             };
             let _ = writeln!(
                 s,
-                "{:<40} {:<7} {:<16} {:<9} {:>5} {:>7} {:>6} {:>10.1} {:>12} {:>10} {:>14} {:>12} {:>10}",
+                "{:<40} {:<16} {:<9} {:>5} {:>7} {:>6} {:>10.1} {:>10} {:>14} {:>12} {:>10}",
                 e.run_id,
-                e.kind,
                 e.model,
                 e.method,
                 e.seed,
                 e.n_trial,
                 e.task_best_gflops.len(),
                 e.mean_best_gflops(),
-                e.latency_mean_ms.map_or_else(|| "-".to_string(), |l| format!("{l:.4}")),
                 e.wall_time_s.map_or_else(|| "-".to_string(), |w| format!("{w:.1}")),
                 health,
                 e.status_at(now_ms).to_string(),
                 db,
             );
         }
-        if self.malformed_lines > 0 {
-            let _ = writeln!(s, "({} corrupt index line(s) skipped)", self.malformed_lines);
-        }
-        if self.newer_schema_entries > 0 {
-            let _ = writeln!(
-                s,
-                "warning: {} entr(ies) declare a registry schema newer than {} — \
-                 fields may be misread",
-                self.newer_schema_entries, REGISTRY_SCHEMA_VERSION
-            );
+        for skipped in &self.skipped {
+            let _ = writeln!(s, "(skipped: {skipped})");
         }
         s
     }
@@ -427,13 +330,12 @@ pub fn git_describe(dir: &Path) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use active_learning::{TrialRecord, TuneOptions};
 
     fn entry(id: &str, seed: u64) -> RunEntry {
         RunEntry {
-            schema_version: Some(REGISTRY_SCHEMA_VERSION),
             run_id: id.to_string(),
-            path: None,
-            kind: "tune".to_string(),
+            path: PathBuf::from(id),
             model: "mobilenet_v1".to_string(),
             method: "bted+bao".to_string(),
             seed,
@@ -443,11 +345,9 @@ mod tests {
             task_best_gflops: [("m.T1".to_string(), 100.0), ("m.T2".to_string(), 200.0)]
                 .into_iter()
                 .collect(),
-            latency_mean_ms: None,
-            latency_variance: None,
             faults: None,
             retries: None,
-            quarantined: None,
+            persistent_failures: None,
             resumed: None,
             last_heartbeat_unix_ms: None,
             trials_done: None,
@@ -458,93 +358,41 @@ mod tests {
         }
     }
 
+    /// The manifest of an unfinished one-task run.
+    fn manifest() -> active_learning::RunManifest {
+        active_learning::RunManifest {
+            model: "squeezenet_v1.1".into(),
+            method: "autotvm".into(),
+            tasks: vec!["sq.T1".into()],
+            seed: 4,
+            options: TuneOptions::smoke(),
+            schema_version: Some(active_learning::MANIFEST_SCHEMA_VERSION),
+            git_describe: None,
+            wall_time_s: None,
+            device: None,
+            fault: None,
+            resumed: None,
+            workers: None,
+            devices: None,
+            db: None,
+        }
+    }
+
     fn temp_root(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("aaltune-registry-{tag}-{}", std::process::id()))
+        std::env::temp_dir().join(format!("aaltune-runs-{tag}-{}", std::process::id()))
     }
 
     #[test]
-    fn append_then_load_round_trips() {
-        let root = temp_root("rt");
-        let _ = std::fs::remove_dir_all(&root);
-        let reg = Registry::at(&root);
-        reg.append(&entry("run-a", 0)).unwrap();
-        reg.append(&entry("run-b", 1)).unwrap();
-        let idx = reg.load().unwrap();
-        assert_eq!(idx.entries.len(), 2);
-        assert_eq!(idx.entries[0].run_id, "run-a");
-        assert!((idx.entries[0].mean_best_gflops() - 150.0).abs() < 1e-9);
-        assert_eq!(idx.malformed_lines, 0);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn duplicate_run_ids_keep_the_newest() {
-        let root = temp_root("dup");
-        let _ = std::fs::remove_dir_all(&root);
-        let reg = Registry::at(&root);
-        reg.append(&entry("run-a", 0)).unwrap();
-        reg.append(&entry("run-a", 9)).unwrap();
-        let idx = reg.load().unwrap();
-        assert_eq!(idx.entries.len(), 1);
-        assert_eq!(idx.entries[0].seed, 9, "later append must shadow the earlier one");
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn corrupt_lines_and_missing_index_are_tolerated() {
-        let root = temp_root("corrupt");
-        let _ = std::fs::remove_dir_all(&root);
-        let reg = Registry::at(&root);
-        assert!(reg.load().unwrap().entries.is_empty(), "missing index reads as empty");
-        reg.append(&entry("ok", 0)).unwrap();
-        std::fs::write(
-            reg.index_path(),
-            format!("{}\nnot json\n", serde_json::to_string(&entry("ok", 0)).unwrap()),
-        )
-        .unwrap();
-        let idx = reg.load().unwrap();
-        assert_eq!(idx.entries.len(), 1);
-        assert_eq!(idx.malformed_lines, 1);
-        assert!(idx.render(&idx.filtered(None, None, None)).contains("corrupt"));
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn append_after_a_torn_entry_keeps_every_committed_entry() {
-        let root = temp_root("torn");
-        let _ = std::fs::remove_dir_all(&root);
-        let reg = Registry::at(&root);
-        reg.append(&entry("run-a", 0)).unwrap();
-        // A crash mid-append left run-b complete but without its newline.
-        let mut index = std::fs::read_to_string(reg.index_path()).unwrap();
-        index.push_str(&serde_json::to_string(&entry("run-b", 1)).unwrap());
-        std::fs::write(reg.index_path(), index).unwrap();
-        reg.append(&entry("run-c", 2)).unwrap();
-        let idx = reg.load().unwrap();
-        let ids: Vec<&str> = idx.entries.iter().map(|e| e.run_id.as_str()).collect();
-        assert_eq!(ids, ["run-a", "run-c"], "the uncommitted run-b is dropped, not glued");
-        assert_eq!(idx.malformed_lines, 0);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn filters_match_model_method_kind() {
-        let root = temp_root("filter");
-        let _ = std::fs::remove_dir_all(&root);
-        let reg = Registry::at(&root);
-        reg.append(&entry("a", 0)).unwrap();
+    fn filters_match_model_and_method() {
         let mut other = entry("b", 0);
         other.model = "resnet18".to_string();
         other.method = "autotvm".to_string();
-        reg.append(&other).unwrap();
-        let idx = reg.load().unwrap();
-        assert_eq!(idx.filtered(Some("mobilenet"), None, None).len(), 1);
-        assert_eq!(idx.filtered(None, Some("autotvm"), None).len(), 1);
-        assert_eq!(idx.filtered(None, None, Some("tune")).len(), 2);
-        assert_eq!(idx.filtered(Some("vgg"), None, None).len(), 0);
-        let table = idx.render(&idx.filtered(None, None, None));
+        let listing = RunListing { entries: vec![entry("a", 0), other], skipped: Vec::new() };
+        assert_eq!(listing.filtered(Some("mobilenet"), None).len(), 1);
+        assert_eq!(listing.filtered(None, Some("autotvm")).len(), 1);
+        assert_eq!(listing.filtered(Some("vgg"), None).len(), 0);
+        let table = listing.render(&listing.filtered(None, None));
         assert!(table.contains("resnet18"), "{table}");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -573,9 +421,8 @@ mod tests {
         finished.last_heartbeat_unix_ms = Some(0);
         assert_eq!(finished.status_at(now), RunStatus::Done);
 
-        let idx =
-            RegistryIndex { entries: vec![done, live, stale, unknown], ..RegistryIndex::default() };
-        let table = idx.render_at(&idx.entries.iter().collect::<Vec<_>>(), now);
+        let listing = RunListing { entries: vec![done, live, stale, unknown], skipped: Vec::new() };
+        let table = listing.render_at(&listing.entries.iter().collect::<Vec<_>>(), now);
         assert!(table.contains("status"), "{table}");
         assert!(table.contains("live"), "{table}");
         assert!(table.contains("stale 120s"), "{table}");
@@ -583,28 +430,12 @@ mod tests {
 
     #[test]
     fn entry_from_run_dir_reads_heartbeat_from_trace_and_snapshot() {
-        use active_learning::{RunManifest, TuneOptions, MANIFEST_SCHEMA_VERSION};
         let root = temp_root("hb").join("hb-run");
         let _ = std::fs::remove_dir_all(root.parent().unwrap());
         let dir = RunDir::create(&root).unwrap();
-        dir.write_manifest(&RunManifest {
-            model: "squeezenet_v1.1".into(),
-            method: "autotvm".into(),
-            tasks: vec!["sq.T1".into()],
-            seed: 4,
-            options: TuneOptions::smoke(),
-            schema_version: Some(MANIFEST_SCHEMA_VERSION),
-            git_describe: None,
-            wall_time_s: None, // still running (or crashed)
-            device: None,
-            fault: None,
-            resumed: None,
-            workers: None,
-            devices: None,
-            db: None,
-        })
-        .unwrap();
-        // No heartbeat data at all: liveness unknown.
+        // Still running (or crashed), with no heartbeat data at all:
+        // liveness unknown.
+        dir.write_manifest(&manifest()).unwrap();
         let e = RunEntry::from_run_dir(&root).unwrap();
         assert_eq!(e.last_heartbeat_unix_ms, None);
         assert_eq!(e.status_at(1_700_000_000_000), RunStatus::Unknown);
@@ -644,35 +475,18 @@ mod tests {
 
     #[test]
     fn entry_from_run_dir_extracts_headline_metrics() {
-        use active_learning::{RunManifest, TrialRecord, TuneOptions, MANIFEST_SCHEMA_VERSION};
+        use active_learning::RunManifest;
         let root = temp_root("fromdir").join("sq-autotvm-seed0");
         let _ = std::fs::remove_dir_all(root.parent().unwrap());
         let dir = RunDir::create(&root).unwrap();
         dir.write_manifest(&RunManifest {
-            model: "squeezenet_v1.1".into(),
-            method: "autotvm".into(),
-            tasks: vec!["sq.T1".into()],
-            seed: 4,
-            options: TuneOptions::smoke(),
-            schema_version: Some(MANIFEST_SCHEMA_VERSION),
-            git_describe: None,
             wall_time_s: Some(0.5),
-            device: None,
-            fault: None,
             resumed: Some(true),
-            workers: None,
-            devices: None,
-            db: None,
+            ..manifest()
         })
         .unwrap();
         let mut log = TuningLog::new("sq.T1", "autotvm");
-        log.records.push(TrialRecord {
-            trial: 0,
-            config_index: 1,
-            gflops: 80.0,
-            latency_s: 1e-4,
-            best_gflops: 80.0,
-        });
+        log.records.push(trial(0, 80.0, 80.0));
         dir.write_log(&log).unwrap();
         let e = RunEntry::from_run_dir(&root).unwrap();
         assert_eq!(e.run_id, "sq-autotvm-seed0");
@@ -701,10 +515,80 @@ mod tests {
         let e = RunEntry::from_run_dir(&root).unwrap();
         assert_eq!(e.faults, Some(3));
         assert_eq!(e.retries, Some(2));
-        assert_eq!(e.quarantined, Some(0));
-        let idx = RegistryIndex { entries: vec![e], ..RegistryIndex::default() };
-        let table = idx.render(&idx.entries.iter().collect::<Vec<_>>());
+        assert_eq!(e.persistent_failures, Some(0));
+        let listing = RunListing { entries: vec![e], skipped: Vec::new() };
+        let table = listing.render(&listing.entries.iter().collect::<Vec<_>>());
         assert!(table.contains("f3 r2 q0 R"), "{table}");
         std::fs::remove_dir_all(root.parent().unwrap()).unwrap();
+    }
+
+    /// Every file under `root` with its bytes, and every directory.
+    fn tree(root: &Path) -> BTreeMap<PathBuf, Option<Vec<u8>>> {
+        let mut out = BTreeMap::new();
+        let mut stack = vec![root.to_path_buf()];
+        while let Some(p) = stack.pop() {
+            if p.is_dir() {
+                stack.extend(std::fs::read_dir(&p).unwrap().map(|e| e.unwrap().path()));
+                out.insert(p, None);
+            } else {
+                out.insert(p.clone(), Some(std::fs::read(&p).unwrap()));
+            }
+        }
+        out
+    }
+
+    fn trial(trial: usize, gflops: f64, best_gflops: f64) -> TrialRecord {
+        TrialRecord { trial, config_index: trial as u64, gflops, latency_s: 1e-4, best_gflops }
+    }
+
+    #[test]
+    fn a_torn_log_lists_its_committed_trials_and_stays_untouched() {
+        let root = temp_root("torn");
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = RunDir::create(root.join("killed")).unwrap();
+        dir.write_manifest(&manifest()).unwrap();
+        let mut log = TuningLog::new("sq.T1", "autotvm");
+        log.records.extend([trial(0, 80.0, 80.0), trial(1, 95.0, 95.0)]);
+        let path = dir.write_log(&log).unwrap();
+        // The killed writer left half of its third line.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"{\"trial\":2,\"config_index\":2,\"gfl");
+        std::fs::write(&path, bytes).unwrap();
+        // A log whose header was never written holds no trial.
+        std::fs::write(dir.log_path("sq.T2"), b"").unwrap();
+
+        let before = tree(&root);
+        let listing = RunListing::scan(&root).unwrap();
+        assert_eq!(tree(&root), before, "listing a run must not modify it");
+        assert!(listing.skipped.is_empty(), "{:?}", listing.skipped);
+        let [e] = &listing.entries[..] else { panic!("{:?}", listing.entries) };
+        assert_eq!(e.run_id, "killed");
+        assert_eq!(e.task_best_gflops, BTreeMap::from([("sq.T1".to_string(), 95.0)]));
+        assert_eq!(e.status_at(0), RunStatus::Unknown);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn scan_lists_runs_in_name_order_and_notes_unreadable_ones() {
+        let root = temp_root("scan");
+        let _ = std::fs::remove_dir_all(&root);
+        for name in ["b-run", "a-run"] {
+            RunDir::create(root.join(name)).unwrap().write_manifest(&manifest()).unwrap();
+        }
+        // Not runs: a directory without a manifest, and a plain file.
+        std::fs::create_dir_all(root.join("c-notes")).unwrap();
+        std::fs::write(root.join("README"), "notes").unwrap();
+        // A run whose manifest is corrupt.
+        std::fs::create_dir_all(root.join("d-bad")).unwrap();
+        std::fs::write(root.join("d-bad/manifest.json"), "{").unwrap();
+
+        let listing = RunListing::scan(&root).unwrap();
+        let ids: Vec<&str> = listing.entries.iter().map(|e| e.run_id.as_str()).collect();
+        assert_eq!(ids, ["a-run", "b-run"]);
+        assert_eq!(listing.skipped.len(), 1, "{:?}", listing.skipped);
+        let table = listing.render(&listing.filtered(None, None));
+        assert!(table.contains("(skipped: bad manifest in ") && table.contains("d-bad"), "{table}");
+        assert!(RunListing::scan(&root.join("missing")).is_err());
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

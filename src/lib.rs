@@ -16,6 +16,10 @@
 //! * [`gbt`] — gradient-boosted regression trees (the evaluation function).
 //! * [`active_learning`] — TED/BTED, BS/BAO, simulated annealing, the
 //!   AutoTVM baseline tuner and end-to-end model tuning.
+//! * [`executor`] — parallel batched measurement with deterministic,
+//!   submission-ordered results.
+//! * [`tensor_exec`] — reference tensor ops, a graph interpreter and
+//!   tiled-schedule verification.
 //!
 //! # Quickstart
 //!
